@@ -11,8 +11,7 @@ Exit codes: 0 success, 1 verification failures, 2 configuration error,
 3 model/precondition error, 4 runtime filter abort.
 
 Every command is a deterministic function of its configuration file: all
-randomness flows from the explicit seeds. FPF_LAB_THREADS caps the worker
-pool used for multi-seed compare runs (0 or unset = automatic).
+randomness flows from the explicit seeds.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import argparse
 import configparser
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
 import numpy as np
@@ -36,24 +34,8 @@ from .reference import (KalmanState, WeightCollapseError, bootstrap_pf_step,
 from .sde import (read_observations_csv, simulate_truth,
                   synthesize_observations, write_observations_csv,
                   write_truth_csv)
+from .table import FMT, write_table
 from .verify import SUITE_NAMES, CheckRow, run_suite, write_suite_csv
-
-_FMT = "%.12g"
-
-
-def max_workers_from_env() -> Optional[int]:
-    """Worker cap from FPF_LAB_THREADS; 0 or unset means automatic."""
-    raw = os.environ.get("FPF_LAB_THREADS", "").strip()
-    if raw in ("", "0"):
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"FPF_LAB_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError("FPF_LAB_THREADS must be >= 0")
-    return n
 
 
 def _out_dir(args, cfg: Optional[ExperimentConfig]) -> str:
@@ -67,8 +49,6 @@ def _load_observations(path: str, cfg: ExperimentConfig):
         obs = read_observations_csv(path)
     except OSError as exc:
         raise ConfigError(f"cannot read observations {path}: {exc}") from None
-    if len(obs) == 0:
-        raise ModelValidationError(f"observation file {path} is empty")
     dt_obs = float(obs.times[0])
     if len(obs.times) > 1:
         dt_obs = float(np.median(np.diff(obs.times)))
@@ -118,121 +98,97 @@ def _rmse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
+def _moment_path(state, step, moments, dz):
+    """Means and variances of a filter state at t=0 and after each
+    step(state, dz_n); moments(state) returns its (mean, covariance)."""
+    path = [moments(state)]
+    for dz_n in dz:
+        state = step(state, float(dz_n))
+        path.append(moments(state))
+    return (np.array([mean for mean, _ in path]),
+            np.array([np.diag(cov) for _, cov in path]))
+
+
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     validate_model(cfg.model)
     out = _out_dir(args, cfg)
     obs = _load_observations(args.obs, cfg)
     model, d, dt = cfg.model, cfg.model.dim, cfg.dt
-    m = len(obs)
 
-    def run_fpf(seed: int):
-        return run_filter(model, obs, cfg.n_particles, seed,
-                          cfg.filter_cfg, cfg.prior_mean, cfg.prior_cov)
-
-    with ThreadPoolExecutor(max_workers=max_workers_from_env()) as pool:
-        fpf_runs = list(pool.map(run_fpf, cfg.compare_seeds))
+    fpf_runs = [run_filter(model, obs, cfg.n_particles, seed, cfg.filter_cfg,
+                           cfg.prior_mean, cfg.prior_cov)
+                for seed in cfg.compare_seeds]
     fpf_trace, fpf_final = fpf_runs[0]
 
-    kb_means = kb_vars = None
+    # (means, variances) per filter, in compare.csv column order
+    paths = {"fpf": (fpf_trace.means,
+                     np.diagonal(fpf_trace.covs, axis1=1, axis2=2))}
     if model.drift_matrix is not None and model.obs_vector is not None:
-        state = KalmanState(cfg.prior_mean.copy(), cfg.prior_cov.copy())
-        kb_means = np.empty((m + 1, d))
-        kb_vars = np.empty((m + 1, d))
-        kb_means[0], kb_vars[0] = state.mean, np.diag(state.cov)
-        for n in range(m):
-            state = kalman_bucy_step(state, model, float(obs.dz[n]), dt)
-            kb_means[n + 1], kb_vars[n + 1] = state.mean, np.diag(state.cov)
-
+        paths["kb"] = _moment_path(
+            KalmanState(cfg.prior_mean.copy(), cfg.prior_cov.copy()),
+            lambda state, dz: kalman_bucy_step(state, model, dz, dt),
+            lambda state: (state.mean, state.cov), obs.dz)
     bpf_ens = sample_initial_ensemble(d, cfg.n_particles, cfg.prior_mean,
                                       cfg.prior_cov, cfg.seed_filter)
-    log_w = np.zeros(cfg.n_particles)
-    bpf_means = np.empty((m + 1, d))
-    bpf_vars = np.empty((m + 1, d))
-    mean, cov = weighted_stats(bpf_ens.states, log_w)
-    bpf_means[0], bpf_vars[0] = mean, np.diag(cov)
-    for n in range(m):
-        bpf_ens, log_w, _ = bootstrap_pf_step(model, bpf_ens, log_w,
-                                              float(obs.dz[n]), dt)
-        mean, cov = weighted_stats(bpf_ens.states, log_w)
-        bpf_means[n + 1], bpf_vars[n + 1] = mean, np.diag(cov)
-
-    grid_means = grid_vars = grid_density = None
+    paths["bpf"] = _moment_path(
+        (bpf_ens, np.zeros(cfg.n_particles)),
+        lambda state, dz: bootstrap_pf_step(model, *state, dz, dt)[:2],
+        lambda state: weighted_stats(state[0].states, state[1]), obs.dz)
+    grid_density = None
     if d == 1:
         x = np.linspace(-cfg.grid_halfwidth, cfg.grid_halfwidth,
                         cfg.grid_points)
         grid_density = GridDensity.gaussian(x, float(cfg.prior_mean[0]),
                                             float(cfg.prior_cov[0, 0]))
-        grid_means = np.empty(m + 1)
-        grid_vars = np.empty(m + 1)
-        grid_means[0], grid_vars[0] = grid_density.mean(), grid_density.var()
-        for n in range(m):
-            kushner_grid_step(grid_density, model, float(obs.dz[n]), dt)
-            grid_means[n + 1] = grid_density.mean()
-            grid_vars[n + 1] = grid_density.var()
+        # kushner_grid_step updates the density in place, so grid_density
+        # is the final posterior afterwards
+        paths["grid"] = _moment_path(
+            grid_density,
+            lambda density, dz: kushner_grid_step(density, model, dz, dt),
+            lambda density: ([density.mean()], [[density.var()]]), obs.dz)
 
     compare_path = os.path.join(out, "compare.csv")
-    header = ["t"]
-    columns = [fpf_trace.times]
-    for i in range(d):
-        header += [f"fpf_mean_{i + 1}"]
-        columns += [fpf_trace.means[:, i]]
-    for i in range(d):
-        header += [f"fpf_var_{i + 1}"]
-        columns += [fpf_trace.covs[:, i, i]]
-    if kb_means is not None:
-        for i in range(d):
-            header += [f"kb_mean_{i + 1}"]
-            columns += [kb_means[:, i]]
-        for i in range(d):
-            header += [f"kb_var_{i + 1}"]
-            columns += [kb_vars[:, i]]
-    for i in range(d):
-        header += [f"bpf_mean_{i + 1}"]
-        columns += [bpf_means[:, i]]
-    for i in range(d):
-        header += [f"bpf_var_{i + 1}"]
-        columns += [bpf_vars[:, i]]
-    if grid_means is not None:
-        header += ["grid_mean_1", "grid_var_1"]
-        columns += [grid_means, grid_vars]
-    table = np.column_stack(columns)
-    with open(compare_path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+    header, columns = ["t"], [fpf_trace.times]
+    for name, moments in paths.items():
+        for stat, values in zip(("mean", "var"), moments):
+            header += [f"{name}_{stat}_{i + 1}"
+                       for i in range(values.shape[1])]
+            columns.append(values)
+    write_table(compare_path, header, np.column_stack(columns).tolist())
 
     lines: List[str] = [
         f"model={cfg.model_name}",
-        f"dt={_FMT % cfg.dt}",
-        f"t_end={_FMT % cfg.t_end}",
+        f"dt={FMT % cfg.dt}",
+        f"t_end={FMT % cfg.t_end}",
         f"n_particles={cfg.n_particles}",
         f"gain={cfg.filter_cfg.gain_method}",
         f"n_compare_seeds={len(cfg.compare_seeds)}",
     ]
-    if kb_means is not None:
+    if "kb" in paths:
+        kb_means, bpf_means = paths["kb"][0], paths["bpf"][0]
         rmses = []
         for seed, (trace, _) in zip(cfg.compare_seeds, fpf_runs):
             r = _rmse(trace.means, kb_means)
             rmses.append(r)
-            lines.append(f"fpf_rmse_vs_kb_seed_{seed}={_FMT % r}")
-        lines.append(f"fpf_mean_rmse_vs_kb={_FMT % float(np.mean(rmses))}")
-        lines.append(f"bpf_rmse_vs_kb={_FMT % _rmse(bpf_means, kb_means)}")
-        if grid_means is not None:
+            lines.append(f"fpf_rmse_vs_kb_seed_{seed}={FMT % r}")
+        lines.append(f"fpf_mean_rmse_vs_kb={FMT % float(np.mean(rmses))}")
+        lines.append(f"bpf_rmse_vs_kb={FMT % _rmse(bpf_means, kb_means)}")
+        if "grid" in paths:
             lines.append("grid_mean_rmse_vs_kb="
-                         + _FMT % _rmse(grid_means, kb_means[:, 0]))
+                         + FMT % _rmse(paths["grid"][0], kb_means))
     total_flagged = sum(int(trace.n_flagged.sum())
                         for trace, _ in fpf_runs)
     lines.append(f"n_flagged_total={total_flagged}")
-    lines.append(f"fpf_final_var_11={_FMT % fpf_trace.covs[-1, 0, 0]}")
-    if kb_vars is not None:
-        lines.append(f"kb_final_var_11={_FMT % kb_vars[-1, 0]}")
+    lines.append(f"fpf_final_var_11={FMT % fpf_trace.covs[-1, 0, 0]}")
+    if "kb" in paths:
+        lines.append(f"kb_final_var_11={FMT % paths['kb'][1][-1, 0]}")
     if grid_density is not None:
         fpf_density = kde_density(fpf_final.states[:, 0], grid_density.x)
         for gen in ("kl", "hellinger", "tv"):
             val = f_divergence_grid(fpf_density, grid_density,
                                     get_generator(gen))
-            lines.append(f"{gen}_fpf_vs_grid={_FMT % val}")
+            lines.append(f"{gen}_fpf_vs_grid={FMT % val}")
     summary_path = os.path.join(out, "summary.txt")
     with open(summary_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

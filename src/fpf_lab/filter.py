@@ -12,7 +12,6 @@ their identity and noise stream for the whole run.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -22,8 +21,7 @@ from .gain import check_admissible, compute_gain
 from .model import (ParticleEnsemble, SdeModel, ensemble_stats,
                     sample_initial_ensemble)
 from .sde import ObservationSet, euler_maruyama_step
-
-_FMT = "%.12g"
+from .table import read_table, write_table
 
 
 class FilterAbortError(RuntimeError):
@@ -128,23 +126,15 @@ def write_trace_csv(path: str, trace: FilterTrace) -> None:
               + [f"mean_{i + 1}" for i in range(d)]
               + [f"cov_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
               + ["h_hat", "n_flagged"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for n in range(len(trace.times)):
-            row = [_FMT % trace.times[n], _FMT % trace.dz[n]]
-            row += [_FMT % v for v in trace.means[n]]
-            row += [_FMT % v for v in trace.covs[n].reshape(-1)]
-            row += [_FMT % trace.h_hat[n], str(int(trace.n_flagged[n]))]
-            writer.writerow(row)
+    table = np.column_stack([trace.times, trace.dz, trace.means,
+                             trace.covs.reshape(len(trace.times), -1),
+                             trace.h_hat, trace.n_flagged])
+    write_table(path, header, table.tolist())
 
 
 def read_trace_csv(path: str) -> FilterTrace:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
+    header, data = read_table(path)
     d = sum(1 for name in header if name.startswith("mean_"))
-    data = np.array([[float(v) for v in row] for row in body])
     return FilterTrace(
         times=data[:, 0],
         dz=data[:, 1],

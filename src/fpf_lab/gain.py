@@ -116,10 +116,12 @@ def _constant_field(k0: np.ndarray, h_vals: np.ndarray, h_hat: float,
                     h_grad: np.ndarray, method: str) -> GainField:
     n, d = h_grad.shape
     k = np.broadcast_to(k0, (n, d)).copy()
-    k_jac = np.zeros((n, d, d))
-    k_second = np.zeros((n, d, d, d))
-    u, u_jac = _assemble_u(k, k_jac, k_second, h_vals, h_hat, h_grad)
-    return GainField(k=k, k_jac=k_jac, u=u, u_jac=u_jac, method=method)
+    # _assemble_u with k_jac = 0 and k_second = 0: Omega and every
+    # Jacobian term but the h_grad one vanish
+    u = -0.5 * k * (h_vals + h_hat)[:, None]
+    u_jac = -0.5 * np.einsum("ni,nj->nij", h_grad, k)
+    return GainField(k=k, k_jac=np.zeros((n, d, d)), u=u, u_jac=u_jac,
+                     method=method)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Built-in model registry.
 
-Each entry builds a fresh SdeModel plus a default Gaussian prior. Linear
-models carry their affine metadata (drift_matrix, obs_vector, obs_offset)
-so the closed-form gain and the Kalman-Bucy reference are available.
+Each entry builds a fresh SdeModel; every model's default prior is N(0, I).
+Linear models carry their affine metadata (drift_matrix, obs_vector,
+obs_offset) so the closed-form gain and the Kalman-Bucy reference are
+available.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -76,13 +77,6 @@ _REGISTRY = {
     "constant-signal": _constant_signal,
 }
 
-_PRIORS: Dict[str, Tuple[np.ndarray, np.ndarray]] = {
-    "linear1d": (np.zeros(1), np.eye(1)),
-    "linear2d": (np.zeros(2), np.eye(2)),
-    "cubic-sensor": (np.zeros(1), np.eye(1)),
-    "constant-signal": (np.zeros(1), np.eye(1)),
-}
-
 
 def available_models() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
@@ -98,6 +92,7 @@ def make_model(name: str) -> SdeModel:
 
 
 def default_prior(name: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Default (mean, cov) of the initial Gaussian for a registry model."""
-    mean, cov = _PRIORS[name]
-    return mean.copy(), cov.copy()
+    """Default (mean, cov) of the initial Gaussian for a registry model:
+    N(0, I) in the model's dimension."""
+    dim = make_model(name).dim
+    return np.zeros(dim), np.eye(dim)

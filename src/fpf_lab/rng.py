@@ -55,8 +55,3 @@ def standard_normal(seed: int, stream, step: int, n_slots: int) -> np.ndarray:
     u1 = uniform01(seed, stream, step, 2 * slots)
     u2 = uniform01(seed, stream, step, 2 * slots + np.uint64(1))
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-
-def normal_scalar_stream(seed: int, stream_id: int, step: int, n: int) -> np.ndarray:
-    """Convenience: n standard-normal draws from one stream as a flat array."""
-    return standard_normal(seed, np.array([stream_id], dtype=np.uint64), step, n)[0]

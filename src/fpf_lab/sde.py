@@ -1,25 +1,19 @@
 """Euler-Maruyama propagation, truth paths, and sampled observations.
 
-File formats (all CSV with header row, values formatted with %.12g):
-
-    truth:        t,x_1,...,x_d       one row per time 0, dt, ..., T
-    observations: t,y,dz              one row per observation time dt, ..., T
-
 The sampled observation at t_n is y_n = h(x(t_n)) + w_n with
-w_n ~ N(0, 1/dt); the filter-facing increment is dz_n = y_n * dt.
+w_n ~ N(0, 1/dt); the filter-facing increment is dz_n = y_n * dt. The
+truth.csv and obs.csv layouts are documented in `fpf_lab.table`.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .model import ParticleEnsemble, SdeModel
-
-_FMT = "%.12g"
+from .model import ModelValidationError, ParticleEnsemble, SdeModel
+from .table import read_table, write_table
 
 
 @dataclass
@@ -86,37 +80,30 @@ def synthesize_observations(model: SdeModel, truth: TruthPath,
     """Draw y_n = h(x(t_n)) + w_n, w_n ~ N(0, 1/dt), at t_n = dt..T."""
     dt = truth.dt
     h = model.obs_at(truth.states[1:])
-    w = rng.normal_scalar_stream(seed, stream_id=0, step=0, n=len(h))
+    w = rng.standard_normal(seed, [0], 0, len(h))[0]
     y = h + w / np.sqrt(dt)
     return ObservationSet(times=truth.times[1:].copy(), y=y, dz=y * dt)
 
 
 def write_truth_csv(path: str, truth: TruthPath) -> None:
     d = truth.states.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x_{i + 1}" for i in range(d)])
-        for t, x in zip(truth.times, truth.states):
-            writer.writerow([_FMT % t] + [_FMT % xi for xi in x])
+    write_table(path, ["t"] + [f"x_{i + 1}" for i in range(d)],
+                np.column_stack([truth.times, truth.states]).tolist())
 
 
 def read_truth_csv(path: str) -> TruthPath:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
+    _, data = read_table(path)
     return TruthPath(times=data[:, 0], states=data[:, 1:])
 
 
 def write_observations_csv(path: str, obs: ObservationSet) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "y", "dz"])
-        for t, y, dz in zip(obs.times, obs.y, obs.dz):
-            writer.writerow([_FMT % t, _FMT % y, _FMT % dz])
+    write_table(path, ["t", "y", "dz"],
+                np.column_stack([obs.times, obs.y, obs.dz]).tolist())
 
 
 def read_observations_csv(path: str) -> ObservationSet:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
+    _, data = read_table(path)
+    if data.shape[1] != 3:
+        raise ModelValidationError(
+            f"{path}: {data.shape[1]} columns, expected t,y,dz")
     return ObservationSet(times=data[:, 0], y=data[:, 1], dz=data[:, 2])

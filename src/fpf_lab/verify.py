@@ -12,7 +12,6 @@ tests, so the tolerances frozen here are the single source of truth.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -33,10 +32,9 @@ from .identities import (
     quadratic_term_identity,
     weighted_poisson_derivative_check,
 )
+from .table import write_table
 
 __all__ = ["CheckRow", "SUITE_NAMES", "run_suite", "write_suite_csv"]
-
-_FMT = "%.12g"
 
 SUITE_NAMES = ("piola", "appendixB", "lm2", "el-invariance", "poincare",
                "lemmaD", "taylor")
@@ -341,10 +339,6 @@ def run_suite(name: str) -> List[CheckRow]:
 
 
 def write_suite_csv(path: str, rows: List[CheckRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "point", "residual", "tolerance", "pass"])
-        for row in rows:
-            writer.writerow([row.check, row.point, _FMT % row.residual,
-                             _FMT % row.tolerance,
-                             "1" if row.passed else "0"])
+    write_table(path, ["check", "point", "residual", "tolerance", "pass"],
+                ([row.check, row.point, row.residual, row.tolerance,
+                  "1" if row.passed else "0"] for row in rows))

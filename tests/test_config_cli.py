@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpf_lab.cli import main, max_workers_from_env
+from fpf_lab.cli import main
 from fpf_lab.config import ConfigError, load_config, parse_polynomial
 from fpf_lab.verify import run_suite
 
@@ -246,31 +246,6 @@ dir = results
             load_config(str(tmp_path / "absent.ini"))
 
 
-class TestThreadCap:
-    def test_explicit_count(self, monkeypatch):
-        monkeypatch.setenv("FPF_LAB_THREADS", "2")
-        assert max_workers_from_env() == 2
-
-    @pytest.mark.parametrize("raw", ["", "0"])
-    def test_automatic(self, monkeypatch, raw):
-        monkeypatch.setenv("FPF_LAB_THREADS", raw)
-        assert max_workers_from_env() is None
-
-    def test_unset(self, monkeypatch):
-        monkeypatch.delenv("FPF_LAB_THREADS", raising=False)
-        assert max_workers_from_env() is None
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("FPF_LAB_THREADS", "abc")
-        with pytest.raises(ConfigError, match="integer"):
-            max_workers_from_env()
-
-    def test_negative_rejected(self, monkeypatch):
-        monkeypatch.setenv("FPF_LAB_THREADS", "-1")
-        with pytest.raises(ConfigError, match=">= 0"):
-            max_workers_from_env()
-
-
 class TestCliPipeline:
     """simulate -> filter -> compare on a small linear run."""
 
@@ -356,6 +331,28 @@ class TestCliExitCodes:
         assert main(["filter", "--config", finer,
                      "--obs", str(tmp_path / "obs.csv"),
                      "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("content", [
+        b"t,y,dz\n",
+        b"t,y,dz\n0.05,0.3,0.015\n0.1,abc,0.02\n",
+        b"t,y,dz\n0.05,0.3,0.015\n0.1,0.2\n",
+        b"t,y,dz\n0.05,nan,nan\n0.1,0.2,0.02\n",
+        b"t,y,dz\n0.05,0.3,0.015\n0.1,inf,inf\n",
+        b"t,y\n0.05,0.3\n0.1,0.2\n",
+        b"t,y,dz\n0.05,\xff\xfe,0.015\n",
+    ], ids=["header-only", "non-numeric", "ragged", "nan", "inf",
+            "two-columns", "not-utf8"])
+    def test_malformed_observations_are_three(self, tmp_path, capsys,
+                                              content):
+        cfg = _write(tmp_path, BASE_CONFIG)
+        obs = tmp_path / "obs.csv"
+        obs.write_bytes(content)
+        assert main(["filter", "--config", cfg, "--obs", str(obs),
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fpf-lab: model error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "fpf_trace.csv").exists()
 
     def test_closed_form_gain_on_nonlinear_sensor_is_three(self, tmp_path):
         text = BASE_CONFIG.replace("name = linear1d", "name = cubic-sensor")
