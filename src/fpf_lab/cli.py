@@ -49,13 +49,13 @@ def _load_observations(path: str, cfg: ExperimentConfig):
         obs = read_observations_csv(path)
     except OSError as exc:
         raise ConfigError(f"cannot read observations {path}: {exc}") from None
-    dt_obs = float(obs.times[0])
+    # a one-row record may be a window of a longer one: no spacing to check
     if len(obs.times) > 1:
         dt_obs = float(np.median(np.diff(obs.times)))
-    if not np.isclose(dt_obs, cfg.dt, rtol=1e-9, atol=0.0):
-        raise ModelValidationError(
-            f"observation spacing {dt_obs:g} does not match config dt "
-            f"{cfg.dt:g}")
+        if not np.isclose(dt_obs, cfg.dt, rtol=1e-9, atol=0.0):
+            raise ModelValidationError(
+                f"observation spacing {dt_obs:g} does not match config dt "
+                f"{cfg.dt:g}")
     return obs
 
 
@@ -85,7 +85,8 @@ def cmd_filter(args) -> int:
     out = _out_dir(args, cfg)
     obs = _load_observations(args.obs, cfg)
     trace, _ = run_filter(cfg.model, obs, cfg.n_particles, cfg.seed_filter,
-                          cfg.filter_cfg, cfg.prior_mean, cfg.prior_cov)
+                          cfg.filter_cfg, cfg.prior_mean, cfg.prior_cov,
+                          cfg.dt)
     trace_path = os.path.join(out, "fpf_trace.csv")
     write_trace_csv(trace_path, trace)
     flagged = int(trace.n_flagged.sum())
@@ -116,8 +117,13 @@ def cmd_compare(args) -> int:
     obs = _load_observations(args.obs, cfg)
     model, d, dt = cfg.model, cfg.model.dim, cfg.dt
 
+    if d == 1 and not cfg.prior_cov[0, 0] > 0.0:
+        raise ConfigError(
+            "field `cov` in [prior]: the grid reference needs a positive "
+            f"prior variance, got {cfg.prior_cov[0, 0]:g}")
+
     fpf_runs = [run_filter(model, obs, cfg.n_particles, seed, cfg.filter_cfg,
-                           cfg.prior_mean, cfg.prior_cov)
+                           cfg.prior_mean, cfg.prior_cov, dt)
                 for seed in cfg.compare_seeds]
     fpf_trace, fpf_final = fpf_runs[0]
 

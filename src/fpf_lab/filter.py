@@ -18,15 +18,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .gain import check_admissible, compute_gain
-from .model import (ParticleEnsemble, SdeModel, ensemble_stats,
-                    sample_initial_ensemble)
+from .model import (ModelValidationError, ParticleEnsemble, SdeModel,
+                    ensemble_stats, sample_initial_ensemble)
 from .sde import ObservationSet, euler_maruyama_step
 from .table import read_table, write_table
 
 
 class FilterAbortError(RuntimeError):
     """The particle flow lost invertibility and the run was configured
-    to stop rather than continue past flagged particles."""
+    to stop rather than continue past flagged particles, or the ensemble
+    diverged to non-finite states."""
 
 
 @dataclass
@@ -62,7 +63,8 @@ def fpf_step(model: SdeModel, ensemble: ParticleEnsemble, dz: float,
 
     Returns the number of particles whose local update map was flagged
     non-invertible (det(I + grad v^T) <= eps). With abort_on_inadmissible
-    the step raises instead of applying a flagged update.
+    the step raises instead of applying a flagged update; it always raises
+    when the updated ensemble is not finite.
     """
     euler_maruyama_step(model, ensemble, dt)
     stats = ensemble_stats(ensemble, model.obs_at)
@@ -76,30 +78,38 @@ def fpf_step(model: SdeModel, ensemble: ParticleEnsemble, dz: float,
             f"{n_flagged} particle(s) failed the invertibility check at "
             f"t={ensemble.time:.6g}")
     ensemble.states = ensemble.states + gain.k * dz + gain.u * dt
+    if not np.isfinite(ensemble.states).all():
+        raise FilterAbortError(
+            f"ensemble diverged to non-finite states at t={ensemble.time:.6g}")
     return n_flagged
 
 
 def run_filter(model: SdeModel, obs: ObservationSet, n_particles: int,
-               seed: int, config: FilterConfig, init_mean,
-               init_cov) -> Tuple[FilterTrace, ParticleEnsemble]:
-    """Run the filter over a full observation record.
+               seed: int, config: FilterConfig, init_mean, init_cov,
+               dt: Optional[float] = None
+               ) -> Tuple[FilterTrace, ParticleEnsemble]:
+    """Run the filter over an observation record spaced dt apart.
 
-    Returns the trace of posterior summaries (including the prior row at
-    t=0) and the final ensemble.
+    The prior is placed at times[0] - dt, so a record may start at any
+    time; dt defaults to times[0] (a record that starts at t = dt).
+    Returns the trace of posterior summaries (including the prior row) and
+    the final ensemble.
     """
     times = np.asarray(obs.times, dtype=float)
     if len(times) == 0:
-        raise ValueError("observation record is empty")
-    dt = float(times[0])
+        raise ModelValidationError("observation record is empty")
+    dt = float(times[0]) if dt is None else float(dt)
     if len(times) > 1 and not np.allclose(np.diff(times), dt, rtol=1e-9):
-        raise ValueError("observation times must be uniformly spaced")
+        raise ModelValidationError(
+            f"observation times must be uniformly spaced {dt:g} apart")
 
     ens = sample_initial_ensemble(model.dim, n_particles, init_mean,
                                   init_cov, seed)
+    ens.time = float(times[0]) - dt
     m = len(times)
     d = model.dim
     trace = FilterTrace(
-        times=np.concatenate([[0.0], times]),
+        times=np.concatenate([[ens.time], times]),
         dz=np.concatenate([[0.0], obs.dz]),
         means=np.empty((m + 1, d)),
         covs=np.empty((m + 1, d, d)),

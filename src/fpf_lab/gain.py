@@ -17,6 +17,8 @@ Methods:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from itertools import product as _iter_product
 from typing import List, Optional, Tuple
 
@@ -49,12 +51,10 @@ class GainField:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.coeffs is None:
             return np.broadcast_to(self.k[0], points.shape).copy()
-        out = np.zeros_like(points)
         d = points.shape[1]
-        for c, alpha in zip(self.coeffs, self.exponents):
-            for j in range(d):
-                out[:, j] += c * _monomial_partial(points, alpha, (j,))
-        return out
+        monomials, weights, _ = _basis_table(d, int(self.exponents.max()))
+        values = _monomial_values(points, monomials)
+        return ((self.coeffs @ weights[1:1 + d]) @ values).T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -78,46 +78,58 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
     return np.array(alphas, dtype=int)
 
 
-def _monomial_partial(points: np.ndarray, alpha: np.ndarray,
-                      axes: Tuple[int, ...]) -> np.ndarray:
-    """Partial derivative of x^alpha along the given axes, at all points."""
-    a = np.array(alpha, dtype=int)
-    coef = 1.0
-    for ax in axes:
-        if a[ax] == 0:
-            return np.zeros(points.shape[0])
-        coef *= a[ax]
-        a[ax] -= 1
-    return coef * np.prod(points ** a, axis=1)
+@lru_cache(maxsize=None)
+def _basis_table(dim: int, degree: int):
+    """Partials of order <= 3 of the basis psi_k = x^exps[k], exps =
+    monomial_exponents(dim, degree): (monomials, weights, index).
 
-
-# ---------------------------------------------------------------------------
-# shared drift-correction assembly
-# ---------------------------------------------------------------------------
-
-def _assemble_u(k: np.ndarray, k_jac: np.ndarray, k_second: np.ndarray,
-                h_vals: np.ndarray, h_hat: float, h_grad: np.ndarray):
-    """u and its Jacobian from the gain field and observation function.
-
-    k_second[n, i, l, j] = d^2 K_j / dx_i dx_l at particle n.
+    monomials (Q, dim) is the constant, then exps. d^axes_m psi_k =
+    weights[m, k] . x^monomials, whose one nonzero weight is the falling
+    factorial a (a - 1) ... of the differentiated exponents, and none where
+    an exponent drops below 0. index[r][i, l, ...] is the m of the ordered
+    axes (i, l, ...) of order r. The tables are cached and read-only.
     """
-    hs = (h_vals + h_hat)[:, None]
-    omega = 0.5 * np.einsum("nl,nlj->nj", k, k_jac)
-    u = -0.5 * k * hs + omega
+    monomials = np.vstack([np.zeros(dim, dtype=int),
+                           monomial_exponents(dim, degree)])
+    position = {tuple(e): q for q, e in enumerate(monomials)}
+    combos = [axes for r in range(4)
+              for axes in combinations_with_replacement(range(dim), r)]
+    weights = np.zeros((len(combos), len(monomials) - 1, len(monomials)))
+    for m, axes in enumerate(combos):
+        for k, alpha in enumerate(monomials[1:]):
+            reduced, coef = list(alpha), 1
+            for ax in axes:
+                coef *= reduced[ax]
+                reduced[ax] -= 1
+            if coef:
+                weights[m, k, position[tuple(reduced)]] = coef
+    index = [np.array([combos.index(tuple(sorted(axes)))
+                       for axes in _iter_product(range(dim), repeat=r)]
+                      ).reshape((dim,) * r) for r in range(4)]
+    for table in (monomials, weights, *index):
+        table.flags.writeable = False
+    return monomials, weights, index
 
-    u_jac = (-0.5 * hs[:, :, None] * k_jac
-             - 0.5 * np.einsum("ni,nj->nij", h_grad, k)
-             + 0.5 * np.einsum("nil,nlj->nij", k_jac, k_jac)
-             + 0.5 * np.einsum("nl,nilj->nij", k, k_second))
-    return u, u_jac
+
+def _monomial_values(points: np.ndarray, monomials: np.ndarray) -> np.ndarray:
+    """x_n^monomials[q] at every point, shape (Q, N), from the power table
+    powers[j, e, n] = x_nj**e built by repeated multiplication (no pow)."""
+    d = points.shape[1]
+    powers = np.ones((d, monomials.max() + 1, len(points)))
+    for e in range(1, powers.shape[1]):
+        np.multiply(powers[:, e - 1], points.T, out=powers[:, e])
+    values = powers[0][monomials[:, 0]]
+    for j in range(1, d):
+        values *= powers[j][monomials[:, j]]
+    return values
 
 
 def _constant_field(k0: np.ndarray, h_vals: np.ndarray, h_hat: float,
                     h_grad: np.ndarray, method: str) -> GainField:
     n, d = h_grad.shape
     k = np.broadcast_to(k0, (n, d)).copy()
-    # _assemble_u with k_jac = 0 and k_second = 0: Omega and every
-    # Jacobian term but the h_grad one vanish
+    # with k_jac = 0, Omega and every Jacobian term of u but the h_grad
+    # one vanish
     u = -0.5 * k * (h_vals + h_hat)[:, None]
     u_jac = -0.5 * np.einsum("ni,nj->nij", h_grad, k)
     return GainField(k=k, k_jac=np.zeros((n, d, d)), u=u, u_jac=u_jac,
@@ -152,53 +164,40 @@ def galerkin_gain(states: np.ndarray, stats: PosteriorStats,
     Solves (A + ridge I) c = b with
         A_kl = (1/N) sum_n grad psi_k . grad psi_l
         b_k  = (1/N) sum_n (h - h_hat) psi_k
-    and returns K = sum_k c_k grad psi_k together with its first and second
-    derivative fields (the latter feed the Jacobian of u).
+    and returns K = sum_k c_k grad psi_k together with its Jacobian; the
+    third partials of sum_k c_k psi_k enter the Jacobian of u.
 
     ridge defaults to 1e-6 * tr(A) / dim(A); pass 0.0 to disable.
     """
     n, d = states.shape
-    exps = monomial_exponents(d, degree)
-    nb = len(exps)
+    monomials, weights, index = _basis_table(d, degree)
+    mono = _monomial_values(states, monomials)     # psi_k = mono[1 + k]
+    nb = len(mono) - 1
 
-    psi = np.empty((n, nb))
-    grad_psi = np.empty((n, nb, d))
-    for k_idx, alpha in enumerate(exps):
-        psi[:, k_idx] = np.prod(states ** alpha, axis=1)
-        for j in range(d):
-            grad_psi[:, k_idx, j] = _monomial_partial(states, alpha, (j,))
-
-    a_mat = np.einsum("nkd,nld->kl", grad_psi, grad_psi) / n
-    b_vec = (stats.h_vals - stats.h_hat) @ psi / n
+    # the (K, d N) gradient matrix, so A is one BLAS product
+    grad = (weights[1:1 + d].transpose(1, 0, 2).reshape(nb * d, -1)
+            @ mono).reshape(nb, d * n)
+    a_mat = grad @ grad.T / n
+    b_vec = mono[1:] @ (stats.h_vals - stats.h_hat) / n
     if ridge is None:
         ridge = 1e-6 * np.trace(a_mat) / nb
     coeffs = np.linalg.solve(a_mat + ridge * np.eye(nb), b_vec)
 
-    k = np.einsum("k,nkj->nj", coeffs, grad_psi)
-    k_jac = np.zeros((n, d, d))
-    k_third = np.zeros((n, d, d, d))
-    for k_idx, alpha in enumerate(exps):
-        c = coeffs[k_idx]
-        if c == 0.0:
-            continue
-        for i in range(d):
-            for j in range(i, d):
-                second = c * _monomial_partial(states, alpha, (i, j))
-                k_jac[:, i, j] += second
-                if j != i:
-                    k_jac[:, j, i] += second
-        for i in range(d):
-            for l in range(i, d):
-                for j in range(l, d):
-                    third = c * _monomial_partial(states, alpha, (i, l, j))
-                    for perm in {(i, l, j), (i, j, l), (l, i, j),
-                                 (l, j, i), (j, i, l), (j, l, i)}:
-                        k_third[:, perm[0], perm[1], perm[2]] += third
-    # k is a gradient field, so k_second[n,i,l,j] = d^3 phi and is symmetric
-    u, u_jac = _assemble_u(k, k_jac, k_third, stats.h_vals, stats.h_hat,
-                           h_grad)
+    # every partial of phi = sum_k c_k psi_k, particles last: K = grad phi,
+    # k_jac is the Hessian of phi, and the sum_l K_l d^2 K_j / dx_i dx_l
+    # term of u_jac is the third partial of phi contracted with K
+    phi = (coeffs @ weights) @ mono
+    k, hess = phi[index[1]], phi[index[2]]
+    hs = stats.h_vals + stats.h_hat
+    u = -0.5 * k * hs + 0.5 * sum(k[l] * hess[l] for l in range(d))
+    u_jac = (-0.5 * hs * hess
+             - 0.5 * h_grad.T[:, None] * k
+             + 0.5 * sum(hess[:, l, None] * hess[l] for l in range(d))
+             + 0.5 * sum(k[l] * phi[index[3][:, l]] for l in range(d)))
+    k, k_jac, u, u_jac = (np.moveaxis(f, -1, 0).copy()
+                          for f in (k, hess, u, u_jac))
     return GainField(k=k, k_jac=k_jac, u=u, u_jac=u_jac, method="galerkin",
-                     coeffs=coeffs, exponents=exps)
+                     coeffs=coeffs, exponents=monomials[1:])
 
 
 def compute_gain(model: SdeModel, states: np.ndarray, stats: PosteriorStats,

@@ -112,13 +112,19 @@ def bootstrap_pf_step(model: SdeModel, ensemble: ParticleEnsemble,
 
 
 def weighted_stats(states: np.ndarray, log_w: np.ndarray):
-    """Weighted mean and covariance from states and log-weights."""
+    """Weighted mean and covariance from states and log-weights.
+
+    The covariance carries the reliability-weight correction 1 / (1 - sum
+    w^2); when one particle holds all the weight that factor is undefined
+    and the (zero) weighted scatter is returned as it is.
+    """
     w = np.exp(log_w - np.max(log_w))
     w = w / w.sum()
     mean = w @ states
     centered = states - mean
-    cov = (centered * w[:, None]).T @ centered / (1.0 - np.sum(w * w))
-    return mean, cov
+    cov = (centered * w[:, None]).T @ centered
+    correction = 1.0 - np.sum(w * w)
+    return mean, cov / correction if correction > 0.0 else cov
 
 
 # ---------------------------------------------------------------------------

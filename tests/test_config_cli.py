@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fpf_lab.cli import main
 from fpf_lab.config import ConfigError, load_config, parse_polynomial
+from fpf_lab.filter import read_trace_csv
 from fpf_lab.verify import run_suite
 
 BASE_CONFIG = """\
@@ -372,6 +373,72 @@ class TestCliExitCodes:
         assert main(["filter", "--config", cfg,
                      "--obs", str(tmp_path / "obs.csv"),
                      "--out", str(tmp_path)]) == 4
+
+
+    def test_diverging_ensemble_is_four(self, tmp_path, capsys):
+        """The constant gain on the cubic sensor blows up to +-inf within
+        a few hundred steps; the run must stop at the step that went
+        non-finite rather than write inf/nan rows with exit 0."""
+        text = (BASE_CONFIG.replace("name = linear1d", "name = cubic-sensor")
+                .replace("gain = exact_gaussian", "gain = constant")
+                .replace("t_end = 0.5", "t_end = 20"))
+        cfg = _write(tmp_path, text)
+        main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert main(["filter", "--config", cfg,
+                     "--obs", str(tmp_path / "obs.csv"),
+                     "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("fpf-lab: filter aborted: ensemble diverged")
+        assert " at t=" in err
+        assert not (tmp_path / "fpf_trace.csv").exists()
+
+    @pytest.mark.parametrize("rows", [10, 1])
+    def test_windowed_observations_run(self, tmp_path, rows):
+        """A record that starts after its first step (rows 11.. of 20)
+        runs, with the prior row one dt before it."""
+        text = BASE_CONFIG.replace("t_end = 0.5", "t_end = 1.0")
+        cfg = _write(tmp_path, text)
+        main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        lines = (tmp_path / "obs.csv").read_text().splitlines(keepends=True)
+        window = tmp_path / "window.csv"
+        window.write_text("".join(lines[:1] + lines[11:11 + rows]))
+        out = tmp_path / "out"
+        assert main(["filter", "--config", cfg, "--obs", str(window),
+                     "--out", str(out)]) == 0
+        trace = read_trace_csv(str(out / "fpf_trace.csv"))
+        np.testing.assert_allclose(trace.times,
+                                   0.5 + 0.05 * np.arange(rows + 1),
+                                   rtol=1e-12)
+
+    def test_gapped_observations_are_three(self, tmp_path, capsys):
+        """A record with one row missing keeps the configured median
+        spacing but is not uniform: a model error, not a traceback."""
+        text = BASE_CONFIG.replace("t_end = 0.5", "t_end = 1.0")
+        cfg = _write(tmp_path, text)
+        main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        lines = (tmp_path / "obs.csv").read_text().splitlines(keepends=True)
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("".join(lines[:5] + lines[6:]))
+        capsys.readouterr()
+        assert main(["filter", "--config", cfg, "--obs", str(gapped),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fpf-lab: model error: ")
+        assert err.count("\n") == 1
+
+    def test_zero_prior_variance_in_compare_is_two(self, tmp_path, capsys):
+        """The grid reference cannot start from a point mass; that is a
+        configuration problem, reported before any filter runs."""
+        cfg = _write(tmp_path, BASE_CONFIG + "\n[prior]\ncov = 0\n")
+        main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert main(["compare", "--config", cfg,
+                     "--obs", str(tmp_path / "obs.csv"),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fpf-lab: config error: field `cov` in [prior]")
+        assert err.count("\n") == 1
 
 
 class TestCliVerify:

@@ -147,6 +147,16 @@ class TestBootstrapPf:
         np.testing.assert_allclose(mean, states.mean(axis=0), atol=1e-14)
         np.testing.assert_allclose(cov, np.cov(states.T), atol=1e-13)
 
+    def test_weighted_stats_single_heavy_particle_is_finite(self):
+        """When one particle holds all the weight, 1 - sum w^2 = 0; the
+        statistics are that particle's state and a zero covariance."""
+        states = np.array([[0.5, -1.0], [2.0, 3.0], [-4.0, 1.0]])
+        for log_w in ([0.0, -np.inf, -np.inf], [-1e3, 0.0, -1e3]):
+            mean, cov = weighted_stats(states, np.array(log_w))
+            heavy = int(np.argmax(log_w))
+            np.testing.assert_array_equal(mean, states[heavy])
+            np.testing.assert_array_equal(cov, np.zeros((2, 2)))
+
 
 class TestGridDensity:
     def test_gaussian_moments(self):
