@@ -296,7 +296,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a diverging run overflows on its way to the finiteness guards,
+        # which report it as one line with its exit code
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"fpf-lab: config error: {exc}", file=sys.stderr)
         return 2

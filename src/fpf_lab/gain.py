@@ -230,11 +230,28 @@ def check_admissible(field: GainField, dz: float, dt: float,
 
     The one-step displacement is v = K dz + u dt; the particle flow stays
     an orientation-preserving diffeomorphism only while det(I + grad v^T)
-    stays positive. Returns (flags, dets).
+    stays positive. Returns (flags, dets); a determinant that is not
+    finite is flagged too.
     """
     v_jac = field.k_jac * dz + field.u_jac * dt
-    dets = np.linalg.det(np.eye(v_jac.shape[1]) + v_jac)
-    return dets <= eps, dets
+    dets = _det(np.eye(v_jac.shape[1]) + v_jac)
+    return ~((dets > eps) & np.isfinite(dets)), dets
+
+
+def _det(a: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of (d, d) matrices: the closed form for
+    d <= 3 (the rule of Sarrus for d = 3), LU beyond."""
+    d = a.shape[1]
+    if d == 1:
+        return a[:, 0, 0]
+    if d == 2:
+        return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    if d == 3:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = \
+            (tuple(a[:, i, j] for j in range(3)) for i in range(3))
+        return (a00 * a11 * a22 + a01 * a12 * a20 + a02 * a10 * a21
+                - a02 * a11 * a20 - a00 * a12 * a21 - a01 * a10 * a22)
+    return np.linalg.det(a)
 
 
 def gain_residual_on_grid(x: np.ndarray, p: np.ndarray, h_vals: np.ndarray,

@@ -1,12 +1,16 @@
 """Tests for configuration parsing and the fpf-lab command line."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpf_lab
 from fpf_lab.cli import main
 from fpf_lab.config import ConfigError, load_config, parse_polynomial
 from fpf_lab.filter import read_trace_csv
@@ -392,6 +396,28 @@ class TestCliExitCodes:
         assert err.startswith("fpf-lab: filter aborted: ensemble diverged")
         assert " at t=" in err
         assert not (tmp_path / "fpf_trace.csv").exists()
+
+    def test_diverging_ensemble_writes_one_stderr_line(self, tmp_path):
+        """In a fresh interpreter, where no test harness captures warnings,
+        the overflow on the way to the divergence abort prints nothing: the
+        failure is the one documented line, with exit 4."""
+        text = (BASE_CONFIG.replace("name = linear1d", "name = cubic-sensor")
+                .replace("gain = exact_gaussian", "gain = constant")
+                .replace("t_end = 0.5", "t_end = 20"))
+        cfg = _write(tmp_path, text)
+        main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        src = os.path.dirname(os.path.dirname(fpf_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "fpf_lab.cli", "filter", "--config", cfg,
+             "--obs", str(tmp_path / "obs.csv"), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 4
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1, run.stderr
+        assert lines[0].startswith(
+            "fpf-lab: filter aborted: ensemble diverged")
 
     @pytest.mark.parametrize("rows", [10, 1])
     def test_windowed_observations_run(self, tmp_path, rows):

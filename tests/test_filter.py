@@ -1,11 +1,18 @@
 """Tests for the feedback-filter time stepping and trace bookkeeping."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fpf_lab import filter as filter_module
+from fpf_lab import rng as noise
 from fpf_lab import (
     FilterAbortError,
     FilterConfig,
+    GainField,
     ParticleEnsemble,
     SdeModel,
     euler_maruyama_step,
@@ -74,6 +81,26 @@ class TestFpfStep:
                            abort_on_inadmissible=True)
         with pytest.raises(FilterAbortError, match="invertibility"):
             fpf_step(model, ens, dz=0.1, dt=0.01, config=cfg)
+
+    def test_non_finite_jacobian_aborts_before_update(self, monkeypatch):
+        """A gain whose Jacobian is NaN at one particle fails the
+        invertibility check, so an aborting configuration raises before
+        the update moves any particle."""
+        model = make_model("linear1d")
+        ens = sample_initial_ensemble(1, 8, [0.0], [[1.0]], seed=3)
+        propagated = sample_initial_ensemble(1, 8, [0.0], [[1.0]], seed=3)
+        euler_maruyama_step(model, propagated, 0.01)
+        k_jac = np.zeros((8, 1, 1))
+        k_jac[5] = np.nan
+        monkeypatch.setattr(filter_module, "compute_gain",
+                            lambda *args, **kwargs: GainField(
+                                k=np.ones((8, 1)), k_jac=k_jac,
+                                u=np.zeros((8, 1)), u_jac=np.zeros((8, 1, 1)),
+                                method="galerkin"))
+        cfg = FilterConfig(abort_on_inadmissible=True)
+        with pytest.raises(FilterAbortError, match="1 particle"):
+            fpf_step(model, ens, dz=0.1, dt=0.01, config=cfg)
+        np.testing.assert_array_equal(ens.states, propagated.states)
 
     def test_flag_count_without_abort(self):
         model = make_model("linear1d")
@@ -144,6 +171,53 @@ class TestRunFilter:
                               FilterConfig(gain_method="exact_gaussian"),
                               np.zeros(1), np.eye(1))
         assert trace.n_flagged.sum() == 0
+
+
+class TestRelabelingProperty:
+    @given(st.integers(2, 64).flatmap(lambda n: st.permutations(range(n))),
+           st.integers(0, 2 ** 32), st.integers(1, 20))
+    @settings(max_examples=20, deadline=None)
+    def test_permuting_particles_and_streams_permutes_run(self, perm, seed,
+                                                          steps):
+        """Relabeling the initial ensemble together with its stream ids
+        permutes every noise block exactly, and run_filter's final ensemble
+        up to the summation order of the ensemble statistics."""
+        model = make_model("linear1d")
+        obs = _observations(model, t_end=0.01 * steps)
+        perm = np.array(perm)
+        draws, final = _run_relabeled(model, obs, seed, np.arange(len(perm)))
+        draws_p, final_p = _run_relabeled(model, obs, seed, perm)
+        assert len(draws) == len(draws_p) == steps + 1
+        np.testing.assert_array_equal(draws_p[0], draws[0])  # initial sample
+        for z, z_p in zip(draws[1:], draws_p[1:]):
+            np.testing.assert_array_equal(z_p, z[perm])
+        np.testing.assert_array_equal(final_p.streams, perm)
+        np.testing.assert_allclose(final_p.states, final.states[perm],
+                                   rtol=0, atol=1e-12)
+
+
+def _run_relabeled(model, obs, seed, perm):
+    """run_filter (exact gain) from the initial ensemble relabeled by perm;
+    returns every noise block drawn and the final ensemble."""
+    draws = []
+
+    def standard_normal(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    def relabeled(*args):
+        ens = sample(*args)
+        ens.states, ens.streams = ens.states[perm], ens.streams[perm]
+        return ens
+
+    draw, sample = noise.standard_normal, filter_module.sample_initial_ensemble
+    with mock.patch.object(noise, "standard_normal", standard_normal), \
+            mock.patch.object(filter_module, "sample_initial_ensemble",
+                              relabeled):
+        _, final = run_filter(model, obs, len(perm), seed,
+                              FilterConfig(gain_method="exact_gaussian"),
+                              np.zeros(1), np.eye(1))
+    return draws, final
 
 
 class TestTraceCsv:

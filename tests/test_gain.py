@@ -267,6 +267,47 @@ class TestAdmissibility:
         assert dets[0] == pytest.approx(-2.0)
 
 
+    def test_non_finite_determinant_flagged(self):
+        """A NaN or infinite Jacobian entry gives a determinant that is not
+        finite; it must be flagged, not pass as admissible."""
+        k_jac = np.zeros((3, 1, 1))
+        k_jac[1, 0, 0] = np.nan
+        k_jac[2, 0, 0] = np.inf
+        field = GainField(k=np.zeros((3, 1)), k_jac=k_jac,
+                          u=np.zeros((3, 1)), u_jac=np.zeros((3, 1, 1)),
+                          method="galerkin")
+        flags, dets = check_admissible(field, dz=0.3, dt=0.01)
+        np.testing.assert_array_equal(flags, [False, True, True])
+        assert dets[0] == 1.0
+
+
+class TestClosedFormDeterminant:
+    """det(I + grad v^T) in closed form for d <= 3, LU beyond."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_lu(self, d):
+        gen = np.random.default_rng(40 + d)
+        n = 4000
+        field = GainField(k=np.zeros((n, d)),
+                          k_jac=gen.normal(scale=1.5, size=(n, d, d)),
+                          u=np.zeros((n, d)),
+                          u_jac=gen.normal(size=(n, d, d)),
+                          method="galerkin")
+        dz, dt = 0.7, 0.05
+        a = np.eye(d) + (field.k_jac * dz + field.u_jac * dt)
+        ref = np.linalg.det(a)
+        assert (ref > 0).any() and (ref < 0).any()
+        flags, dets = check_admissible(field, dz, dt)
+        np.testing.assert_array_equal(flags, ref <= 1e-8)
+        # away from cancellation (|det| well above the rounding scale, the
+        # product of the row norms) both are accurate to a few ulp
+        scale = np.prod(np.linalg.norm(a, axis=2), axis=1)
+        sound = np.abs(ref) >= 0.05 * scale
+        assert sound.mean() > 0.3
+        np.testing.assert_allclose(dets[sound], ref[sound], rtol=1e-13,
+                                   atol=0)
+
+
 class TestGainResidualOnGrid:
     """Weak-form defect |d/dx(pK) + (h - h_hat) p| on a standard normal."""
 

@@ -16,6 +16,29 @@ from fpf_lab import (
 from fpf_lab import rng as noise
 
 
+def _oracle_uniform01(seed, stream, step, slot):
+    """The per-uniform hash: every uniform folds all four address words
+    (seed, stream, step, slot) through the splitmix64 finalizer."""
+    acc = np.uint64(0x243F6A8885A308D3)
+    with np.errstate(over="ignore"):
+        for w in (np.uint64(seed & 0xFFFFFFFFFFFFFFFF), stream, step, slot):
+            z = acc ^ (np.asarray(w, dtype=np.uint64)
+                       + np.uint64(0x9E3779B97F4A7C15))
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            acc = z ^ (z >> np.uint64(31))
+    return (acc >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54
+
+
+def _oracle_standard_normal(seed, stream, step, n_slots):
+    """Box-Muller over uniforms (2j, 2j+1), each hashed on its own."""
+    stream = np.asarray(stream, dtype=np.uint64).reshape(-1, 1)
+    slots = np.arange(n_slots, dtype=np.uint64).reshape(1, -1)
+    u1 = _oracle_uniform01(seed, stream, step, 2 * slots)
+    u2 = _oracle_uniform01(seed, stream, step, 2 * slots + np.uint64(1))
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
 class TestNoiseStreams:
     """Counter-based draws are pure functions of their (seed, stream,
     step, slot) address."""
@@ -56,6 +79,27 @@ class TestNoiseStreams:
         u = noise.uniform01(9, streams, 0, np.uint64(0))
         assert np.all(u > 0.0)
         assert np.all(u < 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 63 + 7])
+    @pytest.mark.parametrize("streams", [
+        np.random.default_rng(1).permutation(40).astype(np.uint64),
+        np.arange(3, 300, 7, dtype=np.uint64)[::-1],
+        np.arange(60, dtype=np.uint64)[::3],
+    ], ids=["permuted", "gapped", "strided"])
+    @pytest.mark.parametrize("step", [0, 11])
+    def test_matches_per_uniform_hash(self, seed, streams, step):
+        """standard_normal hashes the (seed, stream, step) prefix once per
+        call; its draws, and uniform01's, are bit-equal to the per-uniform
+        hash of all four address words."""
+        for n_slots in range(1, 7):
+            np.testing.assert_array_equal(
+                noise.standard_normal(seed, streams, step, n_slots),
+                _oracle_standard_normal(seed, streams, step, n_slots))
+        column = streams.reshape(-1, 1)
+        slots = np.arange(4, dtype=np.uint64)
+        np.testing.assert_array_equal(
+            noise.uniform01(seed, column, step, slots),
+            _oracle_uniform01(seed, column, step, slots))
 
     def test_draw_normals_advances_step(self):
         ens = ParticleEnsemble(states=np.zeros((4, 1)), time=0.0, seed=5,
