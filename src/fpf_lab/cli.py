@@ -296,8 +296,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # a diverging run overflows on its way to the finiteness guards,
-        # which report it as one line with its exit code
+        # a diverging run overflows on its way to the finiteness guards of
+        # fpf_step, simulate_truth and synthesize_observations, which
+        # report it as one line with its exit code
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except ConfigError as exc:
@@ -308,7 +309,7 @@ def main(argv=None) -> int:
         return 3
     except (FilterAbortError, WeightCollapseError,
             GridNegativityError) as exc:
-        print(f"fpf-lab: filter aborted: {exc}", file=sys.stderr)
+        print(f"fpf-lab: {args.command} aborted: {exc}", file=sys.stderr)
         return 4
 
 

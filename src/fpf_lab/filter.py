@@ -18,16 +18,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .gain import check_admissible, compute_gain
-from .model import (ModelValidationError, ParticleEnsemble, SdeModel,
-                    ensemble_stats, sample_initial_ensemble)
+from .model import (FilterAbortError, ModelValidationError,
+                    ParticleEnsemble, SdeModel, ensemble_stats,
+                    sample_initial_ensemble)
 from .sde import ObservationSet, euler_maruyama_step
 from .table import read_table, write_table
-
-
-class FilterAbortError(RuntimeError):
-    """The particle flow lost invertibility and the run was configured
-    to stop rather than continue past flagged particles, or the ensemble
-    diverged to non-finite states."""
 
 
 @dataclass

@@ -240,17 +240,12 @@ def check_admissible(field: GainField, dz: float, dt: float,
 
 def _det(a: np.ndarray) -> np.ndarray:
     """Determinants of a stack of (d, d) matrices: the closed form for
-    d <= 3 (the rule of Sarrus for d = 3), LU beyond."""
+    d <= 2, LU beyond."""
     d = a.shape[1]
     if d == 1:
         return a[:, 0, 0]
     if d == 2:
         return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    if d == 3:
-        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = \
-            (tuple(a[:, i, j] for j in range(3)) for i in range(3))
-        return (a00 * a11 * a22 + a01 * a12 * a20 + a02 * a10 * a21
-                - a02 * a11 * a20 - a00 * a12 * a21 - a01 * a10 * a22)
     return np.linalg.det(a)
 
 

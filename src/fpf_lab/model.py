@@ -27,6 +27,12 @@ class ModelValidationError(ValueError):
     """A model or ensemble precondition does not hold."""
 
 
+class FilterAbortError(RuntimeError):
+    """The particle flow lost invertibility and the run was configured
+    to stop rather than continue past flagged particles, or an ensemble
+    or simulated path diverged to non-finite states."""
+
+
 @dataclass
 class SdeModel:
     """Diffusion state model with a scalar observation function.

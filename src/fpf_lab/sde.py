@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .model import ModelValidationError, ParticleEnsemble, SdeModel
+from .model import (FilterAbortError, ModelValidationError,
+                    ParticleEnsemble, SdeModel)
 from .table import read_table, write_table
 
 
@@ -72,6 +73,7 @@ def simulate_truth(model: SdeModel, x0, dt: float, t_final: float,
         euler_maruyama_step(model, path, dt)
         states[k + 1] = path.states[0]
     times = np.arange(n_steps + 1) * dt
+    _require_finite("truth path", times, states)
     return TruthPath(times=times, states=states)
 
 
@@ -82,7 +84,17 @@ def synthesize_observations(model: SdeModel, truth: TruthPath,
     h = model.obs_at(truth.states[1:])
     w = rng.standard_normal(seed, [0], 0, len(h))[0]
     y = h + w / np.sqrt(dt)
+    _require_finite("observation record", truth.times[1:], y)
     return ObservationSet(times=truth.times[1:].copy(), y=y, dz=y * dt)
+
+
+def _require_finite(what: str, times: np.ndarray, values: np.ndarray):
+    """Raise FilterAbortError at the first time whose values are not all
+    finite, so a diverging simulation is not written out."""
+    bad = ~np.isfinite(values.reshape(len(times), -1)).all(axis=1)
+    if bad.any():
+        raise FilterAbortError(f"{what} diverged to non-finite values at "
+                               f"t={times[np.argmax(bad)]:.6g}")
 
 
 def write_truth_csv(path: str, truth: TruthPath) -> None:

@@ -419,6 +419,45 @@ class TestCliExitCodes:
         assert lines[0].startswith(
             "fpf-lab: filter aborted: ensemble diverged")
 
+    @pytest.mark.parametrize("drift, obs, what", [
+        ("x1^3", "x1", "truth path"),
+        ("-1.0*x1", "x1^800", "observation record"),
+    ])
+    def test_diverging_simulation_is_four(self, tmp_path, capsys, drift,
+                                          obs, what):
+        """An unstable drift blows the truth path up, a steep sensor
+        overflows the observations; either stops with one line and exit 4
+        instead of writing inf/nan rows with exit 0."""
+        text = f"""\
+[model]
+dimension = 1
+drift_1 = {drift}
+obs = {obs}
+sigma = 3.0
+
+[time]
+dt = 0.05
+t_end = 5
+
+[filter]
+n_particles = 10
+gain = constant
+
+[seeds]
+truth = 1
+observation = 2
+filter = 3
+"""
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"fpf-lab: simulate aborted: {what} "
+                                 "diverged to non-finite values at t=")
+        assert not (out / "truth.csv").exists()
+        assert not (out / "obs.csv").exists()
+
     @pytest.mark.parametrize("rows", [10, 1])
     def test_windowed_observations_run(self, tmp_path, rows):
         """A record that starts after its first step (rows 11.. of 20)
