@@ -43,9 +43,10 @@ configuration file.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .model import SdeModel
 from .registry import available_models, default_prior, make_model
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config",
-           "parse_polynomial"]
+           "parse_polynomial", "read_ini"]
 
 
 class ConfigError(ValueError):
@@ -103,7 +104,7 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
                 alpha[idx - 1] += int(m.group(2) or 1)
             else:
                 try:
-                    coef *= float(factor)
+                    coef *= _number(factor)
                 except ValueError:
                     raise ConfigError(
                         f"cannot parse factor {factor!r} in polynomial term "
@@ -129,73 +130,110 @@ def _affine_parts(poly: Polynomial) -> Optional[Tuple[np.ndarray, float]]:
 
 
 # ---------------------------------------------------------------------------
-# value parsing helpers
+# reading INI text and checking its fields
 # ---------------------------------------------------------------------------
 
-def _get(cp: configparser.ConfigParser, section: str, key: str,
-         required: bool = True, default=None) -> Optional[str]:
+def read_ini(path: str) -> configparser.ConfigParser:
+    """Parse an INI file. Text after # or ; is a comment, and % is an
+    ordinary character (no interpolation)."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
+    return cp
+
+
+_REQUIRED = object()
+
+
+def _field(cp: configparser.ConfigParser, section: str, key: str,
+           parse: Callable[[str], Any] = str, default: Any = _REQUIRED,
+           bound: Optional[Tuple[Callable[[Any], bool], str]] = None) -> Any:
+    """The value of `key` in [section], read by `parse` and checked.
+
+    A missing key gives `default`, or an error when the key is required.
+    `parse` raises ValueError on text it cannot read (the number parsers
+    reject NaN and inf), and `bound` is a (test, text) pair: a value that
+    fails the test is reported as "must be <text>".
+    """
     if not cp.has_option(section, key):
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"missing field `{key}` in section [{section}]")
         return default
-    return cp.get(section, key)
-
-
-def _as_float(raw: str, section: str, key: str) -> float:
     try:
-        return float(raw)
+        value = parse(cp.get(section, key))
+    except ValueError as exc:
+        raise ConfigError(f"field `{key}` in [{section}]: {exc}") from None
+    if bound is not None and not bound[0](value):
+        raise ConfigError(f"field `{key}` in [{section}]: must be {bound[1]}")
+    return value
+
+
+def _at_least(low, text: Optional[str] = None):
+    """The bound `value >= low` (every entry, for a list of values)."""
+    return (lambda value: bool(np.all(np.asarray(value) >= low)),
+            f">= {low if text is None else text}")
+
+
+_POSITIVE = (lambda value: value > 0, "positive")
+
+
+def _number(raw: str) -> float:
+    try:
+        value = float(raw)
+        if math.isfinite(value):
+            return value
     except ValueError:
-        raise ConfigError(
-            f"field `{key}` in [{section}]: expected a number, got {raw!r}"
-        ) from None
+        pass
+    raise ValueError(f"expected a finite number, got {raw!r}")
 
 
-def _as_int(raw: str, section: str, key: str) -> int:
+def _integer(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(
-            f"field `{key}` in [{section}]: expected an integer, got {raw!r}"
-        ) from None
+        raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
-def _as_vector(raw: str, dim: int, section: str, key: str) -> np.ndarray:
-    parts = raw.replace(",", " ").split()
-    vals = np.array([_as_float(v, section, key) for v in parts])
+def _integers(raw: str) -> Tuple[int, ...]:
+    values = tuple(_integer(v) for v in raw.replace(",", " ").split())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+def _boolean(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {raw!r}") from None
+
+
+def _as_vector(raw: str, dim: int) -> np.ndarray:
+    """One number for every entry, or dim numbers."""
+    vals = np.array([_number(v) for v in raw.replace(",", " ").split()])
     if vals.size == 1:
         return np.full(dim, vals[0])
     if vals.size != dim:
-        raise ConfigError(
-            f"field `{key}` in [{section}]: expected {dim} entries, "
-            f"got {vals.size}")
+        raise ValueError(f"expected {dim} entries, got {vals.size}")
     return vals
 
 
-def _as_matrix(raw: str, dim: int, section: str, key: str) -> np.ndarray:
+def _as_matrix(raw: str, dim: int) -> np.ndarray:
     """Scalar -> scalar * I; otherwise semicolon-separated rows."""
-    rows = [r for r in raw.split(";") if r.strip()]
-    if len(rows) == 1 and len(rows[0].replace(",", " ").split()) == 1:
-        return _as_float(rows[0].strip(), section, key) * np.eye(dim)
-    mat = np.array([[_as_float(v, section, key)
-                     for v in r.replace(",", " ").split()] for r in rows])
-    if mat.shape != (dim, dim):
-        raise ConfigError(
-            f"field `{key}` in [{section}]: expected a {dim}x{dim} matrix, "
-            f"got shape {mat.shape}")
-    return mat
-
-
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
-
-def _as_bool(raw: str, section: str, key: str) -> bool:
-    try:
-        return _BOOLEANS[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(
-            f"field `{key}` in [{section}]: expected a boolean, got {raw!r}"
-        ) from None
+    rows = [r.replace(",", " ").split() for r in raw.split(";") if r.strip()]
+    if len(rows) == 1 and len(rows[0]) == 1:
+        return _number(rows[0][0]) * np.eye(dim)
+    lengths = [len(r) for r in rows]
+    if lengths != [dim] * dim:
+        raise ValueError(f"expected a {dim}x{dim} matrix, got rows of "
+                         f"lengths {lengths}")
+    return np.array([[_number(v) for v in r] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +265,24 @@ class ExperimentConfig:
     grid_points: int = 1601
 
 
-def _build_inline_model(cp: configparser.ConfigParser) -> SdeModel:
-    dim = _as_int(_get(cp, "model", "dimension"), "model", "dimension")
-    if dim < 1:
-        raise ConfigError("field `dimension` in [model]: must be >= 1")
+def _gain_method(raw: str) -> str:
+    if raw not in _GAIN_METHODS:
+        raise ValueError(f"unknown method {raw!r}; choose from "
+                         f"{', '.join(_GAIN_METHODS)}")
+    return raw
 
-    drift_polys = []
-    for i in range(dim):
-        key = f"drift_{i + 1}"
-        drift_polys.append(parse_polynomial(_get(cp, "model", key), dim))
-    obs_poly = parse_polynomial(_get(cp, "model", "obs"), dim)
-    sigma = _as_matrix(_get(cp, "model", "sigma", required=False,
-                            default="1.0"), dim, "model", "sigma")
+
+def _build_inline_model(cp: configparser.ConfigParser) -> SdeModel:
+    dim = _field(cp, "model", "dimension", _integer, bound=_at_least(1))
+
+    def polynomial(raw: str) -> Polynomial:
+        return parse_polynomial(raw, dim)
+
+    drift_polys = [_field(cp, "model", f"drift_{i + 1}", polynomial)
+                   for i in range(dim)]
+    obs_poly = _field(cp, "model", "obs", polynomial)
+    sigma = _field(cp, "model", "sigma", lambda raw: _as_matrix(raw, dim),
+                   default=np.eye(dim))
 
     drift_field = PolyVectorField(drift_polys)
     obs_field = PolyScalarField(obs_poly)
@@ -271,17 +315,9 @@ def load_config(path: str) -> ExperimentConfig:
     """Parse and resolve an experiment configuration file.
 
     Raises ConfigError for anything wrong with the file itself (missing
-    fields, unknown names, unparsable values).
+    fields, unknown names, unparsable or out-of-range values).
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        with open(path) as fh:
-            cp.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
-
+    cp = read_ini(path)
     for section in ("model", "time", "filter", "seeds"):
         if not cp.has_section(section):
             raise ConfigError(f"missing section [{section}]")
@@ -304,77 +340,31 @@ def load_config(path: str) -> ExperimentConfig:
         model_name = model.name
         prior_mean, prior_cov = np.zeros(model.dim), np.eye(model.dim)
 
-    if cp.has_section("prior"):
-        if cp.has_option("prior", "mean"):
-            prior_mean = _as_vector(cp.get("prior", "mean"), model.dim,
-                                    "prior", "mean")
-        if cp.has_option("prior", "cov"):
-            prior_cov = _as_matrix(cp.get("prior", "cov"), model.dim,
-                                   "prior", "cov")
+    dim = model.dim
+    prior_mean = _field(cp, "prior", "mean", lambda raw: _as_vector(raw, dim),
+                        default=prior_mean)
+    prior_cov = _field(cp, "prior", "cov", lambda raw: _as_matrix(raw, dim),
+                       default=prior_cov)
 
-    dt = _as_float(_get(cp, "time", "dt"), "time", "dt")
-    t_end = _as_float(_get(cp, "time", "t_end"), "time", "t_end")
-    if dt <= 0:
-        raise ConfigError("field `dt` in [time]: must be positive")
-    if t_end < dt:
-        raise ConfigError("field `t_end` in [time]: must be >= dt")
+    dt = _field(cp, "time", "dt", _number, bound=_POSITIVE)
+    t_end = _field(cp, "time", "t_end", _number, bound=_at_least(dt, "dt"))
 
-    n_particles = _as_int(_get(cp, "filter", "n_particles"),
-                          "filter", "n_particles")
-    if n_particles < 2:
-        raise ConfigError("field `n_particles` in [filter]: must be >= 2")
-    gain = _get(cp, "filter", "gain")
-    if gain not in _GAIN_METHODS:
-        raise ConfigError(
-            f"field `gain` in [filter]: unknown method {gain!r}; choose "
-            f"from {', '.join(_GAIN_METHODS)}")
-    ridge_raw = _get(cp, "filter", "galerkin_ridge", required=False)
+    n_particles = _field(cp, "filter", "n_particles", _integer,
+                         bound=_at_least(2))
     filter_cfg = FilterConfig(
-        gain_method=gain,
-        galerkin_degree=_as_int(
-            _get(cp, "filter", "galerkin_degree", required=False,
-                 default="3"), "filter", "galerkin_degree"),
-        galerkin_ridge=(None if ridge_raw is None
-                        else _as_float(ridge_raw, "filter", "galerkin_ridge")),
-        admissibility_eps=_as_float(
-            _get(cp, "filter", "admissibility_eps", required=False,
-                 default="1e-8"), "filter", "admissibility_eps"),
-        abort_on_inadmissible=_as_bool(
-            _get(cp, "filter", "abort_on_inadmissible", required=False,
-                 default="false"), "filter", "abort_on_inadmissible"),
+        gain_method=_field(cp, "filter", "gain", _gain_method),
+        galerkin_degree=_field(cp, "filter", "galerkin_degree", _integer,
+                               default=3, bound=_at_least(1)),
+        galerkin_ridge=_field(cp, "filter", "galerkin_ridge", _number,
+                              default=None),
+        admissibility_eps=_field(cp, "filter", "admissibility_eps", _number,
+                                 default=1e-8),
+        abort_on_inadmissible=_field(cp, "filter", "abort_on_inadmissible",
+                                     _boolean, default=False),
     )
 
-    seeds = {}
-    for key in ("truth", "observation", "filter"):
-        seeds[key] = _as_int(_get(cp, "seeds", key), "seeds", key)
-        if seeds[key] < 0:
-            raise ConfigError(f"field `{key}` in [seeds]: must be >= 0")
-
-    out_dir = _get(cp, "output", "dir", required=False, default=".") \
-        if cp.has_section("output") else "."
-
-    x0 = prior_mean.copy()
-    if cp.has_option("model", "x0"):
-        x0 = _as_vector(cp.get("model", "x0"), model.dim, "model", "x0")
-
-    compare_seeds: Tuple[int, ...] = (seeds["filter"],)
-    grid_halfwidth = 8.0
-    grid_points = 1601
-    if cp.has_section("compare"):
-        if cp.has_option("compare", "seeds"):
-            raw = cp.get("compare", "seeds").replace(",", " ").split()
-            if not raw:
-                raise ConfigError("field `seeds` in [compare]: empty list")
-            compare_seeds = tuple(_as_int(v, "compare", "seeds") for v in raw)
-        if cp.has_option("compare", "grid_halfwidth"):
-            grid_halfwidth = _as_float(cp.get("compare", "grid_halfwidth"),
-                                       "compare", "grid_halfwidth")
-        if cp.has_option("compare", "grid_points"):
-            grid_points = _as_int(cp.get("compare", "grid_points"),
-                                  "compare", "grid_points")
-            if grid_points < 16:
-                raise ConfigError(
-                    "field `grid_points` in [compare]: too few points")
+    seeds = {key: _field(cp, "seeds", key, _integer, bound=_at_least(0))
+             for key in ("truth", "observation", "filter")}
 
     return ExperimentConfig(
         model=model,
@@ -386,11 +376,15 @@ def load_config(path: str) -> ExperimentConfig:
         seed_truth=seeds["truth"],
         seed_observation=seeds["observation"],
         seed_filter=seeds["filter"],
-        out_dir=out_dir,
+        out_dir=_field(cp, "output", "dir", default="."),
         prior_mean=prior_mean,
         prior_cov=prior_cov,
-        x0=x0,
-        compare_seeds=compare_seeds,
-        grid_halfwidth=grid_halfwidth,
-        grid_points=grid_points,
+        x0=_field(cp, "model", "x0", lambda raw: _as_vector(raw, dim),
+                  default=prior_mean.copy()),
+        compare_seeds=_field(cp, "compare", "seeds", _integers,
+                             default=(seeds["filter"],), bound=_at_least(0)),
+        grid_halfwidth=_field(cp, "compare", "grid_halfwidth", _number,
+                              default=8.0, bound=_POSITIVE),
+        grid_points=_field(cp, "compare", "grid_points", _integer,
+                           default=1601, bound=_at_least(16)),
     )

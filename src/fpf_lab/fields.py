@@ -125,10 +125,6 @@ class PolyVectorField:
         return cls([Polynomial.random(dim, degree, rng, scale)
                     for _ in range(dim)])
 
-    @classmethod
-    def gradient_of(cls, phi: Polynomial) -> "PolyVectorField":
-        return cls([phi.diff(i) for i in range(phi.dim)])
-
     def _fields(self):
         if not hasattr(self, "_scalar_fields"):
             self._scalar_fields = [PolyScalarField(c) for c in self.components]

@@ -94,9 +94,17 @@ def run_filter(model: SdeModel, obs: ObservationSet, n_particles: int,
     if len(times) == 0:
         raise ModelValidationError("observation record is empty")
     dt = float(times[0]) if dt is None else float(dt)
-    if len(times) > 1 and not np.allclose(np.diff(times), dt, rtol=1e-9):
+    # each time against the grid times[0] + k dt rather than each spacing
+    # against dt: a table keeps 12 significant digits, so on a long record
+    # a spacing read back can be off by more than 1e-9 of dt
+    off = ~np.isclose(times, times[0] + dt * np.arange(len(times)),
+                      rtol=1e-9, atol=0.0)
+    if off.any():
+        k = int(np.argmax(off))
         raise ModelValidationError(
-            f"observation times must be uniformly spaced {dt:g} apart")
+            f"observation times must be uniformly spaced dt = {dt:.12g} "
+            f"apart; the record steps {times[k] - times[k - 1]:.12g} to "
+            f"t = {times[k]:.12g}")
 
     ens = sample_initial_ensemble(model.dim, n_particles, init_mean,
                                   init_cov, seed)

@@ -48,13 +48,6 @@ class GridDensity:
         m = self.mean()
         return float(trapezoid((self.x - m) ** 2 * self.p, self.x) / self.mass)
 
-    def expect(self, values: np.ndarray) -> float:
-        """Expectation of a function given by its grid samples."""
-        return float(trapezoid(values * self.p, self.x) / self.mass)
-
-    def copy(self) -> "GridDensity":
-        return GridDensity(self.x.copy(), self.p.copy())
-
     @classmethod
     def gaussian(cls, x: np.ndarray, mean: float, var: float) -> "GridDensity":
         x = np.asarray(x, dtype=float)

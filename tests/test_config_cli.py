@@ -322,6 +322,70 @@ class TestCliExitCodes:
         assert main(["simulate", "--config", bad,
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command, old, new, field", [
+        ("simulate", "dt = 0.05", "dt = nan", "`dt` in [time]"),
+        ("simulate", "t_end = 0.5", "t_end = inf", "`t_end` in [time]"),
+        ("filter", "gain = exact_gaussian",
+         "gain = galerkin\ngalerkin_degree = 0",
+         "`galerkin_degree` in [filter]"),
+        ("filter", "gain = exact_gaussian",
+         "gain = exact_gaussian\nadmissibility_eps = nan",
+         "`admissibility_eps` in [filter]"),
+        ("compare", "[seeds]", "[compare]\nseeds = -4\n\n[seeds]",
+         "`seeds` in [compare]"),
+        ("compare", "[seeds]", "[compare]\ngrid_halfwidth = 0\n\n[seeds]",
+         "`grid_halfwidth` in [compare]"),
+        ("simulate", "name = linear1d", "name = linear1d\nx0 = 0.5%",
+         "`x0` in [model]"),
+    ], ids=["dt-nan", "t_end-inf", "degree-0", "eps-nan", "compare-seed-neg",
+            "halfwidth-0", "percent"])
+    def test_bad_config_value_is_two(self, tmp_path, capsys, command, old,
+                                     new, field):
+        """Each value is a config error, reported before any file is
+        written, not a traceback, a run, or an aborted run."""
+        base = _write(tmp_path, BASE_CONFIG)
+        main(["simulate", "--config", base, "--out", str(tmp_path)])
+        cfg = _write(tmp_path, BASE_CONFIG.replace(old, new), name="bad.ini")
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if command != "simulate":
+            argv += ["--obs", str(tmp_path / "obs.csv")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"fpf-lab: config error: field {field}: ")
+        assert not out.exists()
+
+    def test_undecodable_config_is_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(BASE_CONFIG.encode().replace(b"linear1d",
+                                                     b"linear\xff1d"))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("fpf-lab: config error: cannot read config")
+
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--config", "run.ini"],
+        ["bogus"],
+        [],
+    ], ids=["missing-obs", "unknown-command", "no-command"])
+    def test_usage_error_is_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("fpf-lab: usage error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["filter", "-h"])
+        assert exit_info.value.code == 0
+        assert "--obs" in capsys.readouterr().out
+
     def test_missing_observation_file_is_two(self, tmp_path):
         cfg = _write(tmp_path, BASE_CONFIG)
         assert main(["filter", "--config", cfg,
@@ -476,6 +540,21 @@ filter = 3
                                    0.5 + 0.05 * np.arange(rows + 1),
                                    rtol=1e-12)
 
+    def test_long_record_round_trip_runs(self, tmp_path):
+        """Times are written with 12 significant digits, so on a long
+        record with a dt that has no short decimal form a spacing read back
+        is off by more than 1e-9 of dt; the record simulate wrote must
+        still run."""
+        text = (BASE_CONFIG.replace("dt = 0.05", "dt = 0.0333333333333333")
+                .replace("t_end = 0.5", "t_end = 150")
+                .replace("n_particles = 50", "n_particles = 2")
+                .replace("gain = exact_gaussian", "gain = constant"))
+        cfg = _write(tmp_path, text)
+        main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert main(["filter", "--config", cfg,
+                     "--obs", str(tmp_path / "obs.csv"),
+                     "--out", str(tmp_path / "out")]) == 0
+
     def test_gapped_observations_are_three(self, tmp_path, capsys):
         """A record with one row missing keeps the configured median
         spacing but is not uniform: a model error, not a traceback."""
@@ -516,9 +595,12 @@ class TestCliVerify:
         assert all(line.endswith(",1") for line in lines[1:])
 
     def test_suite_from_config_file(self, tmp_path):
-        cfg = _write(tmp_path, "[verify]\nsuite = poincare\n")
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "verify_poincare.csv").exists()
+        for line in ("suite = poincare", "suite = poincare  # fast"):
+            cfg = _write(tmp_path, f"[verify]\n{line}\n")
+            out = tmp_path / "out"
+            assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+            assert (out / "verify_poincare.csv").exists()
+            (out / "verify_poincare.csv").unlink()
 
     def test_conflicting_suites_rejected(self, tmp_path):
         cfg = _write(tmp_path, "[verify]\nsuite = poincare\n")
