@@ -52,7 +52,7 @@ import numpy as np
 
 from .fields import Polynomial, PolyScalarField, PolyVectorField
 from .filter import FilterConfig
-from .model import SdeModel
+from .model import SdeModel, covariance_sqrt
 from .registry import available_models, default_prior, make_model
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config",
@@ -68,6 +68,9 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+# fields hold a table of every power up to the largest exponent, and powers
+# beyond this overflow or underflow float64 for |x| outside (0.5, 2)
+MAX_POWER = 1024
 
 
 def parse_polynomial(text: str, dim: int) -> Polynomial:
@@ -102,6 +105,9 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
                     raise ConfigError(
                         f"variable x{idx} out of range for dimension {dim}")
                 alpha[idx - 1] += int(m.group(2) or 1)
+                if alpha[idx - 1] > MAX_POWER:
+                    raise ConfigError(f"power of x{idx} above {MAX_POWER} in "
+                                      f"polynomial term {piece!r}")
             else:
                 try:
                     coef *= _number(factor)
@@ -116,17 +122,11 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
 
 def _affine_parts(poly: Polynomial) -> Optional[Tuple[np.ndarray, float]]:
     """(coefficient vector, offset) when the polynomial is affine, else None."""
-    vec = np.zeros(poly.dim)
-    offset = 0.0
-    for alpha, c in poly.terms.items():
-        total = sum(alpha)
-        if total == 0:
-            offset = c
-        elif total == 1:
-            vec[alpha.index(1)] = c
-        else:
-            return None
-    return vec, offset
+    degree = poly.exponents.sum(axis=1)
+    if np.any(degree > 1):
+        return None
+    return (poly.coeffs[degree == 1] @ poly.exponents[degree == 1],
+            float(poly.coeffs[degree == 0].sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +236,22 @@ def _as_matrix(raw: str, dim: int) -> np.ndarray:
     return np.array([[_number(v) for v in r] for r in rows])
 
 
+def _as_covariance(raw: str, dim: int) -> np.ndarray:
+    """A matrix (see _as_matrix) that is symmetric positive semidefinite."""
+    cov = _as_matrix(raw, dim)
+    covariance_sqrt(cov)            # raises ModelValidationError otherwise
+    return cov
+
+
 # ---------------------------------------------------------------------------
 # experiment configuration
 # ---------------------------------------------------------------------------
 
 _GAIN_METHODS = ("exact_gaussian", "exact", "constant", "galerkin")
+
+# t_end / dt above this is a config error: the truth path, observation
+# record and trace hold one row per step
+MAX_STEPS = 10_000_000
 
 
 @dataclass
@@ -343,11 +354,14 @@ def load_config(path: str) -> ExperimentConfig:
     dim = model.dim
     prior_mean = _field(cp, "prior", "mean", lambda raw: _as_vector(raw, dim),
                         default=prior_mean)
-    prior_cov = _field(cp, "prior", "cov", lambda raw: _as_matrix(raw, dim),
-                       default=prior_cov)
+    prior_cov = _field(cp, "prior", "cov",
+                       lambda raw: _as_covariance(raw, dim), default=prior_cov)
 
     dt = _field(cp, "time", "dt", _number, bound=_POSITIVE)
     t_end = _field(cp, "time", "t_end", _number, bound=_at_least(dt, "dt"))
+    if t_end > MAX_STEPS * dt:
+        raise ConfigError(f"field `dt` in [time]: must be >= t_end / "
+                          f"{MAX_STEPS} (at most {MAX_STEPS} steps)")
 
     n_particles = _field(cp, "filter", "n_particles", _integer,
                          bound=_at_least(2))

@@ -6,6 +6,11 @@ differences appear only in the outermost layer of each check (nested FD
 would drown the tolerances in roundoff). Low-degree polynomials with
 seeded coefficients keep all derivatives bounded on the probe box.
 
+One monomial kernel, shared with the Galerkin gain basis in gain.py, serves
+every field: `monomial_values` gathers monomials from a power table built by
+repeated multiplication, and `partial_table` holds the falling-factorial
+weights that give every partial of order <= 3 as one matrix product.
+
 Derivative tensor conventions (N = number of eval points, d = dim):
     scalar field:  grad (N, d), hess (N, d, d), third (N, d, d, d)
     vector field:  jac[n, i, j] = dF_j/dx_i, second[n, i, l, j],
@@ -14,25 +19,97 @@ Derivative tensor conventions (N = number of eval points, d = dim):
 
 from __future__ import annotations
 
+import math
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement, product
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 
+# ---------------------------------------------------------------------------
+# monomial kernel
+# ---------------------------------------------------------------------------
+
+def monomial_values(points: np.ndarray, monomials: np.ndarray) -> np.ndarray:
+    """x_n^monomials[q] at every point, shape (Q, N), from the power table
+    powers[j, e, n] = x_nj**e built by repeated multiplication (no pow)."""
+    d = points.shape[1]
+    powers = np.ones((d, monomials.max(initial=0) + 1, len(points)))
+    for e in range(1, powers.shape[1]):
+        np.multiply(powers[:, e - 1], points.T, out=powers[:, e])
+    values = powers[0][monomials[:, 0]]
+    for j in range(1, d):
+        values *= powers[j][monomials[:, j]]
+    return values
+
+
+@lru_cache(maxsize=1024)
+def partial_table(dim: int, exponents: Tuple[Tuple[int, ...], ...]):
+    """Partials of order <= 3 of the monomials x^exponents[t]:
+    (monomials, weights, index), cached per (dim, exponents).
+
+    monomials (Q, dim) are the exponents that differentiation reaches,
+    ordered by total degree, then lexicographically. d^axes_m x^exponents[t]
+    = weights[m, t] . x^monomials, whose one nonzero weight is the falling
+    factorial a (a - 1) ... of the differentiated exponents, and none where
+    an exponent drops below 0. index[r][i, l, ...] is the m of the ordered
+    axes (i, l, ...) of order r. The tables are read-only.
+    """
+    combos = [axes for r in range(4)
+              for axes in combinations_with_replacement(range(dim), r)]
+    reduced = {}
+    for m, axes in enumerate(combos):
+        for t, alpha in enumerate(exponents):
+            exps, coef = list(alpha), 1
+            for ax in axes:
+                coef *= exps[ax]
+                exps[ax] -= 1
+            if coef:
+                reduced[m, t] = tuple(exps), coef
+    monomials = sorted({exps for exps, _ in reduced.values()},
+                       key=lambda a: (sum(a), a))
+    position = {a: q for q, a in enumerate(monomials)}
+    weights = np.zeros((len(combos), len(exponents), len(monomials)))
+    for (m, t), (exps, coef) in reduced.items():
+        weights[m, t, position[exps]] = coef
+    monomials = np.array(monomials, dtype=int).reshape(-1, dim)
+    index = [np.array([combos.index(tuple(sorted(axes)))
+                       for axes in product(range(dim), repeat=r)]
+                      ).reshape((dim,) * r) for r in range(4)]
+    for table in (monomials, weights, *index):
+        table.flags.writeable = False
+    return monomials, weights, index
+
+
+# ---------------------------------------------------------------------------
+# fields
+# ---------------------------------------------------------------------------
+
 class Polynomial:
-    """Multivariate polynomial stored as {exponent tuple: coefficient}."""
+    """Multivariate polynomial: exponents (T, d) and coefficients (T,)."""
 
     def __init__(self, dim: int, terms: Dict[Tuple[int, ...], float]):
+        terms = {tuple(a): float(c) for a, c in terms.items()
+                 if float(c) != 0.0}
         self.dim = dim
-        self.terms = {tuple(a): float(c) for a, c in terms.items()
-                      if float(c) != 0.0}
+        self.exponents = np.array(list(terms), dtype=int).reshape(-1, dim)
+        self.coeffs = np.array(list(terms.values()))
+
+    @property
+    def terms(self) -> Dict[Tuple[int, ...], float]:
+        return dict(zip(map(tuple, self.exponents.tolist()),
+                        self.coeffs.tolist()))
+
+    @cached_property
+    def _field(self) -> "PolyVectorField":
+        return PolyVectorField([self])
+
+    def _partials(self, points, order: int) -> np.ndarray:
+        return self._field._partials(points, order)[..., 0]
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(points.shape[0])
-        for alpha, c in self.terms.items():
-            out += c * np.prod(points ** np.array(alpha), axis=1)
-        return out
+        return self._partials(points, 0)
 
     def eval_one(self, x: Sequence):
         """Evaluate at one point with plain Python arithmetic.
@@ -41,75 +118,37 @@ class Polynomial:
         which the high-precision checks rely on.
         """
         total = 0
-        for alpha, c in self.terms.items():
-            term = c
-            for xi, ai in zip(x, alpha):
-                if ai:
-                    term = term * xi ** ai
-            total = total + term
+        for alpha, c in zip(self.exponents.tolist(), self.coeffs.tolist()):
+            total = total + math.prod((xi ** ai for xi, ai in zip(x, alpha)
+                                       if ai), start=c)
         return total
-
-    def diff(self, axis: int) -> "Polynomial":
-        terms: Dict[Tuple[int, ...], float] = {}
-        for alpha, c in self.terms.items():
-            if alpha[axis] == 0:
-                continue
-            new = list(alpha)
-            new[axis] -= 1
-            key = tuple(new)
-            terms[key] = terms.get(key, 0.0) + c * alpha[axis]
-        return Polynomial(self.dim, terms)
 
     @classmethod
     def random(cls, dim: int, degree: int, rng: np.random.Generator,
                scale: float = 1.0) -> "Polynomial":
-        from itertools import product
-        terms = {}
-        for alpha in product(range(degree + 1), repeat=dim):
-            if sum(alpha) <= degree:
-                terms[alpha] = scale * rng.standard_normal()
-        return cls(dim, terms)
+        return cls(dim, {alpha: scale * rng.standard_normal()
+                         for alpha in product(range(degree + 1), repeat=dim)
+                         if sum(alpha) <= degree})
 
 
 class PolyScalarField:
-    """Scalar polynomial with cached derivative polynomials."""
+    """Scalar polynomial field with exact partials of order <= 3."""
 
     def __init__(self, poly: Polynomial):
         self.poly = poly
         self.dim = poly.dim
-        self._cache: Dict[Tuple[int, ...], Polynomial] = {(): poly}
-
-    def _d(self, axes: Tuple[int, ...]) -> Polynomial:
-        if axes not in self._cache:
-            self._cache[axes] = self._d(axes[:-1]).diff(axes[-1])
-        return self._cache[axes]
 
     def value(self, points) -> np.ndarray:
         return self.poly(points)
 
     def grad(self, points) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return np.stack([self._d((i,))(points) for i in range(self.dim)],
-                        axis=1)
+        return self.poly._partials(points, 1)
 
     def hess(self, points) -> np.ndarray:
-        points = np.atleast_2d(points)
-        d = self.dim
-        out = np.empty((points.shape[0], d, d))
-        for i in range(d):
-            for j in range(i, d):
-                out[:, i, j] = out[:, j, i] = self._d((i, j))(points)
-        return out
+        return self.poly._partials(points, 2)
 
     def third(self, points) -> np.ndarray:
-        points = np.atleast_2d(points)
-        d = self.dim
-        out = np.empty((points.shape[0], d, d, d))
-        for i in range(d):
-            for j in range(d):
-                for l in range(d):
-                    out[:, i, j, l] = self._d(tuple(sorted((i, j, l))))(points)
-        return out
+        return self.poly._partials(points, 3)
 
 
 class PolyVectorField:
@@ -125,44 +164,56 @@ class PolyVectorField:
         return cls([Polynomial.random(dim, degree, rng, scale)
                     for _ in range(dim)])
 
-    def _fields(self):
-        if not hasattr(self, "_scalar_fields"):
-            self._scalar_fields = [PolyScalarField(c) for c in self.components]
-        return self._scalar_fields
+    @cached_property
+    def _tables(self):
+        """(monomials, tables): tables[r] (Q, d**r * J) holds the weights of
+        the partials of order r, columns ordered (i, l, m, j)."""
+        owner = np.repeat(np.arange(self.dim),
+                          [len(c.coeffs) for c in self.components])
+        coeffs = (owner == np.arange(self.dim)[:, None]) \
+            * np.concatenate([c.coeffs for c in self.components])
+        exponents = np.vstack([c.exponents for c in self.components])
+        monomials, weights, index = partial_table(
+            exponents.shape[1], tuple(map(tuple, exponents.tolist())))
+        phi = coeffs @ weights                          # (M, J, Q)
+        return monomials, [phi[index[r].ravel()].transpose(2, 0, 1).reshape(
+            len(monomials), index[r].size * self.dim) for r in range(4)]
+
+    def _partials(self, points, order: int) -> np.ndarray:
+        """Partials of order `order`, shape (N,) + (d,) * order + (J,)."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        monomials, tables = self._tables
+        out = monomial_values(points, monomials).T @ tables[order]
+        return out.reshape((len(points),) + (points.shape[1],) * order
+                           + (self.dim,))
 
     def value(self, points) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return np.stack([c(points) for c in self.components], axis=1)
+        return self._partials(points, 0)
 
     def jac(self, points) -> np.ndarray:
         """jac[n, i, j] = dF_j/dx_i, i.e. each jac[n] is (grad F^T)."""
-        points = np.atleast_2d(points)
-        fields = self._fields()
-        return np.stack([fields[j].grad(points) for j in range(self.dim)],
-                        axis=2)
+        return self._partials(points, 1)
 
     def second(self, points) -> np.ndarray:
         """second[n, i, l, j] = d2 F_j / dx_i dx_l."""
-        points = np.atleast_2d(points)
-        fields = self._fields()
-        return np.stack([fields[j].hess(points) for j in range(self.dim)],
-                        axis=3)
+        return self._partials(points, 2)
 
     def third(self, points) -> np.ndarray:
         """third[n, i, l, m, j] = d3 F_j / dx_i dx_l dx_m."""
-        points = np.atleast_2d(points)
-        fields = self._fields()
-        return np.stack([fields[j].third(points) for j in range(self.dim)],
-                        axis=4)
+        return self._partials(points, 3)
 
     def value_one(self, x: Sequence) -> list:
         return [c.eval_one(x) for c in self.components]
 
     def jac_one(self, x: Sequence) -> list:
-        """Row-major nested list J[i][j] = dF_j/dx_i at one point."""
-        fields = self._fields()
-        return [[fields[j]._d((i,)).eval_one(x) for j in range(self.dim)]
-                for i in range(self.dim)]
+        """Row-major nested list J[i][j] = dF_j/dx_i at one point, from the
+        weights of the first partials."""
+        monomials, tables = self._tables
+        exponents = list(map(tuple, monomials.tolist()))
+        jac = [Polynomial(monomials.shape[1], dict(zip(exponents, col)))
+               .eval_one(x)
+               for col in tables[1].T.tolist()]        # ordered (i, j)
+        return [jac[i * self.dim:(i + 1) * self.dim] for i in range(self.dim)]
 
 
 class ExpPolyDensity:
@@ -185,19 +236,13 @@ class ExpPolyDensity:
         prec = np.linalg.inv(cov)
         const = -0.5 * (d * np.log(2.0 * np.pi)
                         + np.log(np.linalg.det(cov)))
-        terms: Dict[Tuple[int, ...], float] = {}
-
-        def add(alpha, c):
-            terms[alpha] = terms.get(alpha, 0.0) + c
-
-        add((0,) * d, const - 0.5 * mean @ prec @ mean)
+        eye = np.eye(d, dtype=int)
+        terms = {(0,) * d: const - 0.5 * mean @ prec @ mean}
         for i in range(d):
-            e_i = tuple(1 if k == i else 0 for k in range(d))
-            add(e_i, float(prec[i] @ mean))
+            terms[tuple(eye[i])] = float(prec[i] @ mean)
             for j in range(d):
-                e_ij = tuple((1 if k == i else 0) + (1 if k == j else 0)
-                             for k in range(d))
-                add(e_ij, -0.5 * prec[i, j])
+                e_ij = tuple(eye[i] + eye[j])
+                terms[e_ij] = terms.get(e_ij, 0.0) - 0.5 * prec[i, j]
         return cls(Polynomial(d, terms))
 
     @classmethod
@@ -253,14 +298,9 @@ class ExpPolyDensity:
 def fd_grad(fn, x: np.ndarray, step: float) -> np.ndarray:
     """Central-difference gradient of a scalar function of one point."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(len(x))
-    for i in range(len(x)):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += step
-        lo[i] -= step
-        out[i] = (fn(hi) - fn(lo)) / (2.0 * step)
-    return out
+    e = step * np.eye(len(x))
+    return np.array([(fn(x + e[i]) - fn(x - e[i])) / (2.0 * step)
+                     for i in range(len(x))])
 
 
 def converges_quadratically(gap: float, gap_half: float,

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from itertools import product as _iter_product
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .fields import monomial_values, partial_table
 from .grid import trapezoid
 from .model import ModelValidationError, PosteriorStats, SdeModel
 
@@ -53,7 +53,7 @@ class GainField:
             return np.broadcast_to(self.k[0], points.shape).copy()
         d = points.shape[1]
         monomials, weights, _ = _basis_table(d, int(self.exponents.max()))
-        values = _monomial_values(points, monomials)
+        values = monomial_values(points, monomials)
         return ((self.coeffs @ weights[1:1 + d]) @ values).T.copy()
 
 
@@ -80,48 +80,11 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _basis_table(dim: int, degree: int):
-    """Partials of order <= 3 of the basis psi_k = x^exps[k], exps =
-    monomial_exponents(dim, degree): (monomials, weights, index).
-
-    monomials (Q, dim) is the constant, then exps. d^axes_m psi_k =
-    weights[m, k] . x^monomials, whose one nonzero weight is the falling
-    factorial a (a - 1) ... of the differentiated exponents, and none where
-    an exponent drops below 0. index[r][i, l, ...] is the m of the ordered
-    axes (i, l, ...) of order r. The tables are cached and read-only.
-    """
-    monomials = np.vstack([np.zeros(dim, dtype=int),
-                           monomial_exponents(dim, degree)])
-    position = {tuple(e): q for q, e in enumerate(monomials)}
-    combos = [axes for r in range(4)
-              for axes in combinations_with_replacement(range(dim), r)]
-    weights = np.zeros((len(combos), len(monomials) - 1, len(monomials)))
-    for m, axes in enumerate(combos):
-        for k, alpha in enumerate(monomials[1:]):
-            reduced, coef = list(alpha), 1
-            for ax in axes:
-                coef *= reduced[ax]
-                reduced[ax] -= 1
-            if coef:
-                weights[m, k, position[tuple(reduced)]] = coef
-    index = [np.array([combos.index(tuple(sorted(axes)))
-                       for axes in _iter_product(range(dim), repeat=r)]
-                      ).reshape((dim,) * r) for r in range(4)]
-    for table in (monomials, weights, *index):
-        table.flags.writeable = False
-    return monomials, weights, index
-
-
-def _monomial_values(points: np.ndarray, monomials: np.ndarray) -> np.ndarray:
-    """x_n^monomials[q] at every point, shape (Q, N), from the power table
-    powers[j, e, n] = x_nj**e built by repeated multiplication (no pow)."""
-    d = points.shape[1]
-    powers = np.ones((d, monomials.max() + 1, len(points)))
-    for e in range(1, powers.shape[1]):
-        np.multiply(powers[:, e - 1], points.T, out=powers[:, e])
-    values = powers[0][monomials[:, 0]]
-    for j in range(1, d):
-        values *= powers[j][monomials[:, j]]
-    return values
+    """partial_table of the basis psi_k = x^exps[k], exps =
+    monomial_exponents(dim, degree): its monomials are the constant, then
+    exps."""
+    return partial_table(dim, tuple(map(tuple, monomial_exponents(
+        dim, degree).tolist())))
 
 
 def _constant_field(k0: np.ndarray, h_vals: np.ndarray, h_hat: float,
@@ -171,7 +134,7 @@ def galerkin_gain(states: np.ndarray, stats: PosteriorStats,
     """
     n, d = states.shape
     monomials, weights, index = _basis_table(d, degree)
-    mono = _monomial_values(states, monomials)     # psi_k = mono[1 + k]
+    mono = monomial_values(states, monomials)     # psi_k = mono[1 + k]
     nb = len(mono) - 1
 
     # the (K, d N) gradient matrix, so A is one BLAS product

@@ -58,13 +58,10 @@ def piola_residual(v: PolyVectorField, x: np.ndarray,
         raise ValueError("I + grad v^T is singular at the probe point")
 
     res = np.zeros(d)
+    step = fd_step * np.eye(d)
     for i in range(d):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += fd_step
-        lo[i] -= fd_step
-        v_hi = np.eye(d) + v.jac(hi)[0]
-        v_lo = np.eye(d) + v.jac(lo)[0]
+        v_hi = np.eye(d) + v.jac(x + step[i])[0]
+        v_lo = np.eye(d) + v.jac(x - step[i])[0]
         for j in range(d):
             sign = -1.0 if (i + j) % 2 else 1.0
             res[j] += sign * (_minor(v_hi, i, j) - _minor(v_lo, i, j)) \
@@ -118,25 +115,21 @@ def el_bracket_residual(p: ExpPolyDensity, h: PolyScalarField,
     return t1 + t2 + t3
 
 
+def _mp_det(rows):
+    """Determinant by cofactor expansion along the first row, division-free."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * _mp_det([r[:j] + r[j + 1:]
+                                                 for r in rows[1:]])
+               for j in range(len(rows)))
+
+
 def _mp_cofactor_transpose(v_rows):
-    """|V| V^{-T} as the cofactor matrix, division-free (d <= 3)."""
+    """|V| V^{-T} as the cofactor matrix, division-free."""
     d = len(v_rows)
-    if d == 1:
-        return [[mpmath.mpf(1)]]
-    if d == 2:
-        (a, b), (c, e) = v_rows
-        return [[e, -c], [-b, a]]
-    if d == 3:
-        m = v_rows
-
-        def minor(i, j):
-            rows = [r for k, r in enumerate(m) if k != i]
-            sub = [[row[k] for k in range(3) if k != j] for row in rows]
-            return sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-
-        return [[(-1) ** (i + j) * minor(i, j) for j in range(3)]
-                for i in range(3)]
-    raise ValueError("cofactor matrix implemented for d <= 3")
+    return [[(-1) ** (i + j) * _mp_det([r[:j] + r[j + 1:] for k, r
+                                        in enumerate(v_rows) if k != i])
+             for j in range(d)] for i in range(d)]
 
 
 def _mp_generator_derivatives(name: str):
@@ -168,11 +161,11 @@ def observation_marginal(p: ExpPolyDensity, h: PolyScalarField, y: float,
     """p_Y(y) = int p(s) rho(y|s) ds by tensor-grid quadrature (float)."""
     d = p.dim
     axes = [np.linspace(-halfwidth, halfwidth, n)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    vals = p.value(pts) * np.sqrt(dt / (2.0 * np.pi)) \
-        * np.exp(-0.5 * dt * (y - h.value(pts)) ** 2)
-    vals = vals.reshape([n] * d)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    # four blocks of points keep the grid's monomial tables small
+    vals = np.concatenate([p.value(b) * np.sqrt(dt / (2.0 * np.pi))
+                           * np.exp(-0.5 * dt * (y - h.value(b)) ** 2)
+                           for b in np.array_split(pts, 4)]).reshape([n] * d)
     for axis_grid in axes:
         vals = trapezoid(vals, axis_grid, axis=-1)
     return float(vals)
@@ -214,13 +207,7 @@ def el_generator_invariance(p: ExpPolyDensity, h: PolyScalarField,
             jac = v.jac_one(pt)
             v_rows = [[jac[i][j] + (1 if i == j else 0) for j in range(d)]
                       for i in range(d)]
-            if d == 1:
-                det = v_rows[0][0]
-            elif d == 2:
-                det = v_rows[0][0] * v_rows[1][1] - v_rows[0][1] * v_rows[1][0]
-            else:
-                cof = _mp_cofactor_transpose(v_rows)
-                det = sum(v_rows[0][j] * cof[0][j] for j in range(d))
+            det = _mp_det(v_rows)
             rho = mpmath.sqrt(dt_mp / (2 * mpmath.pi)) * mpmath.exp(
                 -dt_mp * (y_mp - h.poly.eval_one(shifted)) ** 2 / 2)
             num = mpmath.exp(p.log_one(shifted)) * rho * abs(det)
@@ -409,15 +396,13 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
                - np.einsum("i,il,jl->j", k, hl, jk))
 
         def curvature_quad(pt):
-            pts2 = pt[None, :]
-            kk = K.value(pts2)[0]
-            return float(kk @ (p.hess_log(pts2)[0]
-                               + np.outer(p.grad_log(pts2)[0],
-                                          p.grad_log(pts2)[0])) @ kk)
+            kk = K.value(pt)[0]
+            return float(kk @ (p.hess_log(pt)[0]
+                               + np.outer(p.grad_log(pt)[0],
+                                          p.grad_log(pt)[0])) @ kk)
 
         def slope_quad(pt):
-            pts2 = pt[None, :]
-            return float((K.value(pts2)[0] @ p.grad_log(pts2)[0]) ** 2)
+            return float((K.value(pt)[0] @ p.grad_log(pt)[0]) ** 2)
 
         rhs = -0.5 * fd_grad(curvature_quad, x, fd_step) \
             + 0.5 * fd_grad(slope_quad, x, fd_step)
@@ -429,9 +414,8 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
                - gl @ (jk.T @ jk.T))
 
         def transport(pt):
-            pts2 = pt[None, :]
-            kk = K.value(pts2)[0]
-            return float(kk @ K.jac(pts2)[0] @ p.grad_log(pts2)[0])
+            kk = K.value(pt)[0]
+            return float(kk @ K.jac(pt)[0] @ p.grad_log(pt)[0])
 
         rhs = -fd_grad(transport, x, fd_step)
         return lhs, rhs
@@ -440,9 +424,8 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
         lhs = -np.einsum("i,ijll->j", k, tk) - grad_div_k @ jk.T
 
         def div_flux(pt):
-            pts2 = pt[None, :]
-            sk2 = K.second(pts2)[0]
-            return float(np.einsum("all->a", sk2) @ K.value(pts2)[0])
+            sk2 = K.second(pt)[0]
+            return float(np.einsum("all->a", sk2) @ K.value(pt)[0])
 
         rhs = -fd_grad(div_flux, x, fd_step)
         return lhs, rhs
@@ -463,23 +446,22 @@ def double_divergence_expansion_check(p: ExpPolyDensity, K: PolyVectorField,
     d = K.dim
 
     def pkk(pt, i, j):
-        pts2 = pt[None, :]
-        kk = K.value(pts2)[0]
-        return float(p.value(pts2)[0] * kk[i] * kk[j])
+        kk = K.value(pt)[0]
+        return float(p.value(pt)[0] * kk[i] * kk[j])
 
     lhs = 0.0
+    e = np.eye(d)
     for i in range(d):
-        lhs += (pkk(x + fd_step * _unit(d, i), i, i)
+        lhs += (pkk(x + fd_step * e[i], i, i)
                 - 2.0 * pkk(x, i, i)
-                + pkk(x - fd_step * _unit(d, i), i, i)) / fd_step ** 2
+                + pkk(x - fd_step * e[i], i, i)) / fd_step ** 2
         for j in range(d):
             if j == i:
                 continue
-            ei, ej = _unit(d, i), _unit(d, j)
-            lhs += (pkk(x + fd_step * (ei + ej), i, j)
-                    - pkk(x + fd_step * (ei - ej), i, j)
-                    - pkk(x - fd_step * (ei - ej), i, j)
-                    + pkk(x - fd_step * (ei + ej), i, j)) \
+            lhs += (pkk(x + fd_step * (e[i] + e[j]), i, j)
+                    - pkk(x + fd_step * (e[i] - e[j]), i, j)
+                    - pkk(x - fd_step * (e[i] - e[j]), i, j)
+                    + pkk(x - fd_step * (e[i] + e[j]), i, j)) \
                 / (4.0 * fd_step ** 2)
 
     pts = np.atleast_2d(x)
@@ -499,12 +481,6 @@ def double_divergence_expansion_check(p: ExpPolyDensity, K: PolyVectorField,
            + 2.0 * p0 * grad_div_k @ k
            + p0 * np.trace(jk @ jk))
     return float(lhs), float(rhs)
-
-
-def _unit(d: int, i: int) -> np.ndarray:
-    e = np.zeros(d)
-    e[i] = 1.0
-    return e
 
 
 # ---------------------------------------------------------------------------

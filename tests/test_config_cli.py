@@ -78,6 +78,12 @@ class TestParsePolynomial:
         with pytest.raises(ConfigError, match="out of range"):
             parse_polynomial("x3", dim=2)
 
+    def test_power_above_table_limit_rejected(self):
+        """x1^1024 is the largest power; repeated factors count together."""
+        assert parse_polynomial("x1^1024", dim=1).terms == {(1024,): 1.0}
+        with pytest.raises(ConfigError, match="power of x1 above 1024"):
+            parse_polynomial("x1^1000*x1^25", dim=1)
+
     @given(st.lists(st.floats(min_value=-5.0, max_value=5.0),
                     min_size=1, max_size=4))
     @settings(max_examples=50, deadline=None)
@@ -337,8 +343,14 @@ class TestCliExitCodes:
          "`grid_halfwidth` in [compare]"),
         ("simulate", "name = linear1d", "name = linear1d\nx0 = 0.5%",
          "`x0` in [model]"),
+        ("simulate", "dt = 0.05", "dt = 1e-300", "`dt` in [time]"),
+        ("filter", "[seeds]", "[prior]\ncov = -1\n\n[seeds]",
+         "`cov` in [prior]"),
+        ("filter", "name = linear1d",
+         "name = linear2d\n\n[prior]\ncov = 1 0.5; 0 1", "`cov` in [prior]"),
     ], ids=["dt-nan", "t_end-inf", "degree-0", "eps-nan", "compare-seed-neg",
-            "halfwidth-0", "percent"])
+            "halfwidth-0", "percent", "dt-tiny", "cov-negative",
+            "cov-asymmetric"])
     def test_bad_config_value_is_two(self, tmp_path, capsys, command, old,
                                      new, field):
         """Each value is a config error, reported before any file is

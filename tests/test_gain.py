@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpf_lab import (
     GainField,
@@ -231,6 +233,58 @@ class TestGalerkinAgainstOracle:
                                       field.k_jac.transpose(0, 2, 1))
         np.testing.assert_allclose(field.k_at(states), field.k, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(field.k)))
+
+
+@st.composite
+def _ensembles(draw):
+    """States (N, d) with N 2..40, d 1..3, and one observation value each."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 40))
+    values = st.floats(-5.0, 5.0)
+    states = np.array(draw(st.lists(values, min_size=n * dim,
+                                    max_size=n * dim))).reshape(n, dim)
+    h_vals = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return states, h_vals
+
+
+class TestGainProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_ensembles(), st.lists(st.floats(-3.0, 3.0), min_size=4,
+                                  max_size=4))
+    def test_exact_is_constant_times_bessel_factor(self, ensemble, coeffs):
+        """For affine h = H^T x + c, h - h_hat = H^T (x - mean), so the
+        constant gain (1/N) is Cov(X) H with the 1/(N-1) of ensemble_stats
+        replaced by 1/N: exact = constant * N / (N - 1)."""
+        states, _ = ensemble
+        n, dim = states.shape
+        obs_vector = np.array(coeffs[:dim])
+        stats = _stats_for(states, lambda s: s @ obs_vector + coeffs[3])
+        h_grad = np.broadcast_to(obs_vector, (n, dim))
+        exact = exact_gain(stats, obs_vector, h_grad)
+        const = constant_gain(states, stats, h_grad)
+        scale = (np.abs(states - states.mean(axis=0)).max() ** 2
+                 * np.abs(obs_vector).sum() + np.abs(stats.h_vals).max()
+                 * np.abs(states).max())
+        np.testing.assert_allclose(exact.k, const.k * n / (n - 1), rtol=0,
+                                   atol=1e-13 * scale + np.finfo(float).tiny)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ensembles())
+    def test_degree_one_galerkin_is_constant(self, ensemble):
+        """The degree-1 basis x_1..x_d has unit gradients, so with the
+        ridge off A = I, K = b = (1/N) sum (h - h_hat) x: the constant gain
+        up to the roundoff of sum (h - h_hat) = 0."""
+        states, h_vals = ensemble
+        n, dim = states.shape
+        stats = _stats_for(states, lambda s: h_vals)
+        h_grad = np.ones((n, dim))
+        g1 = galerkin_gain(states, stats, h_grad, degree=1, ridge=0.0)
+        gc = constant_gain(states, stats, h_grad)
+        scale = (np.abs(h_vals).max() + 1.0) * (np.abs(states).max() + 1.0)
+        for name in ("k", "k_jac", "u", "u_jac"):
+            np.testing.assert_allclose(getattr(g1, name), getattr(gc, name),
+                                       rtol=0, atol=1e-13 * scale ** 2,
+                                       err_msg=name)
 
 
 class TestAdmissibility:

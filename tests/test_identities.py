@@ -5,8 +5,13 @@ so every inner derivative is analytic and finite differences appear only
 in the outermost layer of a check.
 """
 
+from itertools import product
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fpf_lab.fields import (
     ExpPolyDensity,
@@ -62,7 +67,7 @@ class TestFieldPrimitives:
         rng = np.random.default_rng(42)
         poly = Polynomial.random(3, 3, rng)
         x = np.array([0.3, -0.4, 0.2])
-        analytic = np.array([poly.diff(i)(x[None, :])[0] for i in range(3)])
+        analytic = PolyScalarField(poly).grad(x[None, :])[0]
         numeric = fd_grad(lambda pt: float(poly(pt[None, :])[0]), x, 1e-6)
         np.testing.assert_allclose(numeric, analytic, atol=1e-8)
 
@@ -95,6 +100,95 @@ class TestFieldPrimitives:
         assert not converges_quadratically(1e-3, 5e-4)
         # both gaps at roundoff: identity without any FD content
         assert converges_quadratically(1e-14, 3e-14)
+
+
+def _oracle_diff(terms, axis):
+    """d/dx_axis of a {exponents: coefficient} polynomial, term by term."""
+    out = {}
+    for alpha, c in terms.items():
+        if alpha[axis] == 0:
+            continue
+        new = list(alpha)
+        new[axis] -= 1
+        out[tuple(new)] = out.get(tuple(new), 0.0) + c * alpha[axis]
+    return out
+
+
+def _oracle_partial(terms, axes, points):
+    """d^axes of the polynomial at every point, from a chain of one-axis
+    derivatives and one pow per term."""
+    for axis in axes:
+        terms = _oracle_diff(terms, axis)
+    out = np.zeros(len(points))
+    for alpha, c in terms.items():
+        out += c * np.prod(points ** np.array(alpha), axis=1)
+    return out
+
+
+def _assert_partials_match(actual, terms_list, points, order):
+    """actual[n, i, l, ..., j] against the oracle for component j, to
+    1e-12 relative to the sum of the absolute values of its terms, plus the
+    smallest normal double (subnormal results carry no relative precision)."""
+    dim = points.shape[1]
+    for axes in product(range(dim), repeat=order):
+        for j, terms in enumerate(terms_list):
+            expected = _oracle_partial(terms, axes, points)
+            scale = _oracle_partial({a: abs(c) for a, c in terms.items()},
+                                    axes, np.abs(points))
+            got = actual[(slice(None),) + axes + (j,)]
+            assert np.all(np.abs(got - expected)
+                          <= 1e-12 * scale + np.finfo(float).tiny), \
+                (axes, j, got, expected)
+
+
+_COEFFS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.5, -2.5]),
+                    st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _polynomials_and_points(draw):
+    dim = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 4)] * dim)
+    terms = [draw(st.dictionaries(exponents, _COEFFS, max_size=8))
+             for _ in range(dim)]
+    n = draw(st.integers(1, 50))
+    coords = draw(st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+                           min_size=n * dim, max_size=n * dim))
+    return terms, np.array(coords).reshape(n, dim)
+
+
+class TestPolynomialKernelAgainstOracle:
+    """The power-table kernel against the derivative-chain evaluation it
+    replaced: values and every partial of order <= 3."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_polynomials_and_points())
+    @example(([{}], np.array([[0.0], [-1.5]])))
+    @example(([{(1, 0): 2.0, (0, 1): -2.0}, {(2, 2): 1.0, (0, 0): -1.0}],
+              np.array([[1.0, 1.0], [0.0, -0.5]])))
+    def test_fields_match_derivative_chains(self, case):
+        terms, points = case
+        dim = points.shape[1]
+        polys = [Polynomial(dim, t) for t in terms]
+        scalar = PolyScalarField(polys[0])
+        _assert_partials_match(scalar.value(points)[:, None], terms[:1],
+                               points, 0)
+        for order, method in enumerate((scalar.grad, scalar.hess,
+                                        scalar.third), start=1):
+            _assert_partials_match(method(points)[..., None], terms[:1],
+                                   points, order)
+        field = PolyVectorField(polys)
+        for order, method in enumerate((field.value, field.jac, field.second,
+                                        field.third)):
+            _assert_partials_match(method(points), terms, points, order)
+
+        with mpmath.workdps(50):
+            x_mp = [mpmath.mpf(float(v)) for v in points[-1]]
+            jac = np.array([[float(v) for v in row]
+                            for row in field.jac_one(x_mp)])
+            value = float(polys[0].eval_one(x_mp))
+        _assert_partials_match(jac[None], terms, points[-1:], 1)
+        _assert_partials_match(np.array([[value]]), terms[:1], points[-1:], 0)
 
 
 class TestPiolaIdentity:
