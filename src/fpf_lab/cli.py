@@ -101,17 +101,39 @@ def _moment_path(state, step, moments, dz):
             np.array([np.diag(cov) for _, cov in path]))
 
 
+# largest |trapezoid mass - 1| of the sampled prior that the compare grid
+# may hold; beyond it the grid truncates or under-resolves the prior, and
+# the oracle would silently answer for a different one
+GRID_MASS_TOL = 1e-3
+
+
+def _grid_prior(cfg: ExperimentConfig) -> GridDensity:
+    """The 1-D prior sampled on the [compare] grid, normalized, once the
+    grid is known to hold it."""
+    mean, var = float(cfg.prior_mean[0]), float(cfg.prior_cov[0, 0])
+    if not var > 0.0:
+        raise ConfigError(
+            "field `cov` in [prior]: the grid reference needs a positive "
+            f"prior variance, got {var:g}")
+    halfwidth, points = cfg.grid_halfwidth, cfg.grid_points
+    x = np.linspace(-halfwidth, halfwidth, points)
+    prior = GridDensity.gaussian(x, mean, var, normalize=False)
+    if not abs(prior.mass - 1.0) <= GRID_MASS_TOL:
+        raise ConfigError(
+            f"field `grid_halfwidth` in [compare]: the grid [-{halfwidth:g}, "
+            f"{halfwidth:g}] with `grid_points` = {points} holds mass "
+            f"{prior.mass:.6g} of the prior N({mean:g}, {var:g}), more than "
+            f"{GRID_MASS_TOL:g} from 1; widen or refine the grid")
+    return prior.normalize()
+
+
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     validate_model(cfg.model)
+    model, d, dt = cfg.model, cfg.model.dim, cfg.dt
+    grid_density = _grid_prior(cfg) if d == 1 else None
     out = _out_dir(args, cfg)
     obs = _load_observations(args.obs)
-    model, d, dt = cfg.model, cfg.model.dim, cfg.dt
-
-    if d == 1 and not cfg.prior_cov[0, 0] > 0.0:
-        raise ConfigError(
-            "field `cov` in [prior]: the grid reference needs a positive "
-            f"prior variance, got {cfg.prior_cov[0, 0]:g}")
 
     fpf_runs = [run_filter(model, obs, cfg.n_particles, seed, cfg.filter_cfg,
                            cfg.prior_mean, cfg.prior_cov, dt)
@@ -132,12 +154,7 @@ def cmd_compare(args) -> int:
         (bpf_ens, np.zeros(cfg.n_particles)),
         lambda state, dz: bootstrap_pf_step(model, *state, dz, dt)[:2],
         lambda state: weighted_stats(state[0].states, state[1]), obs.dz)
-    grid_density = None
-    if d == 1:
-        x = np.linspace(-cfg.grid_halfwidth, cfg.grid_halfwidth,
-                        cfg.grid_points)
-        grid_density = GridDensity.gaussian(x, float(cfg.prior_mean[0]),
-                                            float(cfg.prior_cov[0, 0]))
+    if grid_density is not None:
         # kushner_grid_step updates the density in place, so grid_density
         # is the final posterior afterwards
         paths["grid"] = _moment_path(

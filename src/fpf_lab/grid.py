@@ -49,10 +49,11 @@ class GridDensity:
         return float(trapezoid((self.x - m) ** 2 * self.p, self.x) / self.mass)
 
     @classmethod
-    def gaussian(cls, x: np.ndarray, mean: float, var: float) -> "GridDensity":
+    def gaussian(cls, x: np.ndarray, mean: float, var: float,
+                 normalize: bool = True) -> "GridDensity":
         x = np.asarray(x, dtype=float)
         p = np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2.0 * np.pi * var)
-        return cls(x, p).normalize()
+        return cls(x, p).normalize() if normalize else cls(x, p)
 
 
 def clip_roundoff_negatives(p: np.ndarray, floor: float = -1e-12) -> np.ndarray:

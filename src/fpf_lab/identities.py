@@ -18,7 +18,6 @@ from typing import Dict, Sequence, Tuple
 
 import mpmath
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .divergence import TV_DELTA
 from .fields import ExpPolyDensity, PolyScalarField, PolyVectorField, fd_grad
@@ -563,6 +562,9 @@ def weighted_poisson_derivative_check(x: np.ndarray, p_vals: np.ndarray,
     half nodes and phi = 0 at both ends; the relation is then checked with
     central differences over interior nodes. Returns (max residual, phi').
     """
+    # local import: scipy.linalg adds ~0.3 s to each fpf-lab start (2 cores)
+    from scipy.linalg import solve_banded
+
     x = np.asarray(x, dtype=float)
     p_vals = np.asarray(p_vals, dtype=float)
     h_vals = np.asarray(h_vals, dtype=float)

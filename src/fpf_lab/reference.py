@@ -133,32 +133,33 @@ def weighted_stats(states: np.ndarray, log_w: np.ndarray):
 
 def fokker_planck_substeps(density: GridDensity, drift_vals_mid: np.ndarray,
                            sigma: float, dt: float) -> GridDensity:
-    """Advance dp/dt = -(a p)' + (sigma^2/2) p'' with a conservative scheme.
-
-    Fluxes at interior faces use centered averaging for advection and a
-    two-point difference for diffusion; boundary fluxes are zero. The step
-    is split into substeps respecting dt_sub <= 0.4 dx^2 / sigma^2.
+    """Advance dp/dt = -(a p)' + (sigma^2/2) p'' by one backward-Euler step
+    on the Chang-Cooper flux F = (D/dx) [B(-w) p_i - B(w) p_{i+1}], with
+    D = sigma^2/2, w = a dx / D at each face, B(w) = w / (e^w - 1) and zero
+    flux at both ends. As B(-w) = B(w) + w, F is upwind advection plus the
+    diffusion (D/dx) B(|w|); sigma = 0 is pure upwind. I + dt A is a
+    tridiagonal M-matrix with unit column sums, so p stays non-negative and
+    sum(p) is kept for any dt; p_{i+1} / p_i = e^w is a fixed point.
     """
-    dx = density.dx
-    p = density.p.copy()
+    # local import: scipy.linalg adds ~0.3 s to each fpf-lab start (2 cores)
+    from scipy.linalg import solve_banded
 
-    limit = np.inf
-    if sigma > 0.0:
-        limit = 0.4 * dx * dx / (sigma * sigma)
-    amax = np.max(np.abs(drift_vals_mid)) if len(drift_vals_mid) else 0.0
-    if amax > 0.0:
-        limit = min(limit, 0.5 * dx / amax)
-    n_sub = max(1, int(np.ceil(dt / limit))) if np.isfinite(limit) else 1
-    dt_sub = dt / n_sub
-
-    half_diff = 0.5 * sigma * sigma / dx
-    for _ in range(n_sub):
-        flux = drift_vals_mid * 0.5 * (p[:-1] + p[1:]) \
-            - half_diff * (p[1:] - p[:-1])
-        p[0] -= dt_sub * flux[0] / dx
-        p[1:-1] -= dt_sub * (flux[1:] - flux[:-1]) / dx
-        p[-1] += dt_sub * flux[-1] / dx
-    density.p = p
+    dx, diff = density.dx, 0.5 * sigma * sigma
+    a = np.asarray(drift_vals_mid, dtype=float)
+    coef = np.zeros_like(a)
+    if diff > 0.0:
+        # B(|w|) < 5e-18 |w| beyond |w| = 40, below rounding of the upwind
+        # part; clipping there keeps expm1 finite
+        w = np.minimum(np.abs(a) * (dx / diff), 40.0)
+        coef = diff / dx * np.divide(w, np.expm1(w), out=np.ones_like(w),
+                                     where=w > 0.0)
+    bands = np.zeros((3, len(density.p)))
+    bands[0, 1:] = -(np.maximum(-a, 0.0) + coef) * (dt / dx)  # p_i+1 -> p_i
+    bands[2, :-1] = -(np.maximum(a, 0.0) + coef) * (dt / dx)  # p_i -> p_i+1
+    bands[1] = 1.0 - bands[0] - bands[2]
+    # unchecked: a non-finite drift ends as NaN mass in the Bayes step's
+    # normalization (exit 4), not as a ValueError here
+    density.p = solve_banded((1, 1), bands, density.p, check_finite=False)
     return density
 
 
@@ -179,8 +180,7 @@ def kushner_grid_step(density: GridDensity, model: SdeModel, dz: float,
     x = density.x
     mid = 0.5 * (x[:-1] + x[1:])
     a_mid = model.drift_at(mid.reshape(-1, 1))[:, 0]
-    sigma = float(np.asarray(model.diffusion).reshape(())) \
-        if np.asarray(model.diffusion).size == 1 else float(model.diffusion[0, 0])
+    sigma = float(np.reshape(model.diffusion, ()))
     fokker_planck_substeps(density, a_mid, sigma, dt)
     h_vals = model.obs_at(x.reshape(-1, 1))
     return bayes_update_on_grid(density, h_vals, dz, dt)

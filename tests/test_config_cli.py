@@ -348,9 +348,20 @@ class TestCliExitCodes:
          "`cov` in [prior]"),
         ("filter", "name = linear1d",
          "name = linear2d\n\n[prior]\ncov = 1 0.5; 0 1", "`cov` in [prior]"),
+        ("compare", "[seeds]", "[compare]\ngrid_halfwidth = 1e-300\n\n[seeds]",
+         "`grid_halfwidth` in [compare]"),
+        ("compare", "[seeds]", "[compare]\ngrid_halfwidth = 1e300\n\n[seeds]",
+         "`grid_halfwidth` in [compare]"),
+        ("compare", "[seeds]", "[compare]\ngrid_halfwidth = 0.5\n\n[seeds]",
+         "`grid_halfwidth` in [compare]"),
+        ("compare", "[seeds]", "[prior]\nmean = 100\n\n[seeds]",
+         "`grid_halfwidth` in [compare]"),
+        ("compare", "[seeds]", "[prior]\nmean = 7\n\n[seeds]",
+         "`grid_halfwidth` in [compare]"),
     ], ids=["dt-nan", "t_end-inf", "degree-0", "eps-nan", "compare-seed-neg",
             "halfwidth-0", "percent", "dt-tiny", "cov-negative",
-            "cov-asymmetric"])
+            "cov-asymmetric", "grid-tiny", "grid-huge", "grid-truncates",
+            "prior-off-grid", "prior-half-off-grid"])
     def test_bad_config_value_is_two(self, tmp_path, capsys, command, old,
                                      new, field):
         """Each value is a config error, reported before any file is
@@ -368,6 +379,20 @@ class TestCliExitCodes:
         assert len(err) == 1
         assert err[0].startswith(f"fpf-lab: config error: field {field}: ")
         assert not out.exists()
+
+    def test_cli_import_leaves_scipy_solvers_unloaded(self):
+        """Every command starts without scipy.linalg and scipy.integrate,
+        which cost ~0.3 s of start-up; the suites and the grid oracle that
+        use them import them when they run."""
+        src = os.path.dirname(os.path.dirname(fpf_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, fpf_lab.cli; print(sorted(m for m in "
+                "('scipy.linalg', 'scipy.integrate') if m in sys.modules))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
 
     def test_undecodable_config_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"

@@ -229,3 +229,66 @@ class TestGridFilter:
         dens = GridDensity.gaussian(np.linspace(-4, 4, 101), 0.0, 1.0)
         with pytest.raises(ValueError, match="dim=1"):
             kushner_grid_step(dens, make_model("linear2d"), 0.0, 0.01)
+
+
+class TestChangCooperStep:
+    """Properties of the implicit Fokker-Planck step that hold for any dt."""
+
+    X = np.linspace(-8.0, 8.0, 1601)
+    MID = 0.5 * (X[:-1] + X[1:])
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.1, 1.0, 100.0])
+    def test_sampled_stationary_gaussian_is_fixed_point(self, dt):
+        """For a = -x and sigma = 1 the sampled N(0, 1/2) has
+        p_{i+1} / p_i = exp(-2 x_{i+1/2} dx) = e^w at every face, so each
+        Chang-Cooper flux vanishes and the step leaves p unchanged."""
+        dens = GridDensity.gaussian(self.X, 0.0, 0.5)
+        p0 = dens.p.copy()
+        fokker_planck_substeps(dens, -self.MID, 1.0, dt)
+        assert np.max(np.abs(dens.p - p0) / p0) <= 1e-11
+
+    def _check_positive_and_conserved(self, drift, sigma, dt, rel=1e-12):
+        dens = GridDensity.gaussian(self.X, 1.5, 0.3)
+        total = dens.p.sum()
+        fokker_planck_substeps(dens, drift, sigma, dt)
+        assert np.all(dens.p >= 0.0)
+        assert dens.p.sum() == pytest.approx(total, rel=rel)
+
+    def test_stiff_drift_keeps_sign_and_mass(self):
+        """a = -5 x^3 reaches |a| = 2560 at the grid ends, where an
+        explicit step would need dt < dx / (2 |a|) = 2e-6; this one takes
+        dt = 1."""
+        self._check_positive_and_conserved(-5.0 * self.MID ** 3, 1.0, 1.0)
+
+    @given(st.floats(min_value=1e-3, max_value=1e3),
+           st.sampled_from([1, 3]), st.sampled_from([-1.0, 1.0]),
+           st.one_of(st.just(0.0), st.floats(min_value=1e-8, max_value=10.0)),
+           st.floats(min_value=1e-4, max_value=10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_any_drift_sigma_dt_keeps_sign_and_mass(self, scale, power, sign,
+                                                     sigma, dt):
+        """Restoring or repelling drifts a = -/+ c x^k, sigma from 0 up,
+        dt from 1e-4 to 10: the step is an M-matrix solve with unit column
+        sums, so p >= 0 and sum(p) is conserved. A stored diagonal entry
+        1 + dt (rates out of a cell) carries a rounding of eps times
+        itself, so that bounds sum(p) where it exceeds 1e-12 (up to 1e-9
+        at sigma = 10, dt = 10; 0.06 of it seen over 3000 draws)."""
+        drift = -sign * scale * self.MID ** power
+        dx = self.X[1] - self.X[0]
+        diag = 1.0 + 2.0 * dt / dx * (np.max(np.abs(drift))
+                                      + 0.5 * sigma * sigma / dx)
+        rounding = np.finfo(float).eps * diag
+        self._check_positive_and_conserved(drift, sigma, dt,
+                                           rel=max(1e-12, rounding))
+
+    @pytest.mark.parametrize("sigma", [1e-8, 0.0])
+    def test_vanishing_diffusion_is_finite(self, sigma):
+        """sigma -> 0 sends |w| = |a| dx / D to infinity (2e14 |a| at
+        sigma = 1e-8); B must stay free of overflow and 0/0, and sigma = 0
+        is the pure upwind limit."""
+        dens = GridDensity.gaussian(self.X, 1.5, 0.3)
+        with np.errstate(all="raise"):
+            for drift, dt in ((-self.MID, 0.01), (-5.0 * self.MID ** 3, 1.0)):
+                fokker_planck_substeps(dens, drift, sigma, dt)
+        assert np.all(np.isfinite(dens.p))
+        assert np.all(dens.p >= 0.0)
