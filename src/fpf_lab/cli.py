@@ -172,7 +172,7 @@ def cmd_compare(args) -> int:
     write_table(compare_path, header, np.column_stack(columns).tolist())
 
     lines: List[str] = [
-        f"model={cfg.model_name}",
+        f"model={cfg.model.name}",
         f"dt={FMT % cfg.dt}",
         f"t_end={FMT % cfg.t_end}",
         f"n_particles={cfg.n_particles}",

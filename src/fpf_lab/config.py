@@ -52,8 +52,9 @@ import numpy as np
 
 from .fields import Polynomial, PolyScalarField, PolyVectorField
 from .filter import FilterConfig
+from .gain import GAIN_METHODS
 from .model import SdeModel, covariance_sqrt
-from .registry import available_models, default_prior, make_model
+from .registry import available_models, make_model
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config",
            "parse_polynomial", "read_ini"]
@@ -180,6 +181,14 @@ def _at_least(low, text: Optional[str] = None):
             f">= {low if text is None else text}")
 
 
+def _between(low: int, high: int):
+    """The bound `low <= value <= high` (every entry, for a tuple of
+    values), compared as exact Python integers."""
+    return (lambda value: all(low <= v <= high for v in (
+                value if isinstance(value, tuple) else (value,))),
+            f">= {low} and <= {high}")
+
+
 _POSITIVE = (lambda value: value > 0, "positive")
 
 
@@ -247,11 +256,14 @@ def _as_covariance(raw: str, dim: int) -> np.ndarray:
 # experiment configuration
 # ---------------------------------------------------------------------------
 
-_GAIN_METHODS = ("exact_gaussian", "exact", "constant", "galerkin")
-
 # t_end / dt above this is a config error: the truth path, observation
 # record and trace hold one row per step
 MAX_STEPS = 10_000_000
+# the grid oracle and the KDE hold a few arrays of this length per step; at
+# 10^8 points they take gigabytes and the process is killed
+MAX_GRID_POINTS = 10 ** 6
+# the noise hash folds a seed into one 64-bit word
+_SEED = _between(0, 2 ** 64 - 1)
 
 
 @dataclass
@@ -259,7 +271,6 @@ class ExperimentConfig:
     """Fully resolved run configuration (model objects, not strings)."""
 
     model: SdeModel
-    model_name: str
     dt: float
     t_end: float
     n_particles: int
@@ -271,15 +282,15 @@ class ExperimentConfig:
     prior_mean: np.ndarray
     prior_cov: np.ndarray
     x0: np.ndarray
-    compare_seeds: Tuple[int, ...] = ()
-    grid_halfwidth: float = 8.0
-    grid_points: int = 1601
+    compare_seeds: Tuple[int, ...]
+    grid_halfwidth: float
+    grid_points: int
 
 
 def _gain_method(raw: str) -> str:
-    if raw not in _GAIN_METHODS:
+    if raw not in GAIN_METHODS:
         raise ValueError(f"unknown method {raw!r}; choose from "
-                         f"{', '.join(_GAIN_METHODS)}")
+                         f"{', '.join(GAIN_METHODS)}")
     return raw
 
 
@@ -345,17 +356,15 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(
                 f"unknown model {model_name!r}; available: "
                 f"{', '.join(available_models())}") from None
-        prior_mean, prior_cov = default_prior(model_name)
     else:
         model = _build_inline_model(cp)
-        model_name = model.name
-        prior_mean, prior_cov = np.zeros(model.dim), np.eye(model.dim)
 
     dim = model.dim
     prior_mean = _field(cp, "prior", "mean", lambda raw: _as_vector(raw, dim),
-                        default=prior_mean)
+                        default=np.zeros(dim))
     prior_cov = _field(cp, "prior", "cov",
-                       lambda raw: _as_covariance(raw, dim), default=prior_cov)
+                       lambda raw: _as_covariance(raw, dim),
+                       default=np.eye(dim))
 
     dt = _field(cp, "time", "dt", _number, bound=_POSITIVE)
     t_end = _field(cp, "time", "t_end", _number, bound=_at_least(dt, "dt"))
@@ -377,12 +386,11 @@ def load_config(path: str) -> ExperimentConfig:
                                      _boolean, default=False),
     )
 
-    seeds = {key: _field(cp, "seeds", key, _integer, bound=_at_least(0))
+    seeds = {key: _field(cp, "seeds", key, _integer, bound=_SEED)
              for key in ("truth", "observation", "filter")}
 
     return ExperimentConfig(
         model=model,
-        model_name=model_name,
         dt=dt,
         t_end=t_end,
         n_particles=n_particles,
@@ -396,9 +404,10 @@ def load_config(path: str) -> ExperimentConfig:
         x0=_field(cp, "model", "x0", lambda raw: _as_vector(raw, dim),
                   default=prior_mean.copy()),
         compare_seeds=_field(cp, "compare", "seeds", _integers,
-                             default=(seeds["filter"],), bound=_at_least(0)),
+                             default=(seeds["filter"],), bound=_SEED),
         grid_halfwidth=_field(cp, "compare", "grid_halfwidth", _number,
                               default=8.0, bound=_POSITIVE),
         grid_points=_field(cp, "compare", "grid_points", _integer,
-                           default=1601, bound=_at_least(16)),
+                           default=1601,
+                           bound=_between(16, MAX_GRID_POINTS)),
     )

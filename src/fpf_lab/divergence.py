@@ -6,7 +6,7 @@ usual conventions on vanishing denominators:
     p2 ~ 0, p1 ~ 0   -> contributes nothing
     p2 ~ 0, p1 > 0   -> contributes p1 * lim_{s->inf} f(s)/s
 
-"~ 0" means below the mass floor (1e-300 by default).
+"~ 0" means below the mass floor 1e-300.
 """
 
 from __future__ import annotations
@@ -69,18 +69,18 @@ def get_generator(name: str) -> FGenerator:
 
 
 def f_divergence(p1: np.ndarray, p2: np.ndarray, x: np.ndarray,
-                 generator: FGenerator, floor: float = 1e-300) -> float:
+                 generator: FGenerator) -> float:
     """D_f(p1 || p2) on a common grid."""
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     integrand = np.zeros_like(p2)
 
-    support = p2 >= floor
+    support = p2 >= 1e-300
     ratio = np.zeros_like(p2)
     ratio[support] = p1[support] / p2[support]
     integrand[support] = p2[support] * generator.f(ratio[support])
 
-    escaped = ~support & (p1 >= floor)
+    escaped = ~support & (p1 >= 1e-300)
     if np.any(escaped):
         if np.isinf(generator.inf_slope):
             return float("inf")
@@ -115,8 +115,10 @@ def kde_density(samples: np.ndarray, x: np.ndarray,
 
     p = np.zeros_like(x)
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidth * n)
-    for start in range(0, n, 1024):
-        block = samples[start:start + 1024]
+    # blocks of at most 2^16 kernel values bound the temporaries
+    rows = max(1, 2 ** 16 // len(x))
+    for start in range(0, n, rows):
+        block = samples[start:start + rows]
         z = (x[None, :] - block[:, None]) / bandwidth
         p += norm * np.exp(-0.5 * z * z).sum(axis=0)
     return GridDensity(x, p).normalize()

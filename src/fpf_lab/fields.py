@@ -10,6 +10,9 @@ One monomial kernel, shared with the Galerkin gain basis in gain.py, serves
 every field: `monomial_values` gathers monomials from a power table built by
 repeated multiplication, and `partial_table` holds the falling-factorial
 weights that give every partial of order <= 3 as one matrix product.
+Each field's `partials(points, order)` returns the value and the partials
+of orders 1..order from one power table; `value`, `grad`, `jac`, ... are
+views of one order.
 
 Derivative tensor conventions (N = number of eval points, d = dim):
     scalar field:  grad (N, d), hess (N, d, d), third (N, d, d, d)
@@ -105,11 +108,8 @@ class Polynomial:
     def _field(self) -> "PolyVectorField":
         return PolyVectorField([self])
 
-    def _partials(self, points, order: int) -> np.ndarray:
-        return self._field._partials(points, order)[..., 0]
-
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self._partials(points, 0)
+        return self._field.value(points)[..., 0]
 
     def eval_one(self, x: Sequence):
         """Evaluate at one point with plain Python arithmetic.
@@ -138,17 +138,24 @@ class PolyScalarField:
         self.poly = poly
         self.dim = poly.dim
 
+    def _jet(self, points, orders: Sequence[int]) -> list:
+        return [a[..., 0] for a in self.poly._field._jet(points, orders)]
+
+    def partials(self, points, order: int) -> list:
+        """[value, grad, hess, third][:order + 1] from one power table."""
+        return self._jet(points, range(order + 1))
+
     def value(self, points) -> np.ndarray:
-        return self.poly(points)
+        return self._jet(points, (0,))[0]
 
     def grad(self, points) -> np.ndarray:
-        return self.poly._partials(points, 1)
+        return self._jet(points, (1,))[0]
 
     def hess(self, points) -> np.ndarray:
-        return self.poly._partials(points, 2)
+        return self._jet(points, (2,))[0]
 
     def third(self, points) -> np.ndarray:
-        return self.poly._partials(points, 3)
+        return self._jet(points, (3,))[0]
 
 
 class PolyVectorField:
@@ -179,28 +186,34 @@ class PolyVectorField:
         return monomials, [phi[index[r].ravel()].transpose(2, 0, 1).reshape(
             len(monomials), index[r].size * self.dim) for r in range(4)]
 
-    def _partials(self, points, order: int) -> np.ndarray:
-        """Partials of order `order`, shape (N,) + (d,) * order + (J,)."""
+    def _jet(self, points, orders: Sequence[int]) -> list:
+        """The partials of each order r in `orders`, shape
+        (N,) + (d,) * r + (J,), from one power table."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         monomials, tables = self._tables
-        out = monomial_values(points, monomials).T @ tables[order]
-        return out.reshape((len(points),) + (points.shape[1],) * order
-                           + (self.dim,))
+        values = monomial_values(points, monomials).T
+        return [(values @ tables[r]).reshape(
+                    (len(points),) + (points.shape[1],) * r + (self.dim,))
+                for r in orders]
+
+    def partials(self, points, order: int) -> list:
+        """[value, jac, second, third][:order + 1] from one power table."""
+        return self._jet(points, range(order + 1))
 
     def value(self, points) -> np.ndarray:
-        return self._partials(points, 0)
+        return self._jet(points, (0,))[0]
 
     def jac(self, points) -> np.ndarray:
         """jac[n, i, j] = dF_j/dx_i, i.e. each jac[n] is (grad F^T)."""
-        return self._partials(points, 1)
+        return self._jet(points, (1,))[0]
 
     def second(self, points) -> np.ndarray:
         """second[n, i, l, j] = d2 F_j / dx_i dx_l."""
-        return self._partials(points, 2)
+        return self._jet(points, (2,))[0]
 
     def third(self, points) -> np.ndarray:
         """third[n, i, l, m, j] = d3 F_j / dx_i dx_l dx_m."""
-        return self._partials(points, 3)
+        return self._jet(points, (3,))[0]
 
     def value_one(self, x: Sequence) -> list:
         return [c.eval_one(x) for c in self.components]
@@ -253,8 +266,27 @@ class ExpPolyDensity:
         cov = np.eye(dim) + a @ a.T
         return cls.gaussian(mean, cov)
 
+    def partials(self, points, order: int) -> list:
+        """[p, grad p, hess p, third p][:order + 1] by the product rule on
+        p = exp(q), from one evaluation of the partials of q."""
+        q = self.q.partials(points, order)
+        p = np.exp(q[0])
+        out = [p]
+        if order >= 1:
+            out.append(p[:, None] * q[1])
+        if order >= 2:
+            out.append(p[:, None, None]
+                       * (q[2] + np.einsum("ni,nj->nij", q[1], q[1])))
+        if order >= 3:
+            sym = (np.einsum("nij,nk->nijk", q[2], q[1])
+                   + np.einsum("nik,nj->nijk", q[2], q[1])
+                   + np.einsum("njk,ni->nijk", q[2], q[1]))
+            outer3 = np.einsum("ni,nj,nk->nijk", q[1], q[1], q[1])
+            out.append(p[:, None, None, None] * (q[3] + sym + outer3))
+        return out
+
     def value(self, points) -> np.ndarray:
-        return np.exp(self.q.value(points))
+        return self.partials(points, 0)[0]
 
     def log_one(self, x: Sequence):
         return self.q.poly.eval_one(x)
@@ -269,26 +301,15 @@ class ExpPolyDensity:
     def third_log(self, points) -> np.ndarray:
         return self.q.third(points)
 
-    # density derivatives via the product rule on p = exp(q)
+    # density derivatives: views of partials
     def grad(self, points) -> np.ndarray:
-        return self.value(points)[:, None] * self.q.grad(points)
+        return self.partials(points, 1)[1]
 
     def hess(self, points) -> np.ndarray:
-        gq = self.q.grad(points)
-        hq = self.q.hess(points)
-        p = self.value(points)
-        return p[:, None, None] * (hq + np.einsum("ni,nj->nij", gq, gq))
+        return self.partials(points, 2)[2]
 
     def third(self, points) -> np.ndarray:
-        gq = self.q.grad(points)
-        hq = self.q.hess(points)
-        tq = self.q.third(points)
-        p = self.value(points)
-        sym = (np.einsum("nij,nk->nijk", hq, gq)
-               + np.einsum("nik,nj->nijk", hq, gq)
-               + np.einsum("njk,ni->nijk", hq, gq))
-        outer3 = np.einsum("ni,nj,nk->nijk", gq, gq, gq)
-        return p[:, None, None, None] * (tq + sym + outer3)
+        return self.partials(points, 3)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +324,9 @@ def fd_grad(fn, x: np.ndarray, step: float) -> np.ndarray:
                      for i in range(len(x))])
 
 
-def converges_quadratically(gap: float, gap_half: float,
-                            factor: float = 3.0,
-                            floor: float = 1e-12) -> bool:
-    """True when halving fd_step cut the gap by >= factor, or both gaps
-    already sit at the roundoff floor (FD-free identities)."""
-    if abs(gap) <= floor and abs(gap_half) <= floor:
+def converges_quadratically(gap: float, gap_half: float) -> bool:
+    """True when halving fd_step cut the gap by >= 3, or both gaps already
+    sit at the 1e-12 roundoff floor (FD-free identities)."""
+    if abs(gap) <= 1e-12 and abs(gap_half) <= 1e-12:
         return True
-    return abs(gap) >= factor * abs(gap_half)
+    return abs(gap) >= 3.0 * abs(gap_half)

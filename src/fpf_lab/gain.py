@@ -28,7 +28,7 @@ from .grid import trapezoid
 from .model import ModelValidationError, PosteriorStats, SdeModel
 
 __all__ = [
-    "GainField", "compute_gain", "exact_gain", "constant_gain",
+    "GAIN_METHODS", "GainField", "compute_gain", "exact_gain", "constant_gain",
     "galerkin_gain", "monomial_exponents", "check_admissible",
     "gain_residual_on_grid",
 ]
@@ -163,24 +163,24 @@ def galerkin_gain(states: np.ndarray, stats: PosteriorStats,
                      coeffs=coeffs, exponents=monomials[1:])
 
 
+# 'exact' is an alias of 'exact_gaussian'
+GAIN_METHODS = ("exact_gaussian", "exact", "constant", "galerkin")
+
+
 def compute_gain(model: SdeModel, states: np.ndarray, stats: PosteriorStats,
                  method: str, degree: int = 3,
                  ridge: Optional[float] = None) -> GainField:
-    """Dispatch to a gain solver by name.
-
-    Accepted names: 'exact_gaussian' (alias 'exact'), 'constant',
-    'galerkin'.
-    """
+    """Dispatch to a gain solver by one of the names in GAIN_METHODS."""
+    if method not in GAIN_METHODS:
+        raise ValueError(f"unknown gain method {method!r}")
     h_grad = model.obs_grad_at(states)
-    if method in ("exact_gaussian", "exact"):
-        if model.obs_vector is None:
-            raise ModelValidationError("exact solver requires affine h")
-        return exact_gain(stats, model.obs_vector, h_grad)
     if method == "constant":
         return constant_gain(states, stats, h_grad)
     if method == "galerkin":
         return galerkin_gain(states, stats, h_grad, degree=degree, ridge=ridge)
-    raise ValueError(f"unknown gain method {method!r}")
+    if model.obs_vector is None:
+        raise ModelValidationError("exact solver requires affine h")
+    return exact_gain(stats, model.obs_vector, h_grad)
 
 
 # ---------------------------------------------------------------------------

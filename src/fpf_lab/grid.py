@@ -56,10 +56,11 @@ class GridDensity:
         return cls(x, p).normalize() if normalize else cls(x, p)
 
 
-def clip_roundoff_negatives(p: np.ndarray, floor: float = -1e-12) -> np.ndarray:
-    """Zero out negative entries above `floor`; larger excursions are errors."""
+def clip_roundoff_negatives(p: np.ndarray) -> np.ndarray:
+    """Zero out negative entries down to -1e-12; larger excursions are
+    errors."""
     worst = p.min() if len(p) else 0.0
-    if worst < floor:
+    if worst < -1e-12:
         raise GridNegativityError(
-            f"density went negative ({worst:.3e} < {floor:.0e})")
+            f"density went negative ({worst:.3e} < -1e-12)")
     return np.where(p < 0.0, 0.0, p)

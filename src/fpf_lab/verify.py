@@ -3,8 +3,8 @@
 Each suite evaluates one family of checks at seeded probe configurations
 and reports rows of (check, point, residual, tolerance, pass). A row
 passes iff residual <= tolerance; convergence rows compare a halved-step
-residual against max(residual / factor, floor), the floor absorbing
-probes whose truncation error is already at roundoff.
+residual against max(residual / 3, floor), the floor absorbing probes
+whose truncation error is already at roundoff.
 
 The same drivers back the `fpf-lab verify` command and the acceptance
 tests, so the tolerances frozen here are the single source of truth.
@@ -37,9 +37,6 @@ from .table import write_table
 
 __all__ = ["CheckRow", "SUITE_NAMES", "run_suite", "write_suite_csv"]
 
-SUITE_NAMES = ("piola", "appendixB", "lm2", "el-invariance", "poincare",
-               "lemmaD", "taylor")
-
 
 @dataclass
 class CheckRow:
@@ -57,17 +54,16 @@ def _row(check: str, point, residual: float, tolerance: float) -> CheckRow:
 
 
 def _convergence_row(check: str, point, gap: float, gap_half: float,
-                     factor: float = 3.0, floor: float = 1e-12) -> CheckRow:
-    """Row asserting gap_half <= max(gap / factor, floor)."""
-    return _row(check, point, gap_half, max(abs(gap) / factor, floor))
+                     floor: float = 1e-12) -> CheckRow:
+    """Row asserting gap_half <= max(gap / 3, floor)."""
+    return _row(check, point, gap_half, max(abs(gap) / 3.0, floor))
 
 
 # ---------------------------------------------------------------------------
 # piola
 # ---------------------------------------------------------------------------
 
-def suite_piola(n_fields: int = 100, fd_step: float = 1e-4,
-                tol: float = 1e-6) -> List[CheckRow]:
+def suite_piola() -> List[CheckRow]:
     """Divergence-free cofactor columns for random cubic displacements.
 
     The halved-step rows sit below a 1e-10 floor instead of the factor-3
@@ -76,13 +72,13 @@ def suite_piola(n_fields: int = 100, fd_step: float = 1e-4,
     """
     rng = np.random.default_rng(1003)
     rows: List[CheckRow] = []
-    for i in range(n_fields):
+    for i in range(100):
         d = 2 if i % 2 == 0 else 3
         v = PolyVectorField.random(d, 3, rng, scale=0.4)
         x = rng.uniform(-0.8, 0.8, size=d)
-        r = float(np.max(np.abs(piola_residual(v, x, fd_step))))
-        r_half = float(np.max(np.abs(piola_residual(v, x, fd_step / 2))))
-        rows.append(_row("piola", i, r, tol))
+        r = float(np.max(np.abs(piola_residual(v, x, 1e-4))))
+        r_half = float(np.max(np.abs(piola_residual(v, x, 5e-5))))
+        rows.append(_row("piola", i, r, 1e-6))
         rows.append(_convergence_row("piola-halved", i, r, r_half,
                                      floor=1e-10))
     return rows
@@ -100,22 +96,20 @@ def _quadratic_probe(rng: np.random.Generator):
     return p, k, x
 
 
-def suite_appendix_b(n_probes: int = 50, fd_step: float = 1e-4,
-                     tol: float = 1e-5) -> List[CheckRow]:
+def suite_appendix_b() -> List[CheckRow]:
     """Eight cancellation identities, one row per (identity, probe)."""
     rows: List[CheckRow] = []
     for ident in QUADRATIC_IDENTITY_IDS:
         rng = np.random.default_rng(2000 + ident)
-        for i in range(n_probes):
+        for i in range(50):
             p, k, x = _quadratic_probe(rng)
-            lhs, rhs = quadratic_term_identity(ident, p, k, x, fd_step)
+            lhs, rhs = quadratic_term_identity(ident, p, k, x, 1e-4)
             gap = float(np.max(np.abs(lhs - rhs)))
-            rows.append(_row(f"identity-{ident}", i, gap, tol))
+            rows.append(_row(f"identity-{ident}", i, gap, 1e-5))
     return rows
 
 
-def suite_lm2(n_probes: int = 50, fd_step: float = 1e-4,
-              tol: float = 1e-5) -> List[CheckRow]:
+def suite_lm2() -> List[CheckRow]:
     """Double-divergence product-rule expansion plus FD convergence.
 
     The gap rows run at fd_step=1e-4 where truncation is tiny; the
@@ -125,10 +119,10 @@ def suite_lm2(n_probes: int = 50, fd_step: float = 1e-4,
     """
     rng = np.random.default_rng(2112)
     rows: List[CheckRow] = []
-    for i in range(n_probes):
+    for i in range(50):
         p, k, x = _quadratic_probe(rng)
-        lhs, rhs = double_divergence_expansion_check(p, k, x, fd_step)
-        rows.append(_row("lm2", i, abs(lhs - rhs), tol))
+        lhs, rhs = double_divergence_expansion_check(p, k, x, 1e-4)
+        rows.append(_row("lm2", i, abs(lhs - rhs), 1e-5))
         lhs_c, rhs_c = double_divergence_expansion_check(p, k, x, 1e-2)
         lhs_h, rhs_h = double_divergence_expansion_check(p, k, x, 5e-3)
         rows.append(_convergence_row("lm2-halved", i, abs(lhs_c - rhs_c),
@@ -152,14 +146,13 @@ def _pairwise_rel(res: Dict[str, np.ndarray]) -> List[tuple]:
     return out
 
 
-def suite_el_invariance(n_probes: int = 50,
-                        tol: float = 1e-6) -> List[CheckRow]:
+def suite_el_invariance() -> List[CheckRow]:
     """Generator-independence of normalized stationarity residuals,
     plus the bracket check at the closed-form optimal displacement."""
     rng = np.random.default_rng(3001)
     rows: List[CheckRow] = []
     dt = 0.01
-    for i in range(n_probes):
+    for i in range(50):
         d = 1 + i % 2
         p = ExpPolyDensity.random_gaussian(d, rng)
         h_field = PolyScalarField(Polynomial.random(d, 2, rng, scale=0.5))
@@ -168,7 +161,7 @@ def suite_el_invariance(n_probes: int = 50,
         y = float(0.3 * rng.standard_normal())
         res = el_generator_invariance(p, h_field, v, x, y, dt)
         for pair, rel in _pairwise_rel(res):
-            rows.append(_row(f"invariance-{pair}", i, rel, tol))
+            rows.append(_row(f"invariance-{pair}", i, rel, 1e-6))
 
     # bracket at the optimal coupling: Gaussian prior, h = x,
     # v = K dz + u dt with K = var, u = -K(x + mean)/2
@@ -267,7 +260,7 @@ def suite_lemma_d() -> List[CheckRow]:
 # taylor
 # ---------------------------------------------------------------------------
 
-def suite_taylor(n_probes: int = 50, tol: float = 1e-10) -> List[CheckRow]:
+def suite_taylor() -> List[CheckRow]:
     """Leading-order expansion equations on closed-form solution families.
 
     dz order: Gaussian prior with affine h; K = cov @ H solves the gain
@@ -276,7 +269,7 @@ def suite_taylor(n_probes: int = 50, tol: float = 1e-10) -> List[CheckRow]:
     """
     rng = np.random.default_rng(4001)
     rows: List[CheckRow] = []
-    for i in range(n_probes):
+    for i in range(50):
         d = 1 + i % 3
         mean = 0.3 * rng.standard_normal(d)
         a = 0.3 * rng.standard_normal((d, d))
@@ -293,16 +286,16 @@ def suite_taylor(n_probes: int = 50, tol: float = 1e-10) -> List[CheckRow]:
                              for j in range(d)])
         x = rng.uniform(-0.7, 0.7, size=d)
         r = float(np.max(np.abs(dz_order_residual(p, h_field, k, x))))
-        rows.append(_row("taylor-dz", i, r, tol))
+        rows.append(_row("taylor-dz", i, r, 1e-10))
 
     p1 = ExpPolyDensity.gaussian([0.0], [[1.0]])
     h1 = PolyScalarField(Polynomial(1, {(1,): 1.0}))
     k1 = PolyVectorField([Polynomial(1, {(0,): 1.0})])
     u1 = PolyVectorField([Polynomial(1, {(1,): -0.5})])
-    for i, x0 in enumerate(np.linspace(-2.0, 2.0, n_probes)):
+    for i, x0 in enumerate(np.linspace(-2.0, 2.0, 50)):
         r = float(np.max(np.abs(dt_order_residual(
             p1, h1, k1, u1, np.array([x0])))))
-        rows.append(_row("taylor-dt", i, r, tol))
+        rows.append(_row("taylor-dt", i, r, 1e-10))
     return rows
 
 
@@ -319,6 +312,7 @@ _SUITES: Dict[str, Callable[[], List[CheckRow]]] = {
     "lemmaD": suite_lemma_d,
     "taylor": suite_taylor,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> List[CheckRow]:

@@ -103,7 +103,7 @@ class TestParsePolynomial:
 class TestLoadConfig:
     def test_registry_model_with_defaults(self, tmp_path):
         cfg = load_config(_write(tmp_path, BASE_CONFIG))
-        assert cfg.model_name == "linear1d"
+        assert cfg.model.name == "linear1d"
         assert cfg.model.dim == 1
         assert (cfg.dt, cfg.t_end, cfg.n_particles) == (0.05, 0.5, 50)
         assert cfg.filter_cfg.gain_method == "exact_gaussian"
@@ -151,7 +151,7 @@ observation = 2
 filter = 3
 """
         cfg = load_config(_write(tmp_path, text))
-        assert cfg.model_name == "inline"
+        assert cfg.model.name == "inline"
         np.testing.assert_allclose(cfg.model.drift_matrix,
                                    [[-1.0, 0.5], [-0.5, -1.0]])
         np.testing.assert_allclose(cfg.model.obs_vector, [1.0, 0.0])
@@ -246,6 +246,11 @@ dir = results
         text = BASE_CONFIG.replace("truth = 11", "truth = -1")
         with pytest.raises(ConfigError, match=">= 0"):
             load_config(_write(tmp_path, text))
+
+    def test_largest_seed_accepted(self, tmp_path):
+        """2^64 - 1 is the largest seed the noise hash tells apart."""
+        text = BASE_CONFIG.replace("truth = 11", f"truth = {2 ** 64 - 1}")
+        assert load_config(_write(tmp_path, text)).seed_truth == 2 ** 64 - 1
 
     def test_nonpositive_dt_rejected(self, tmp_path):
         text = BASE_CONFIG.replace("dt = 0.05", "dt = 0")
@@ -358,10 +363,18 @@ class TestCliExitCodes:
          "`grid_halfwidth` in [compare]"),
         ("compare", "[seeds]", "[prior]\nmean = 7\n\n[seeds]",
          "`grid_halfwidth` in [compare]"),
+        ("filter", "filter = 13", "filter = 18446744073709551621",
+         "`filter` in [seeds]"),
+        ("compare", "[seeds]",
+         "[compare]\nseeds = 13 18446744073709551616\n\n[seeds]",
+         "`seeds` in [compare]"),
+        ("compare", "[seeds]", "[compare]\ngrid_points = 1000001\n\n[seeds]",
+         "`grid_points` in [compare]"),
     ], ids=["dt-nan", "t_end-inf", "degree-0", "eps-nan", "compare-seed-neg",
             "halfwidth-0", "percent", "dt-tiny", "cov-negative",
             "cov-asymmetric", "grid-tiny", "grid-huge", "grid-truncates",
-            "prior-off-grid", "prior-half-off-grid"])
+            "prior-off-grid", "prior-half-off-grid", "seed-above-2^64",
+            "compare-seed-2^64", "grid-points-huge"])
     def test_bad_config_value_is_two(self, tmp_path, capsys, command, old,
                                      new, field):
         """Each value is a config error, reported before any file is

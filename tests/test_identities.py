@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fpf_lab import fields
 from fpf_lab.fields import (
     ExpPolyDensity,
     Polynomial,
@@ -181,6 +182,14 @@ class TestPolynomialKernelAgainstOracle:
         for order, method in enumerate((field.value, field.jac, field.second,
                                         field.third)):
             _assert_partials_match(method(points), terms, points, order)
+        for f, views in ((scalar, (scalar.value, scalar.grad, scalar.hess,
+                                   scalar.third)),
+                         (field, (field.value, field.jac, field.second,
+                                  field.third))):
+            jet = f.partials(points, 3)
+            assert len(jet) == 4
+            for got, view in zip(jet, views):
+                np.testing.assert_array_equal(got, view(points))
 
         with mpmath.workdps(50):
             x_mp = [mpmath.mpf(float(v)) for v in points[-1]]
@@ -189,6 +198,56 @@ class TestPolynomialKernelAgainstOracle:
             value = float(polys[0].eval_one(x_mp))
         _assert_partials_match(jac[None], terms, points[-1:], 1)
         _assert_partials_match(np.array([[value]]), terms[:1], points[-1:], 0)
+
+
+class TestOneJetPerField:
+    """Each probe field's partials come from one power table."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_density_partials_match_product_rule(self, dim):
+        """partials(points, 3) against the product rule on p = exp(q),
+        written out from separate evaluations of q's partials."""
+        rng = np.random.default_rng(30 + dim)
+        for p in (ExpPolyDensity.random_gaussian(dim, rng),
+                  ExpPolyDensity(Polynomial.random(dim, 3, rng, scale=0.3))):
+            x = rng.uniform(-1.0, 1.0, size=(7, dim))
+            pv = np.exp(p.q.value(x))
+            gq, hq, tq = p.q.grad(x), p.q.hess(x), p.q.third(x)
+            sym = (np.einsum("nij,nk->nijk", hq, gq)
+                   + np.einsum("nik,nj->nijk", hq, gq)
+                   + np.einsum("njk,ni->nijk", hq, gq))
+            outer3 = np.einsum("ni,nj,nk->nijk", gq, gq, gq)
+            expected = [
+                pv, pv[:, None] * gq,
+                pv[:, None, None] * (hq + np.einsum("ni,nj->nij", gq, gq)),
+                pv[:, None, None, None] * (tq + sym + outer3)]
+            got = p.partials(x, 3)
+            assert len(got) == 4
+            for g, e in zip(got, expected):
+                np.testing.assert_array_equal(g, e)
+            for g, view in zip(got, (p.value, p.grad, p.hess, p.third)):
+                np.testing.assert_array_equal(view(x), g)
+
+    def test_expansion_checks_evaluate_each_field_once(self, monkeypatch):
+        """dt order: p, h, K, u; dz order: p, h, K; identity 1: log p, K."""
+        calls = []
+        kernel = fields.monomial_values
+
+        def counting(points, monomials):
+            calls.append(len(points))
+            return kernel(points, monomials)
+
+        monkeypatch.setattr(fields, "monomial_values", counting)
+        p, h, k = _std_normal(), _h_linear(), _const_field(1.0)
+        u = PolyVectorField([Polynomial(1, {(1,): -0.5})])
+        x = np.array([0.3])
+        for check, expected in (
+                (lambda: dt_order_residual(p, h, k, u, x), 4),
+                (lambda: dz_order_residual(p, h, k, x), 3),
+                (lambda: quadratic_term_identity(1, p, k, x), 2)):
+            calls.clear()
+            check()
+            assert len(calls) == expected
 
 
 class TestPiolaIdentity:
@@ -498,12 +557,3 @@ class TestWeightedPoissonSolve:
         interior = np.abs(x) <= 3.0
         assert res <= 1e-9
         assert np.max(np.abs(phi_p[interior])) <= 1e-10
-
-    def test_fd_fallbacks_for_optional_derivatives(self):
-        """Omitting h' and (log p)'' switches to internal central
-        differences; accuracy should not degrade for smooth data."""
-        x = self.X
-        res, phi_p = weighted_poisson_derivative_check(x, self._p(), x)
-        interior = np.abs(x) <= 3.0
-        assert res <= 1e-3
-        assert np.max(np.abs(phi_p[interior] - 1.0)) <= 1e-3
