@@ -25,6 +25,7 @@ MODELS = {
     "linear1d": "name = linear1d",
     "linear2d": "name = linear2d",
     "cubic-sensor": "name = cubic-sensor",
+    "constant-signal": "name = constant-signal",
     # affine drift and an observation offset: the closed-form gain and
     # Kalman-Bucy on a parsed model
     "inline-affine": ("dimension = 1\ndrift_1 = -0.5*x1\n"
