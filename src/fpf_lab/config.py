@@ -32,9 +32,10 @@ x1..xd (terms joined by + / -, factors by *, powers by ^):
     obs = x1
     sigma = 1.0
 
-Inline models automatically recover their affine metadata (drift matrix,
-observation vector/offset) when every term has total degree <= 1, which
-enables the closed-form gain and the Kalman-Bucy reference.
+Inline and registry models alike are built by registry.polynomial_model,
+which recovers their affine metadata when every term has total degree <= 1.
+The dimension is at most MAX_DIM, a Galerkin weight table at most
+MAX_GALERKIN_TABLE entries.
 
 Seeds are mandatory: every run is a deterministic function of its
 configuration file.
@@ -50,11 +51,11 @@ from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
-from .fields import Polynomial, PolyScalarField, PolyVectorField
+from .fields import Polynomial
 from .filter import FilterConfig
 from .gain import GAIN_METHODS
 from .model import SdeModel, covariance_sqrt
-from .registry import available_models, make_model
+from .registry import make_model, polynomial_model
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config",
            "parse_polynomial", "read_ini"]
@@ -119,15 +120,6 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
         key = tuple(alpha)
         terms[key] = terms.get(key, 0.0) + coef
     return Polynomial(dim, terms)
-
-
-def _affine_parts(poly: Polynomial) -> Optional[Tuple[np.ndarray, float]]:
-    """(coefficient vector, offset) when the polynomial is affine, else None."""
-    degree = poly.exponents.sum(axis=1)
-    if np.any(degree > 1):
-        return None
-    return (poly.coeffs[degree == 1] @ poly.exponents[degree == 1],
-            float(poly.coeffs[degree == 0].sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +205,8 @@ def _integers(raw: str) -> Tuple[int, ...]:
     values = tuple(_integer(v) for v in raw.replace(",", " ").split())
     if not values:
         raise ValueError("empty list")
+    if len(set(values)) != len(values):
+        raise ValueError(f"expected distinct values, got {raw.strip()!r}")
     return values
 
 
@@ -262,6 +256,12 @@ MAX_STEPS = 10_000_000
 # the grid oracle and the KDE hold a few arrays of this length per step; at
 # 10^8 points they take gigabytes and the process is killed
 MAX_GRID_POINTS = 10 ** 6
+# an inline model's derivative tables hold C(d + 3, 3) rows per term; a
+# diagonal quadratic drift takes 100 MB at d = 20 and 2 GB at d = 40
+MAX_DIM = 20
+# the Galerkin weight table has C(d + 3, 3) K (K + 1) entries for the
+# K = C(d + D, D) - 1 basis monomials; 2^27 float64 entries are 1 GiB
+MAX_GALERKIN_TABLE = 2 ** 27
 # the noise hash folds a seed into one 64-bit word
 _SEED = _between(0, 2 ** 64 - 1)
 
@@ -295,7 +295,8 @@ def _gain_method(raw: str) -> str:
 
 
 def _build_inline_model(cp: configparser.ConfigParser) -> SdeModel:
-    dim = _field(cp, "model", "dimension", _integer, bound=_at_least(1))
+    dim = _field(cp, "model", "dimension", _integer,
+                 bound=_between(1, MAX_DIM))
 
     def polynomial(raw: str) -> Polynomial:
         return parse_polynomial(raw, dim)
@@ -306,31 +307,7 @@ def _build_inline_model(cp: configparser.ConfigParser) -> SdeModel:
     sigma = _field(cp, "model", "sigma", lambda raw: _as_matrix(raw, dim),
                    default=np.eye(dim))
 
-    drift_field = PolyVectorField(drift_polys)
-    obs_field = PolyScalarField(obs_poly)
-
-    drift_matrix = None
-    rows = [_affine_parts(p) for p in drift_polys]
-    if all(r is not None and r[1] == 0.0 for r in rows):
-        drift_matrix = np.vstack([r[0] for r in rows])
-
-    obs_vector = None
-    obs_offset = 0.0
-    obs_affine = _affine_parts(obs_poly)
-    if obs_affine is not None:
-        obs_vector, obs_offset = obs_affine
-
-    return SdeModel(
-        dim=dim,
-        drift=drift_field.value,
-        diffusion=sigma,
-        obs=lambda pts: obs_field.value(pts),
-        obs_grad=lambda pts: obs_field.grad(pts),
-        drift_matrix=drift_matrix,
-        obs_vector=obs_vector,
-        obs_offset=float(obs_offset),
-        name="inline",
-    )
+    return polynomial_model(drift_polys, obs_poly, sigma, "inline")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -349,13 +326,10 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(
                 "[model] gives both `name` and an inline polynomial "
                 "definition; use one")
-        model_name = cp.get("model", "name")
         try:
-            model = make_model(model_name)
-        except KeyError:
-            raise ConfigError(
-                f"unknown model {model_name!r}; available: "
-                f"{', '.join(available_models())}") from None
+            model = make_model(cp.get("model", "name"))
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
     else:
         model = _build_inline_model(cp)
 
@@ -385,6 +359,13 @@ def load_config(path: str) -> ExperimentConfig:
         abort_on_inadmissible=_field(cp, "filter", "abort_on_inadmissible",
                                      _boolean, default=False),
     )
+
+    n_basis = math.comb(dim + filter_cfg.galerkin_degree, dim) - 1
+    table = math.comb(dim + 3, 3) * n_basis * (n_basis + 1)
+    if filter_cfg.gain_method == "galerkin" and table > MAX_GALERKIN_TABLE:
+        raise ConfigError(f"field `galerkin_degree` in [filter]: needs a "
+                          f"weight table of {table} entries in dimension "
+                          f"{dim}, more than {MAX_GALERKIN_TABLE}")
 
     seeds = {key: _field(cp, "seeds", key, _integer, bound=_SEED)
              for key in ("truth", "observation", "filter")}

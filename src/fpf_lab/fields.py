@@ -291,15 +291,9 @@ class ExpPolyDensity:
     def log_one(self, x: Sequence):
         return self.q.poly.eval_one(x)
 
-    # log-density derivatives (polynomial evaluations)
+    # log-density gradient (a polynomial evaluation)
     def grad_log(self, points) -> np.ndarray:
         return self.q.grad(points)
-
-    def hess_log(self, points) -> np.ndarray:
-        return self.q.hess(points)
-
-    def third_log(self, points) -> np.ndarray:
-        return self.q.third(points)
 
     # density derivatives: views of partials
     def grad(self, points) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _iter_product
+from itertools import combinations_with_replacement
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -72,8 +72,8 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
         raise ValueError("degree must be >= 1")
     alphas: List[Tuple[int, ...]] = []
     for total in range(1, degree + 1):
-        level = [a for a in _iter_product(range(total + 1), repeat=dim)
-                 if sum(a) == total]
+        level = [tuple(axes.count(j) for j in range(dim)) for axes in
+                 combinations_with_replacement(range(dim), total)]
         alphas.extend(sorted(level))
     return np.array(alphas, dtype=int)
 

@@ -42,9 +42,8 @@ class SdeModel:
         drift: a(x), maps (N, d) -> (N, d)
         diffusion: constant matrix sigma_b, shape (d, d)
         obs: h(x), maps (N, d) -> (N,)
-        obs_grad: optional gradient of h, maps (N, d) -> (N, d); when absent
-            a central finite difference with per-component step
-            1e-5 * max(1, |x_i|) is used
+        obs_grad: gradient of h, maps (N, d) -> (N, d); required (the
+            program builds every model with registry.polynomial_model)
         drift_matrix: F for affine drift a(x) = F x, when the model is linear
             (enables the closed-form reference filter); None otherwise
         obs_vector: H for affine observation h(x) = H^T x + obs_offset, when
@@ -57,7 +56,7 @@ class SdeModel:
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: np.ndarray
     obs: Callable[[np.ndarray], np.ndarray]
-    obs_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    obs_grad: Callable[[np.ndarray], np.ndarray]
     drift_matrix: Optional[np.ndarray] = None
     obs_vector: Optional[np.ndarray] = None
     obs_offset: float = 0.0
@@ -79,23 +78,13 @@ class SdeModel:
 
     def obs_grad_at(self, states: np.ndarray) -> np.ndarray:
         """Gradient of h at each state, shape (N, d)."""
-        if self.obs_grad is not None:
-            out = np.asarray(self.obs_grad(states), dtype=float)
-            if out.ndim == 1:
-                out = out.reshape(-1, 1)
-            if out.shape != states.shape:
-                raise ModelValidationError(
-                    f"obs_grad returned shape {out.shape}, expected {states.shape}")
-            return out
-        grad = np.empty_like(states)
-        for i in range(self.dim):
-            step = 1e-5 * np.maximum(1.0, np.abs(states[:, i]))
-            hi = states.copy()
-            lo = states.copy()
-            hi[:, i] += step
-            lo[:, i] -= step
-            grad[:, i] = (self.obs_at(hi) - self.obs_at(lo)) / (2.0 * step)
-        return grad
+        out = np.asarray(self.obs_grad(states), dtype=float)
+        if out.ndim == 1:
+            out = out.reshape(-1, 1)
+        if out.shape != states.shape:
+            raise ModelValidationError(
+                f"obs_grad returned shape {out.shape}, expected {states.shape}")
+        return out
 
 
 @dataclass

@@ -35,6 +35,11 @@ filter = 13
 """
 
 
+# the [model] to [filter] sections of BASE_CONFIG
+_MODEL_TO_FILTER = BASE_CONFIG[BASE_CONFIG.index("name"):
+                               BASE_CONFIG.index("\n[seeds]")]
+
+
 def _write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -313,6 +318,26 @@ class TestCliPipeline:
         assert "kl_fpf_vs_grid=" in summary
         assert "n_flagged_total=0" in summary
 
+    def test_compare_on_cubic_sensor_has_no_kalman_bucy(self, workdir):
+        """cubic-sensor's zero drift is linear (F = [[0]]), but h = x^3 is
+        not affine, so compare writes no Kalman-Bucy columns."""
+        cfg_text = BASE_CONFIG.replace("linear1d", "cubic-sensor").replace(
+            "exact_gaussian", "constant")
+        _, out, tmp_path = workdir
+        cfg = _write(tmp_path, cfg_text, name="cubic.ini")
+        model = load_config(cfg).model
+        np.testing.assert_array_equal(model.drift_matrix, [[0.0]])
+        assert model.obs_vector is None
+        main(["simulate", "--config", cfg, "--out", out])
+        obs = str(tmp_path / "out" / "obs.csv")
+        assert main(["compare", "--config", cfg, "--obs", obs,
+                     "--out", out]) == 0
+        header = (tmp_path / "out" / "compare.csv") \
+            .read_text().splitlines()[0]
+        assert header == ("t,fpf_mean_1,fpf_var_1,bpf_mean_1,bpf_var_1,"
+                          "grid_mean_1,grid_var_1")
+        assert "kb" not in (tmp_path / "out" / "summary.txt").read_text()
+
     def test_compare_respects_seed_list(self, workdir):
         cfg_text = BASE_CONFIG + "\n[compare]\nseeds = 13 14 15\n"
         _, out, tmp_path = workdir
@@ -370,11 +395,23 @@ class TestCliExitCodes:
          "`seeds` in [compare]"),
         ("compare", "[seeds]", "[compare]\ngrid_points = 1000001\n\n[seeds]",
          "`grid_points` in [compare]"),
+        ("compare", "[seeds]", "[compare]\nseeds = 13 13\n\n[seeds]",
+         "`seeds` in [compare]"),
+        ("simulate", "name = linear1d",
+         "dimension = 21\n" + "".join(f"drift_{i} = -x{i}\n"
+                                      for i in range(1, 22)) + "obs = x1",
+         "`dimension` in [model]"),
+        ("filter", _MODEL_TO_FILTER, _MODEL_TO_FILTER.replace(
+            "name = linear1d", "dimension = 10\nobs = x1" + "".join(
+                f"\ndrift_{i} = -x{i}" for i in range(1, 11))).replace(
+            "exact_gaussian", "galerkin\ngalerkin_degree = 4"),
+         "`galerkin_degree` in [filter]"),
     ], ids=["dt-nan", "t_end-inf", "degree-0", "eps-nan", "compare-seed-neg",
             "halfwidth-0", "percent", "dt-tiny", "cov-negative",
             "cov-asymmetric", "grid-tiny", "grid-huge", "grid-truncates",
             "prior-off-grid", "prior-half-off-grid", "seed-above-2^64",
-            "compare-seed-2^64", "grid-points-huge"])
+            "compare-seed-2^64", "grid-points-huge", "compare-seed-repeated",
+            "dimension-21", "galerkin-table-huge"])
     def test_bad_config_value_is_two(self, tmp_path, capsys, command, old,
                                      new, field):
         """Each value is a config error, reported before any file is

@@ -148,6 +148,17 @@ class TestGalerkinGain:
             assert exps.shape[1] == d
             assert np.all(exps.sum(axis=1) >= 1)
 
+    @pytest.mark.parametrize("d, deg", [(1, 4), (2, 3), (3, 3), (4, 2)])
+    def test_order_matches_grid_enumeration(self, d, deg):
+        """The same multi-indices, in the same order, as filtering the
+        full grid {0..D}^d by total degree and sorting each degree."""
+        from itertools import product
+        expected = [a for total in range(1, deg + 1)
+                    for a in sorted(a for a in product(range(deg + 1),
+                                                       repeat=d)
+                                    if sum(a) == total)]
+        np.testing.assert_array_equal(monomial_exponents(d, deg), expected)
+
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             monomial_exponents(2, 0)

@@ -14,6 +14,10 @@ from fpf_lab import (
     validate_model,
 )
 from fpf_lab import rng as noise
+from fpf_lab.config import load_config, parse_polynomial
+from fpf_lab.fields import Polynomial, PolyScalarField, PolyVectorField
+from fpf_lab.registry import _REGISTRY
+from test_golden import CONFIG, MODELS
 
 
 def _oracle_uniform01(seed, stream, step, slot):
@@ -187,7 +191,8 @@ class TestValidateModel:
 
     def test_nonfinite_drift(self):
         model = SdeModel(dim=1, drift=lambda x: np.full_like(x, np.nan),
-                         diffusion=np.eye(1), obs=lambda x: x[:, 0])
+                         diffusion=np.eye(1), obs=lambda x: x[:, 0],
+                         obs_grad=np.ones_like)
         with pytest.raises(ModelValidationError, match="drift"):
             validate_model(model)
 
@@ -199,21 +204,53 @@ class TestValidateModel:
 
     def test_drift_shape_mismatch_caught(self):
         model = SdeModel(dim=2, drift=lambda x: x[:, :1],
-                         diffusion=np.eye(2), obs=lambda x: x[:, 0])
+                         diffusion=np.eye(2), obs=lambda x: x[:, 0],
+                         obs_grad=lambda x: x * [1.0, 0.0])
         with pytest.raises(ModelValidationError, match="shape"):
             validate_model(model)
 
 
-class TestObsGradFallback:
-    def test_fd_fallback_matches_analytic(self):
-        """Without obs_grad, h' comes from central differences; for the
-        cubic observation the error is O(step^2) ~ 1e-10."""
-        model = make_model("cubic-sensor")
-        states = np.linspace(-2.0, 2.0, 9).reshape(-1, 1)
-        analytic = model.obs_grad_at(states)
-        model.obs_grad = None
-        numeric = model.obs_grad_at(states)
-        np.testing.assert_allclose(numeric, analytic, atol=1e-8)
+def _model_and_polynomials(name, tmp_path):
+    """A registry model, or the golden corpus's inline-affine model read
+    from its config, with the polynomials it was built from."""
+    if name in _REGISTRY:
+        drift, obs, _ = _REGISTRY[name]
+        dim = len(drift)
+        return (make_model(name), [Polynomial(dim, p) for p in drift],
+                Polynomial(dim, obs))
+    fields = dict(line.split(" = ") for line in MODELS[name].splitlines())
+    dim = int(fields["dimension"])
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.format(model=MODELS[name], gain="exact_gaussian"))
+    return (load_config(str(cfg)).model,
+            [parse_polynomial(fields[f"drift_{i + 1}"], dim)
+             for i in range(dim)],
+            parse_polynomial(fields["obs"], dim))
+
+
+class TestPolynomialModel:
+    @pytest.mark.parametrize("name", sorted(_REGISTRY) + ["inline-affine"])
+    def test_evaluators_match_polynomials_and_metadata(self, name, tmp_path):
+        """Whichever evaluator the builder picked, drift, h and grad h
+        equal the polynomial fields they came from, and the affine
+        metadata, where present, reproduces them."""
+        model, drift, obs = _model_and_polynomials(name, tmp_path)
+        states = 2.0 * noise.standard_normal(7, np.arange(64), 0, model.dim)
+        obs_field = PolyScalarField(obs)
+        tol = dict(rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(model.drift_at(states),
+                                   PolyVectorField(drift).value(states), **tol)
+        np.testing.assert_allclose(model.obs_at(states),
+                                   obs_field.value(states), **tol)
+        np.testing.assert_allclose(model.obs_grad_at(states),
+                                   obs_field.grad(states), **tol)
+        if model.drift_matrix is not None:
+            np.testing.assert_allclose(model.drift_at(states),
+                                       states @ model.drift_matrix.T, **tol)
+        if model.obs_vector is not None:
+            np.testing.assert_allclose(
+                model.obs_at(states),
+                states @ model.obs_vector + model.obs_offset, **tol)
 
 
 class TestCovarianceSqrt:

@@ -23,7 +23,8 @@ class TestEulerMaruyama:
         steps the ensemble mean stays within 5 standard errors of 0 and
         the variance approaches k * dt."""
         model = SdeModel(dim=1, drift=lambda s: np.zeros_like(s),
-                         diffusion=np.eye(1), obs=lambda s: s[:, 0])
+                         diffusion=np.eye(1), obs=lambda s: s[:, 0],
+                         obs_grad=np.ones_like)
         n, k, dt = 10000, 25, 0.01
         ens = sample_initial_ensemble(1, n, [0.0], [[0.0]], seed=5)
         for _ in range(k):
@@ -34,7 +35,8 @@ class TestEulerMaruyama:
     def test_deterministic_linear_decay(self):
         """sigma = 0 reduces the step to explicit Euler for dx/dt = -x."""
         model = SdeModel(dim=1, drift=lambda s: -s,
-                         diffusion=np.zeros((1, 1)), obs=lambda s: s[:, 0])
+                         diffusion=np.zeros((1, 1)), obs=lambda s: s[:, 0],
+                         obs_grad=np.ones_like)
         ens = sample_initial_ensemble(1, 4, [1.0], [[0.0]], seed=0)
         dt = 0.001
         for _ in range(1000):
@@ -47,7 +49,8 @@ class TestEulerMaruyama:
         its column space."""
         sigma = np.array([[1.0, 0.0], [2.0, 0.0]])
         model = SdeModel(dim=2, drift=lambda s: np.zeros_like(s),
-                         diffusion=sigma, obs=lambda s: s[:, 0])
+                         diffusion=sigma, obs=lambda s: s[:, 0],
+                         obs_grad=lambda s: s * [1.0, 0.0])
         ens = sample_initial_ensemble(2, 500, [0.0, 0.0], np.zeros((2, 2)),
                                       seed=2)
         euler_maruyama_step(model, ens, 0.01)
