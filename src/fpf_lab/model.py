@@ -87,16 +87,31 @@ class SdeModel:
         return out
 
 
+# A noise block holds at most this many steps and this many normals (but
+# never less than one step): 64 steps at N = 1000, d = 1, 32 at d = 2, one
+# beyond 2^16 draws per step.  A refill's largest uint64 temporary, two
+# words per normal, then stays at 1 MiB unless one step alone needs more.
+_BLOCK_STEPS = 64
+_BLOCK_NORMALS = 1 << 16
+
+
 @dataclass
 class ParticleEnsemble:
     """Equally-weighted particle cloud plus its noise-stream bookkeeping.
+
+    Noise is hashed ahead a block of steps at a time: draw_normals serves
+    draw_step from a cached (K, N, n_slots) block of rng.standard_normal
+    and refills it when draw_step leaves the block's range, or when seed,
+    the streams object or n_slots changes.  Relabeling therefore assigns a
+    new streams array rather than editing it in place.  Every draw equals
+    the per-step call at the same address, so blocking changes no value.
 
     Attributes:
         states: (N, d) particle positions
         time: current simulation time
         seed: base seed of the noise streams
         streams: (N,) per-particle stream ids (relabel together with states)
-        draw_step: index of the next noise block to consume
+        draw_step: index of the next noise step to consume
     """
 
     states: np.ndarray
@@ -104,6 +119,12 @@ class ParticleEnsemble:
     seed: int
     streams: np.ndarray
     draw_step: int = 0
+    # the cached block, read-only, and the (first step, seed, streams) it
+    # was hashed for
+    _block: Optional[np.ndarray] = field(default=None, init=False,
+                                         repr=False, compare=False)
+    _block_key: tuple = field(default=(0, None, None), init=False,
+                              repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -114,10 +135,24 @@ class ParticleEnsemble:
         return self.states.shape[1]
 
     def draw_normals(self, n_slots: int) -> np.ndarray:
-        """Consume one noise block: (N, n_slots) standard normals."""
-        z = rng.standard_normal(self.seed, self.streams, self.draw_step, n_slots)
+        """Consume one noise step: (N, n_slots) standard normals, a
+        read-only view into the cached block."""
+        start, seed, streams = self._block_key
+        block = self._block
+        if (block is None or block.shape[2] != n_slots or seed != self.seed
+                or streams is not self.streams
+                or not start <= self.draw_step < start + len(block)):
+            start = self.draw_step
+            steps = max(1, min(_BLOCK_STEPS, _BLOCK_NORMALS
+                               // (len(self.streams) * n_slots)))
+            block = rng.standard_normal(self.seed, self.streams,
+                                        np.arange(start, start + steps),
+                                        n_slots)
+            block.flags.writeable = False
+            self._block = block
+            self._block_key = (start, self.seed, self.streams)
         self.draw_step += 1
-        return z
+        return block[self.draw_step - 1 - start]
 
 
 @dataclass
@@ -196,20 +231,22 @@ def sample_initial_ensemble(dim: int, n: int, mean, cov, seed: int) -> ParticleE
     if root.shape != (dim, dim):
         raise ModelValidationError(
             f"init covariance must have shape ({dim}, {dim}), got {root.shape}")
-    streams = np.arange(n, dtype=np.uint64)
-    z = rng.standard_normal(seed, streams, 0, dim)
-    states = mean + z @ root.T
-    return ParticleEnsemble(states=states, time=0.0, seed=seed,
-                            streams=streams, draw_step=1)
+    ens = ParticleEnsemble(states=np.empty((n, dim)), time=0.0, seed=seed,
+                           streams=np.arange(n, dtype=np.uint64))
+    ens.states = mean + ens.draw_normals(dim) @ root.T
+    return ens
 
 
 def ensemble_stats(ensemble: ParticleEnsemble,
                    obs_fn: Callable[[np.ndarray], np.ndarray]) -> PosteriorStats:
     """Mean, unbiased covariance, and observation average of an ensemble."""
     x = ensemble.states
-    mean = x.mean(axis=0)
+    n = x.shape[0]
+    # sum / n is np.mean's own add.reduce and division, without its
+    # per-call overhead
+    mean = x.sum(axis=0) / n
     centered = x - mean
-    cov = centered.T @ centered / (x.shape[0] - 1)
+    cov = centered.T @ centered / (n - 1)
     h_vals = np.asarray(obs_fn(x), dtype=float).reshape(-1)
-    return PosteriorStats(mean=mean, cov=cov, h_hat=float(h_vals.mean()),
+    return PosteriorStats(mean=mean, cov=cov, h_hat=float(h_vals.sum() / n),
                           h_vals=h_vals)

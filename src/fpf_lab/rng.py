@@ -11,12 +11,15 @@ ensemble statistics sum in particle order, so states agree to roundoff).
 
 A draw folds its four address words into a splitmix64 state one word at a
 time, state = mix(state ^ (word + golden)).  Draws that share a (seed,
-stream, step) prefix share the state after three words, so standard_normal
-folds that prefix once per call, mixes the 2 n_slots uniform slots of every
-stream in one (N, 2 n_slots) pass, and pairs slots (2j, 2j+1) for
-Box-Muller.  This is the counter-based design of Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3" (SC'11), with the splitmix64 finalizer
-as the bijection.
+stream) or (seed, stream, step) prefix share the state after two or three
+words, so standard_normal folds the (seed, stream) prefix once per call,
+then each step, mixes the 2 n_slots uniform slots of every (step, stream)
+in one pass, and pairs slots (2j, 2j+1) for Box-Muller.  Because a draw
+depends on its address alone, the noise of future steps can be hashed
+ahead: a 1-D array of K steps gives a (K, N, n_slots) block whose row k
+is bit-identical to the call at step[k] alone.  This is the counter-based
+design of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
+(SC'11), with the splitmix64 finalizer as the bijection.
 """
 
 from __future__ import annotations
@@ -55,8 +58,12 @@ def _fold(acc, *words) -> np.ndarray:
 
 
 def _unit(bits: np.ndarray) -> np.ndarray:
-    """Top 53 bits of each word as a float in the open interval (0, 1)."""
-    return (bits >> _S11) * _U53 + _HALF_U53
+    """Top 53 bits of each word as a float in the open interval (0, 1);
+    shifts bits in place on arrays (callers pass a temporary)."""
+    bits >>= _S11
+    u = bits * _U53
+    u += _HALF_U53
+    return u
 
 
 def uniform01(seed: int, stream, step: int, slot) -> np.ndarray:
@@ -64,15 +71,28 @@ def uniform01(seed: int, stream, step: int, slot) -> np.ndarray:
     return _unit(_fold(_START, np.uint64(seed & _MASK64), stream, step, slot))
 
 
-def standard_normal(seed: int, stream, step: int, n_slots: int) -> np.ndarray:
-    """Standard-normal draws, shape (len(stream), n_slots).
+def standard_normal(seed: int, stream, step, n_slots: int) -> np.ndarray:
+    """Standard-normal draws at one step or a block of steps.
 
-    Each slot consumes two uniforms (Box-Muller); slot j of a stream uses
-    addresses (2j, 2j+1), so widening n_slots never disturbs earlier slots.
-    Its uniforms are those of uniform01 at the same addresses.
+    With an integer step the shape is (len(stream), n_slots); with a 1-D
+    array of K steps it is (K, len(stream), n_slots), and row k equals the
+    call at step[k] bit for bit.  Each slot consumes two uniforms
+    (Box-Muller); slot j of a stream uses addresses (2j, 2j+1), so widening
+    n_slots never disturbs earlier slots.  Its uniforms are those of
+    uniform01 at the same addresses.
     """
-    stream = np.asarray(stream, dtype=np.uint64).reshape(-1, 1)
-    prefix = _fold(_START, np.uint64(seed & _MASK64), stream, step)
-    u = _unit(_fold(prefix, np.arange(2 * n_slots, dtype=np.uint64)))
-    u1, u2 = u[:, 0::2], u[:, 1::2]
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    stream = np.asarray(stream, dtype=np.uint64).reshape(-1)
+    step = np.asarray(step, dtype=np.uint64)
+    prefix = _fold(_START, np.uint64(seed & _MASK64), stream)
+    prefix = _fold(prefix, step.reshape(step.shape + (1,)))  # ([K,] N)
+    # slots lead, so every broadcast runs along the contiguous stream axis
+    slots = np.arange(2 * n_slots, dtype=np.uint64)
+    u = _unit(_fold(prefix, slots.reshape((-1,) + (1,) * prefix.ndim)))
+    # Box-Muller in place, so a block's temporaries stay few
+    r, c = u[0::2], u[1::2]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    c *= 2.0 * np.pi
+    np.cos(c, out=c)
+    return np.ascontiguousarray(np.moveaxis(r * c, 0, -1))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpf_lab import filter as filter_module
-from fpf_lab import rng as noise
+from fpf_lab import model as model_module
 from fpf_lab import (
     FilterAbortError,
     FilterConfig,
@@ -173,6 +173,25 @@ class TestRunFilter:
         assert trace.n_flagged.sum() == 0
 
 
+class TestNoiseBlocks:
+    @pytest.mark.parametrize("name, n", [("linear1d", 1000), ("linear2d", 7)])
+    def test_trace_independent_of_block_length(self, name, n):
+        """Hashing the noise one step at a time or a block of steps at a
+        time gives byte-identical traces and final ensembles."""
+        model = make_model(name)
+        obs = _observations(model, t_end=1.0)
+        cfg = FilterConfig(gain_method="exact_gaussian")
+        args = (model, obs, n, 17, cfg, np.zeros(model.dim),
+                np.eye(model.dim))
+        trace, final = run_filter(*args)
+        with mock.patch.object(model_module, "_BLOCK_STEPS", 1):
+            trace_1, final_1 = run_filter(*args)
+        for a, b in ((trace.means, trace_1.means), (trace.covs, trace_1.covs),
+                     (trace.h_hat, trace_1.h_hat),
+                     (final.states, final_1.states)):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestRelabelingProperty:
     @given(st.integers(2, 64).flatmap(lambda n: st.permutations(range(n))),
            st.integers(0, 2 ** 32), st.integers(1, 20))
@@ -198,11 +217,12 @@ class TestRelabelingProperty:
 
 def _run_relabeled(model, obs, seed, perm):
     """run_filter (exact gain) from the initial ensemble relabeled by perm;
-    returns every noise block drawn and the final ensemble."""
+    returns every noise block drawn (one per step, the initial sample
+    first) and the final ensemble."""
     draws = []
 
-    def standard_normal(*args):
-        draws.append(draw(*args))
+    def draw_normals(ens, n_slots):
+        draws.append(draw(ens, n_slots))
         return draws[-1]
 
     def relabeled(*args):
@@ -210,8 +230,9 @@ def _run_relabeled(model, obs, seed, perm):
         ens.states, ens.streams = ens.states[perm], ens.streams[perm]
         return ens
 
-    draw, sample = noise.standard_normal, filter_module.sample_initial_ensemble
-    with mock.patch.object(noise, "standard_normal", standard_normal), \
+    draw, sample = ParticleEnsemble.draw_normals, \
+        filter_module.sample_initial_ensemble
+    with mock.patch.object(ParticleEnsemble, "draw_normals", draw_normals), \
             mock.patch.object(filter_module, "sample_initial_ensemble",
                               relabeled):
         _, final = run_filter(model, obs, len(perm), seed,

@@ -1,8 +1,11 @@
 """Tests for the model containers, noise streams, and ensemble statistics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from fpf_lab import model as model_module
 from fpf_lab import (
     ModelValidationError,
     ParticleEnsemble,
@@ -105,6 +108,57 @@ class TestNoiseStreams:
             noise.uniform01(seed, column, step, slots),
             _oracle_uniform01(seed, column, step, slots))
 
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("n_slots", [1, 2, 3])
+    def test_step_blocks_match_per_step_hash(self, n, n_slots):
+        """An array of steps gives one (K, N, n_slots) block whose rows are
+        the per-step draws, and draw_normals serves the same values from
+        its cached blocks across block boundaries."""
+        seed = 2 ** 63 + 5
+        streams = np.random.default_rng(n).permutation(n).astype(np.uint64)
+        steps = np.arange(9, 20)
+        block = noise.standard_normal(seed, streams, steps, n_slots)
+        assert block.shape == (len(steps), n, n_slots)
+        for z, step in zip(block, steps):
+            np.testing.assert_array_equal(
+                z, noise.standard_normal(seed, streams, int(step), n_slots))
+            np.testing.assert_array_equal(
+                z, _oracle_standard_normal(seed, streams, step, n_slots))
+
+        per_block = max(1, min(model_module._BLOCK_STEPS,
+                               model_module._BLOCK_NORMALS // (n * n_slots)))
+        ens = ParticleEnsemble(states=np.zeros((n, n_slots)), time=0.0,
+                               seed=seed, streams=streams, draw_step=3)
+        with mock.patch.object(noise, "standard_normal",
+                               wraps=noise.standard_normal) as hashed:
+            for step in range(3, 3 + 2 * per_block + 1):
+                np.testing.assert_array_equal(
+                    ens.draw_normals(n_slots),
+                    _oracle_standard_normal(seed, streams, step, n_slots))
+        assert hashed.call_count == 3
+
+    def test_block_refills_on_new_address(self):
+        """A new streams array, seed or slot count mid-run refills the
+        block; the served draws are those of the new address."""
+        streams = np.arange(6, dtype=np.uint64)
+        ens = ParticleEnsemble(states=np.zeros((6, 1)), time=0.0, seed=4,
+                               streams=streams)
+        ens.draw_normals(1)
+        ens.streams = streams[[3, 1, 5, 0, 2, 4]]
+        np.testing.assert_array_equal(
+            ens.draw_normals(1), noise.standard_normal(4, ens.streams, 1, 1))
+        ens.seed = 8
+        np.testing.assert_array_equal(
+            ens.draw_normals(1), noise.standard_normal(8, ens.streams, 2, 1))
+        np.testing.assert_array_equal(
+            ens.draw_normals(2), noise.standard_normal(8, ens.streams, 3, 2))
+        ens.draw_step = 0
+        z = ens.draw_normals(2)
+        np.testing.assert_array_equal(
+            z, noise.standard_normal(8, ens.streams, 0, 2))
+        with pytest.raises(ValueError):
+            z[0, 0] = 0.0  # a view into the block must not edit it
+
     def test_draw_normals_advances_step(self):
         ens = ParticleEnsemble(states=np.zeros((4, 1)), time=0.0, seed=5,
                                streams=np.arange(4, dtype=np.uint64))
@@ -164,9 +218,9 @@ class TestEnsembleStats:
                                streams=np.arange(40, dtype=np.uint64))
         stats = ensemble_stats(ens, lambda s: s[:, 0])
         np.testing.assert_allclose(stats.cov, np.cov(states.T), atol=1e-14)
-        np.testing.assert_allclose(stats.mean, states.mean(axis=0),
-                                   atol=1e-15)
-        assert stats.h_hat == pytest.approx(states[:, 0].mean(), abs=1e-15)
+        # sum / n is np.mean's own reduction and division, bit for bit
+        np.testing.assert_array_equal(stats.mean, states.mean(axis=0))
+        assert stats.h_hat == states[:, 0].mean()
 
     def test_covariance_exactly_symmetric(self):
         gen = np.random.default_rng(3)
