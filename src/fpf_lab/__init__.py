@@ -46,6 +46,7 @@ from .filter import (
     fpf_step,
     read_trace_csv,
     run_filter,
+    run_filters,
     write_trace_csv,
 )
 from .reference import (
@@ -110,6 +111,7 @@ __all__ = [
     "read_trace_csv",
     "read_truth_csv",
     "run_filter",
+    "run_filters",
     "sample_initial_ensemble",
     "simulate_truth",
     "stationary_variance_1d",

@@ -25,7 +25,8 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config, read_ini
 from .divergence import f_divergence_grid, get_generator, kde_density
-from .filter import FilterAbortError, run_filter, write_trace_csv
+from .filter import (FilterAbortError, run_filter, run_filters,
+                     write_trace_csv)
 from .grid import GridDensity, GridNegativityError
 from .model import ModelValidationError, sample_initial_ensemble, validate_model
 from .reference import (KalmanState, WeightCollapseError, bootstrap_pf_step,
@@ -127,6 +128,12 @@ def _grid_prior(cfg: ExperimentConfig) -> GridDensity:
     return prior.normalize()
 
 
+# compare runs its filter seeds in batches of at most this many particles
+# (one seed per batch when a seed alone has more), so its peak memory is
+# the larger of one such batch and one seed's run
+BATCH_PARTICLES = 1 << 15
+
+
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     validate_model(cfg.model)
@@ -135,15 +142,21 @@ def cmd_compare(args) -> int:
     out = _out_dir(args, cfg)
     obs = _load_observations(args.obs)
 
-    # every seed's trace, but only the first seed's final states: an
-    # ensemble holds on to its cached noise block, so none is kept
-    fpf_runs = (run_filter(model, obs, cfg.n_particles, seed, cfg.filter_cfg,
-                           cfg.prior_mean, cfg.prior_cov, dt)
-                for seed in cfg.compare_seeds)
-    fpf_trace, fpf_final = next(fpf_runs)
-    fpf_states = fpf_final.states
-    del fpf_final
-    fpf_traces = [fpf_trace] + [trace for trace, _ in fpf_runs]
+    # every seed's trace, but only the first seed's final states: a batch
+    # holds on to its cached noise block, so none is kept
+    seeds = cfg.compare_seeds
+    group = max(1, BATCH_PARTICLES // cfg.n_particles)
+    fpf_traces, fpf_states = [], None
+    for first in range(0, len(seeds), group):
+        traces, final = run_filters(model, obs, cfg.n_particles,
+                                    seeds[first:first + group],
+                                    cfg.filter_cfg, cfg.prior_mean,
+                                    cfg.prior_cov, dt)
+        fpf_traces += traces
+        if fpf_states is None:
+            fpf_states = final.states[0]
+        del final
+    fpf_trace = fpf_traces[0]
 
     # (means, variances) per filter, in compare.csv column order
     paths = {"fpf": (fpf_trace.means,

@@ -35,7 +35,8 @@ x1..xd (terms joined by + / -, factors by *, powers by ^):
 Inline and registry models alike are built by registry.polynomial_model,
 which recovers their affine metadata when every term has total degree <= 1.
 The dimension is at most MAX_DIM, a Galerkin weight table at most
-MAX_GALERKIN_TABLE entries.
+MAX_GALERKIN_TABLE entries, and n_particles times the dimension at most
+MAX_PARTICLE_COORDS.
 
 Seeds are mandatory: every run is a deterministic function of its
 configuration file.
@@ -262,6 +263,9 @@ MAX_DIM = 20
 # the Galerkin weight table has C(d + 3, 3) K (K + 1) entries for the
 # K = C(d + D, D) - 1 basis monomials; 2^27 float64 entries are 1 GiB
 MAX_GALERKIN_TABLE = 2 ** 27
+# n_particles * dimension above this is a config error: the ensemble and
+# each of its per-step temporaries hold that many numbers, 80 MB each here
+MAX_PARTICLE_COORDS = 10 ** 7
 # the noise hash folds a seed into one 64-bit word
 _SEED = _between(0, 2 ** 64 - 1)
 
@@ -347,7 +351,7 @@ def load_config(path: str) -> ExperimentConfig:
                           f"{MAX_STEPS} (at most {MAX_STEPS} steps)")
 
     n_particles = _field(cp, "filter", "n_particles", _integer,
-                         bound=_at_least(2))
+                         bound=_between(2, MAX_PARTICLE_COORDS // dim))
     filter_cfg = FilterConfig(
         gain_method=_field(cp, "filter", "gain", _gain_method),
         galerkin_degree=_field(cp, "filter", "galerkin_degree", _integer,

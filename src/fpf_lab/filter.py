@@ -8,15 +8,21 @@ dynamics, (2) summarized, (3) corrected by the gain feedback
 with the gain recomputed from the propagated ensemble and applied as an
 explicit (frozen) field. No resampling is ever performed; particles keep
 their identity and noise stream for the whole run.
+
+run_filters runs S filter seeds as one batch of ensembles (S, N, d): each
+layer of the step takes the leading seed axis, and each seed's trace and
+final states are bit-identical to its run alone.  run_filter is the same
+loop for one seed, without the seed axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import rng
 from .gain import check_admissible, compute_gain
 from .model import (FilterAbortError, ModelValidationError,
                     ParticleEnsemble, SdeModel, ensemble_stats,
@@ -53,13 +59,15 @@ class FilterTrace:
 
 
 def fpf_step(model: SdeModel, ensemble: ParticleEnsemble, dz: float,
-             dt: float, config: FilterConfig) -> int:
-    """Advance the ensemble by one propagate + gain-feedback step.
+             dt: float, config: FilterConfig):
+    """Advance the ensemble, or each ensemble of a batch, by one propagate
+    + gain-feedback step.
 
     Returns the number of particles whose local update map was flagged
-    non-invertible (det(I + grad v^T) <= eps). With abort_on_inadmissible
-    the step raises instead of applying a flagged update; it always raises
-    when the updated ensemble is not finite.
+    non-invertible (det(I + grad v^T) <= eps), one count per seed for a
+    batch. With abort_on_inadmissible the step raises instead of applying
+    a flagged update; it always raises when the updated ensemble is not
+    finite. Either message names the first seed at fault.
     """
     euler_maruyama_step(model, ensemble, dt)
     stats = ensemble_stats(ensemble, model.obs_at)
@@ -67,16 +75,51 @@ def fpf_step(model: SdeModel, ensemble: ParticleEnsemble, dz: float,
                         degree=config.galerkin_degree,
                         ridge=config.galerkin_ridge)
     flags, _ = check_admissible(gain, dz, dt, config.admissibility_eps)
-    n_flagged = int(np.count_nonzero(flags))
-    if n_flagged and config.abort_on_inadmissible:
+    n_flagged = flags.sum(axis=-1)
+    if config.abort_on_inadmissible and n_flagged.any():
+        s, seed = _first_seed(ensemble, n_flagged > 0)
         raise FilterAbortError(
-            f"{n_flagged} particle(s) failed the invertibility check at "
-            f"t={ensemble.time:.6g}")
+            f"{n_flagged[s]} particle(s) failed the invertibility check at "
+            f"t={ensemble.time:.6g} (seed {seed})")
     ensemble.states = ensemble.states + gain.k * dz + gain.u * dt
     if not np.isfinite(ensemble.states).all():
+        _, seed = _first_seed(
+            ensemble, ~np.isfinite(ensemble.states).all(axis=(-2, -1)))
         raise FilterAbortError(
-            f"ensemble diverged to non-finite states at t={ensemble.time:.6g}")
+            f"ensemble diverged to non-finite states at t={ensemble.time:.6g} "
+            f"(seed {seed})")
     return n_flagged
+
+
+def _first_seed(ensemble: ParticleEnsemble, bad: np.ndarray):
+    """The index and the seed of the first ensemble that the per-seed mask
+    bad marks; the index is () for the 0-d mask of a single ensemble."""
+    s = () if bad.ndim == 0 else int(np.argmax(bad))
+    return s, int(np.asarray(ensemble.seed)[s])
+
+
+def run_filters(model: SdeModel, obs: ObservationSet, n_particles: int,
+                seeds: Sequence[int], config: FilterConfig, init_mean,
+                init_cov, dt: Optional[float] = None
+                ) -> Tuple[List[FilterTrace], ParticleEnsemble]:
+    """Run the filter for each of S seeds over an observation record
+    spaced dt apart, as one batch of ensembles with a leading seed axis.
+
+    Returns one trace per seed, each bit-identical to run_filter with that
+    seed, and the final batch: states (S, N, d), seed the (S,) uint64
+    words of the seeds. The batch holds S*N particles at once, so a caller
+    bounds the memory of a long seed list by running it in groups.
+    """
+    seeds = rng.seed_words(list(seeds))
+    if len(seeds) == 0:
+        raise ValueError("run_filters needs at least one seed")
+    trace, ens = _run(model, obs, n_particles, seeds, config, init_mean,
+                      init_cov, dt)
+    return [FilterTrace(times=trace.times, dz=trace.dz,
+                        means=trace.means[:, s], covs=trace.covs[:, s],
+                        h_hat=trace.h_hat[:, s],
+                        n_flagged=trace.n_flagged[:, s])
+            for s in range(len(seeds))], ens
 
 
 def run_filter(model: SdeModel, obs: ObservationSet, n_particles: int,
@@ -88,8 +131,16 @@ def run_filter(model: SdeModel, obs: ObservationSet, n_particles: int,
     The prior is placed at times[0] - dt, so a record may start at any
     time; dt defaults to times[0] (a record that starts at t = dt).
     Returns the trace of posterior summaries (including the prior row) and
-    the final ensemble.
+    the final ensemble. This is run_filters for one seed, without its
+    seed axis.
     """
+    return _run(model, obs, n_particles, seed, config, init_mean, init_cov,
+                dt)
+
+
+def _run(model, obs, n_particles, seed, config, init_mean, init_cov, dt):
+    """The filter loop for a seed or an (S,) array of seeds: the trace
+    arrays are (M+1, [S,] ...), the ensemble ([S,] N, d)."""
     times = np.asarray(obs.times, dtype=float)
     if len(times) == 0:
         raise ModelValidationError("observation record is empty")
@@ -110,14 +161,15 @@ def run_filter(model: SdeModel, obs: ObservationSet, n_particles: int,
                                   init_cov, seed)
     ens.time = float(times[0]) - dt
     m = len(times)
+    rows = (m + 1,) + np.shape(seed)
     d = model.dim
     trace = FilterTrace(
         times=np.concatenate([[ens.time], times]),
         dz=np.concatenate([[0.0], obs.dz]),
-        means=np.empty((m + 1, d)),
-        covs=np.empty((m + 1, d, d)),
-        h_hat=np.empty(m + 1),
-        n_flagged=np.zeros(m + 1, dtype=int),
+        means=np.empty(rows + (d,)),
+        covs=np.empty(rows + (d, d)),
+        h_hat=np.empty(rows),
+        n_flagged=np.zeros(rows, dtype=int),
     )
     stats = ensemble_stats(ens, model.obs_at)
     trace.means[0], trace.covs[0], trace.h_hat[0] = \

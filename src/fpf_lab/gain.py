@@ -8,6 +8,14 @@ drift correction u, and the Jacobian of u:
 Jacobian convention throughout: jac[n, i, j] = d(field_j)/dx_i at particle n,
 i.e. each jac[n] is the matrix usually written as (grad v^T).
 
+A batch of S ensembles (states (S, N, d), one per filter seed) gives every
+field a leading S axis.  The closed-form and constant gains solve all seeds
+at once; the Galerkin gain solves one seed at a time.  A field that takes
+one value at every particle (the particle-constant gains, and u's Jacobian
+for them when h is affine) is a read-only view that repeats it along the
+particle axis, never a materialised (N, d, d) array, and check_admissible
+computes its determinant once per seed.
+
 Methods:
     exact_gaussian  closed form K = Cov(X) H for affine observations
     constant        ensemble average K_j = (1/N) sum (h - h_hat)(X_j - mean_j)
@@ -25,7 +33,8 @@ import numpy as np
 
 from .fields import monomial_values, partial_table
 from .grid import trapezoid
-from .model import ModelValidationError, PosteriorStats, SdeModel
+from .model import (ModelValidationError, PosteriorStats, SdeModel,
+                    repeat_view)
 
 __all__ = [
     "GAIN_METHODS", "GainField", "compute_gain", "exact_gain", "constant_gain",
@@ -38,10 +47,10 @@ __all__ = [
 class GainField:
     """Gain and drift-correction fields evaluated at the ensemble."""
 
-    k: np.ndarray                       # (N, d)
-    k_jac: np.ndarray                   # (N, d, d)
-    u: np.ndarray                       # (N, d)
-    u_jac: np.ndarray                   # (N, d, d)
+    k: np.ndarray                       # ([S,] N, d)
+    k_jac: np.ndarray                   # ([S,] N, d, d)
+    u: np.ndarray                       # ([S,] N, d)
+    u_jac: np.ndarray                   # ([S,] N, d, d)
     method: str
     coeffs: Optional[np.ndarray] = None          # Galerkin coefficients
     exponents: Optional[np.ndarray] = None       # (n_basis, d) monomial powers
@@ -87,15 +96,27 @@ def _basis_table(dim: int, degree: int):
         dim, degree).tolist())))
 
 
-def _constant_field(k0: np.ndarray, h_vals: np.ndarray, h_hat: float,
+def _particle_constant(a: np.ndarray, axis: int) -> bool:
+    """Whether a repeats one value along its particle axis (a stride-0
+    view, as model.repeat_view makes)."""
+    return a.strides[axis] == 0
+
+
+def _constant_field(k0: np.ndarray, h_vals: np.ndarray, h_hat,
                     h_grad: np.ndarray, method: str) -> GainField:
-    n, d = h_grad.shape
-    k = np.broadcast_to(k0, (n, d)).copy()
+    """The field of a gain k0 (..., d) that is constant over the particles."""
+    n = h_vals.shape[-1]
+    k = k0[..., None, :]
     # with k_jac = 0, Omega and every Jacobian term of u but the h_grad
     # one vanish
-    u = -0.5 * k * (h_vals + h_hat)[:, None]
-    u_jac = -0.5 * np.einsum("ni,nj->nij", h_grad, k)
-    return GainField(k=k, k_jac=np.zeros((n, d, d)), u=u, u_jac=u_jac,
+    u = -0.5 * k * (h_vals + np.asarray(h_hat)[..., None])[..., None]
+    if _particle_constant(h_grad, -2):       # affine h: one gradient
+        u_jac = repeat_view(
+            -0.5 * (h_grad[..., :1, :, None] * k[..., None, :]), n, -3)
+    else:
+        u_jac = -0.5 * (h_grad[..., :, None] * k[..., None, :])
+    k_jac = repeat_view(np.zeros(k.shape + k.shape[-1:]), n, -3)
+    return GainField(k=repeat_view(k, n, -2), k_jac=k_jac, u=u, u_jac=u_jac,
                      method=method)
 
 
@@ -113,9 +134,9 @@ def exact_gain(stats: PosteriorStats, obs_vector: np.ndarray,
 def constant_gain(states: np.ndarray, stats: PosteriorStats,
                   h_grad: np.ndarray) -> GainField:
     """Ensemble-constant gain: cross-covariance of h with the state (1/N)."""
-    centered = states - states.mean(axis=0)
-    dh = stats.h_vals - stats.h_hat
-    k0 = dh @ centered / states.shape[0]
+    centered = states - stats.mean[..., None, :]
+    dh = stats.h_vals - np.asarray(stats.h_hat)[..., None]
+    k0 = (dh[..., None, :] @ centered)[..., 0, :] / states.shape[-2]
     return _constant_field(k0, stats.h_vals, stats.h_hat, h_grad, "constant")
 
 
@@ -170,14 +191,26 @@ GAIN_METHODS = ("exact_gaussian", "exact", "constant", "galerkin")
 def compute_gain(model: SdeModel, states: np.ndarray, stats: PosteriorStats,
                  method: str, degree: int = 3,
                  ridge: Optional[float] = None) -> GainField:
-    """Dispatch to a gain solver by one of the names in GAIN_METHODS."""
+    """Dispatch to a gain solver by one of the names in GAIN_METHODS; a
+    batch of ensembles (S, N, d) gives a field with a leading S axis."""
     if method not in GAIN_METHODS:
         raise ValueError(f"unknown gain method {method!r}")
     h_grad = model.obs_grad_at(states)
     if method == "constant":
         return constant_gain(states, stats, h_grad)
     if method == "galerkin":
-        return galerkin_gain(states, stats, h_grad, degree=degree, ridge=ridge)
+        if states.ndim == 2:
+            return galerkin_gain(states, stats, h_grad, degree=degree,
+                                 ridge=ridge)
+        fields = [galerkin_gain(states[s], stats.of_seed(s), h_grad[s],
+                                degree=degree, ridge=ridge)
+                  for s in range(len(states))]
+        return GainField(
+            *(np.stack([getattr(f, name) for f in fields])
+              for name in ("k", "k_jac", "u", "u_jac")),
+            method="galerkin",
+            coeffs=np.stack([f.coeffs for f in fields]),
+            exponents=fields[0].exponents)
     if model.obs_vector is None:
         raise ModelValidationError("exact solver requires affine h")
     return exact_gain(stats, model.obs_vector, h_grad)
@@ -193,22 +226,39 @@ def check_admissible(field: GainField, dz: float, dt: float,
 
     The one-step displacement is v = K dz + u dt; the particle flow stays
     an orientation-preserving diffeomorphism only while det(I + grad v^T)
-    stays positive. Returns (flags, dets); a determinant that is not
-    finite is flagged too.
+    stays positive. Returns (flags, dets), each shaped like the particles
+    ([S,] N); a determinant that is not finite is flagged too.  When both
+    Jacobians repeat one matrix along the particle axis, the determinant
+    is computed once per seed and broadcast to the particles.
     """
-    v_jac = field.k_jac * dz + field.u_jac * dt
-    dets = _det(np.eye(v_jac.shape[1]) + v_jac)
-    return ~((dets > eps) & np.isfinite(dets)), dets
+    k_jac, u_jac = field.k_jac, field.u_jac
+    n = k_jac.shape[-3]
+    compact = _particle_constant(k_jac, -3) and _particle_constant(u_jac, -3)
+    if compact:
+        k_jac, u_jac = k_jac[..., :1, :, :], u_jac[..., :1, :, :]
+    v_jac = k_jac * dz + u_jac * dt
+    dets = _det(_identity(v_jac.shape[-1]) + v_jac)
+    flags = ~((dets > eps) & np.isfinite(dets))
+    if compact:
+        return repeat_view(flags, n, -1), repeat_view(dets, n, -1)
+    return flags, dets
+
+
+@lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def _det(a: np.ndarray) -> np.ndarray:
     """Determinants of a stack of (d, d) matrices: the closed form for
     d <= 2, LU beyond."""
-    d = a.shape[1]
+    d = a.shape[-1]
     if d == 1:
-        return a[:, 0, 0]
+        return a[..., 0, 0]
     if d == 2:
-        return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     return np.linalg.det(a)
 
 

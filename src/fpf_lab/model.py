@@ -10,7 +10,9 @@ w_n ~ N(0, 1/dt), and increment dz_n = y_n * dt (so Var(dz) = dt and the
 continuum limit is recovered as dt -> 0).
 
 All model callables are vectorized over an ensemble: drift maps (N, d) ->
-(N, d) and the observation function maps (N, d) -> (N,).
+(N, d) and the observation function maps (N, d) -> (N,).  The SdeModel
+methods drift_at, obs_at and obs_grad_at also take a batch of ensembles
+(S, N, d), one per filter seed, and call the model once on its S*N rows.
 """
 
 from __future__ import annotations
@@ -63,53 +65,86 @@ class SdeModel:
     name: str = ""
 
     def drift_at(self, states: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.drift(states), dtype=float)
-        if out.shape != states.shape:
+        flat = _rows(states)
+        out = np.asarray(self.drift(flat), dtype=float)
+        if out.shape != flat.shape:
             raise ModelValidationError(
-                f"drift returned shape {out.shape}, expected {states.shape}")
-        return out
+                f"drift returned shape {out.shape}, expected {flat.shape}")
+        return out if flat is states else out.reshape(states.shape)
 
     def obs_at(self, states: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.obs(states), dtype=float).reshape(-1)
-        if out.shape[0] != states.shape[0]:
+        flat = _rows(states)
+        out = np.asarray(self.obs(flat), dtype=float).reshape(-1)
+        if out.shape[0] != flat.shape[0]:
             raise ModelValidationError(
-                f"obs returned {out.shape[0]} values for {states.shape[0]} states")
-        return out
+                f"obs returned {out.shape[0]} values for {flat.shape[0]} states")
+        return out if flat is states else out.reshape(states.shape[:-1])
 
     def obs_grad_at(self, states: np.ndarray) -> np.ndarray:
-        """Gradient of h at each state, shape (N, d)."""
-        out = np.asarray(self.obs_grad(states), dtype=float)
+        """Gradient of h at each state, shape (..., N, d)."""
+        flat = _rows(states)
+        out = np.asarray(self.obs_grad(flat), dtype=float)
         if out.ndim == 1:
             out = out.reshape(-1, 1)
-        if out.shape != states.shape:
+        if out.shape != flat.shape:
             raise ModelValidationError(
-                f"obs_grad returned shape {out.shape}, expected {states.shape}")
-        return out
+                f"obs_grad returned shape {out.shape}, expected {flat.shape}")
+        return out if flat is states else out.reshape(states.shape)
 
 
-# A noise block holds at most this many steps and this many normals (but
-# never less than one step): 64 steps at N = 1000, d = 1, 32 at d = 2, one
-# beyond 2^16 draws per step.  A refill's largest uint64 temporary, two
-# words per normal, then stays at 1 MiB unless one step alone needs more.
+def repeat_view(a: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """A read-only view of a, whose axis has length 1, repeated n times
+    along it: np.broadcast_to along one axis, without its per-call cost,
+    which a filter step pays for the affine gradient and the particle-
+    constant gain fields."""
+    a = np.ascontiguousarray(a)
+    shape, strides = list(a.shape), list(a.strides)
+    shape[axis], strides[axis] = n, 0
+    view = np.ndarray(shape, a.dtype, a, 0, strides)
+    view.flags.writeable = False
+    return view
+
+
+def _rows(states: np.ndarray) -> np.ndarray:
+    """States (..., d) as one (M, d) array of rows; (M, d) states as
+    they are."""
+    if states.ndim == 2:
+        return states
+    return states.reshape(-1, states.shape[-1])
+
+
+# A noise block holds at most this many steps and this many normals over
+# all its S*N streams (but never less than one step): 64 steps at S*N =
+# 1000, d = 1, 10 for six seeds of 1000 particles, one beyond 2^16 draws
+# per step.  A refill's largest uint64 temporary, two words per normal,
+# then stays at 1 MiB unless one step alone needs more.  Of the caps 2^13
+# to 2^16 on a 2-core x86-64 machine, 2^16 gave single-seed runs their
+# lowest wall time, and a six-seed compare within 2% of its lowest (2^15).
 _BLOCK_STEPS = 64
 _BLOCK_NORMALS = 1 << 16
 
 
 @dataclass
 class ParticleEnsemble:
-    """Equally-weighted particle cloud plus its noise-stream bookkeeping.
+    """Equally-weighted particle cloud plus its noise-stream bookkeeping,
+    for one seed or a batch of S seeds run side by side.
 
-    Noise is hashed ahead a block of steps at a time: draw_normals serves
-    draw_step from a cached (K, N, n_slots) block of rng.standard_normal
-    and refills it when draw_step leaves the block's range, or when seed,
-    the streams object or n_slots changes.  Relabeling therefore assigns a
-    new streams array rather than editing it in place.  Every draw equals
-    the per-step call at the same address, so blocking changes no value.
+    A batch holds states (S, N, d) and a 1-D array of S seeds; ensemble s
+    draws the noise of seed[s] on the same N streams, so it equals the
+    ensemble of seed[s] alone bit for bit.  Noise is hashed ahead a block
+    of steps at a time: draw_normals serves draw_step from a cached
+    (K, N, n_slots) block of rng.standard_normal, (K, S, N, n_slots) for a
+    batch, and refills it when draw_step leaves the block's range, or when
+    seed, the streams object or n_slots changes.  A block holds at most
+    _BLOCK_NORMALS normals over all S*N streams, so K shrinks as the batch
+    grows.  Relabeling assigns a new streams array rather than editing it
+    in place.  Every draw equals the per-step call at the same address, so
+    blocking changes no value.
 
     Attributes:
-        states: (N, d) particle positions
+        states: (N, d) particle positions, or (S, N, d) for a batch
         time: current simulation time
-        seed: base seed of the noise streams
+        seed: base seed of the noise streams, or a 1-D array of S seeds
         streams: (N,) per-particle stream ids (relabel together with states)
         draw_step: index of the next noise step to consume
     """
@@ -128,23 +163,24 @@ class ParticleEnsemble:
 
     @property
     def n(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
     def draw_normals(self, n_slots: int) -> np.ndarray:
-        """Consume one noise step: (N, n_slots) standard normals, a
-        read-only view into the cached block."""
+        """Consume one noise step: (N, n_slots) standard normals, (S, N,
+        n_slots) for a batch, a read-only view into the cached block."""
         start, seed, streams = self._block_key
         block = self._block
-        if (block is None or block.shape[2] != n_slots or seed != self.seed
+        if (block is None or block.shape[-1] != n_slots
+                or not (seed is self.seed or np.array_equal(seed, self.seed))
                 or streams is not self.streams
                 or not start <= self.draw_step < start + len(block)):
             start = self.draw_step
-            steps = max(1, min(_BLOCK_STEPS, _BLOCK_NORMALS
-                               // (len(self.streams) * n_slots)))
+            draws = np.size(self.seed) * len(self.streams) * n_slots
+            steps = max(1, min(_BLOCK_STEPS, _BLOCK_NORMALS // draws))
             block = rng.standard_normal(self.seed, self.streams,
                                         np.arange(start, start + steps),
                                         n_slots)
@@ -157,12 +193,18 @@ class ParticleEnsemble:
 
 @dataclass
 class PosteriorStats:
-    """Empirical summary of an ensemble under an observation function."""
+    """Empirical summary of an ensemble under an observation function; a
+    batch of S ensembles gives each field a leading S axis."""
 
     mean: np.ndarray          # (d,)
     cov: np.ndarray           # (d, d), unbiased (N-1) normalization
     h_hat: float              # mean of h over particles
     h_vals: np.ndarray        # (N,)
+
+    def of_seed(self, s: int) -> "PosteriorStats":
+        """The summary of ensemble s of a batch."""
+        return PosteriorStats(self.mean[s], self.cov[s], self.h_hat[s],
+                              self.h_vals[s])
 
 
 def validate_model(model: SdeModel) -> None:
@@ -222,8 +264,10 @@ def covariance_sqrt(cov: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
-def sample_initial_ensemble(dim: int, n: int, mean, cov, seed: int) -> ParticleEnsemble:
-    """Gaussian ensemble at time 0 with per-particle noise streams 0..N-1."""
+def sample_initial_ensemble(dim: int, n: int, mean, cov,
+                            seed) -> ParticleEnsemble:
+    """Gaussian ensemble at time 0 with per-particle noise streams 0..N-1;
+    a 1-D array of S seeds gives a batch of S ensembles (S, N, d)."""
     if n < 2:
         raise ModelValidationError(f"need at least 2 particles, got {n}")
     mean = np.broadcast_to(np.asarray(mean, dtype=float).reshape(-1), (dim,))
@@ -231,22 +275,27 @@ def sample_initial_ensemble(dim: int, n: int, mean, cov, seed: int) -> ParticleE
     if root.shape != (dim, dim):
         raise ModelValidationError(
             f"init covariance must have shape ({dim}, {dim}), got {root.shape}")
-    ens = ParticleEnsemble(states=np.empty((n, dim)), time=0.0, seed=seed,
+    ens = ParticleEnsemble(states=np.empty(np.shape(seed) + (n, dim)),
+                           time=0.0, seed=seed,
                            streams=np.arange(n, dtype=np.uint64))
-    ens.states = mean + ens.draw_normals(dim) @ root.T
+    z = ens.draw_normals(dim)
+    ens.states = mean + (_rows(z) @ root.T).reshape(z.shape)
     return ens
 
 
 def ensemble_stats(ensemble: ParticleEnsemble,
                    obs_fn: Callable[[np.ndarray], np.ndarray]) -> PosteriorStats:
-    """Mean, unbiased covariance, and observation average of an ensemble."""
+    """Mean, unbiased covariance, and observation average of an ensemble,
+    or of each ensemble of a batch.  A batch's sums run over each seed's
+    particles in order, so every seed's summary is bit-identical to its
+    ensemble's alone."""
     x = ensemble.states
-    n = x.shape[0]
+    n = x.shape[-2]
     # sum / n is np.mean's own add.reduce and division, without its
     # per-call overhead
-    mean = x.sum(axis=0) / n
-    centered = x - mean
-    cov = centered.T @ centered / (n - 1)
-    h_vals = np.asarray(obs_fn(x), dtype=float).reshape(-1)
-    return PosteriorStats(mean=mean, cov=cov, h_hat=float(h_vals.sum() / n),
+    mean = x.sum(axis=-2) / n
+    centered = x - mean[..., None, :]
+    cov = centered.swapaxes(-1, -2) @ centered / (n - 1)
+    h_vals = np.asarray(obs_fn(x), dtype=float).reshape(x.shape[:-1])
+    return PosteriorStats(mean=mean, cov=cov, h_hat=h_vals.sum(axis=-1) / n,
                           h_vals=h_vals)

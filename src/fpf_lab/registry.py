@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .fields import Polynomial, PolyScalarField, PolyVectorField
-from .model import SdeModel
+from .model import SdeModel, repeat_view
 
 __all__ = ["available_models", "make_model", "default_prior",
            "polynomial_model"]
@@ -63,7 +63,7 @@ def polynomial_model(drift_polys: Sequence[Polynomial], obs_poly: Polynomial,
             return np.dot(x, obs_vector) + obs_offset
 
         def obs_grad(x):
-            return np.broadcast_to(obs_vector, x.shape)
+            return repeat_view(obs_vector[None, :], len(x), 0)
 
     return SdeModel(dim=len(drift_polys), drift=drift, diffusion=sigma,
                     obs=obs, obs_grad=obs_grad, drift_matrix=drift_matrix,

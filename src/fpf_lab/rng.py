@@ -16,10 +16,11 @@ words, so standard_normal folds the (seed, stream) prefix once per call,
 then each step, mixes the 2 n_slots uniform slots of every (step, stream)
 in one pass, and pairs slots (2j, 2j+1) for Box-Muller.  Because a draw
 depends on its address alone, the noise of future steps can be hashed
-ahead: a 1-D array of K steps gives a (K, N, n_slots) block whose row k
-is bit-identical to the call at step[k] alone.  This is the counter-based
-design of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
-(SC'11), with the splitmix64 finalizer as the bijection.
+ahead, and the noise of several seeds hashed together: a 1-D array of K
+steps and a 1-D array of S seeds give a (K, S, N, n_slots) block whose row
+[k, s] is bit-identical to the call at step[k] and seed[s] alone.  This is
+the counter-based design of Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3" (SC'11), with the splitmix64 finalizer as the bijection.
 """
 
 from __future__ import annotations
@@ -66,25 +67,38 @@ def _unit(bits: np.ndarray) -> np.ndarray:
     return u
 
 
+def seed_words(seed) -> np.ndarray:
+    """A seed, or a sequence of seeds, as the uint64 word(s) the hash folds:
+    each integer modulo 2^64.  A uint64 array is returned as it is."""
+    if isinstance(seed, np.ndarray) and seed.dtype == np.uint64:
+        return seed
+    if isinstance(seed, (list, tuple, np.ndarray)):
+        return np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)
+    return np.array(int(seed) & _MASK64, dtype=np.uint64)
+
+
 def uniform01(seed: int, stream, step: int, slot) -> np.ndarray:
     """Uniform draws in (0, 1) addressed by (seed, stream, step, slot)."""
-    return _unit(_fold(_START, np.uint64(seed & _MASK64), stream, step, slot))
+    return _unit(_fold(_START, seed_words(seed), stream, step, slot))
 
 
-def standard_normal(seed: int, stream, step, n_slots: int) -> np.ndarray:
-    """Standard-normal draws at one step or a block of steps.
+def standard_normal(seed, stream, step, n_slots: int) -> np.ndarray:
+    """Standard-normal draws at one step or a block of steps, for one seed
+    or a batch of seeds.
 
-    With an integer step the shape is (len(stream), n_slots); with a 1-D
-    array of K steps it is (K, len(stream), n_slots), and row k equals the
-    call at step[k] bit for bit.  Each slot consumes two uniforms
-    (Box-Muller); slot j of a stream uses addresses (2j, 2j+1), so widening
-    n_slots never disturbs earlier slots.  Its uniforms are those of
-    uniform01 at the same addresses.
+    With an integer step and an integer seed the shape is (len(stream),
+    n_slots).  A 1-D array of K steps adds a leading K axis, and a 1-D
+    array of S seeds an S axis after it: (K, S, len(stream), n_slots), whose
+    row [k, s] equals the call at step[k] and seed[s] bit for bit.  Each
+    slot consumes two uniforms (Box-Muller); slot j of a stream uses
+    addresses (2j, 2j+1), so widening n_slots never disturbs earlier slots.
+    Its uniforms are those of uniform01 at the same addresses.
     """
     stream = np.asarray(stream, dtype=np.uint64).reshape(-1)
     step = np.asarray(step, dtype=np.uint64)
-    prefix = _fold(_START, np.uint64(seed & _MASK64), stream)
-    prefix = _fold(prefix, step.reshape(step.shape + (1,)))  # ([K,] N)
+    prefix = _fold(_START, seed_words(seed)[..., None], stream)  # ([S,] N)
+    # ([K,] [S,] N)
+    prefix = _fold(prefix, step.reshape(step.shape + (1,) * prefix.ndim))
     # slots lead, so every broadcast runs along the contiguous stream axis
     slots = np.arange(2 * n_slots, dtype=np.uint64)
     u = _unit(_fold(prefix, slots.reshape((-1,) + (1,) * prefix.ndim)))

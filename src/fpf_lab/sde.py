@@ -46,11 +46,13 @@ def euler_maruyama_step(model: SdeModel, ensemble: ParticleEnsemble,
     """Propagate every particle by one Euler-Maruyama step (in place).
 
     X <- X + a(X) dt + sigma_b dB,  dB ~ N(0, dt I) independently per particle.
+    A batch of ensembles (S, N, d) steps as one (S*N, d) array.
     """
     x = ensemble.states
     dw = ensemble.draw_normals(ensemble.dim) * np.sqrt(dt)
-    ensemble.states = x + model.drift_at(x) * dt + dw @ np.asarray(
-        model.diffusion, dtype=float).T
+    noise = dw.reshape(-1, x.shape[-1]) @ np.asarray(model.diffusion,
+                                                     dtype=float).T
+    ensemble.states = x + model.drift_at(x) * dt + noise.reshape(x.shape)
     ensemble.time += dt
     return ensemble
 

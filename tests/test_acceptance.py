@@ -27,7 +27,7 @@ from fpf_lab import (
     kde_density,
     kushner_grid_step,
     make_model,
-    run_filter,
+    run_filters,
     sample_initial_ensemble,
     simulate_truth,
     synthesize_observations,
@@ -55,7 +55,8 @@ def _suite_summary(name):
 @pytest.fixture(scope="module")
 def linear_benchmark():
     """20-seed filter run on the linear model, dt=0.01, T=5, N=1000,
-    closed-form gain, against the matched Kalman-Bucy trace."""
+    closed-form gain, against the matched Kalman-Bucy trace; the seeds run
+    as one batch."""
     model = make_model("linear1d")
     dt, t_end, n_particles = 0.01, 5.0, 1000
     truth = simulate_truth(model, np.zeros(1), dt, t_end, seed=101)
@@ -73,9 +74,9 @@ def linear_benchmark():
     rmses, window_vars = [], []
     flagged = 0
     start = time.perf_counter()
-    for seed in range(20):
-        trace, _ = run_filter(model, obs, n_particles, seed, cfg,
-                              [0.0], [[1.0]])
+    traces, _ = run_filters(model, obs, n_particles, range(20), cfg,
+                            [0.0], [[1.0]])
+    for trace in traces:
         rmses.append(float(np.sqrt(np.mean(
             (trace.means[:, 0] - kb_means) ** 2))))
         window_vars.append(float(np.mean(trace.covs[window, 0, 0])))
@@ -200,10 +201,10 @@ def test_criterion_7_grid_oracle(capsys):
     medians = {}
     for n_particles in (4000, 8000):
         vals = []
-        for seed in range(10):
-            _, final = run_filter(model, obs2, n_particles, seed, cfg,
-                                  [0.0], [[1.0]])
-            dens = kde_density(final.states[:, 0], grid2.x)
+        _, final = run_filters(model, obs2, n_particles, range(10), cfg,
+                               [0.0], [[1.0]])
+        for states in final.states:
+            dens = kde_density(states[:, 0], grid2.x)
             vals.append(f_divergence_grid(dens, grid2, kl))
         medians[n_particles] = float(np.median(vals))
     kl_ok = medians[4000] <= 0.05 and medians[8000] < medians[4000]

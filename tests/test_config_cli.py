@@ -257,6 +257,22 @@ dir = results
         text = BASE_CONFIG.replace("truth = 11", f"truth = {2 ** 64 - 1}")
         assert load_config(_write(tmp_path, text)).seed_truth == 2 ** 64 - 1
 
+    @pytest.mark.parametrize("model, n, ok", [
+        ("linear2d", 5_000_000, True), ("linear2d", 5_000_001, False),
+        ("linear1d", 10_000_001, False)])
+    def test_particle_coordinates_bounded(self, tmp_path, model, n, ok):
+        """n_particles times the dimension is at most MAX_PARTICLE_COORDS:
+        each ensemble array holds that many numbers."""
+        text = (BASE_CONFIG.replace("name = linear1d", f"name = {model}")
+                .replace("n_particles = 50", f"n_particles = {n}"))
+        path = _write(tmp_path, text)
+        if ok:
+            assert load_config(path).n_particles == n
+        else:
+            with pytest.raises(ConfigError,
+                               match=r"`n_particles` in \[filter\]"):
+                load_config(path)
+
     def test_nonpositive_dt_rejected(self, tmp_path):
         text = BASE_CONFIG.replace("dt = 0.05", "dt = 0")
         with pytest.raises(ConfigError, match="must be positive"):
@@ -406,12 +422,14 @@ class TestCliExitCodes:
                 f"\ndrift_{i} = -x{i}" for i in range(1, 11))).replace(
             "exact_gaussian", "galerkin\ngalerkin_degree = 4"),
          "`galerkin_degree` in [filter]"),
+        ("filter", "n_particles = 50", "n_particles = 10000000000",
+         "`n_particles` in [filter]"),
     ], ids=["dt-nan", "t_end-inf", "degree-0", "eps-nan", "compare-seed-neg",
             "halfwidth-0", "percent", "dt-tiny", "cov-negative",
             "cov-asymmetric", "grid-tiny", "grid-huge", "grid-truncates",
             "prior-off-grid", "prior-half-off-grid", "seed-above-2^64",
             "compare-seed-2^64", "grid-points-huge", "compare-seed-repeated",
-            "dimension-21", "galerkin-table-huge"])
+            "dimension-21", "galerkin-table-huge", "particles-1e10"])
     def test_bad_config_value_is_two(self, tmp_path, capsys, command, old,
                                      new, field):
         """Each value is a config error, reported before any file is
@@ -547,6 +565,41 @@ class TestCliExitCodes:
         assert err.startswith("fpf-lab: filter aborted: ensemble diverged")
         assert " at t=" in err
         assert not (tmp_path / "fpf_trace.csv").exists()
+
+    def test_diverging_seed_of_a_batch_is_four(self, tmp_path, capsys):
+        """compare runs its seeds as one batch. When one seed's ensemble
+        diverges, the compare stops with exit 4 and one line that names
+        that seed, the line its run alone raises; the other seeds run to
+        the end alone."""
+        text = (BASE_CONFIG.replace("name = linear1d", "name = cubic-sensor")
+                .replace("gain = exact_gaussian", "gain = constant")
+                + "\n[compare]\nseeds = 13 29 14\n")
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert main(["compare", "--config", cfg,
+                     "--obs", str(tmp_path / "obs.csv"),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("fpf-lab: compare aborted: ensemble "
+                                 "diverged to non-finite states at t=")
+        assert err[0].endswith("(seed 29)")
+        assert not (out / "compare.csv").exists()
+
+        config = load_config(cfg)
+        obs = fpf_lab.read_observations_csv(str(tmp_path / "obs.csv"))
+        args = (config.model, obs, config.n_particles)
+        rest = (config.filter_cfg, config.prior_mean, config.prior_cov,
+                config.dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(fpf_lab.FilterAbortError) as alone:
+                fpf_lab.run_filter(*args, 29, *rest)
+            for seed in (13, 14):
+                trace, _ = fpf_lab.run_filter(*args, seed, *rest)
+                assert np.isfinite(trace.means).all()
+        assert err[0] == f"fpf-lab: compare aborted: {alone.value}"
 
     def test_diverging_ensemble_writes_one_stderr_line(self, tmp_path):
         """In a fresh interpreter, where no test harness captures warnings,

@@ -20,11 +20,14 @@ from fpf_lab import (
     make_model,
     read_trace_csv,
     run_filter,
+    run_filters,
     sample_initial_ensemble,
     simulate_truth,
     synthesize_observations,
     write_trace_csv,
 )
+from fpf_lab.fields import Polynomial
+from fpf_lab.registry import polynomial_model
 from fpf_lab.sde import ObservationSet
 
 
@@ -171,6 +174,80 @@ class TestRunFilter:
                               FilterConfig(gain_method="exact_gaussian"),
                               np.zeros(1), np.eye(1))
         assert trace.n_flagged.sum() == 0
+
+
+# every registry model and the affine inline model of the golden corpus
+_BATCH_MODELS = {name: make_model(name) for name in
+                 ("linear1d", "linear2d", "cubic-sensor", "constant-signal")}
+_BATCH_MODELS["inline-affine"] = polynomial_model(
+    [Polynomial(1, {(1,): -0.5})], Polynomial(1, {(1,): 2.0, (0,): 0.3}),
+    0.8 * np.eye(1), "inline")
+_BATCH_OBS = {name: _observations(model, dt=0.05, t_end=0.4)
+              for name, model in _BATCH_MODELS.items()}
+
+
+def _alone_or_error(run, *args):
+    """run(*args), or the (type, message) of the error it raises."""
+    try:
+        return run(*args)
+    except (FilterAbortError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRunFilters:
+    @given(st.sampled_from(sorted(_BATCH_MODELS)),
+           st.sampled_from(["exact_gaussian", "constant", "galerkin"]),
+           st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4,
+                    unique=True),
+           st.integers(2, 50))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_batch_equals_each_seed_alone(self, name, gain, seeds, n):
+        """A batch of seeds gives, for every seed, the trace (means, covs,
+        h_hat, n_flagged) and the final states of that seed run alone,
+        bit for bit; a batch that aborts raises the error of the first
+        seed at fault alone."""
+        model = _BATCH_MODELS[name]
+        if gain == "exact_gaussian" and model.obs_vector is None:
+            gain = "constant"               # the closed form needs affine h
+        args = (model, _BATCH_OBS[name], n)
+        rest = (FilterConfig(gain_method=gain), np.zeros(model.dim),
+                np.eye(model.dim))
+        with np.errstate(all="ignore"):
+            batch = _alone_or_error(run_filters, *args, seeds, *rest)
+            alone = [_alone_or_error(run_filter, *args, seed, *rest)
+                     for seed in seeds]
+        if isinstance(batch[0], type):
+            assert batch in alone
+            return
+        traces, final = batch
+        assert final.states.shape == (len(seeds), n, model.dim)
+        for s, (trace, states) in enumerate(zip(traces, final.states)):
+            trace_1, final_1 = alone[s]
+            for a, b in ((trace.means, trace_1.means),
+                         (trace.covs, trace_1.covs),
+                         (trace.h_hat, trace_1.h_hat),
+                         (trace.n_flagged, trace_1.n_flagged),
+                         (states, final_1.states)):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            np.testing.assert_array_equal(trace.times, trace_1.times)
+
+    def test_names_the_first_seed_at_fault(self):
+        """The invertibility abort of a batch counts the particles of the
+        first seed at fault and names that seed."""
+        model = make_model("linear1d")
+        obs = _observations(model, t_end=0.05)
+        cfg = FilterConfig(gain_method="constant", admissibility_eps=10.0,
+                           abort_on_inadmissible=True)
+        with pytest.raises(FilterAbortError,
+                           match=r"^50 particle\(s\) .* \(seed 8\)$"):
+            run_filters(model, obs, 50, [8, 9], cfg, np.zeros(1), np.eye(1))
+
+    def test_rejects_an_empty_seed_list(self):
+        model = make_model("linear1d")
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_filters(model, _observations(model, t_end=0.05), 10, [],
+                        FilterConfig(), np.zeros(1), np.eye(1))
 
 
 class TestNoiseBlocks:

@@ -137,6 +137,39 @@ class TestNoiseStreams:
                     _oracle_standard_normal(seed, streams, step, n_slots))
         assert hashed.call_count == 3
 
+    @pytest.mark.parametrize("n, n_slots", [(1, 1), (7, 2), (1000, 1)])
+    def test_seed_batches_match_per_seed_hash(self, n, n_slots):
+        """An array of S seeds adds an S axis after the step axis: a
+        (K, S, N, n_slots) block whose row [k, s] is the call at step[k]
+        and seed[s] alone; a batched ensemble serves the same rows, and
+        its block holds at most _BLOCK_NORMALS normals over all S*N
+        streams."""
+        seeds = np.array([2 ** 64 - 1, 0, 13], dtype=np.uint64)
+        streams = np.random.default_rng(n).permutation(n).astype(np.uint64)
+        steps = np.arange(4, 9)
+        block = noise.standard_normal(seeds, streams, steps, n_slots)
+        assert block.shape == (len(steps), len(seeds), n, n_slots)
+        for k, step in enumerate(steps):
+            for s, seed in enumerate(seeds):
+                np.testing.assert_array_equal(
+                    block[k, s],
+                    noise.standard_normal(int(seed), streams, int(step),
+                                          n_slots))
+        np.testing.assert_array_equal(
+            noise.standard_normal(seeds, streams, 6, n_slots), block[2])
+        np.testing.assert_array_equal(
+            noise.standard_normal([-1, 0, 13], streams, 6, n_slots),
+            block[2])
+
+        ens = ParticleEnsemble(states=np.zeros((len(seeds), n, n_slots)),
+                               time=0.0, seed=seeds, streams=streams,
+                               draw_step=4)
+        for k in range(len(steps)):
+            np.testing.assert_array_equal(ens.draw_normals(n_slots),
+                                          block[k])
+            assert ens._block.size <= max(model_module._BLOCK_NORMALS,
+                                          len(seeds) * n * n_slots)
+
     def test_block_refills_on_new_address(self):
         """A new streams array, seed or slot count mid-run refills the
         block; the served draws are those of the new address."""
