@@ -32,8 +32,8 @@ x1..xd (terms joined by + / -, factors by *, powers by ^):
     obs = x1
     sigma = 1.0
 
-Inline and registry models alike are built by registry.polynomial_model,
-which recovers their affine metadata when every term has total degree <= 1.
+Inline and registry models alike are an SdeModel of their polynomials,
+which derives the affine metadata when every term has total degree <= 1.
 The dimension is at most MAX_DIM, a Galerkin weight table at most
 MAX_GALERKIN_TABLE entries, and n_particles times the dimension at most
 MAX_PARTICLE_COORDS.
@@ -56,7 +56,7 @@ from .fields import Polynomial
 from .filter import FilterConfig
 from .gain import GAIN_METHODS
 from .model import SdeModel, covariance_sqrt
-from .registry import make_model, polynomial_model
+from .registry import make_model
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config",
            "parse_polynomial", "read_ini"]
@@ -302,16 +302,14 @@ def _build_inline_model(cp: configparser.ConfigParser) -> SdeModel:
     dim = _field(cp, "model", "dimension", _integer,
                  bound=_between(1, MAX_DIM))
 
-    def polynomial(raw: str) -> Polynomial:
-        return parse_polynomial(raw, dim)
+    def polynomial(key: str) -> Polynomial:
+        return _field(cp, "model", key, lambda raw: parse_polynomial(raw, dim))
 
-    drift_polys = [_field(cp, "model", f"drift_{i + 1}", polynomial)
-                   for i in range(dim)]
-    obs_poly = _field(cp, "model", "obs", polynomial)
-    sigma = _field(cp, "model", "sigma", lambda raw: _as_matrix(raw, dim),
-                   default=np.eye(dim))
-
-    return polynomial_model(drift_polys, obs_poly, sigma, "inline")
+    return SdeModel([polynomial(f"drift_{i + 1}") for i in range(dim)],
+                    polynomial("obs"),
+                    _field(cp, "model", "sigma",
+                           lambda raw: _as_matrix(raw, dim),
+                           default=np.eye(dim)), "inline")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -357,7 +355,7 @@ def load_config(path: str) -> ExperimentConfig:
         galerkin_degree=_field(cp, "filter", "galerkin_degree", _integer,
                                default=3, bound=_at_least(1)),
         galerkin_ridge=_field(cp, "filter", "galerkin_ridge", _number,
-                              default=None),
+                              default=None, bound=_at_least(0)),
         admissibility_eps=_field(cp, "filter", "admissibility_eps", _number,
                                  default=1e-8),
         abort_on_inadmissible=_field(cp, "filter", "abort_on_inadmissible",

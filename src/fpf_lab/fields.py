@@ -47,39 +47,51 @@ def monomial_values(points: np.ndarray, monomials: np.ndarray) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=1024)
-def partial_table(dim: int, exponents: Tuple[Tuple[int, ...], ...]):
-    """Partials of order <= 3 of the monomials x^exponents[t]:
-    (monomials, weights, index), cached per (dim, exponents).
+def _differentiate(alpha: Tuple[int, ...], axes: Tuple[int, ...]):
+    """(exponents, coefficient) of d^axes x^alpha; the coefficient is 0
+    where an exponent drops below 0."""
+    exps, coef = list(alpha), 1
+    for ax in axes:
+        coef *= exps[ax]
+        exps[ax] -= 1
+    return tuple(exps), coef
 
-    monomials (Q, dim) are the exponents that differentiation reaches,
-    ordered by total degree, then lexicographically. d^axes_m x^exponents[t]
-    = weights[m, t] . x^monomials, whose one nonzero weight is the falling
-    factorial a (a - 1) ... of the differentiated exponents, and none where
-    an exponent drops below 0. index[r][i, l, ...] is the m of the ordered
-    axes (i, l, ...) of order r. The tables are read-only.
+
+@lru_cache(maxsize=1024)
+def partial_table(dim: int, exponents: Tuple[Tuple[int, ...], ...],
+                  order: int = 3):
+    """Partials of order <= `order` of the monomials x^exponents[t]:
+    (monomials, weights, index), cached per (dim, exponents, order).
+
+    monomials (Q, dim) are the exponents that partials of order <= 3 reach
+    (at every order), by total degree, then lexicographically. d^axes_m
+    x^exponents[t] = weights[m, t] . x^monomials, whose one nonzero weight
+    is the falling factorial a (a - 1) ... of the differentiated exponents,
+    and none where an exponent drops below 0. index[r][i, l, ...] is the m
+    of the ordered axes (i, l, ...) of order r. The tables are read-only.
     """
-    combos = [axes for r in range(4)
+    reached = set()
+    for alpha in set(exponents):
+        support = [j for j, a in enumerate(alpha) if a]
+        for r in range(4):
+            for axes in combinations_with_replacement(support, r):
+                exps, coef = _differentiate(alpha, axes)
+                if coef:
+                    reached.add(exps)
+    monomials = sorted(reached, key=lambda a: (sum(a), a))
+    position = {a: q for q, a in enumerate(monomials)}
+    combos = [axes for r in range(order + 1)
               for axes in combinations_with_replacement(range(dim), r)]
-    reduced = {}
+    weights = np.zeros((len(combos), len(exponents), len(monomials)))
     for m, axes in enumerate(combos):
         for t, alpha in enumerate(exponents):
-            exps, coef = list(alpha), 1
-            for ax in axes:
-                coef *= exps[ax]
-                exps[ax] -= 1
+            exps, coef = _differentiate(alpha, axes)
             if coef:
-                reduced[m, t] = tuple(exps), coef
-    monomials = sorted({exps for exps, _ in reduced.values()},
-                       key=lambda a: (sum(a), a))
-    position = {a: q for q, a in enumerate(monomials)}
-    weights = np.zeros((len(combos), len(exponents), len(monomials)))
-    for (m, t), (exps, coef) in reduced.items():
-        weights[m, t, position[exps]] = coef
+                weights[m, t, position[exps]] = coef
     monomials = np.array(monomials, dtype=int).reshape(-1, dim)
     index = [np.array([combos.index(tuple(sorted(axes)))
                        for axes in product(range(dim), repeat=r)]
-                      ).reshape((dim,) * r) for r in range(4)]
+                      ).reshape((dim,) * r) for r in range(order + 1)]
     for table in (monomials, weights, *index):
         table.flags.writeable = False
     return monomials, weights, index
@@ -171,26 +183,36 @@ class PolyVectorField:
         return cls([Polynomial.random(dim, degree, rng, scale)
                     for _ in range(dim)])
 
-    @cached_property
-    def _tables(self):
-        """(monomials, tables): tables[r] (Q, d**r * J) holds the weights of
-        the partials of order r, columns ordered (i, l, m, j)."""
+    def _weights(self, order: int):
+        """(monomials, tables): tables[r] (Q, d**r * J), r <= order, holds
+        the weights of the order-r partials, columns ordered (i, l, m, j)."""
         owner = np.repeat(np.arange(self.dim),
                           [len(c.coeffs) for c in self.components])
         coeffs = (owner == np.arange(self.dim)[:, None]) \
             * np.concatenate([c.coeffs for c in self.components])
         exponents = np.vstack([c.exponents for c in self.components])
         monomials, weights, index = partial_table(
-            exponents.shape[1], tuple(map(tuple, exponents.tolist())))
+            exponents.shape[1], tuple(map(tuple, exponents.tolist())), order)
         phi = coeffs @ weights                          # (M, J, Q)
         return monomials, [phi[index[r].ravel()].transpose(2, 0, 1).reshape(
-            len(monomials), index[r].size * self.dim) for r in range(4)]
+            len(monomials), index[r].size * self.dim)
+            for r in range(order + 1)]
+
+    @cached_property
+    def _values(self):
+        # the weights of the values alone: those of every partial take
+        # gigabytes for thousands of terms in 20 variables
+        return self._weights(0)
+
+    @cached_property
+    def _tables(self):
+        return self._weights(3)
 
     def _jet(self, points, orders: Sequence[int]) -> list:
         """The partials of each order r in `orders`, shape
         (N,) + (d,) * r + (J,), from one power table."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        monomials, tables = self._tables
+        monomials, tables = self._tables if max(orders) else self._values
         values = monomial_values(points, monomials).T
         return [(values @ tables[r]).reshape(
                     (len(points),) + (points.shape[1],) * r + (self.dim,))

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import rng
-from .gain import check_admissible, compute_gain
+from .gain import SingularGainError, check_admissible, compute_gain
 from .model import (FilterAbortError, ModelValidationError,
                     ParticleEnsemble, SdeModel, ensemble_stats,
                     sample_initial_ensemble)
@@ -66,14 +66,20 @@ def fpf_step(model: SdeModel, ensemble: ParticleEnsemble, dz: float,
     Returns the number of particles whose local update map was flagged
     non-invertible (det(I + grad v^T) <= eps), one count per seed for a
     batch. With abort_on_inadmissible the step raises instead of applying
-    a flagged update; it always raises when the updated ensemble is not
-    finite. Either message names the first seed at fault.
+    a flagged update; it always raises when the Galerkin system is
+    singular or the updated ensemble is not finite. Each message names the
+    first seed at fault.
     """
     euler_maruyama_step(model, ensemble, dt)
     stats = ensemble_stats(ensemble, model.obs_at)
-    gain = compute_gain(model, ensemble.states, stats, config.gain_method,
-                        degree=config.galerkin_degree,
-                        ridge=config.galerkin_ridge)
+    try:
+        gain = compute_gain(model, ensemble.states, stats, config.gain_method,
+                            degree=config.galerkin_degree,
+                            ridge=config.galerkin_ridge)
+    except SingularGainError as exc:
+        seed = int(np.asarray(ensemble.seed)[exc.index])
+        raise FilterAbortError(f"{exc} at t={ensemble.time:.6g} "
+                               f"(seed {seed})") from None
     flags, _ = check_admissible(gain, dz, dt, config.admissibility_eps)
     n_flagged = flags.sum(axis=-1)
     if config.abort_on_inadmissible and n_flagged.any():

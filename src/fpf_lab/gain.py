@@ -33,14 +33,21 @@ import numpy as np
 
 from .fields import monomial_values, partial_table
 from .grid import trapezoid
-from .model import (ModelValidationError, PosteriorStats, SdeModel,
-                    repeat_view)
+from .model import (FilterAbortError, ModelValidationError, PosteriorStats,
+                    SdeModel, repeat_view)
 
 __all__ = [
-    "GAIN_METHODS", "GainField", "compute_gain", "exact_gain", "constant_gain",
-    "galerkin_gain", "monomial_exponents", "check_admissible",
-    "gain_residual_on_grid",
+    "GAIN_METHODS", "GainField", "SingularGainError", "compute_gain",
+    "exact_gain", "constant_gain", "galerkin_gain", "monomial_exponents",
+    "check_admissible", "gain_residual_on_grid",
 ]
+
+
+class SingularGainError(FilterAbortError):
+    """The Galerkin system of the ensemble at `index` of a batch, () for a
+    single ensemble, is singular."""
+
+    index = ()
 
 
 @dataclass
@@ -51,7 +58,6 @@ class GainField:
     k_jac: np.ndarray                   # ([S,] N, d, d)
     u: np.ndarray                       # ([S,] N, d)
     u_jac: np.ndarray                   # ([S,] N, d, d)
-    method: str
     coeffs: Optional[np.ndarray] = None          # Galerkin coefficients
     exponents: Optional[np.ndarray] = None       # (n_basis, d) monomial powers
 
@@ -103,7 +109,7 @@ def _particle_constant(a: np.ndarray, axis: int) -> bool:
 
 
 def _constant_field(k0: np.ndarray, h_vals: np.ndarray, h_hat,
-                    h_grad: np.ndarray, method: str) -> GainField:
+                    h_grad: np.ndarray) -> GainField:
     """The field of a gain k0 (..., d) that is constant over the particles."""
     n = h_vals.shape[-1]
     k = k0[..., None, :]
@@ -116,8 +122,7 @@ def _constant_field(k0: np.ndarray, h_vals: np.ndarray, h_hat,
     else:
         u_jac = -0.5 * (h_grad[..., :, None] * k[..., None, :])
     k_jac = repeat_view(np.zeros(k.shape + k.shape[-1:]), n, -3)
-    return GainField(k=repeat_view(k, n, -2), k_jac=k_jac, u=u, u_jac=u_jac,
-                     method=method)
+    return GainField(k=repeat_view(k, n, -2), k_jac=k_jac, u=u, u_jac=u_jac)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +133,7 @@ def exact_gain(stats: PosteriorStats, obs_vector: np.ndarray,
                h_grad: np.ndarray) -> GainField:
     """Closed-form gain K = Cov(X) H for an affine observation h = H^T x + c."""
     k0 = stats.cov @ np.asarray(obs_vector, dtype=float).reshape(-1)
-    return _constant_field(k0, stats.h_vals, stats.h_hat, h_grad, "exact")
+    return _constant_field(k0, stats.h_vals, stats.h_hat, h_grad)
 
 
 def constant_gain(states: np.ndarray, stats: PosteriorStats,
@@ -137,7 +142,7 @@ def constant_gain(states: np.ndarray, stats: PosteriorStats,
     centered = states - stats.mean[..., None, :]
     dh = stats.h_vals - np.asarray(stats.h_hat)[..., None]
     k0 = (dh[..., None, :] @ centered)[..., 0, :] / states.shape[-2]
-    return _constant_field(k0, stats.h_vals, stats.h_hat, h_grad, "constant")
+    return _constant_field(k0, stats.h_vals, stats.h_hat, h_grad)
 
 
 def galerkin_gain(states: np.ndarray, stats: PosteriorStats,
@@ -151,7 +156,8 @@ def galerkin_gain(states: np.ndarray, stats: PosteriorStats,
     and returns K = sum_k c_k grad psi_k together with its Jacobian; the
     third partials of sum_k c_k psi_k enter the Jacobian of u.
 
-    ridge defaults to 1e-6 * tr(A) / dim(A); pass 0.0 to disable.
+    ridge defaults to 1e-6 * tr(A) / dim(A); pass 0.0 to disable.  A
+    singular system raises SingularGainError.
     """
     n, d = states.shape
     monomials, weights, index = _basis_table(d, degree)
@@ -165,7 +171,10 @@ def galerkin_gain(states: np.ndarray, stats: PosteriorStats,
     b_vec = mono[1:] @ (stats.h_vals - stats.h_hat) / n
     if ridge is None:
         ridge = 1e-6 * np.trace(a_mat) / nb
-    coeffs = np.linalg.solve(a_mat + ridge * np.eye(nb), b_vec)
+    try:
+        coeffs = np.linalg.solve(a_mat + ridge * np.eye(nb), b_vec)
+    except np.linalg.LinAlgError:
+        raise SingularGainError("the Galerkin system is singular") from None
 
     # every partial of phi = sum_k c_k psi_k, particles last: K = grad phi,
     # k_jac is the Hessian of phi, and the sum_l K_l d^2 K_j / dx_i dx_l
@@ -180,8 +189,8 @@ def galerkin_gain(states: np.ndarray, stats: PosteriorStats,
              + 0.5 * sum(k[l] * phi[index[3][:, l]] for l in range(d)))
     k, k_jac, u, u_jac = (np.moveaxis(f, -1, 0).copy()
                           for f in (k, hess, u, u_jac))
-    return GainField(k=k, k_jac=k_jac, u=u, u_jac=u_jac, method="galerkin",
-                     coeffs=coeffs, exponents=monomials[1:])
+    return GainField(k=k, k_jac=k_jac, u=u, u_jac=u_jac, coeffs=coeffs,
+                     exponents=monomials[1:])
 
 
 # 'exact' is an alias of 'exact_gaussian'
@@ -202,13 +211,18 @@ def compute_gain(model: SdeModel, states: np.ndarray, stats: PosteriorStats,
         if states.ndim == 2:
             return galerkin_gain(states, stats, h_grad, degree=degree,
                                  ridge=ridge)
-        fields = [galerkin_gain(states[s], stats.of_seed(s), h_grad[s],
-                                degree=degree, ridge=ridge)
-                  for s in range(len(states))]
+        fields = []
+        for s in range(len(states)):
+            try:
+                fields.append(galerkin_gain(states[s], stats.of_seed(s),
+                                            h_grad[s], degree=degree,
+                                            ridge=ridge))
+            except SingularGainError as exc:
+                exc.index = s
+                raise
         return GainField(
             *(np.stack([getattr(f, name) for f in fields])
               for name in ("k", "k_jac", "u", "u_jac")),
-            method="galerkin",
             coeffs=np.stack([f.coeffs for f in fields]),
             exponents=fields[0].exponents)
     if model.obs_vector is None:

@@ -9,20 +9,21 @@ with observations delivered in sampled form y_n = h(X_{t_n}) + w_n,
 w_n ~ N(0, 1/dt), and increment dz_n = y_n * dt (so Var(dz) = dt and the
 continuum limit is recovered as dt -> 0).
 
-All model callables are vectorized over an ensemble: drift maps (N, d) ->
-(N, d) and the observation function maps (N, d) -> (N,).  The SdeModel
-methods drift_at, obs_at and obs_grad_at also take a batch of ensembles
-(S, N, d), one per filter seed, and call the model once on its S*N rows.
+An SdeModel holds the polynomials a and h.  Its methods drift_at, obs_at
+and obs_grad_at map an ensemble (N, d) to (N, d), (N,) and (N, d), and a
+batch of ensembles (S, N, d), one per filter seed, in one call on its S*N
+rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import rng
+from .fields import Polynomial, PolyScalarField, PolyVectorField
 
 
 class ModelValidationError(ValueError):
@@ -37,59 +38,75 @@ class FilterAbortError(RuntimeError):
 
 @dataclass
 class SdeModel:
-    """Diffusion state model with a scalar observation function.
+    """Diffusion state model given by its polynomials: `drift` holds one
+    Polynomial a_i(x) per state coordinate and `obs` the Polynomial h(x),
+    all in the same d variables; `diffusion` is the constant (d, d) matrix
+    sigma_b and `name` a registry label, informational only.
 
-    Attributes:
-        dim: state dimension d >= 1
-        drift: a(x), maps (N, d) -> (N, d)
-        diffusion: constant matrix sigma_b, shape (d, d)
-        obs: h(x), maps (N, d) -> (N,)
-        obs_grad: gradient of h, maps (N, d) -> (N, d); required (the
-            program builds every model with registry.polynomial_model)
-        drift_matrix: F for affine drift a(x) = F x, when the model is linear
-            (enables the closed-form reference filter); None otherwise
-        obs_vector: H for affine observation h(x) = H^T x + obs_offset, when
-            applicable (enables the closed-form gain); None otherwise
-        obs_offset: scalar offset of an affine observation function
-        name: registry label, informational only
+    Derived at construction, so that they agree with the polynomials: dim
+    d = len(drift) >= 1; drift_matrix, F of a linear drift a(x) = F x (for
+    the Kalman-Bucy reference), else None; obs_vector and obs_offset, H
+    and c of an affine h(x) = H^T x + c (for the closed-form gain), else
+    None and 0.0.
     """
 
-    dim: int
-    drift: Callable[[np.ndarray], np.ndarray]
+    drift: Sequence[Polynomial]
+    obs: Polynomial
     diffusion: np.ndarray
-    obs: Callable[[np.ndarray], np.ndarray]
-    obs_grad: Callable[[np.ndarray], np.ndarray]
-    drift_matrix: Optional[np.ndarray] = None
-    obs_vector: Optional[np.ndarray] = None
-    obs_offset: float = 0.0
-    name: str = ""
+    name: str
+
+    def __post_init__(self):
+        self.drift = tuple(self.drift)
+        self.dim = d = len(self.drift)
+        dims = [p.dim for p in (*self.drift, self.obs)]
+        if d < 1 or dims != [d] * (d + 1):
+            raise ModelValidationError(
+                f"a model needs d >= 1 drift polynomials and every polynomial "
+                f"in d variables; got d = {d} and dimensions {dims}")
+        rows = [_affine_parts(p) for p in self.drift]
+        self.drift_matrix = None
+        if all(r is not None and r[1] == 0.0 for r in rows):
+            self.drift_matrix = np.vstack([r[0] for r in rows])
+            self._drift_t = np.ascontiguousarray(self.drift_matrix.T)
+        self.obs_vector, self.obs_offset = \
+            _affine_parts(self.obs) or (None, 0.0)
+        self._drift_field = PolyVectorField(self.drift)
+        self._obs_field = PolyScalarField(self.obs)
 
     def drift_at(self, states: np.ndarray) -> np.ndarray:
         flat = _rows(states)
-        out = np.asarray(self.drift(flat), dtype=float)
-        if out.shape != flat.shape:
-            raise ModelValidationError(
-                f"drift returned shape {out.shape}, expected {flat.shape}")
+        if self.drift_matrix is not None:
+            out = np.dot(flat, self._drift_t)
+        else:
+            out = self._drift_field.value(flat)
         return out if flat is states else out.reshape(states.shape)
 
     def obs_at(self, states: np.ndarray) -> np.ndarray:
         flat = _rows(states)
-        out = np.asarray(self.obs(flat), dtype=float).reshape(-1)
-        if out.shape[0] != flat.shape[0]:
-            raise ModelValidationError(
-                f"obs returned {out.shape[0]} values for {flat.shape[0]} states")
+        if self.obs_vector is not None:
+            out = np.dot(flat, self.obs_vector) + self.obs_offset
+        else:
+            out = self._obs_field.value(flat)
         return out if flat is states else out.reshape(states.shape[:-1])
 
     def obs_grad_at(self, states: np.ndarray) -> np.ndarray:
-        """Gradient of h at each state, shape (..., N, d)."""
+        """Gradient of h at each state, shape (..., N, d): H repeated for
+        an affine h."""
         flat = _rows(states)
-        out = np.asarray(self.obs_grad(flat), dtype=float)
-        if out.ndim == 1:
-            out = out.reshape(-1, 1)
-        if out.shape != flat.shape:
-            raise ModelValidationError(
-                f"obs_grad returned shape {out.shape}, expected {flat.shape}")
+        if self.obs_vector is not None:
+            out = repeat_view(self.obs_vector[None, :], len(flat), 0)
+        else:
+            out = self._obs_field.grad(flat)
         return out if flat is states else out.reshape(states.shape)
+
+
+def _affine_parts(poly: Polynomial) -> Optional[Tuple[np.ndarray, float]]:
+    """(coefficient vector, offset) of an affine polynomial, else None."""
+    degree = poly.exponents.sum(axis=1)
+    if np.any(degree > 1):
+        return None
+    return (poly.coeffs[degree == 1] @ poly.exponents[degree == 1],
+            float(poly.coeffs[degree == 0].sum()))
 
 
 def repeat_view(a: np.ndarray, n: int, axis: int) -> np.ndarray:
@@ -210,12 +227,11 @@ class PosteriorStats:
 def validate_model(model: SdeModel) -> None:
     """Raise ModelValidationError unless the model is usable.
 
-    Checks shapes and finiteness of drift/obs/diffusion at a fixed probe set
-    (origin plus a few seeded points in [-1, 1]^d).
+    Checks the diffusion's shape and finiteness, and the finiteness of the
+    drift, h and its gradient at a fixed probe set (origin plus a few
+    seeded points in [-1, 1]^d): a huge coefficient can still overflow.
     """
     d = model.dim
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ModelValidationError(f"dim must be a positive integer, got {d!r}")
     sig = np.asarray(model.diffusion, dtype=float)
     if sig.shape != (d, d):
         raise ModelValidationError(
@@ -225,26 +241,10 @@ def validate_model(model: SdeModel) -> None:
 
     probes = np.vstack([np.zeros((1, d)),
                         rng.standard_normal(2024, np.arange(4), 0, d) * 0.5])
-    a = model.drift_at(probes)
-    if not np.all(np.isfinite(a)):
-        raise ModelValidationError("drift is non-finite at probe points")
-    h = model.obs_at(probes)
-    if not np.all(np.isfinite(h)):
-        raise ModelValidationError("obs is non-finite at probe points")
-    g = model.obs_grad_at(probes)
-    if not np.all(np.isfinite(g)):
-        raise ModelValidationError("obs gradient is non-finite at probe points")
-
-    if model.drift_matrix is not None:
-        F = np.asarray(model.drift_matrix, dtype=float)
-        if F.shape != (d, d):
-            raise ModelValidationError(
-                f"drift_matrix must have shape ({d}, {d}), got {F.shape}")
-    if model.obs_vector is not None:
-        H = np.asarray(model.obs_vector, dtype=float).reshape(-1)
-        if H.shape != (d,):
-            raise ModelValidationError(
-                f"obs_vector must have shape ({d},), got {H.shape}")
+    for what, at in (("drift", model.drift_at), ("obs", model.obs_at),
+                     ("obs gradient", model.obs_grad_at)):
+        if not np.all(np.isfinite(at(probes))):
+            raise ModelValidationError(f"{what} is non-finite at probe points")
 
 
 def covariance_sqrt(cov: np.ndarray) -> np.ndarray:

@@ -230,7 +230,7 @@ def test_criterion_9_admissibility_guard(linear_benchmark, capsys):
     k_jac = np.zeros((3, 1, 1))
     k_jac[1, 0, 0] = -1.0 / dz          # I + dz dK/dx = 0 for particle 1
     field = GainField(k=np.zeros((3, 1)), k_jac=k_jac, u=np.zeros((3, 1)),
-                      u_jac=np.zeros((3, 1, 1)), method="constant")
+                      u_jac=np.zeros((3, 1, 1)))
     flags, dets = check_admissible(field, dz=dz, dt=0.01)
     singular_ok = bool(flags[1]) and not flags[0] and not flags[2]
     benign_ok = linear_benchmark["flagged"] == 0

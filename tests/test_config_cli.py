@@ -424,12 +424,16 @@ class TestCliExitCodes:
          "`galerkin_degree` in [filter]"),
         ("filter", "n_particles = 50", "n_particles = 10000000000",
          "`n_particles` in [filter]"),
+        ("filter", "gain = exact_gaussian",
+         "gain = galerkin\ngalerkin_ridge = -1",
+         "`galerkin_ridge` in [filter]"),
     ], ids=["dt-nan", "t_end-inf", "degree-0", "eps-nan", "compare-seed-neg",
             "halfwidth-0", "percent", "dt-tiny", "cov-negative",
             "cov-asymmetric", "grid-tiny", "grid-huge", "grid-truncates",
             "prior-off-grid", "prior-half-off-grid", "seed-above-2^64",
             "compare-seed-2^64", "grid-points-huge", "compare-seed-repeated",
-            "dimension-21", "galerkin-table-huge", "particles-1e10"])
+            "dimension-21", "galerkin-table-huge", "particles-1e10",
+            "ridge-negative"])
     def test_bad_config_value_is_two(self, tmp_path, capsys, command, old,
                                      new, field):
         """Each value is a config error, reported before any file is
@@ -622,6 +626,65 @@ class TestCliExitCodes:
         assert len(lines) == 1, run.stderr
         assert lines[0].startswith(
             "fpf-lab: filter aborted: ensemble diverged")
+
+    def test_singular_galerkin_system_is_four(self, tmp_path, capsys):
+        """With a point-mass prior and no diffusion every particle sits at
+        0, where the Galerkin system without a ridge is singular: the run
+        stops with one line that names the time and the seed, and a batch
+        of seeds stops with the line of its first seed alone."""
+        text = (BASE_CONFIG.replace("name = linear1d",
+                                    "name = constant-signal")
+                .replace("gain = exact_gaussian",
+                         "gain = galerkin\ngalerkin_ridge = 0")
+                + "\n[prior]\ncov = 0\n")
+        cfg = _write(tmp_path, text)
+        main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert main(["filter", "--config", cfg,
+                     "--obs", str(tmp_path / "obs.csv"),
+                     "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["fpf-lab: filter aborted: the Galerkin system is "
+                       "singular at t=0.05 (seed 13)"]
+        assert not (tmp_path / "out" / "fpf_trace.csv").exists()
+
+        config = load_config(cfg)
+        obs = fpf_lab.read_observations_csv(str(tmp_path / "obs.csv"))
+        args = (config.model, obs, config.n_particles)
+        rest = (config.filter_cfg, config.prior_mean, config.prior_cov,
+                config.dt)
+        with pytest.raises(fpf_lab.FilterAbortError) as batch:
+            fpf_lab.run_filters(*args, [13, 29], *rest)
+        assert err[0] == f"fpf-lab: filter aborted: {batch.value}"
+
+    def test_dense_quadratic_drift_simulates_in_3_gib(self, tmp_path):
+        """A d = 20 drift of dense quadratics (4,600 terms over all
+        components) needs only the weights of its values to simulate,
+        not those of every partial up to order 3 (14 GiB)."""
+        pytest.importorskip("resource")
+        d = 20
+        quadratics = " + ".join(
+            f"0.0001*x{i}*x{j}" for i in range(1, d + 1)
+            for j in range(i, d + 1))
+        drift = "".join(
+            f"drift_{i} = -x{i} + " + " + ".join(
+                f"0.001*x{j}" for j in range(1, d + 1) if j != i)
+            + f" + {quadratics}\n" for i in range(1, d + 1))
+        cfg = _write(tmp_path, BASE_CONFIG.replace(
+            "name = linear1d", f"dimension = {d}\n{drift}obs = x1"))
+        src = os.path.dirname(os.path.dirname(fpf_lab.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import resource, sys; resource.setrlimit("
+                f"resource.RLIMIT_AS, ({3 << 30}, {3 << 30})); "
+                "from fpf_lab.cli import main; sys.exit(main(sys.argv[1:]))")
+        run = subprocess.run(
+            [sys.executable, "-c", code, "simulate", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "out" / "truth.csv").exists()
 
     @pytest.mark.parametrize("drift, obs, what", [
         ("x1^3", "x1", "truth path"),

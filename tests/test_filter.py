@@ -27,7 +27,6 @@ from fpf_lab import (
     write_trace_csv,
 )
 from fpf_lab.fields import Polynomial
-from fpf_lab.registry import polynomial_model
 from fpf_lab.sde import ObservationSet
 
 
@@ -43,9 +42,8 @@ class TestFpfStep:
         """When h is constant, h - h_hat = 0 for every particle, so the
         constant gain, and with it the whole feedback term, vanishes
         exactly: the step equals bare Euler-Maruyama propagation."""
-        model = SdeModel(dim=1, drift=lambda s: -s, diffusion=np.eye(1),
-                         obs=lambda s: np.full(len(s), 2.0),
-                         obs_grad=lambda s: np.zeros_like(s))
+        model = SdeModel([Polynomial(1, {(1,): -1.0})],
+                         Polynomial(1, {(0,): 2.0}), np.eye(1), "constant-h")
         ens_a = sample_initial_ensemble(1, 32, [0.0], [[1.0]], seed=11)
         ens_b = sample_initial_ensemble(1, 32, [0.0], [[1.0]], seed=11)
         fpf_step(model, ens_a, dz=0.3, dt=0.01,
@@ -98,8 +96,7 @@ class TestFpfStep:
         monkeypatch.setattr(filter_module, "compute_gain",
                             lambda *args, **kwargs: GainField(
                                 k=np.ones((8, 1)), k_jac=k_jac,
-                                u=np.zeros((8, 1)), u_jac=np.zeros((8, 1, 1)),
-                                method="galerkin"))
+                                u=np.zeros((8, 1)), u_jac=np.zeros((8, 1, 1))))
         cfg = FilterConfig(abort_on_inadmissible=True)
         with pytest.raises(FilterAbortError, match="1 particle"):
             fpf_step(model, ens, dz=0.1, dt=0.01, config=cfg)
@@ -179,7 +176,7 @@ class TestRunFilter:
 # every registry model and the affine inline model of the golden corpus
 _BATCH_MODELS = {name: make_model(name) for name in
                  ("linear1d", "linear2d", "cubic-sensor", "constant-signal")}
-_BATCH_MODELS["inline-affine"] = polynomial_model(
+_BATCH_MODELS["inline-affine"] = SdeModel(
     [Polynomial(1, {(1,): -0.5})], Polynomial(1, {(1,): 2.0, (0,): 0.3}),
     0.8 * np.eye(1), "inline")
 _BATCH_OBS = {name: _observations(model, dt=0.05, t_end=0.4)
@@ -190,7 +187,7 @@ def _alone_or_error(run, *args):
     """run(*args), or the (type, message) of the error it raises."""
     try:
         return run(*args)
-    except (FilterAbortError, np.linalg.LinAlgError) as exc:
+    except FilterAbortError as exc:
         return type(exc), str(exc)
 
 

@@ -302,8 +302,7 @@ class TestAdmissibility:
     def test_identity_map_not_flagged(self):
         n, d = 5, 2
         field = GainField(k=np.zeros((n, d)), k_jac=np.zeros((n, d, d)),
-                          u=np.zeros((n, d)), u_jac=np.zeros((n, d, d)),
-                          method="constant")
+                          u=np.zeros((n, d)), u_jac=np.zeros((n, d, d)))
         flags, dets = check_admissible(field, dz=0.3, dt=0.01)
         assert not flags.any()
         np.testing.assert_allclose(dets, 1.0, atol=1e-15)
@@ -315,8 +314,7 @@ class TestAdmissibility:
         k_jac = np.zeros((3, 1, 1))
         k_jac[1, 0, 0] = -1.0 / dz
         field = GainField(k=np.zeros((3, 1)), k_jac=k_jac,
-                          u=np.zeros((3, 1)), u_jac=np.zeros((3, 1, 1)),
-                          method="constant")
+                          u=np.zeros((3, 1)), u_jac=np.zeros((3, 1, 1)))
         flags, dets = check_admissible(field, dz=dz, dt=0.01)
         np.testing.assert_array_equal(flags, [False, True, False])
         assert dets[1] == pytest.approx(0.0, abs=1e-12)
@@ -325,8 +323,7 @@ class TestAdmissibility:
         """Negative determinants (folded maps) are inadmissible too."""
         k_jac = np.full((1, 1, 1), -3.0)
         field = GainField(k=np.zeros((1, 1)), k_jac=k_jac,
-                          u=np.zeros((1, 1)), u_jac=np.zeros((1, 1, 1)),
-                          method="constant")
+                          u=np.zeros((1, 1)), u_jac=np.zeros((1, 1, 1)))
         flags, dets = check_admissible(field, dz=1.0, dt=0.0)
         assert flags[0]
         assert dets[0] == pytest.approx(-2.0)
@@ -339,8 +336,7 @@ class TestAdmissibility:
         k_jac[1, 0, 0] = np.nan
         k_jac[2, 0, 0] = np.inf
         field = GainField(k=np.zeros((3, 1)), k_jac=k_jac,
-                          u=np.zeros((3, 1)), u_jac=np.zeros((3, 1, 1)),
-                          method="galerkin")
+                          u=np.zeros((3, 1)), u_jac=np.zeros((3, 1, 1)))
         flags, dets = check_admissible(field, dz=0.3, dt=0.01)
         np.testing.assert_array_equal(flags, [False, True, True])
         assert dets[0] == 1.0
@@ -356,8 +352,7 @@ class TestClosedFormDeterminant:
         field = GainField(k=np.zeros((n, d)),
                           k_jac=gen.normal(scale=1.5, size=(n, d, d)),
                           u=np.zeros((n, d)),
-                          u_jac=gen.normal(size=(n, d, d)),
-                          method="galerkin")
+                          u_jac=gen.normal(size=(n, d, d)))
         dz, dt = 0.7, 0.05
         a = np.eye(d) + (field.k_jac * dz + field.u_jac * dt)
         ref = np.linalg.det(a)

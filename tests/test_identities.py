@@ -228,6 +228,23 @@ class TestOneJetPerField:
             for g, view in zip(got, (p.value, p.grad, p.hess, p.third)):
                 np.testing.assert_array_equal(view(x), g)
 
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_value_builds_no_partial_tables(self, n):
+        """value weighs the monomials of the partial tables with the
+        values' weights alone: it leaves the tables of orders 1-3 unbuilt
+        and equals the order-0 product of the full tables bit for bit."""
+        rng = np.random.default_rng(n)
+        for dim in (1, 2, 3):
+            field = PolyVectorField.random(dim, 3, rng)
+            x = rng.uniform(-2.0, 2.0, size=(n, dim))
+            value = field.value(x)
+            scalar = PolyScalarField(field.components[0])
+            h = scalar.value(x)
+            assert "_tables" not in vars(field)
+            assert "_tables" not in vars(field.components[0]._field)
+            np.testing.assert_array_equal(value, field.partials(x, 0)[0])
+            np.testing.assert_array_equal(h, scalar.partials(x, 0)[0])
+
     def test_expansion_checks_evaluate_each_field_once(self, monkeypatch):
         """dt order: p, h, K, u; dz order: p, h, K; identity 1: log p, K."""
         calls = []

@@ -277,24 +277,19 @@ class TestValidateModel:
             validate_model(model)
 
     def test_nonfinite_drift(self):
-        model = SdeModel(dim=1, drift=lambda x: np.full_like(x, np.nan),
-                         diffusion=np.eye(1), obs=lambda x: x[:, 0],
-                         obs_grad=np.ones_like)
+        model = SdeModel([Polynomial(1, {(1,): np.nan})],
+                         Polynomial(1, {(1,): 1.0}), np.eye(1), "nan")
         with pytest.raises(ModelValidationError, match="drift"):
             validate_model(model)
 
-    def test_wrong_obs_vector_shape(self):
-        model = make_model("linear1d")
-        model.obs_vector = np.array([1.0, 0.0])
-        with pytest.raises(ModelValidationError, match="obs_vector"):
-            validate_model(model)
-
     def test_drift_shape_mismatch_caught(self):
-        model = SdeModel(dim=2, drift=lambda x: x[:, :1],
-                         diffusion=np.eye(2), obs=lambda x: x[:, 0],
-                         obs_grad=lambda x: x * [1.0, 0.0])
-        with pytest.raises(ModelValidationError, match="shape"):
-            validate_model(model)
+        """Every polynomial must be in d = len(drift) >= 1 variables; a
+        model that mixes dimensions, in the drift or in h, or has no drift
+        is refused when it is built."""
+        x1, y1 = Polynomial(2, {(1, 0): -1.0}), Polynomial(1, {(1,): 1.0})
+        for drift, obs in (([x1, y1], x1), ([x1, x1], y1), ([], y1)):
+            with pytest.raises(ModelValidationError, match="dimensions"):
+                SdeModel(drift, obs, np.eye(max(1, len(drift))), "mixed")
 
 
 def _model_and_polynomials(name, tmp_path):
@@ -318,7 +313,7 @@ def _model_and_polynomials(name, tmp_path):
 class TestPolynomialModel:
     @pytest.mark.parametrize("name", sorted(_REGISTRY) + ["inline-affine"])
     def test_evaluators_match_polynomials_and_metadata(self, name, tmp_path):
-        """Whichever evaluator the builder picked, drift, h and grad h
+        """Whichever evaluator the model picked, drift, h and grad h
         equal the polynomial fields they came from, and the affine
         metadata, where present, reproduces them."""
         model, drift, obs = _model_and_polynomials(name, tmp_path)

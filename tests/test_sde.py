@@ -15,6 +15,7 @@ from fpf_lab import (
     write_observations_csv,
     write_truth_csv,
 )
+from fpf_lab.fields import Polynomial
 
 
 class TestEulerMaruyama:
@@ -22,9 +23,8 @@ class TestEulerMaruyama:
         """With a = 0 and sigma = I the state is a random walk: after k
         steps the ensemble mean stays within 5 standard errors of 0 and
         the variance approaches k * dt."""
-        model = SdeModel(dim=1, drift=lambda s: np.zeros_like(s),
-                         diffusion=np.eye(1), obs=lambda s: s[:, 0],
-                         obs_grad=np.ones_like)
+        model = SdeModel([Polynomial(1, {})], Polynomial(1, {(1,): 1.0}),
+                         np.eye(1), "walk")
         n, k, dt = 10000, 25, 0.01
         ens = sample_initial_ensemble(1, n, [0.0], [[0.0]], seed=5)
         for _ in range(k):
@@ -34,9 +34,8 @@ class TestEulerMaruyama:
 
     def test_deterministic_linear_decay(self):
         """sigma = 0 reduces the step to explicit Euler for dx/dt = -x."""
-        model = SdeModel(dim=1, drift=lambda s: -s,
-                         diffusion=np.zeros((1, 1)), obs=lambda s: s[:, 0],
-                         obs_grad=np.ones_like)
+        model = SdeModel([Polynomial(1, {(1,): -1.0})],
+                         Polynomial(1, {(1,): 1.0}), np.zeros((1, 1)), "decay")
         ens = sample_initial_ensemble(1, 4, [1.0], [[0.0]], seed=0)
         dt = 0.001
         for _ in range(1000):
@@ -48,9 +47,8 @@ class TestEulerMaruyama:
         """dB enters as sigma_b dB: a rank-one sigma confines the noise to
         its column space."""
         sigma = np.array([[1.0, 0.0], [2.0, 0.0]])
-        model = SdeModel(dim=2, drift=lambda s: np.zeros_like(s),
-                         diffusion=sigma, obs=lambda s: s[:, 0],
-                         obs_grad=lambda s: s * [1.0, 0.0])
+        model = SdeModel([Polynomial(2, {}), Polynomial(2, {})],
+                         Polynomial(2, {(1, 0): 1.0}), sigma, "rank-one")
         ens = sample_initial_ensemble(2, 500, [0.0, 0.0], np.zeros((2, 2)),
                                       seed=2)
         euler_maruyama_step(model, ens, 0.01)
