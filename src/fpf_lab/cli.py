@@ -7,8 +7,9 @@
                                                  [verify] suite = ... in
                                                  a --config file)
 
-Exit codes: 0 success, 1 verification failures, 2 configuration error,
-3 model/precondition error, 4 runtime filter abort.
+Exit codes: 0 success, 1 verification failures, 2 configuration error
+(an output directory that cannot be made is one), 3 model/precondition
+error, 4 runtime filter abort.
 
 Every command is a deterministic function of its configuration file: all
 randomness flows from the explicit seeds.
@@ -40,7 +41,11 @@ from .verify import SUITE_NAMES, CheckRow, run_suite, write_suite_csv
 
 def _out_dir(args, cfg: Optional[ExperimentConfig]) -> str:
     out = args.out or (cfg.out_dir if cfg is not None else ".")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc}") \
+            from None
     return out
 
 
@@ -128,12 +133,6 @@ def _grid_prior(cfg: ExperimentConfig) -> GridDensity:
     return prior.normalize()
 
 
-# compare runs its filter seeds in batches of at most this many particles
-# (one seed per batch when a seed alone has more), so its peak memory is
-# the larger of one such batch and one seed's run
-BATCH_PARTICLES = 1 << 15
-
-
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     validate_model(cfg.model)
@@ -142,20 +141,9 @@ def cmd_compare(args) -> int:
     out = _out_dir(args, cfg)
     obs = _load_observations(args.obs)
 
-    # every seed's trace, but only the first seed's final states: a batch
-    # holds on to its cached noise block, so none is kept
-    seeds = cfg.compare_seeds
-    group = max(1, BATCH_PARTICLES // cfg.n_particles)
-    fpf_traces, fpf_states = [], None
-    for first in range(0, len(seeds), group):
-        traces, final = run_filters(model, obs, cfg.n_particles,
-                                    seeds[first:first + group],
-                                    cfg.filter_cfg, cfg.prior_mean,
-                                    cfg.prior_cov, dt)
-        fpf_traces += traces
-        if fpf_states is None:
-            fpf_states = final.states[0]
-        del final
+    fpf_traces, fpf_final = run_filters(model, obs, cfg.n_particles,
+                                        cfg.compare_seeds, cfg.filter_cfg,
+                                        cfg.prior_mean, cfg.prior_cov, dt)
     fpf_trace = fpf_traces[0]
 
     # (means, variances) per filter, in compare.csv column order
@@ -187,7 +175,7 @@ def cmd_compare(args) -> int:
             header += [f"{name}_{stat}_{i + 1}"
                        for i in range(values.shape[1])]
             columns.append(values)
-    write_table(compare_path, header, np.column_stack(columns).tolist())
+    write_table(compare_path, header, np.column_stack(columns))
 
     lines: List[str] = [
         f"model={cfg.model.name}",
@@ -215,7 +203,8 @@ def cmd_compare(args) -> int:
     if "kb" in paths:
         lines.append(f"kb_final_var_11={FMT % paths['kb'][1][-1, 0]}")
     if grid_density is not None:
-        fpf_density = kde_density(fpf_states[:, 0], grid_density.x)
+        fpf_density = kde_density(fpf_final.states[0, :, 0],
+                                  grid_density.x)
         for gen in ("kl", "hellinger", "tv"):
             val = f_divergence_grid(fpf_density, grid_density,
                                     get_generator(gen))
@@ -251,8 +240,8 @@ def _resolve_suite(args) -> str:
 
 def cmd_verify(args) -> int:
     suite = _resolve_suite(args)
-    rows: List[CheckRow] = run_suite(suite)
     out = _out_dir(args, None)
+    rows: List[CheckRow] = run_suite(suite)
     csv_path = os.path.join(out, f"verify_{suite}.csv")
     write_suite_csv(csv_path, rows)
 

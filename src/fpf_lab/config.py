@@ -257,8 +257,9 @@ MAX_STEPS = 10_000_000
 # the grid oracle and the KDE hold a few arrays of this length per step; at
 # 10^8 points they take gigabytes and the process is killed
 MAX_GRID_POINTS = 10 ** 6
-# an inline model's derivative tables hold C(d + 3, 3) rows per term; a
-# diagonal quadratic drift takes 100 MB at d = 20 and 2 GB at d = 40
+# the weights of an inline model's partials of order <= r hold
+# C(d + r, r) C(d + 3, 3) numbers per cubic term: the gradient of a dense
+# cubic h (1,541 terms) takes 460 MB at d = 20, and 46 GB at d = 40
 MAX_DIM = 20
 # the Galerkin weight table has C(d + 3, 3) K (K + 1) entries for the
 # K = C(d + D, D) - 1 basis monomials; 2^27 float64 entries are 1 GiB

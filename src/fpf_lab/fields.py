@@ -12,7 +12,7 @@ repeated multiplication, and `partial_table` holds the falling-factorial
 weights that give every partial of order <= 3 as one matrix product.
 Each field's `partials(points, order)` returns the value and the partials
 of orders 1..order from one power table; `value`, `grad`, `jac`, ... are
-views of one order.
+views of one order, and no order's weights are built before it is asked.
 
 Derivative tensor conventions (N = number of eval points, d = dim):
     scalar field:  grad (N, d), hess (N, d, d), third (N, d, d, d)
@@ -176,6 +176,7 @@ class PolyVectorField:
     def __init__(self, components: Sequence[Polynomial]):
         self.components = list(components)
         self.dim = len(self.components)
+        self._weight_tables = (None, [])       # what _weights built last
 
     @classmethod
     def random(cls, dim: int, degree: int, rng: np.random.Generator,
@@ -184,8 +185,12 @@ class PolyVectorField:
                     for _ in range(dim)])
 
     def _weights(self, order: int):
-        """(monomials, tables): tables[r] (Q, d**r * J), r <= order, holds
-        the weights of the order-r partials, columns ordered (i, l, m, j)."""
+        """(monomials, tables): tables[r] (Q, d**r * J) holds the weights of
+        the order-r partials, columns ordered (i, l, m, j), for r up to the
+        highest order asked so far: those of every order up to 3 take
+        gigabytes for thousands of terms in 20 variables."""
+        if len(self._weight_tables[1]) > order:
+            return self._weight_tables
         owner = np.repeat(np.arange(self.dim),
                           [len(c.coeffs) for c in self.components])
         coeffs = (owner == np.arange(self.dim)[:, None]) \
@@ -194,25 +199,17 @@ class PolyVectorField:
         monomials, weights, index = partial_table(
             exponents.shape[1], tuple(map(tuple, exponents.tolist())), order)
         phi = coeffs @ weights                          # (M, J, Q)
-        return monomials, [phi[index[r].ravel()].transpose(2, 0, 1).reshape(
-            len(monomials), index[r].size * self.dim)
+        self._weight_tables = monomials, [
+            phi[index[r].ravel()].transpose(2, 0, 1).reshape(
+                len(monomials), index[r].size * self.dim)
             for r in range(order + 1)]
-
-    @cached_property
-    def _values(self):
-        # the weights of the values alone: those of every partial take
-        # gigabytes for thousands of terms in 20 variables
-        return self._weights(0)
-
-    @cached_property
-    def _tables(self):
-        return self._weights(3)
+        return self._weight_tables
 
     def _jet(self, points, orders: Sequence[int]) -> list:
         """The partials of each order r in `orders`, shape
         (N,) + (d,) * r + (J,), from one power table."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        monomials, tables = self._tables if max(orders) else self._values
+        monomials, tables = self._weights(max(orders))
         values = monomial_values(points, monomials).T
         return [(values @ tables[r]).reshape(
                     (len(points),) + (points.shape[1],) * r + (self.dim,))
@@ -243,7 +240,7 @@ class PolyVectorField:
     def jac_one(self, x: Sequence) -> list:
         """Row-major nested list J[i][j] = dF_j/dx_i at one point, from the
         weights of the first partials."""
-        monomials, tables = self._tables
+        monomials, tables = self._weights(1)
         exponents = list(map(tuple, monomials.tolist()))
         jac = [Polynomial(monomials.shape[1], dict(zip(exponents, col)))
                .eval_one(x)

@@ -9,10 +9,10 @@ with the gain recomputed from the propagated ensemble and applied as an
 explicit (frozen) field. No resampling is ever performed; particles keep
 their identity and noise stream for the whole run.
 
-run_filters runs S filter seeds as one batch of ensembles (S, N, d): each
-layer of the step takes the leading seed axis, and each seed's trace and
-final states are bit-identical to its run alone.  run_filter is the same
-loop for one seed, without the seed axis.
+run_filters runs S filter seeds in batches of ensembles (S, N, d) of at
+most BATCH_PARTICLES particles: each layer of the step takes the leading
+seed axis, and each seed's trace and final states are bit-identical to its
+run alone.  run_filter is the same loop for one seed, without the axis.
 """
 
 from __future__ import annotations
@@ -104,28 +104,42 @@ def _first_seed(ensemble: ParticleEnsemble, bad: np.ndarray):
     return s, int(np.asarray(ensemble.seed)[s])
 
 
+# run_filters runs its seeds in batches of at most this many particles (one
+# seed per batch when a seed alone has more), so its peak memory is the
+# larger of one such batch and one seed's run, plus the final states
+BATCH_PARTICLES = 1 << 15
+
+
 def run_filters(model: SdeModel, obs: ObservationSet, n_particles: int,
                 seeds: Sequence[int], config: FilterConfig, init_mean,
                 init_cov, dt: Optional[float] = None
                 ) -> Tuple[List[FilterTrace], ParticleEnsemble]:
     """Run the filter for each of S seeds over an observation record
-    spaced dt apart, as one batch of ensembles with a leading seed axis.
+    spaced dt apart, in batches of ensembles with a leading seed axis, of
+    at most BATCH_PARTICLES particles each.
 
     Returns one trace per seed, each bit-identical to run_filter with that
-    seed, and the final batch: states (S, N, d), seed the (S,) uint64
-    words of the seeds. The batch holds S*N particles at once, so a caller
-    bounds the memory of a long seed list by running it in groups.
+    seed, and a fresh ensemble of every seed's final states: states (S, N,
+    d), seed the (S,) uint64 words of the seeds.
     """
     seeds = rng.seed_words(list(seeds))
     if len(seeds) == 0:
         raise ValueError("run_filters needs at least one seed")
-    trace, ens = _run(model, obs, n_particles, seeds, config, init_mean,
-                      init_cov, dt)
-    return [FilterTrace(times=trace.times, dz=trace.dz,
-                        means=trace.means[:, s], covs=trace.covs[:, s],
-                        h_hat=trace.h_hat[:, s],
-                        n_flagged=trace.n_flagged[:, s])
-            for s in range(len(seeds))], ens
+    group = max(1, BATCH_PARTICLES // max(1, n_particles))
+    traces, states = [], []
+    for first in range(0, len(seeds), group):
+        trace, ens = _run(model, obs, n_particles, seeds[first:first + group],
+                          config, init_mean, init_cov, dt)
+        traces += [FilterTrace(times=trace.times, dz=trace.dz,
+                               means=trace.means[:, s], covs=trace.covs[:, s],
+                               h_hat=trace.h_hat[:, s],
+                               n_flagged=trace.n_flagged[:, s])
+                   for s in range(len(ens.seed))]
+        states.append(ens.states)
+        time, streams, draw_step = ens.time, ens.streams, ens.draw_step
+        del ens    # with its noise block, before the next batch runs
+    return traces, ParticleEnsemble(np.concatenate(states), time, seeds,
+                                    streams, draw_step)
 
 
 def run_filter(model: SdeModel, obs: ObservationSet, n_particles: int,
@@ -193,14 +207,17 @@ def _run(model, obs, n_particles, seed, config, init_mean, init_cov, dt):
 
 def write_trace_csv(path: str, trace: FilterTrace) -> None:
     d = trace.dim
+    # from d = 10 on, cov_1_11 and cov_11_1 where cov_111 would name both
+    sep = "_" if d >= 10 else ""
     header = (["t", "dz"]
               + [f"mean_{i + 1}" for i in range(d)]
-              + [f"cov_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
+              + [f"cov_{i + 1}{sep}{j + 1}" for i in range(d)
+                 for j in range(d)]
               + ["h_hat", "n_flagged"])
-    table = np.column_stack([trace.times, trace.dz, trace.means,
-                             trace.covs.reshape(len(trace.times), -1),
-                             trace.h_hat, trace.n_flagged])
-    write_table(path, header, table.tolist())
+    write_table(path, header, np.column_stack([
+        trace.times, trace.dz, trace.means,
+        trace.covs.reshape(len(trace.times), -1), trace.h_hat,
+        trace.n_flagged]))
 
 
 def read_trace_csv(path: str) -> FilterTrace:

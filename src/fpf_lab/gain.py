@@ -62,14 +62,18 @@ class GainField:
     exponents: Optional[np.ndarray] = None       # (n_basis, d) monomial powers
 
     def k_at(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the gain field at arbitrary points, shape (M, d)."""
+        """Evaluate the gain field at arbitrary points (M, d): shape (M, d),
+        or (S, M, d) for a batch, each seed's gain at every point."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.coeffs is None:
-            return np.broadcast_to(self.k[0], points.shape).copy()
+            return np.broadcast_to(self.k[..., :1, :],
+                                   self.k.shape[:-2] + points.shape).copy()
         d = points.shape[1]
         monomials, weights, _ = _basis_table(d, int(self.exponents.max()))
         values = monomial_values(points, monomials)
-        return ((self.coeffs @ weights[1:1 + d]) @ values).T.copy()
+        # ([S,] d, Q) weights of each seed's gain, then ([S,] d, M) values
+        k = (self.coeffs[..., None, None, :] @ weights[1:1 + d])[..., 0, :]
+        return (k @ values).swapaxes(-1, -2).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def _require_finite(what: str, times: np.ndarray, values: np.ndarray):
 def write_truth_csv(path: str, truth: TruthPath) -> None:
     d = truth.states.shape[1]
     write_table(path, ["t"] + [f"x_{i + 1}" for i in range(d)],
-                np.column_stack([truth.times, truth.states]).tolist())
+                np.column_stack([truth.times, truth.states]))
 
 
 def read_truth_csv(path: str) -> TruthPath:
@@ -112,7 +112,7 @@ def read_truth_csv(path: str) -> TruthPath:
 
 def write_observations_csv(path: str, obs: ObservationSet) -> None:
     write_table(path, ["t", "y", "dz"],
-                np.column_stack([obs.times, obs.y, obs.dz]).tolist())
+                np.column_stack([obs.times, obs.y, obs.dz]))
 
 
 def read_observations_csv(path: str) -> ObservationSet:

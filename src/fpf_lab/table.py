@@ -6,6 +6,7 @@ module (rows end in CRLF) with numbers formatted as FMT:
     truth.csv           t,x_1,...,x_d            one row per time 0, dt, ..., T
     obs.csv             t,y,dz                   one row per time dt, ..., T
     fpf_trace.csv       t,dz,mean_1..mean_d,cov_11..cov_dd,h_hat,n_flagged
+                        (cov_1_1..cov_d_d for d >= 10, read by position)
                                                  one row per time 0, dt, ..., T
     compare.csv         t, then for each filter in the order fpf, kb, bpf,
                         grid: <filter>_mean_1..<filter>_mean_d,
@@ -37,8 +38,10 @@ FMT = "%.12g"
 
 def write_table(path: str, header: Sequence[str],
                 rows: Iterable[Sequence]) -> None:
-    """Write a header row and data rows; str cells are written as they are,
-    numbers with FMT."""
+    """Write a header row and data rows, from a 2-D array a row at a time;
+    str cells are written as they are, numbers with FMT."""
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -374,6 +374,35 @@ class TestCliExitCodes:
         assert main(["simulate", "--config", bad,
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command, out, where", [
+        ("simulate", "notadir", "--out"),
+        ("verify", "notadir/sub", "--out"),
+        ("filter", "notadir", "[output]"),
+    ])
+    def test_output_path_through_a_file_is_two(self, tmp_path, capsys,
+                                               command, out, where):
+        """An output directory that a regular file stands in the way of is
+        a config error that names the path, not a traceback with exit 1."""
+        main(["simulate", "--config", _write(tmp_path, BASE_CONFIG),
+              "--out", str(tmp_path / "run")])
+        (tmp_path / "notadir").write_text("a file\n")
+        capsys.readouterr()
+        path = str(tmp_path / out)
+        if where == "--out":
+            cfg, out_args = _write(tmp_path, BASE_CONFIG), ["--out", path]
+        else:
+            cfg, out_args = _write(
+                tmp_path, f"{BASE_CONFIG}\n[output]\ndir = {path}\n"), []
+        argv = {"simulate": ["simulate", "--config", cfg],
+                "verify": ["verify", "taylor"],
+                "filter": ["filter", "--config", cfg, "--obs",
+                           str(tmp_path / "run" / "obs.csv")]}[command]
+        assert main(argv + out_args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"fpf-lab: config error: cannot make output directory {path}: ")
+
     @pytest.mark.parametrize("command, old, new, field", [
         ("simulate", "dt = 0.05", "dt = nan", "`dt` in [time]"),
         ("simulate", "t_end = 0.5", "t_end = inf", "`t_end` in [time]"),
@@ -657,21 +686,36 @@ class TestCliExitCodes:
             fpf_lab.run_filters(*args, [13, 29], *rest)
         assert err[0] == f"fpf-lab: filter aborted: {batch.value}"
 
-    def test_dense_quadratic_drift_simulates_in_3_gib(self, tmp_path):
-        """A d = 20 drift of dense quadratics (4,600 terms over all
-        components) needs only the weights of its values to simulate,
-        not those of every partial up to order 3 (14 GiB)."""
+    @pytest.mark.parametrize("case", ["quadratic-drift", "cubic-h"])
+    def test_dense_model_runs_in_3_gib(self, tmp_path, case):
+        """d = 20 inline models of dense polynomials simulate and filter
+        with the weights of the partial orders they use, not those of
+        every partial up to order 3: a drift of dense quadratics (4,600
+        terms over all components) needs the values' weights alone (all
+        orders take 14 GiB), a dense cubic h (1,541 terms) those of the
+        values and the gradient (all orders take 36 GiB)."""
         pytest.importorskip("resource")
         d = 20
-        quadratics = " + ".join(
-            f"0.0001*x{i}*x{j}" for i in range(1, d + 1)
-            for j in range(i, d + 1))
-        drift = "".join(
-            f"drift_{i} = -x{i} + " + " + ".join(
-                f"0.001*x{j}" for j in range(1, d + 1) if j != i)
-            + f" + {quadratics}\n" for i in range(1, d + 1))
-        cfg = _write(tmp_path, BASE_CONFIG.replace(
-            "name = linear1d", f"dimension = {d}\n{drift}obs = x1"))
+        if case == "quadratic-drift":
+            quadratics = " + ".join(
+                f"0.0001*x{i}*x{j}" for i in range(1, d + 1)
+                for j in range(i, d + 1))
+            model = "".join(
+                f"drift_{i} = -x{i} + " + " + ".join(
+                    f"0.001*x{j}" for j in range(1, d + 1) if j != i)
+                + f" + {quadratics}\n" for i in range(1, d + 1)) + "obs = x1"
+            text = BASE_CONFIG
+        else:
+            cubics = " + ".join(
+                f"0.0001*x{i}*x{j}*x{k}" for i in range(1, d + 1)
+                for j in range(i, d + 1) for k in range(j, d + 1))
+            model = "".join(f"drift_{i} = -x{i}\n" for i in range(1, d + 1)) \
+                + f"obs = x1 + {cubics}"
+            text = (BASE_CONFIG.replace("t_end = 0.5", "t_end = 0.25")
+                    .replace("n_particles = 50", "n_particles = 10")
+                    .replace("gain = exact_gaussian", "gain = constant"))
+        cfg = _write(tmp_path, text.replace("name = linear1d",
+                                            f"dimension = {d}\n{model}"))
         src = os.path.dirname(os.path.dirname(fpf_lab.__file__))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(
@@ -679,12 +723,16 @@ class TestCliExitCodes:
         code = ("import resource, sys; resource.setrlimit("
                 f"resource.RLIMIT_AS, ({3 << 30}, {3 << 30})); "
                 "from fpf_lab.cli import main; sys.exit(main(sys.argv[1:]))")
-        run = subprocess.run(
-            [sys.executable, "-c", code, "simulate", "--config", cfg,
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert run.returncode == 0, run.stderr
+        out = str(tmp_path / "out")
+        for argv in (["simulate", "--config", cfg, "--out", out],
+                     ["filter", "--config", cfg, "--obs",
+                      os.path.join(out, "obs.csv"), "--out", out]):
+            run = subprocess.run([sys.executable, "-c", code, *argv],
+                                 capture_output=True, text=True, env=env,
+                                 timeout=300)
+            assert run.returncode == 0, run.stderr
         assert (tmp_path / "out" / "truth.csv").exists()
+        assert (tmp_path / "out" / "fpf_trace.csv").exists()
 
     @pytest.mark.parametrize("drift, obs, what", [
         ("x1^3", "x1", "truth path"),

@@ -240,6 +240,30 @@ class TestRunFilters:
                            match=r"^50 particle\(s\) .* \(seed 8\)$"):
             run_filters(model, obs, 50, [8, 9], cfg, np.zeros(1), np.eye(1))
 
+    def test_batches_across_a_group_boundary(self):
+        """3 seeds of 12,000 particles run as batches of 2 and 1 seeds
+        (BATCH_PARTICLES = 2^15): every seed's trace and final states are
+        those of the seed alone, bit for bit, in one fresh ensemble."""
+        model = make_model("linear2d")
+        obs = _observations(model, t_end=0.03)
+        seeds = [4, 5, 6]
+        assert filter_module.BATCH_PARTICLES // 12000 == 2
+        rest = (FilterConfig(gain_method="exact_gaussian"), np.zeros(2),
+                np.eye(2))
+        traces, final = run_filters(model, obs, 12000, seeds, *rest)
+        assert final.states.shape == (3, 12000, 2)
+        np.testing.assert_array_equal(final.seed, seeds)
+        assert final._block is None
+        for seed, trace, states in zip(seeds, traces, final.states):
+            trace_1, final_1 = run_filter(model, obs, 12000, seed, *rest)
+            for a, b in ((trace.means, trace_1.means),
+                         (trace.covs, trace_1.covs),
+                         (trace.h_hat, trace_1.h_hat),
+                         (trace.n_flagged, trace_1.n_flagged),
+                         (states, final_1.states)):
+                assert a.tobytes() == b.tobytes()
+            assert final.draw_step == final_1.draw_step
+
     def test_rejects_an_empty_seed_list(self):
         model = make_model("linear1d")
         with pytest.raises(ValueError, match="at least one seed"):
@@ -341,3 +365,31 @@ class TestTraceCsv:
         write_trace_csv(str(path), trace)
         header = path.read_text().splitlines()[0]
         assert header == "t,dz,mean_1,cov_11,h_hat,n_flagged"
+
+    def test_headers_stay_distinct_from_d_10(self, tmp_path):
+        """At d = 11, cov_111 would name both (1, 11) and (11, 1): the
+        indices are separated, every header is distinct, and the trace
+        reads back by position."""
+        d = 11
+        eye = np.eye(d, dtype=int)
+        model = SdeModel([Polynomial(d, {tuple(e): -1.0}) for e in eye],
+                         Polynomial(d, {tuple(eye[0]): 1.0}),
+                         0.5 * np.eye(d), "inline")
+        obs = _observations(model, t_end=0.05)
+        trace, _ = run_filter(model, obs, 40, 3,
+                              FilterConfig(gain_method="exact_gaussian"),
+                              np.zeros(d), np.eye(d))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), trace)
+        header = path.read_text().splitlines()[0].split(",")
+        assert len(header) == len(set(header)) == 2 + d + d * d + 2
+        assert header[2 + d:5 + d] == ["cov_1_1", "cov_1_2", "cov_1_3"]
+        assert {"cov_1_11", "cov_11_1", "cov_11_11"} <= set(header)
+        back = read_trace_csv(str(path))
+        assert back.dim == d
+        np.testing.assert_allclose(back.means, trace.means, rtol=1e-11,
+                                   atol=1e-15)
+        np.testing.assert_allclose(back.covs, trace.covs, rtol=1e-11,
+                                   atol=1e-15)
+        np.testing.assert_allclose(back.h_hat, trace.h_hat, rtol=1e-11)
+        np.testing.assert_array_equal(back.n_flagged, trace.n_flagged)

@@ -92,6 +92,29 @@ class TestExactGain:
             compute_gain(model, ens.states, stats, "spectral")
 
 
+class TestKAtOnBatch:
+    @pytest.mark.parametrize("method", ["exact_gaussian", "constant",
+                                        "galerkin"])
+    def test_each_seed_evaluates_its_own_gain(self, method):
+        """k_at of a batch field is (S, M, d), and slice s is k_at of the
+        field of seed s's ensemble alone, bit for bit."""
+        model = make_model("linear1d")
+        seeds = np.array([3, 8], dtype=np.uint64)
+        points = np.zeros((3, 1))
+        batch = sample_initial_ensemble(1, 50, [0.0], [[1.0]], seeds)
+        k = compute_gain(model, batch.states,
+                         ensemble_stats(batch, model.obs_at),
+                         method).k_at(points)
+        assert k.shape == (2, 3, 1)
+        for s, seed in enumerate(seeds):
+            ens = sample_initial_ensemble(1, 50, [0.0], [[1.0]], seed)
+            k_1 = compute_gain(model, ens.states,
+                               ensemble_stats(ens, model.obs_at),
+                               method).k_at(points)
+            assert k_1.shape == (3, 1)
+            assert k[s].tobytes() == k_1.tobytes()
+
+
 class TestGalerkinGain:
     def test_degree_one_equals_constant_gain(self):
         """In the degree-1 monomial basis the weak form reduces exactly to

@@ -230,20 +230,25 @@ class TestOneJetPerField:
 
     @pytest.mark.parametrize("n", [1, 2, 40])
     def test_value_builds_no_partial_tables(self, n):
-        """value weighs the monomials of the partial tables with the
-        values' weights alone: it leaves the tables of orders 1-3 unbuilt
-        and equals the order-0 product of the full tables bit for bit."""
+        """A field builds the weights of the orders asked so far: value
+        those of order 0 alone, grad and jac those of orders <= 1, and
+        each equals the same order of partials(x, 3) bit for bit."""
         rng = np.random.default_rng(n)
         for dim in (1, 2, 3):
             field = PolyVectorField.random(dim, 3, rng)
-            x = rng.uniform(-2.0, 2.0, size=(n, dim))
-            value = field.value(x)
             scalar = PolyScalarField(field.components[0])
-            h = scalar.value(x)
-            assert "_tables" not in vars(field)
-            assert "_tables" not in vars(field.components[0]._field)
-            np.testing.assert_array_equal(value, field.partials(x, 0)[0])
-            np.testing.assert_array_equal(h, scalar.partials(x, 0)[0])
+            x = rng.uniform(-2.0, 2.0, size=(n, dim))
+            value, h = field.value(x), scalar.value(x)
+            for built in (field, field.components[0]._field):
+                assert len(built._weight_tables[1]) == 1
+            jac, grad = field.jac(x), scalar.grad(x)
+            for built in (field, field.components[0]._field):
+                assert len(built._weight_tables[1]) == 2
+            for got, full in ((value, field.partials(x, 3)[0]),
+                              (jac, field.partials(x, 3)[1]),
+                              (h, scalar.partials(x, 3)[0]),
+                              (grad, scalar.partials(x, 3)[1])):
+                assert got.tobytes() == full.tobytes()
 
     def test_expansion_checks_evaluate_each_field_once(self, monkeypatch):
         """dt order: p, h, K, u; dz order: p, h, K; identity 1: log p, K."""

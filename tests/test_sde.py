@@ -16,6 +16,7 @@ from fpf_lab import (
     write_truth_csv,
 )
 from fpf_lab.fields import Polynomial
+from fpf_lab.table import write_table
 
 
 class TestEulerMaruyama:
@@ -144,3 +145,15 @@ class TestCsvRoundTrip:
         write_observations_csv(str(op), obs)
         assert tp.read_text().splitlines()[0] == "t,x_1"
         assert op.read_text().splitlines()[0] == "t,y,dz"
+
+    def test_array_rows_write_the_bytes_of_lists(self, tmp_path):
+        """write_table formats a 2-D array one row at a time, to the bytes
+        of the same table passed as nested lists of Python floats."""
+        rng = np.random.default_rng(4)
+        table = np.column_stack([
+            np.arange(50.0), rng.standard_normal(50) * 10.0 ** rng.integers(
+                -20, 20, 50), np.full(50, -0.0), rng.integers(0, 9, 50)])
+        from_array, from_lists = tmp_path / "a.csv", tmp_path / "l.csv"
+        write_table(str(from_array), ["a", "b", "c", "d"], table)
+        write_table(str(from_lists), ["a", "b", "c", "d"], table.tolist())
+        assert from_array.read_bytes() == from_lists.read_bytes()
