@@ -257,9 +257,11 @@ MAX_STEPS = 10_000_000
 # the grid oracle and the KDE hold a few arrays of this length per step; at
 # 10^8 points they take gigabytes and the process is killed
 MAX_GRID_POINTS = 10 ** 6
-# the weights of an inline model's partials of order <= r hold
-# C(d + r, r) C(d + 3, 3) numbers per cubic term: the gradient of a dense
-# cubic h (1,541 terms) takes 460 MB at d = 20, and 46 GB at d = 40
+# an inline model's tables, and each evaluation's C(d + 3, 3) x N monomial
+# values, grow with the monomials a dense cubic reaches: `filter` on a
+# dense cubic h (N = 10, 5 steps) peaks at 40 MiB in 0.13 s at d = 20, and
+# at 84 MiB in 1.4 s at d = 40 with this cap raised; at d = 20 and
+# N = 20,000, two steps peak at 612 MiB and take 18 s (measured on 2 cores)
 MAX_DIM = 20
 # the Galerkin weight table has C(d + 3, 3) K (K + 1) entries for the
 # K = C(d + D, D) - 1 basis monomials; 2^27 float64 entries are 1 GiB
@@ -313,11 +315,40 @@ def _build_inline_model(cp: configparser.ConfigParser) -> SdeModel:
                            default=np.eye(dim)), "inline")
 
 
+# the keys load_config reads outside [model], plus [verify] suite, which
+# `fpf-lab verify --config` reads from the same file
+_KEYS = {
+    "time": {"dt", "t_end"},
+    "filter": {"n_particles", "gain", "galerkin_degree", "galerkin_ridge",
+               "admissibility_eps", "abort_on_inadmissible"},
+    "seeds": {"truth", "observation", "filter"},
+    "prior": {"mean", "cov"},
+    "compare": {"seeds", "grid_halfwidth", "grid_points"},
+    "output": {"dir"},
+    "verify": {"suite"},
+}
+
+
+def _reject_unknown(cp: configparser.ConfigParser, model_keys: set) -> None:
+    """A ConfigError naming the first key, or empty section, that no run
+    reads: a misspelt key would otherwise leave its default in force."""
+    known = dict(_KEYS, model=model_keys)
+    for section in cp.sections():
+        for key in cp.options(section):
+            if key not in known.get(section, ()):
+                what = "field" if section in known else "section"
+                raise ConfigError(
+                    f"field `{key}` in [{section}]: unknown {what}")
+        if section not in known:
+            raise ConfigError(f"unknown section [{section}]")
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse and resolve an experiment configuration file.
 
     Raises ConfigError for anything wrong with the file itself (missing
-    fields, unknown names, unparsable or out-of-range values).
+    fields, unknown names, sections or keys, unparsable or out-of-range
+    values).
     """
     cp = read_ini(path)
     for section in ("model", "time", "filter", "seeds"):
@@ -333,8 +364,12 @@ def load_config(path: str) -> ExperimentConfig:
             model = make_model(cp.get("model", "name"))
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from None
+        model_keys = {"name", "x0"}
     else:
         model = _build_inline_model(cp)
+        model_keys = {"dimension", "obs", "sigma", "x0",
+                      *(f"drift_{i}" for i in range(1, model.dim + 1))}
+    _reject_unknown(cp, model_keys)
 
     dim = model.dim
     prior_mean = _field(cp, "prior", "mean", lambda raw: _as_vector(raw, dim),

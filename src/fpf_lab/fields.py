@@ -8,13 +8,15 @@ seeded coefficients keep all derivatives bounded on the probe box.
 
 One monomial kernel, shared with the Galerkin gain basis in gain.py, serves
 every field: `monomial_values` gathers monomials from a power table built by
-repeated multiplication, and `partial_table` holds the falling-factorial
-weights that give every partial of order <= 3 as one matrix product.
+repeated multiplication, and `partial_table` maps every partial of order
+<= 3 of a monomial to the one weighted monomial it is.
 Each field's `partials(points, order)` returns the value and the partials
-of orders 1..order from one power table; `value`, `grad`, `jac`, ... are
-views of one order, and no order's weights are built before it is asked.
+of orders 1..order from one power table, as one matrix product per order;
+`value`, `grad` and `jac` are views of one order, and no order's weights
+are built before it is asked.
 
-Derivative tensor conventions (N = number of eval points, d = dim):
+Derivative tensor conventions of partials[r] (N = number of eval points,
+d = dim):
     scalar field:  grad (N, d), hess (N, d, d), third (N, d, d, d)
     vector field:  jac[n, i, j] = dF_j/dx_i, second[n, i, l, j],
                    third[n, i, l, m, j]
@@ -61,40 +63,43 @@ def _differentiate(alpha: Tuple[int, ...], axes: Tuple[int, ...]):
 def partial_table(dim: int, exponents: Tuple[Tuple[int, ...], ...],
                   order: int = 3):
     """Partials of order <= `order` of the monomials x^exponents[t]:
-    (monomials, weights, index), cached per (dim, exponents, order).
+    (monomials, (m, t, q, w), index), cached per (dim, exponents, order).
 
     monomials (Q, dim) are the exponents that partials of order <= 3 reach
-    (at every order), by total degree, then lexicographically. d^axes_m
-    x^exponents[t] = weights[m, t] . x^monomials, whose one nonzero weight
-    is the falling factorial a (a - 1) ... of the differentiated exponents,
-    and none where an exponent drops below 0. index[r][i, l, ...] is the m
-    of the ordered axes (i, l, ...) of order r. The tables are read-only.
+    (at every order), by total degree, then lexicographically. A partial
+    of a monomial is one weighted monomial: entry e of the map says that
+    the partial of combo m[e] of x^exponents[t[e]] is w[e] x^monomials[q[e]],
+    w the falling factorial a (a - 1) ... of the differentiated exponents;
+    a partial that drops an exponent below 0 has no entry. The combos are
+    the sorted axes of every order <= `order`, and index[r][i, l, ...] is
+    the m of the ordered axes (i, l, ...) of order r. The tables are
+    read-only.
     """
-    reached = set()
-    for alpha in set(exponents):
+    combos = {axes: m for m, axes in enumerate(
+        axes for r in range(order + 1)
+        for axes in combinations_with_replacement(range(dim), r))}
+    reached, entries = set(), []
+    for t, alpha in enumerate(exponents):
         support = [j for j, a in enumerate(alpha) if a]
         for r in range(4):
             for axes in combinations_with_replacement(support, r):
                 exps, coef = _differentiate(alpha, axes)
                 if coef:
                     reached.add(exps)
+                    if r <= order:
+                        entries.append((combos[axes], t, exps, coef))
     monomials = sorted(reached, key=lambda a: (sum(a), a))
     position = {a: q for q, a in enumerate(monomials)}
-    combos = [axes for r in range(order + 1)
-              for axes in combinations_with_replacement(range(dim), r)]
-    weights = np.zeros((len(combos), len(exponents), len(monomials)))
-    for m, axes in enumerate(combos):
-        for t, alpha in enumerate(exponents):
-            exps, coef = _differentiate(alpha, axes)
-            if coef:
-                weights[m, t, position[exps]] = coef
+    derivs = np.array([(m, t, position[exps], coef)
+                       for m, t, exps, coef in entries],
+                      dtype=int).reshape(-1, 4).T
     monomials = np.array(monomials, dtype=int).reshape(-1, dim)
-    index = [np.array([combos.index(tuple(sorted(axes)))
+    index = [np.array([combos[tuple(sorted(axes))]
                        for axes in product(range(dim), repeat=r)]
                       ).reshape((dim,) * r) for r in range(order + 1)]
-    for table in (monomials, weights, *index):
+    for table in (monomials, derivs, *index):
         table.flags.writeable = False
-    return monomials, weights, index
+    return monomials, tuple(derivs), index
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +124,6 @@ class Polynomial:
     @cached_property
     def _field(self) -> "PolyVectorField":
         return PolyVectorField([self])
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self._field.value(points)[..., 0]
 
     def eval_one(self, x: Sequence):
         """Evaluate at one point with plain Python arithmetic.
@@ -163,12 +165,6 @@ class PolyScalarField:
     def grad(self, points) -> np.ndarray:
         return self._jet(points, (1,))[0]
 
-    def hess(self, points) -> np.ndarray:
-        return self._jet(points, (2,))[0]
-
-    def third(self, points) -> np.ndarray:
-        return self._jet(points, (3,))[0]
-
 
 class PolyVectorField:
     """Vector field with polynomial components and exact derivatives."""
@@ -187,18 +183,22 @@ class PolyVectorField:
     def _weights(self, order: int):
         """(monomials, tables): tables[r] (Q, d**r * J) holds the weights of
         the order-r partials, columns ordered (i, l, m, j), for r up to the
-        highest order asked so far: those of every order up to 3 take
-        gigabytes for thousands of terms in 20 variables."""
+        highest order asked so far. Each entry of partial_table's map puts
+        its term's coefficient times w at (partial, component, monomial) of
+        one (combos, J, Q) array, from which every order's columns are
+        gathered."""
         if len(self._weight_tables[1]) > order:
             return self._weight_tables
         owner = np.repeat(np.arange(self.dim),
                           [len(c.coeffs) for c in self.components])
-        coeffs = (owner == np.arange(self.dim)[:, None]) \
-            * np.concatenate([c.coeffs for c in self.components])
+        coeffs = np.concatenate([c.coeffs for c in self.components])
         exponents = np.vstack([c.exponents for c in self.components])
-        monomials, weights, index = partial_table(
-            exponents.shape[1], tuple(map(tuple, exponents.tolist())), order)
-        phi = coeffs @ weights                          # (M, J, Q)
+        d = exponents.shape[1]
+        monomials, (m, t, q, w), index = partial_table(
+            d, tuple(map(tuple, exponents.tolist())), order)
+        phi = np.zeros((math.comb(d + order, order), self.dim,
+                        len(monomials)))
+        phi[m, owner[t], q] = coeffs[t] * w
         self._weight_tables = monomials, [
             phi[index[r].ravel()].transpose(2, 0, 1).reshape(
                 len(monomials), index[r].size * self.dim)
@@ -225,14 +225,6 @@ class PolyVectorField:
     def jac(self, points) -> np.ndarray:
         """jac[n, i, j] = dF_j/dx_i, i.e. each jac[n] is (grad F^T)."""
         return self._jet(points, (1,))[0]
-
-    def second(self, points) -> np.ndarray:
-        """second[n, i, l, j] = d2 F_j / dx_i dx_l."""
-        return self._jet(points, (2,))[0]
-
-    def third(self, points) -> np.ndarray:
-        """third[n, i, l, m, j] = d3 F_j / dx_i dx_l dx_m."""
-        return self._jet(points, (3,))[0]
 
     def value_one(self, x: Sequence) -> list:
         return [c.eval_one(x) for c in self.components]
@@ -313,16 +305,6 @@ class ExpPolyDensity:
     # log-density gradient (a polynomial evaluation)
     def grad_log(self, points) -> np.ndarray:
         return self.q.grad(points)
-
-    # density derivatives: views of partials
-    def grad(self, points) -> np.ndarray:
-        return self.partials(points, 1)[1]
-
-    def hess(self, points) -> np.ndarray:
-        return self.partials(points, 2)[2]
-
-    def third(self, points) -> np.ndarray:
-        return self.partials(points, 3)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ Methods:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -99,11 +100,18 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _basis_table(dim: int, degree: int):
-    """partial_table of the basis psi_k = x^exps[k], exps =
-    monomial_exponents(dim, degree): its monomials are the constant, then
-    exps."""
-    return partial_table(dim, tuple(map(tuple, monomial_exponents(
-        dim, degree).tolist())))
+    """(monomials, weights, index) of the basis psi_k = x^exps[k], exps =
+    monomial_exponents(dim, degree), with partial_table's monomials and
+    index: d^axes_m psi_k = weights[m, k] . x^monomials, the dense
+    (C(dim + 3, 3), K, Q) table that every Galerkin product reads, filled
+    from partial_table's map. The monomials are the constant, then exps."""
+    exps = monomial_exponents(dim, degree)
+    monomials, (m, k, q, w), index = partial_table(
+        dim, tuple(map(tuple, exps.tolist())))
+    weights = np.zeros((math.comb(dim + 3, 3), len(exps), len(monomials)))
+    weights[m, k, q] = w
+    weights.flags.writeable = False
+    return monomials, weights, index
 
 
 def _particle_constant(a: np.ndarray, axis: int) -> bool:

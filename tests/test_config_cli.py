@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import fpf_lab
 from fpf_lab.cli import main
 from fpf_lab.config import ConfigError, load_config, parse_polynomial
+from fpf_lab.fields import PolyScalarField
 from fpf_lab.filter import read_trace_csv
 from fpf_lab.verify import run_suite
 
@@ -101,7 +102,8 @@ class TestParsePolynomial:
         poly = parse_polynomial(text, dim=1)
         for x in (-1.3, 0.0, 0.4, 2.0):
             direct = sum(c * x ** k for k, c in enumerate(coeffs))
-            assert float(poly(np.array([[x]]))[0]) == pytest.approx(
+            value = PolyScalarField(poly).value(np.array([[x]]))[0]
+            assert float(value) == pytest.approx(
                 direct, rel=1e-12, abs=1e-12)
 
 
@@ -224,6 +226,14 @@ dir = results
         text = BASE_CONFIG.replace("[time]\ndt = 0.05\nt_end = 0.5\n\n", "")
         with pytest.raises(ConfigError, match=r"missing section \[time\]"):
             load_config(_write(tmp_path, text))
+
+    def test_empty_unknown_section_rejected(self, tmp_path):
+        """A section no run reads is an error even when it holds no key;
+        [verify] is read by `verify --config` from the same file."""
+        with pytest.raises(ConfigError, match=r"unknown section \[compar\]"):
+            load_config(_write(tmp_path, BASE_CONFIG + "\n[compar]\n"))
+        load_config(_write(tmp_path, BASE_CONFIG
+                           + "\n[verify]\nsuite = poincare\n"))
 
     def test_missing_field_names_section(self, tmp_path):
         text = BASE_CONFIG.replace("dt = 0.05\n", "")
@@ -456,13 +466,27 @@ class TestCliExitCodes:
         ("filter", "gain = exact_gaussian",
          "gain = galerkin\ngalerkin_ridge = -1",
          "`galerkin_ridge` in [filter]"),
+        ("simulate", "[seeds]", "[prior]\ncovariance = 4\n\n[seeds]",
+         "`covariance` in [prior]"),
+        ("filter", "gain = exact_gaussian",
+         "gain = galerkin\ngalerkin_degre = 5",
+         "`galerkin_degre` in [filter]"),
+        ("compare", "[seeds]", "[compar]\nseeds = 13 14\n\n[seeds]",
+         "`seeds` in [compar]"),
+        ("simulate", "name = linear1d",
+         "dimension = 1\ndrift_1 = -x1\ndrift_2 = -x1\nobs = x1",
+         "`drift_2` in [model]"),
+        ("simulate", "name = linear1d", "name = linear1d\nobs = x1^2",
+         "`obs` in [model]"),
     ], ids=["dt-nan", "t_end-inf", "degree-0", "eps-nan", "compare-seed-neg",
             "halfwidth-0", "percent", "dt-tiny", "cov-negative",
             "cov-asymmetric", "grid-tiny", "grid-huge", "grid-truncates",
             "prior-off-grid", "prior-half-off-grid", "seed-above-2^64",
             "compare-seed-2^64", "grid-points-huge", "compare-seed-repeated",
             "dimension-21", "galerkin-table-huge", "particles-1e10",
-            "ridge-negative"])
+            "ridge-negative", "unknown-key", "misspelt-key",
+            "unknown-section", "drift-beyond-dimension",
+            "inline-key-with-name"])
     def test_bad_config_value_is_two(self, tmp_path, capsys, command, old,
                                      new, field):
         """Each value is a config error, reported before any file is

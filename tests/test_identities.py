@@ -5,7 +5,7 @@ so every inner derivative is analytic and finite differences appear only
 in the outermost layer of a check.
 """
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import mpmath
 import numpy as np
@@ -68,8 +68,10 @@ class TestFieldPrimitives:
         rng = np.random.default_rng(42)
         poly = Polynomial.random(3, 3, rng)
         x = np.array([0.3, -0.4, 0.2])
-        analytic = PolyScalarField(poly).grad(x[None, :])[0]
-        numeric = fd_grad(lambda pt: float(poly(pt[None, :])[0]), x, 1e-6)
+        field = PolyScalarField(poly)
+        analytic = field.grad(x[None, :])[0]
+        numeric = fd_grad(lambda pt: float(field.value(pt[None, :])[0]), x,
+                          1e-6)
         np.testing.assert_allclose(numeric, analytic, atol=1e-8)
 
     def test_vector_jacobian_convention(self):
@@ -86,13 +88,13 @@ class TestFieldPrimitives:
         x = np.array([[0.4, 0.6]])
         expected = np.linalg.solve(cov, mean - x[0])
         np.testing.assert_allclose(p.grad_log(x)[0], expected, atol=1e-12)
-        np.testing.assert_allclose(p.grad(x)[0], p.value(x)[0] * expected,
-                                   atol=1e-12)
+        np.testing.assert_allclose(p.partials(x, 1)[1][0],
+                                   p.value(x)[0] * expected, atol=1e-12)
 
     def test_third_derivative_tensor_is_symmetric(self):
         rng = np.random.default_rng(9)
         f = PolyScalarField(Polynomial.random(2, 4, rng))
-        t = f.third(np.array([[0.3, 0.7]]))[0]
+        t = f.partials(np.array([[0.3, 0.7]]), 3)[3][0]
         np.testing.assert_array_equal(t, np.transpose(t, (1, 0, 2)))
         np.testing.assert_array_equal(t, np.transpose(t, (0, 2, 1)))
 
@@ -172,20 +174,15 @@ class TestPolynomialKernelAgainstOracle:
         dim = points.shape[1]
         polys = [Polynomial(dim, t) for t in terms]
         scalar = PolyScalarField(polys[0])
-        _assert_partials_match(scalar.value(points)[:, None], terms[:1],
-                               points, 0)
-        for order, method in enumerate((scalar.grad, scalar.hess,
-                                        scalar.third), start=1):
-            _assert_partials_match(method(points)[..., None], terms[:1],
-                                   points, order)
         field = PolyVectorField(polys)
-        for order, method in enumerate((field.value, field.jac, field.second,
-                                        field.third)):
-            _assert_partials_match(method(points), terms, points, order)
-        for f, views in ((scalar, (scalar.value, scalar.grad, scalar.hess,
-                                   scalar.third)),
-                         (field, (field.value, field.jac, field.second,
-                                  field.third))):
+        for order in range(4):
+            _assert_partials_match(
+                scalar.partials(points, order)[order][..., None], terms[:1],
+                points, order)
+            _assert_partials_match(field.partials(points, order)[order],
+                                   terms, points, order)
+        for f, views in ((scalar, (scalar.value, scalar.grad)),
+                         (field, (field.value, field.jac))):
             jet = f.partials(points, 3)
             assert len(jet) == 4
             for got, view in zip(jet, views):
@@ -200,6 +197,78 @@ class TestPolynomialKernelAgainstOracle:
         _assert_partials_match(np.array([[value]]), terms[:1], points[-1:], 0)
 
 
+def _dense_partial_table(dim, exponents, order):
+    """The dense builder partial_table's map replaced: (monomials, weights,
+    index) with weights[m, t] . x^monomials the partial of combo m of
+    x^exponents[t], a (combos, T, Q) array with at most one nonzero per
+    (combo, term) row, filled in a second pass with list.index scans."""
+    reached = set()
+    for alpha in set(exponents):
+        support = [j for j, a in enumerate(alpha) if a]
+        for r in range(4):
+            for axes in combinations_with_replacement(support, r):
+                exps, coef = fields._differentiate(alpha, axes)
+                if coef:
+                    reached.add(exps)
+    monomials = sorted(reached, key=lambda a: (sum(a), a))
+    position = {a: q for q, a in enumerate(monomials)}
+    combos = [axes for r in range(order + 1)
+              for axes in combinations_with_replacement(range(dim), r)]
+    weights = np.zeros((len(combos), len(exponents), len(monomials)))
+    for m, axes in enumerate(combos):
+        for t, alpha in enumerate(exponents):
+            exps, coef = fields._differentiate(alpha, axes)
+            if coef:
+                weights[m, t, position[exps]] = coef
+    monomials = np.array(monomials, dtype=int).reshape(-1, dim)
+    index = [np.array([combos.index(tuple(sorted(axes)))
+                       for axes in product(range(dim), repeat=r)]
+                      ).reshape((dim,) * r) for r in range(order + 1)]
+    return monomials, weights, index
+
+
+@st.composite
+def _exponent_sets(draw):
+    """(dim, exponents) of 1-3 components, each a set of up to 6 terms;
+    the few exponents per axis make components share terms often."""
+    dim = draw(st.integers(1, 4))
+    component = st.lists(st.tuples(*[st.integers(0, 3)] * dim),
+                         unique=True, max_size=6)
+    return dim, tuple(alpha for c in draw(st.lists(component, min_size=1,
+                                                   max_size=3))
+                      for alpha in c)
+
+
+class TestPartialMapAgainstDenseTable:
+    """partial_table's map against the dense (combos, T, Q) table that the
+    map replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_exponent_sets(), st.integers(0, 3))
+    @example((2, ()), 3)
+    @example((3, ()), 0)
+    @example((2, ((1, 2), (0, 0), (1, 2), (3, 0), (0, 0))), 3)
+    @example((4, ((1, 1, 1, 0), (0, 0, 0, 3), (1, 1, 1, 0))), 2)
+    def test_map_scatters_to_the_dense_weights(self, case, order):
+        dim, exponents = case
+        monomials, (m, t, q, w), index = fields.partial_table(
+            dim, exponents, order)
+        dense_monomials, dense_weights, dense_index = _dense_partial_table(
+            dim, exponents, order)
+        assert monomials.shape == dense_monomials.shape
+        assert monomials.tobytes() == dense_monomials.tobytes()
+        assert len(index) == len(dense_index) == order + 1
+        for got, want in zip(index, dense_index):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        # one weighted monomial per (partial, term), and nothing else
+        assert len(set(zip(m.tolist(), t.tolist()))) == len(m)
+        assert np.all(w > 0)
+        weights = np.zeros(dense_weights.shape)
+        weights[m, t, q] = w
+        assert weights.tobytes() == dense_weights.tobytes()
+
+
 class TestOneJetPerField:
     """Each probe field's partials come from one power table."""
 
@@ -212,7 +281,7 @@ class TestOneJetPerField:
                   ExpPolyDensity(Polynomial.random(dim, 3, rng, scale=0.3))):
             x = rng.uniform(-1.0, 1.0, size=(7, dim))
             pv = np.exp(p.q.value(x))
-            gq, hq, tq = p.q.grad(x), p.q.hess(x), p.q.third(x)
+            gq, hq, tq = (p.q.partials(x, r)[r] for r in (1, 2, 3))
             sym = (np.einsum("nij,nk->nijk", hq, gq)
                    + np.einsum("nik,nj->nijk", hq, gq)
                    + np.einsum("njk,ni->nijk", hq, gq))
@@ -225,8 +294,7 @@ class TestOneJetPerField:
             assert len(got) == 4
             for g, e in zip(got, expected):
                 np.testing.assert_array_equal(g, e)
-            for g, view in zip(got, (p.value, p.grad, p.hess, p.third)):
-                np.testing.assert_array_equal(view(x), g)
+            np.testing.assert_array_equal(p.value(x), got[0])
 
     @pytest.mark.parametrize("n", [1, 2, 40])
     def test_value_builds_no_partial_tables(self, n):
@@ -249,6 +317,24 @@ class TestOneJetPerField:
                               (h, scalar.partials(x, 3)[0]),
                               (grad, scalar.partials(x, 3)[1])):
                 assert got.tobytes() == full.tobytes()
+
+    def test_gradient_caches_a_sparse_map(self):
+        """The gradient of a d = 20 dense cubic h (1,541 terms) leaves a
+        cached partial_table entry of well under 1 MB; the dense weights
+        it replaced, (21, 1541, 1771) numbers, took 458 MB."""
+        d = 20
+        terms = {(1,) + (0,) * (d - 1): 1.0}
+        for axes in combinations_with_replacement(range(d), 3):
+            terms[tuple(axes.count(j) for j in range(d))] = 1e-4
+        h = PolyScalarField(Polynomial(d, terms))
+        x = np.random.default_rng(20).uniform(-1.0, 1.0, size=(4, d))
+        assert h.grad(x).shape == (4, d)
+        hits = fields.partial_table.cache_info().hits
+        monomials, derivs, index = fields.partial_table(
+            d, tuple(map(tuple, h.poly.exponents.tolist())), 1)
+        assert fields.partial_table.cache_info().hits == hits + 1
+        assert len(h.poly.coeffs) == 1541 and len(monomials) == 1771
+        assert sum(a.nbytes for a in (monomials, *derivs, *index)) < 1e6
 
     def test_expansion_checks_evaluate_each_field_once(self, monkeypatch):
         """dt order: p, h, K, u; dz order: p, h, K; identity 1: log p, K."""
