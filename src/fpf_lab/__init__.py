@@ -51,6 +51,7 @@ from .filter import (
 )
 from .reference import (
     KalmanState,
+    KushnerGrid,
     WeightCollapseError,
     bayes_update_on_grid,
     bootstrap_pf_step,
@@ -78,6 +79,7 @@ __all__ = [
     "GridDensity",
     "GridNegativityError",
     "KalmanState",
+    "KushnerGrid",
     "ModelValidationError",
     "ObservationSet",
     "ParticleEnsemble",

@@ -30,8 +30,11 @@ from .filter import (FilterAbortError, run_filter, run_filters,
                      write_trace_csv)
 from .grid import GridDensity, GridNegativityError
 from .model import ModelValidationError, sample_initial_ensemble, validate_model
-from .reference import (KalmanState, WeightCollapseError, bootstrap_pf_step,
-                        kalman_bucy_step, kushner_grid_step, weighted_stats)
+# compare steps a KushnerGrid; kushner_grid_step stays importable from cli
+# because perfbench/tracing.py wraps it there
+from .reference import (KalmanState, KushnerGrid, WeightCollapseError,
+                        bootstrap_pf_step, kalman_bucy_step,
+                        kushner_grid_step, weighted_stats)
 from .sde import (read_observations_csv, simulate_truth,
                   synthesize_observations, write_observations_csv,
                   write_truth_csv)
@@ -133,6 +136,11 @@ def _grid_prior(cfg: ExperimentConfig) -> GridDensity:
     return prior.normalize()
 
 
+def _grid_moments(density: GridDensity):
+    mean, var = density.moments()
+    return [mean], [[var]]
+
+
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     validate_model(cfg.model)
@@ -161,12 +169,11 @@ def cmd_compare(args) -> int:
         lambda state, dz: bootstrap_pf_step(model, *state, dz, dt)[:2],
         lambda state: weighted_stats(state[0].states, state[1]), obs.dz)
     if grid_density is not None:
-        # kushner_grid_step updates the density in place, so grid_density
-        # is the final posterior afterwards
+        # the step updates the density in place, so grid_density is the
+        # final posterior afterwards
         paths["grid"] = _moment_path(
-            grid_density,
-            lambda density, dz: kushner_grid_step(density, model, dz, dt),
-            lambda density: ([density.mean()], [[density.var()]]), obs.dz)
+            grid_density, KushnerGrid(grid_density.x, model, dt).step,
+            _grid_moments, obs.dz)
 
     compare_path = os.path.join(out, "compare.csv")
     header, columns = ["t"], [fpf_trace.times]

@@ -8,8 +8,9 @@ seeded coefficients keep all derivatives bounded on the probe box.
 
 One monomial kernel, shared with the Galerkin gain basis in gain.py, serves
 every field: `monomial_values` gathers monomials from a power table built by
-repeated multiplication, and `partial_table` maps every partial of order
-<= 3 of a monomial to the one weighted monomial it is.
+repeated multiplication, each from the power rows of its nonzero exponents
+alone, and `partial_table` maps every partial of order <= 3 of a monomial
+to the one weighted monomial it is.
 Each field's `partials(points, order)` returns the value and the partials
 of orders 1..order from one power table, as one matrix product per order;
 `value`, `grad` and `jac` are views of one order, and no order's weights
@@ -36,17 +37,39 @@ import numpy as np
 # monomial kernel
 # ---------------------------------------------------------------------------
 
-def monomial_values(points: np.ndarray, monomials: np.ndarray) -> np.ndarray:
-    """x_n^monomials[q] at every point, shape (Q, N), from the power table
-    powers[j, e, n] = x_nj**e built by repeated multiplication (no pow)."""
-    d = points.shape[1]
-    powers = np.ones((d, monomials.max(initial=0) + 1, len(points)))
-    for e in range(1, powers.shape[1]):
-        np.multiply(powers[:, e - 1], points.T, out=powers[:, e])
-    values = powers[0][monomials[:, 0]]
-    for j in range(1, d):
-        values *= powers[j][monomials[:, j]]
+def monomial_values(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """x_n^alpha_q at every point, shape (Q, N), for the monomials alpha_q
+    whose rows = monomial_rows(monomials), from the power table
+    powers[e * d + j, n] = x_nj**e built by repeated multiplication (no
+    pow). Each monomial multiplies the power rows of its nonzero exponents
+    alone, in coordinate order and padded with row 0 (x_0^0 = 1): a cubic
+    costs at most 3 gathers in any dimension, and as 1.0 * v = v its value
+    is the all-coordinate product's, bit for bit."""
+    n, d = points.shape
+    powers = np.ones((rows.max(initial=0) // d + 1, d, n))
+    for e in range(1, len(powers)):
+        np.multiply(powers[e - 1], points.T, out=powers[e])
+    powers = powers.reshape(-1, n)
+    values = powers[rows[0]]
+    for r in rows[1:]:
+        values *= powers[r]
     return values
+
+
+def monomial_rows(monomials: np.ndarray) -> np.ndarray:
+    """The (width, Q) power-table rows that monomial_values multiplies for
+    monomials (Q, d): rows[k, q] = e * d + j for the k-th nonzero exponent
+    e of monomial q, at coordinate j, in coordinate order, and 0 past its
+    last; width is the most nonzero exponents of any monomial, at least
+    1."""
+    d = monomials.shape[1]
+    nonzero = monomials != 0
+    q, j = np.nonzero(nonzero)
+    rank = np.cumsum(nonzero, axis=1)[q, j] - 1
+    rows = np.zeros((max(1, int(rank.max(initial=0)) + 1), len(monomials)),
+                    dtype=int)
+    rows[rank, q] = monomials[q, j] * d + j
+    return rows
 
 
 def _differentiate(alpha: Tuple[int, ...], axes: Tuple[int, ...]):
@@ -63,10 +86,12 @@ def _differentiate(alpha: Tuple[int, ...], axes: Tuple[int, ...]):
 def partial_table(dim: int, exponents: Tuple[Tuple[int, ...], ...],
                   order: int = 3):
     """Partials of order <= `order` of the monomials x^exponents[t]:
-    (monomials, (m, t, q, w), index), cached per (dim, exponents, order).
+    (monomials, rows, (m, t, q, w), index), cached per (dim, exponents,
+    order).
 
     monomials (Q, dim) are the exponents that partials of order <= 3 reach
-    (at every order), by total degree, then lexicographically. A partial
+    (at every order), by total degree, then lexicographically, and rows
+    their monomial_rows, which monomial_values reads. A partial
     of a monomial is one weighted monomial: entry e of the map says that
     the partial of combo m[e] of x^exponents[t[e]] is w[e] x^monomials[q[e]],
     w the falling factorial a (a - 1) ... of the differentiated exponents;
@@ -94,12 +119,13 @@ def partial_table(dim: int, exponents: Tuple[Tuple[int, ...], ...],
                        for m, t, exps, coef in entries],
                       dtype=int).reshape(-1, 4).T
     monomials = np.array(monomials, dtype=int).reshape(-1, dim)
+    rows = monomial_rows(monomials)
     index = [np.array([combos[tuple(sorted(axes))]
                        for axes in product(range(dim), repeat=r)]
                       ).reshape((dim,) * r) for r in range(order + 1)]
-    for table in (monomials, derivs, *index):
+    for table in (monomials, rows, derivs, *index):
         table.flags.writeable = False
-    return monomials, tuple(derivs), index
+    return monomials, rows, tuple(derivs), index
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +198,7 @@ class PolyVectorField:
     def __init__(self, components: Sequence[Polynomial]):
         self.components = list(components)
         self.dim = len(self.components)
-        self._weight_tables = (None, [])       # what _weights built last
+        self._weight_tables = (None, [], None)   # what _weights built last
 
     @classmethod
     def random(cls, dim: int, degree: int, rng: np.random.Generator,
@@ -181,7 +207,8 @@ class PolyVectorField:
                     for _ in range(dim)])
 
     def _weights(self, order: int):
-        """(monomials, tables): tables[r] (Q, d**r * J) holds the weights of
+        """(monomials, tables, rows), rows the monomials' monomial_rows:
+        tables[r] (Q, d**r * J) holds the weights of
         the order-r partials, columns ordered (i, l, m, j), for r up to the
         highest order asked so far. Each entry of partial_table's map puts
         its term's coefficient times w at (partial, component, monomial) of
@@ -194,7 +221,7 @@ class PolyVectorField:
         coeffs = np.concatenate([c.coeffs for c in self.components])
         exponents = np.vstack([c.exponents for c in self.components])
         d = exponents.shape[1]
-        monomials, (m, t, q, w), index = partial_table(
+        monomials, rows, (m, t, q, w), index = partial_table(
             d, tuple(map(tuple, exponents.tolist())), order)
         phi = np.zeros((math.comb(d + order, order), self.dim,
                         len(monomials)))
@@ -202,15 +229,15 @@ class PolyVectorField:
         self._weight_tables = monomials, [
             phi[index[r].ravel()].transpose(2, 0, 1).reshape(
                 len(monomials), index[r].size * self.dim)
-            for r in range(order + 1)]
+            for r in range(order + 1)], rows
         return self._weight_tables
 
     def _jet(self, points, orders: Sequence[int]) -> list:
         """The partials of each order r in `orders`, shape
         (N,) + (d,) * r + (J,), from one power table."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        monomials, tables = self._weights(max(orders))
-        values = monomial_values(points, monomials).T
+        _, tables, rows = self._weights(max(orders))
+        values = monomial_values(points, rows).T
         return [(values @ tables[r]).reshape(
                     (len(points),) + (points.shape[1],) * r + (self.dim,))
                 for r in orders]
@@ -232,7 +259,7 @@ class PolyVectorField:
     def jac_one(self, x: Sequence) -> list:
         """Row-major nested list J[i][j] = dF_j/dx_i at one point, from the
         weights of the first partials."""
-        monomials, tables = self._weights(1)
+        monomials, tables, _ = self._weights(1)
         exponents = list(map(tuple, monomials.tolist()))
         jac = [Polynomial(monomials.shape[1], dict(zip(exponents, col)))
                .eval_one(x)

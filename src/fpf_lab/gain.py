@@ -70,8 +70,8 @@ class GainField:
             return np.broadcast_to(self.k[..., :1, :],
                                    self.k.shape[:-2] + points.shape).copy()
         d = points.shape[1]
-        monomials, weights, _ = _basis_table(d, int(self.exponents.max()))
-        values = monomial_values(points, monomials)
+        _, rows, weights, _ = _basis_table(d, int(self.exponents.max()))
+        values = monomial_values(points, rows)
         # ([S,] d, Q) weights of each seed's gain, then ([S,] d, M) values
         k = (self.coeffs[..., None, None, :] @ weights[1:1 + d])[..., 0, :]
         return (k @ values).swapaxes(-1, -2).copy()
@@ -100,18 +100,19 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _basis_table(dim: int, degree: int):
-    """(monomials, weights, index) of the basis psi_k = x^exps[k], exps =
-    monomial_exponents(dim, degree), with partial_table's monomials and
-    index: d^axes_m psi_k = weights[m, k] . x^monomials, the dense
-    (C(dim + 3, 3), K, Q) table that every Galerkin product reads, filled
-    from partial_table's map. The monomials are the constant, then exps."""
+    """(monomials, rows, weights, index) of the basis psi_k = x^exps[k],
+    exps = monomial_exponents(dim, degree), with partial_table's monomials,
+    rows and index: d^axes_m psi_k = weights[m, k] . x^monomials, the
+    dense (C(dim + 3, 3), K, Q) table that every Galerkin product reads,
+    filled from partial_table's map. The monomials are the constant, then
+    exps."""
     exps = monomial_exponents(dim, degree)
-    monomials, (m, k, q, w), index = partial_table(
+    monomials, rows, (m, k, q, w), index = partial_table(
         dim, tuple(map(tuple, exps.tolist())))
     weights = np.zeros((math.comb(dim + 3, 3), len(exps), len(monomials)))
     weights[m, k, q] = w
     weights.flags.writeable = False
-    return monomials, weights, index
+    return monomials, rows, weights, index
 
 
 def _particle_constant(a: np.ndarray, axis: int) -> bool:
@@ -172,8 +173,8 @@ def galerkin_gain(states: np.ndarray, stats: PosteriorStats,
     singular system raises SingularGainError.
     """
     n, d = states.shape
-    monomials, weights, index = _basis_table(d, degree)
-    mono = monomial_values(states, monomials)     # psi_k = mono[1 + k]
+    monomials, rows, weights, index = _basis_table(d, degree)
+    mono = monomial_values(states, rows)          # psi_k = mono[1 + k]
     nb = len(mono) - 1
 
     # the (K, d N) gradient matrix, so A is one BLAS product

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .grid import GridDensity, clip_roundoff_negatives
+from .grid import (GridDensity, GridNegativityError,
+                   clip_roundoff_negatives)
 from .model import ParticleEnsemble, SdeModel
 from .sde import euler_maruyama_step
 
@@ -131,20 +132,22 @@ def weighted_stats(states: np.ndarray, log_w: np.ndarray):
 # Exact filter on a 1-D grid
 # ---------------------------------------------------------------------------
 
-def fokker_planck_substeps(density: GridDensity, drift_vals_mid: np.ndarray,
-                           sigma: float, dt: float) -> GridDensity:
-    """Advance dp/dt = -(a p)' + (sigma^2/2) p'' by one backward-Euler step
-    on the Chang-Cooper flux F = (D/dx) [B(-w) p_i - B(w) p_{i+1}], with
-    D = sigma^2/2, w = a dx / D at each face, B(w) = w / (e^w - 1) and zero
-    flux at both ends. As B(-w) = B(w) + w, F is upwind advection plus the
-    diffusion (D/dx) B(|w|); sigma = 0 is pure upwind. I + dt A is a
-    tridiagonal M-matrix with unit column sums, so p stays non-negative and
-    sum(p) is kept for any dt; p_{i+1} / p_i = e^w is a fixed point.
-    """
+def _chang_cooper_factors(drift_vals_mid: np.ndarray, sigma: float,
+                          dx: float, dt: float) -> tuple:
+    """LAPACK ?gttrf LU factors of I + dt A, the backward-Euler step of
+    dp/dt = -(a p)' + (sigma^2/2) p'' on the Chang-Cooper flux
+    F = (D/dx) [B(-w) p_i - B(w) p_{i+1}], with D = sigma^2/2, w = a dx / D
+    at each face, B(w) = w / (e^w - 1) and zero flux at both ends. As
+    B(-w) = B(w) + w, F is upwind advection plus the diffusion
+    (D/dx) B(|w|); sigma = 0 is pure upwind. I + dt A is a tridiagonal
+    M-matrix with unit column sums, so p stays non-negative and sum(p) is
+    kept for any dt; p_{i+1} / p_i = e^w is a fixed point. Column
+    dominance means partial pivoting swaps no rows, and the factors solve
+    bit for bit as scipy's solve_banded (?gtsv) does."""
     # local import: scipy.linalg adds ~0.3 s to each fpf-lab start (2 cores)
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgttrf
 
-    dx, diff = density.dx, 0.5 * sigma * sigma
+    diff = 0.5 * sigma * sigma
     a = np.asarray(drift_vals_mid, dtype=float)
     coef = np.zeros_like(a)
     if diff > 0.0:
@@ -153,34 +156,87 @@ def fokker_planck_substeps(density: GridDensity, drift_vals_mid: np.ndarray,
         w = np.minimum(np.abs(a) * (dx / diff), 40.0)
         coef = diff / dx * np.divide(w, np.expm1(w), out=np.ones_like(w),
                                      where=w > 0.0)
-    bands = np.zeros((3, len(density.p)))
+    bands = np.zeros((3, len(a) + 1))
     bands[0, 1:] = -(np.maximum(-a, 0.0) + coef) * (dt / dx)  # p_i+1 -> p_i
     bands[2, :-1] = -(np.maximum(a, 0.0) + coef) * (dt / dx)  # p_i -> p_i+1
     bands[1] = 1.0 - bands[0] - bands[2]
-    # unchecked: a non-finite drift ends as NaN mass in the Bayes step's
-    # normalization (exit 4), not as a ValueError here
-    density.p = solve_banded((1, 1), bands, density.p, check_finite=False)
+    # a non-finite drift ends as GridNegativityError (exit 4): here when it
+    # leaves an exactly zero pivot, else as NaN mass in the Bayes step's
+    # normalization
+    *factors, info = dgttrf(bands[2, :-1], bands[1], bands[0, 1:])
+    if info > 0:
+        raise GridNegativityError(
+            f"the grid's Fokker-Planck matrix is singular at row {info}: "
+            "the drift or sigma is non-finite or too large for the grid")
+    return tuple(factors)
+
+
+def _chang_cooper_solve(factors: tuple, p: np.ndarray) -> np.ndarray:
+    """p advanced by one step: the ?gttrs solve of (I + dt A) p' = p."""
+    from scipy.linalg.lapack import dgttrs
+
+    return dgttrs(*factors, p)[0]
+
+
+def _bayes_multiply(density: GridDensity, h_vals: np.ndarray,
+                    half_h2: np.ndarray, dz: float,
+                    dt: float) -> GridDensity:
+    """p *= exp(h dz - h^2 dt / 2) with half_h2 = 0.5 * h * h, then clip
+    roundoff negatives and normalize."""
+    g = h_vals * dz - half_h2 * dt
+    density.p = density.p * np.exp(g - np.max(g))
+    density.p = clip_roundoff_negatives(density.p)
+    return density.normalize()
+
+
+class KushnerGrid:
+    """The exact 1-D filter on a fixed grid x, assembled once per run: the
+    face drift, the Chang-Cooper matrix and its LU factors, h and
+    0.5 h^2 on the grid. step() is one ?gttrs back-substitution (the
+    Fokker-Planck step) and one Bayes multiply."""
+
+    def __init__(self, x: np.ndarray, model: SdeModel, dt: float):
+        if model.dim != 1:
+            raise ValueError("grid solver only supports dim=1 models")
+        x = np.asarray(x, dtype=float)
+        mid = 0.5 * (x[:-1] + x[1:])
+        a_mid = model.drift_at(mid.reshape(-1, 1))[:, 0]
+        sigma = float(np.reshape(model.diffusion, ()))
+        self.factors = _chang_cooper_factors(a_mid, sigma,
+                                             float(x[1] - x[0]), dt)
+        self.h_vals = model.obs_at(x.reshape(-1, 1))
+        self.half_h2 = 0.5 * self.h_vals * self.h_vals
+        self.dt = dt
+
+    def step(self, density: GridDensity, dz: float) -> GridDensity:
+        """One split step, Fokker-Planck then Bayes, of a density on x;
+        updates the density in place and returns it."""
+        density.p = _chang_cooper_solve(self.factors, density.p)
+        return _bayes_multiply(density, self.h_vals, self.half_h2, dz,
+                               self.dt)
+
+
+def fokker_planck_substeps(density: GridDensity, drift_vals_mid: np.ndarray,
+                           sigma: float, dt: float) -> GridDensity:
+    """Advance dp/dt = -(a p)' + (sigma^2/2) p'' by one backward-Euler
+    Chang-Cooper step (see _chang_cooper_factors), with the face drift a
+    given: assembles and factors the matrix, then solves once. A run on a
+    fixed grid assembles once, with KushnerGrid."""
+    density.p = _chang_cooper_solve(
+        _chang_cooper_factors(drift_vals_mid, sigma, density.dx, dt),
+        density.p)
     return density
 
 
 def bayes_update_on_grid(density: GridDensity, h_vals: np.ndarray,
                          dz: float, dt: float) -> GridDensity:
     """Multiplicative exact-Bayes correction p *= exp(h dz - h^2 dt / 2)."""
-    g = h_vals * dz - 0.5 * h_vals * h_vals * dt
-    density.p = density.p * np.exp(g - np.max(g))
-    density.p = clip_roundoff_negatives(density.p)
-    return density.normalize()
+    return _bayes_multiply(density, h_vals, 0.5 * h_vals * h_vals, dz, dt)
 
 
 def kushner_grid_step(density: GridDensity, model: SdeModel, dz: float,
                       dt: float) -> GridDensity:
-    """One split step of the exact filter: Fokker-Planck then Bayes update."""
-    if model.dim != 1:
-        raise ValueError("grid solver only supports dim=1 models")
-    x = density.x
-    mid = 0.5 * (x[:-1] + x[1:])
-    a_mid = model.drift_at(mid.reshape(-1, 1))[:, 0]
-    sigma = float(np.reshape(model.diffusion, ()))
-    fokker_planck_substeps(density, a_mid, sigma, dt)
-    h_vals = model.obs_at(x.reshape(-1, 1))
-    return bayes_update_on_grid(density, h_vals, dz, dt)
+    """One split step of the exact filter, Fokker-Planck then Bayes update:
+    KushnerGrid assembled on the density's grid and stepped once. A run
+    steps one KushnerGrid."""
+    return KushnerGrid(density.x, model, dt).step(density, dz)

@@ -658,6 +658,27 @@ class TestCliExitCodes:
                 assert np.isfinite(trace.means).all()
         assert err[0] == f"fpf-lab: compare aborted: {alone.value}"
 
+    def test_non_finite_grid_drift_is_four(self, tmp_path, capsys):
+        """A drift that is tiny where the particles go and overflows to
+        +-inf beyond |x| = 5.8, inside the compare grid: the filters run,
+        and the grid oracle stops with exit 4 and one line, not a
+        linear-algebra traceback."""
+        text = BASE_CONFIG.replace(
+            "name = linear1d",
+            "dimension = 1\ndrift_1 = -1.0*x1 + 1e-300*x1^401\nobs = x1")
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) \
+            == 0
+        capsys.readouterr()
+        assert main(["compare", "--config", cfg,
+                     "--obs", str(tmp_path / "obs.csv"),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["fpf-lab: compare aborted: cannot normalize density "
+                       "with mass nan"]
+        assert not (out / "compare.csv").exists()
+
     def test_diverging_ensemble_writes_one_stderr_line(self, tmp_path):
         """In a fresh interpreter, where no test harness captures warnings,
         the overflow on the way to the divergence abort prints nothing: the

@@ -251,7 +251,7 @@ class TestPartialMapAgainstDenseTable:
     @example((4, ((1, 1, 1, 0), (0, 0, 0, 3), (1, 1, 1, 0))), 2)
     def test_map_scatters_to_the_dense_weights(self, case, order):
         dim, exponents = case
-        monomials, (m, t, q, w), index = fields.partial_table(
+        monomials, _, (m, t, q, w), index = fields.partial_table(
             dim, exponents, order)
         dense_monomials, dense_weights, dense_index = _dense_partial_table(
             dim, exponents, order)
@@ -267,6 +267,74 @@ class TestPartialMapAgainstDenseTable:
         weights = np.zeros(dense_weights.shape)
         weights[m, t, q] = w
         assert weights.tobytes() == dense_weights.tobytes()
+
+
+def _all_coordinate_values(points, monomials):
+    """The monomial kernel that gathered the power rows of all d
+    coordinates for every monomial, exponent 0 included."""
+    d = points.shape[1]
+    powers = np.ones((d, monomials.max(initial=0) + 1, len(points)))
+    for e in range(1, powers.shape[1]):
+        np.multiply(powers[:, e - 1], points.T, out=powers[:, e])
+    values = powers[0][monomials[:, 0]]
+    for j in range(1, d):
+        values *= powers[j][monomials[:, j]]
+    return values
+
+
+@st.composite
+def _monomials_and_points(draw):
+    """(monomials (Q, d), points (N, d)) for d 1-20: monomials of up to
+    4 nonzero exponents (a cubic has at most 3), points with zeros, signed
+    zeros, infinities and NaN among finite values."""
+    dim = draw(st.integers(1, 20))
+    support = st.dictionaries(st.integers(0, dim - 1), st.integers(1, 4),
+                              max_size=4)
+    supports = draw(st.lists(support, max_size=12))
+    monomials = np.zeros((len(supports), dim), dtype=int)
+    for q, row in enumerate(supports):
+        for j, e in row.items():
+            monomials[q, j] = e
+    value = st.one_of(st.floats(-50.0, 50.0),
+                      st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan,
+                                       1e300]))
+    n = draw(st.integers(1, 5))
+    points = np.array(draw(st.lists(value, min_size=n * dim,
+                                    max_size=n * dim))).reshape(n, dim)
+    return monomials, points
+
+
+class TestMonomialValuesAgainstAllCoordinates:
+    """monomial_values multiplies each monomial's nonzero-exponent power
+    rows alone; the product over all coordinates, with its factors 1.0,
+    is the same bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_monomials_and_points())
+    def test_nonzero_rows_give_the_all_coordinate_bytes(self, case):
+        monomials, points = case
+        rows = fields.monomial_rows(monomials)
+        assert rows.shape == (max(1, int((monomials != 0).sum(1).max(
+            initial=0))), len(monomials))
+        with np.errstate(all="ignore"):
+            got = fields.monomial_values(points, rows)
+            want = _all_coordinate_values(points, monomials)
+        assert got.shape == want.shape == (len(monomials), len(points))
+        assert got.tobytes() == want.tobytes()
+
+    def test_dense_cubic_in_twenty_variables(self):
+        """All 1,771 monomials of degree <= 3 in 20 variables, as the
+        d = 20 dense cubic h reaches them: three gathers each."""
+        d = 20
+        exponents = tuple(tuple(axes.count(j) for j in range(d))
+                          for axes in combinations_with_replacement(
+                              range(d), 3))
+        monomials, rows, _, _ = fields.partial_table(d, exponents, 1)
+        assert len(monomials) == 1771 and rows.shape == (3, 1771)
+        assert rows.tobytes() == fields.monomial_rows(monomials).tobytes()
+        points = np.random.default_rng(20).uniform(-2.0, 2.0, size=(64, d))
+        assert fields.monomial_values(points, rows).tobytes() \
+            == _all_coordinate_values(points, monomials).tobytes()
 
 
 class TestOneJetPerField:
@@ -330,11 +398,12 @@ class TestOneJetPerField:
         x = np.random.default_rng(20).uniform(-1.0, 1.0, size=(4, d))
         assert h.grad(x).shape == (4, d)
         hits = fields.partial_table.cache_info().hits
-        monomials, derivs, index = fields.partial_table(
+        monomials, rows, derivs, index = fields.partial_table(
             d, tuple(map(tuple, h.poly.exponents.tolist())), 1)
         assert fields.partial_table.cache_info().hits == hits + 1
         assert len(h.poly.coeffs) == 1541 and len(monomials) == 1771
-        assert sum(a.nbytes for a in (monomials, *derivs, *index)) < 1e6
+        assert sum(a.nbytes for a in (monomials, rows, *derivs,
+                                      *index)) < 1e6
 
     def test_expansion_checks_evaluate_each_field_once(self, monkeypatch):
         """dt order: p, h, K, u; dz order: p, h, K; identity 1: log p, K."""

@@ -9,7 +9,9 @@ from fpf_lab import (
     GridDensity,
     GridNegativityError,
     KalmanState,
+    KushnerGrid,
     ParticleEnsemble,
+    SdeModel,
     WeightCollapseError,
     bayes_update_on_grid,
     bootstrap_pf_step,
@@ -20,8 +22,9 @@ from fpf_lab import (
     systematic_resample,
     weighted_stats,
 )
-from fpf_lab.grid import clip_roundoff_negatives
-from fpf_lab.reference import fokker_planck_substeps
+from fpf_lab.fields import Polynomial
+from fpf_lab.grid import clip_roundoff_negatives, trapezoid
+from fpf_lab.reference import _chang_cooper_factors, fokker_planck_substeps
 
 
 class TestKalmanBucy:
@@ -292,3 +295,156 @@ class TestChangCooperStep:
                 fokker_planck_substeps(dens, drift, sigma, dt)
         assert np.all(np.isfinite(dens.p))
         assert np.all(dens.p >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the assembled grid against the grid assembled every step
+# ---------------------------------------------------------------------------
+
+def _banded_fokker_planck(p, a, sigma, dx, dt):
+    """The Chang-Cooper step as it was assembled for every step: the bands
+    from the face drift, then scipy's solve_banded."""
+    from scipy.linalg import solve_banded
+
+    diff = 0.5 * sigma * sigma
+    coef = np.zeros_like(a)
+    if diff > 0.0:
+        w = np.minimum(np.abs(a) * (dx / diff), 40.0)
+        coef = diff / dx * np.divide(w, np.expm1(w), out=np.ones_like(w),
+                                     where=w > 0.0)
+    bands = np.zeros((3, len(p)))
+    bands[0, 1:] = -(np.maximum(-a, 0.0) + coef) * (dt / dx)
+    bands[2, :-1] = -(np.maximum(a, 0.0) + coef) * (dt / dx)
+    bands[1] = 1.0 - bands[0] - bands[2]
+    return solve_banded((1, 1), bands, p, check_finite=False)
+
+
+def _per_step_kushner(x, p, model, dz, dt):
+    """One grid filter step assembled from the model at every step, with
+    np.trapezoid for the mass."""
+    mid = 0.5 * (x[:-1] + x[1:])
+    a = model.drift_at(mid.reshape(-1, 1))[:, 0]
+    sigma = float(np.reshape(model.diffusion, ()))
+    p = _banded_fokker_planck(p, a, sigma, float(x[1] - x[0]), dt)
+    h = model.obs_at(x.reshape(-1, 1))
+    g = h * dz - 0.5 * h * h * dt
+    p = p * np.exp(g - np.max(g))
+    assert p.min() >= -1e-12
+    p = np.where(p < 0.0, 0.0, p)
+    return p / float(trapezoid(p, x))
+
+
+def _per_step_moments(x, p):
+    """mean and variance with three np.trapezoid masses."""
+    mean = float(trapezoid(x * p, x) / float(trapezoid(p, x)))
+    var = float(trapezoid((x - mean) ** 2 * p, x) / float(trapezoid(p, x)))
+    return mean, var
+
+
+GRID_MODELS = {
+    "linear1d": make_model("linear1d"),
+    # h = x^3: the Bayes factor underflows to 0 towards the grid ends
+    "cubic-sensor": make_model("cubic-sensor"),
+    # sigma = 0: the pure upwind branch
+    "constant-signal": make_model("constant-signal"),
+    # the golden corpus's inline model
+    "inline-affine": SdeModel([Polynomial(1, {(1,): -0.5})],
+                              Polynomial(1, {(1,): 2.0, (0,): 0.3}),
+                              np.array([[0.8]]), "inline"),
+}
+
+
+class TestAssembledGridIsBitIdentical:
+    """KushnerGrid, assembled once, against the step assembled every step
+    (solve_banded, np.trapezoid), byte for byte over 200 steps."""
+
+    X = np.linspace(-8.0, 8.0, 1601)
+
+    @pytest.mark.parametrize("name", sorted(GRID_MODELS))
+    def test_steps_and_moments_match_per_step_assembly(self, name):
+        model, dt = GRID_MODELS[name], 0.01
+        gen = np.random.default_rng(sorted(GRID_MODELS).index(name))
+        p = GridDensity.gaussian(self.X, 0.5, 1.0).p
+        assembled = GridDensity(self.X, p.copy())
+        stepped = GridDensity(self.X, p.copy())
+        grid = KushnerGrid(self.X, model, dt)
+        # column dominance: partial pivoting swaps no rows
+        np.testing.assert_array_equal(grid.factors[-1],
+                                      np.arange(1, len(self.X) + 1))
+        underflowed = 0
+        for _ in range(200):
+            dz = float(gen.normal(0.0, np.sqrt(dt)))
+            p = _per_step_kushner(self.X, p, model, dz, dt)
+            assert grid.step(assembled, dz) is assembled
+            kushner_grid_step(stepped, model, dz, dt)
+            assert assembled.p.tobytes() == p.tobytes()
+            assert stepped.p.tobytes() == p.tobytes()
+            mean, var = _per_step_moments(self.X, p)
+            assert assembled.moments() == (mean, var)
+            assert (assembled.mean(), assembled.var()) == (mean, var)
+            underflowed = max(underflowed, int(np.sum(p == 0.0)))
+        if name == "cubic-sensor":
+            assert underflowed > 0
+
+    @given(st.floats(min_value=1e-3, max_value=1e3),
+           st.sampled_from([1, 2, 3]), st.sampled_from([-1.0, 1.0]),
+           st.one_of(st.just(0.0), st.floats(min_value=1e-8, max_value=10.0)),
+           st.floats(min_value=1e-4, max_value=10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_factored_solve_matches_solve_banded(self, scale, power, sign,
+                                                 sigma, dt):
+        """Random Chang-Cooper systems: ?gttrf swaps no rows, and
+        fokker_planck_substeps gives solve_banded's bytes."""
+        mid = 0.5 * (self.X[:-1] + self.X[1:])
+        drift = -sign * scale * mid ** power
+        dx = float(self.X[1] - self.X[0])
+        ipiv = _chang_cooper_factors(drift, sigma, dx, dt)[-1]
+        np.testing.assert_array_equal(ipiv, np.arange(1, len(self.X) + 1))
+        dens = GridDensity.gaussian(self.X, 1.5, 0.3)
+        want = _banded_fokker_planck(dens.p, drift, sigma, dx, dt)
+        assert fokker_planck_substeps(dens, drift, sigma, dt).p.tobytes() \
+            == want.tobytes()
+
+
+class TestGridFailures:
+    """A grid step that cannot carry a density ends as GridNegativityError
+    (compare's exit 4), never as a linear-algebra error."""
+
+    X = np.linspace(-8.0, 8.0, 1601)
+
+    @staticmethod
+    def _model(drift, obs, sigma):
+        return SdeModel([Polynomial(1, drift)], Polynomial(1, obs),
+                        np.array([[sigma]]), "inline")
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    @pytest.mark.parametrize("drift, obs", [
+        # +-inf beyond |x| = 5.8, tiny inside
+        ({(1,): -1.0, (401,): 1e-300}, {(1,): 1.0}),
+        # inf - inf = NaN at the grid ends
+        ({(3,): 1e306, (4,): -1e306}, {(1,): 1.0}),
+        # a non-finite h
+        ({(1,): -1.0}, {(1,): 1.0, (401,): 1e-300}),
+    ])
+    def test_non_finite_drift_or_h(self, drift, obs, sigma):
+        model = self._model(drift, obs, sigma)
+        for step in (lambda dens: KushnerGrid(self.X, model, 0.01).step(
+                         dens, 0.05),
+                     lambda dens: kushner_grid_step(dens, model, 0.05, 0.01)):
+            dens = GridDensity.gaussian(self.X, 0.0, 1.0)
+            with np.errstate(all="ignore"):
+                with pytest.raises(GridNegativityError):
+                    step(dens)
+
+    def test_zero_pivot_is_one_line(self):
+        """sigma = 1e10 puts ~5e21 on the diagonal, where 1 is lost to
+        rounding: the last pivot of ?gttrf is exactly 0 (solve_banded
+        raised LinAlgError on it)."""
+        model = self._model({(1,): -1.0}, {(1,): 1.0}, 1e10)
+        with pytest.raises(GridNegativityError) as err:
+            KushnerGrid(self.X, model, 0.01)
+        assert str(err.value).count("\n") == 0
+        assert "singular" in str(err.value)
+        dens = GridDensity.gaussian(self.X, 0.0, 1.0)
+        with pytest.raises(GridNegativityError):
+            kushner_grid_step(dens, model, 0.05, 0.01)
