@@ -12,7 +12,8 @@ repeated multiplication, each from the power rows of its nonzero exponents
 alone, and `partial_table` maps every partial of order <= 3 of a monomial
 to the one weighted monomial it is.
 Each field's `partials(points, order)` returns the value and the partials
-of orders 1..order from one power table, as one matrix product per order;
+of orders 1..order from one power table per block of points, as one matrix
+product per order;
 `value`, `grad` and `jac` are views of one order, and no order's weights
 are built before it is asked.
 
@@ -132,6 +133,11 @@ def partial_table(dim: int, exponents: Tuple[Tuple[int, ...], ...],
 # fields
 # ---------------------------------------------------------------------------
 
+# A field's partials are evaluated in blocks of points of at most this many
+# monomial values (16 MiB), with one same-size gathered temporary beside
+# them: a d = 20 dense cubic (Q = 1,771) takes 1,152 points a block
+JET_BLOCK = 1 << 21
+
 class Polynomial:
     """Multivariate polynomial: exponents (T, d) and coefficients (T,)."""
 
@@ -182,7 +188,8 @@ class PolyScalarField:
         return [a[..., 0] for a in self.poly._field._jet(points, orders)]
 
     def partials(self, points, order: int) -> list:
-        """[value, grad, hess, third][:order + 1] from one power table."""
+        """[value, grad, hess, third][:order + 1] from one power table per
+        block of points."""
         return self._jet(points, range(order + 1))
 
     def value(self, points) -> np.ndarray:
@@ -234,16 +241,30 @@ class PolyVectorField:
 
     def _jet(self, points, orders: Sequence[int]) -> list:
         """The partials of each order r in `orders`, shape
-        (N,) + (d,) * r + (J,), from one power table."""
+        (N,) + (d,) * r + (J,), from one power table.  More points than
+        one block holds are evaluated block by block and the partials
+        concatenated, so the (Q, N) values of a large ensemble never exist
+        at once.  A block is a multiple of 64 points holding at most
+        JET_BLOCK values (64 points at least), and the last block takes a
+        single point left over: BLAS rounds a one-row product differently,
+        and with these blocks a single-threaded BLAS gives every point the
+        values of one block."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         _, tables, rows = self._weights(max(orders))
+        n, d = points.shape
+        block = max(64, JET_BLOCK // max(1, rows.shape[1]) // 64 * 64)
+        if n > block + 1:
+            bounds = [0, *range(block, n - 1, block), n]
+            parts = [self._jet(points[lo:hi], orders)
+                     for lo, hi in zip(bounds, bounds[1:])]
+            return [np.concatenate(jets) for jets in zip(*parts)]
         values = monomial_values(points, rows).T
-        return [(values @ tables[r]).reshape(
-                    (len(points),) + (points.shape[1],) * r + (self.dim,))
+        return [(values @ tables[r]).reshape((n,) + (d,) * r + (self.dim,))
                 for r in orders]
 
     def partials(self, points, order: int) -> list:
-        """[value, jac, second, third][:order + 1] from one power table."""
+        """[value, jac, second, third][:order + 1] from one power table per
+        block of points."""
         return self._jet(points, range(order + 1))
 
     def value(self, points) -> np.ndarray:

@@ -81,7 +81,8 @@ def fpf_step(model: SdeModel, ensemble: ParticleEnsemble, dz: float,
         raise FilterAbortError(f"{exc} at t={ensemble.time:.6g} "
                                f"(seed {seed})") from None
     flags, _ = check_admissible(gain, dz, dt, config.admissibility_eps)
-    n_flagged = flags.sum(axis=-1)
+    # a particle-constant field's one flag per seed stands for N particles
+    n_flagged = flags.sum(axis=-1) * (ensemble.n // flags.shape[-1])
     if config.abort_on_inadmissible and n_flagged.any():
         s, seed = _first_seed(ensemble, n_flagged > 0)
         raise FilterAbortError(

@@ -11,10 +11,10 @@ i.e. each jac[n] is the matrix usually written as (grad v^T).
 A batch of S ensembles (states (S, N, d), one per filter seed) gives every
 field a leading S axis.  The closed-form and constant gains solve all seeds
 at once; the Galerkin gain solves one seed at a time.  A field that takes
-one value at every particle (the particle-constant gains, and u's Jacobian
-for them when h is affine) is a read-only view that repeats it along the
-particle axis, never a materialised (N, d, d) array, and check_admissible
-computes its determinant once per seed.
+one value at every particle (K and its zero Jacobian for the particle-
+constant gains, and u's Jacobian for them when h is affine) has a particle
+axis of length 1 and reaches the particles by broadcasting, so
+check_admissible computes its determinant once per seed.
 
 Methods:
     exact_gaussian  closed form K = Cov(X) H for affine observations
@@ -35,7 +35,7 @@ import numpy as np
 from .fields import monomial_values, partial_table
 from .grid import trapezoid
 from .model import (FilterAbortError, ModelValidationError, PosteriorStats,
-                    SdeModel, repeat_view)
+                    SdeModel)
 
 __all__ = [
     "GAIN_METHODS", "GainField", "SingularGainError", "compute_gain",
@@ -53,7 +53,8 @@ class SingularGainError(FilterAbortError):
 
 @dataclass
 class GainField:
-    """Gain and drift-correction fields evaluated at the ensemble."""
+    """Gain and drift-correction fields evaluated at the ensemble; a
+    particle-constant field has 1 in place of N."""
 
     k: np.ndarray                       # ([S,] N, d)
     k_jac: np.ndarray                   # ([S,] N, d, d)
@@ -115,27 +116,18 @@ def _basis_table(dim: int, degree: int):
     return monomials, rows, weights, index
 
 
-def _particle_constant(a: np.ndarray, axis: int) -> bool:
-    """Whether a repeats one value along its particle axis (a stride-0
-    view, as model.repeat_view makes)."""
-    return a.strides[axis] == 0
-
-
 def _constant_field(k0: np.ndarray, h_vals: np.ndarray, h_hat,
                     h_grad: np.ndarray) -> GainField:
-    """The field of a gain k0 (..., d) that is constant over the particles."""
-    n = h_vals.shape[-1]
+    """The field of a gain k0 (..., d) that is constant over the
+    particles: k and k_jac have a particle axis of length 1, and so has
+    u_jac when h_grad has (affine h)."""
     k = k0[..., None, :]
     # with k_jac = 0, Omega and every Jacobian term of u but the h_grad
     # one vanish
     u = -0.5 * k * (h_vals + np.asarray(h_hat)[..., None])[..., None]
-    if _particle_constant(h_grad, -2):       # affine h: one gradient
-        u_jac = repeat_view(
-            -0.5 * (h_grad[..., :1, :, None] * k[..., None, :]), n, -3)
-    else:
-        u_jac = -0.5 * (h_grad[..., :, None] * k[..., None, :])
-    k_jac = repeat_view(np.zeros(k.shape + k.shape[-1:]), n, -3)
-    return GainField(k=repeat_view(k, n, -2), k_jac=k_jac, u=u, u_jac=u_jac)
+    u_jac = -0.5 * (h_grad[..., :, None] * k[..., None, :])
+    return GainField(k=k, k_jac=np.zeros(k.shape + k.shape[-1:]), u=u,
+                     u_jac=u_jac)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +218,11 @@ def compute_gain(model: SdeModel, states: np.ndarray, stats: PosteriorStats,
                                  ridge=ridge)
         fields = []
         for s in range(len(states)):
+            # an affine h's gradient (1, d) has no seed axis
+            grad_s = h_grad[s] if h_grad.ndim == 3 else h_grad
             try:
                 fields.append(galerkin_gain(states[s], stats.of_seed(s),
-                                            h_grad[s], degree=degree,
+                                            grad_s, degree=degree,
                                             ridge=ridge))
             except SingularGainError as exc:
                 exc.index = s
@@ -253,21 +247,14 @@ def check_admissible(field: GainField, dz: float, dt: float,
 
     The one-step displacement is v = K dz + u dt; the particle flow stays
     an orientation-preserving diffeomorphism only while det(I + grad v^T)
-    stays positive. Returns (flags, dets), each shaped like the particles
-    ([S,] N); a determinant that is not finite is flagged too.  When both
-    Jacobians repeat one matrix along the particle axis, the determinant
-    is computed once per seed and broadcast to the particles.
+    stays positive. Returns (flags, dets), each shaped ([S,] N) like the
+    particles, or ([S,] 1) when both Jacobians are particle-constant: then
+    one determinant stands for every particle of its seed.  A determinant
+    that is not finite is flagged too.
     """
-    k_jac, u_jac = field.k_jac, field.u_jac
-    n = k_jac.shape[-3]
-    compact = _particle_constant(k_jac, -3) and _particle_constant(u_jac, -3)
-    if compact:
-        k_jac, u_jac = k_jac[..., :1, :, :], u_jac[..., :1, :, :]
-    v_jac = k_jac * dz + u_jac * dt
+    v_jac = field.k_jac * dz + field.u_jac * dt
     dets = _det(_identity(v_jac.shape[-1]) + v_jac)
     flags = ~((dets > eps) & np.isfinite(dets))
-    if compact:
-        return repeat_view(flags, n, -1), repeat_view(dets, n, -1)
     return flags, dets
 
 

@@ -12,7 +12,8 @@ continuum limit is recovered as dt -> 0).
 An SdeModel holds the polynomials a and h.  Its methods drift_at, obs_at
 and obs_grad_at map an ensemble (N, d) to (N, d), (N,) and (N, d), and a
 batch of ensembles (S, N, d), one per filter seed, in one call on its S*N
-rows.
+rows.  The gradient of an affine h is one row H^T, shape (1, d) for any
+ensemble or batch, which reaches the particles by broadcasting.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class SdeModel:
     d = len(drift) >= 1; drift_matrix, F of a linear drift a(x) = F x (for
     the Kalman-Bucy reference), else None; obs_vector and obs_offset, H
     and c of an affine h(x) = H^T x + c (for the closed-form gain), else
-    None and 0.0.
+    None and 0.0; diffusion_t, sigma_b^T (for the Euler-Maruyama noise),
+    else None when sigma_b is not (d, d).
     """
 
     drift: Sequence[Polynomial]
@@ -70,6 +72,12 @@ class SdeModel:
             self._drift_t = np.ascontiguousarray(self.drift_matrix.T)
         self.obs_vector, self.obs_offset = \
             _affine_parts(self.obs) or (None, 0.0)
+        # a malformed sigma_b is left to validate_model to report.  The
+        # transposed view, not a contiguous copy: np.dot with the copy
+        # rounds a single row (a truth path) differently from matmul
+        self.diffusion_t = None
+        if np.shape(self.diffusion) == (d, d):
+            self.diffusion_t = np.asarray(self.diffusion, dtype=float).T
         self._drift_field = PolyVectorField(self.drift)
         self._obs_field = PolyScalarField(self.obs)
 
@@ -90,13 +98,12 @@ class SdeModel:
         return out if flat is states else out.reshape(states.shape[:-1])
 
     def obs_grad_at(self, states: np.ndarray) -> np.ndarray:
-        """Gradient of h at each state, shape (..., N, d): H repeated for
-        an affine h."""
-        flat = _rows(states)
+        """Gradient of h at each state, shape (..., N, d); for an affine h
+        the one row H^T, shape (1, d), whatever the states."""
         if self.obs_vector is not None:
-            out = repeat_view(self.obs_vector[None, :], len(flat), 0)
-        else:
-            out = self._obs_field.grad(flat)
+            return self.obs_vector[None, :]
+        flat = _rows(states)
+        out = self._obs_field.grad(flat)
         return out if flat is states else out.reshape(states.shape)
 
 
@@ -107,19 +114,6 @@ def _affine_parts(poly: Polynomial) -> Optional[Tuple[np.ndarray, float]]:
         return None
     return (poly.coeffs[degree == 1] @ poly.exponents[degree == 1],
             float(poly.coeffs[degree == 0].sum()))
-
-
-def repeat_view(a: np.ndarray, n: int, axis: int) -> np.ndarray:
-    """A read-only view of a, whose axis has length 1, repeated n times
-    along it: np.broadcast_to along one axis, without its per-call cost,
-    which a filter step pays for the affine gradient and the particle-
-    constant gain fields."""
-    a = np.ascontiguousarray(a)
-    shape, strides = list(a.shape), list(a.strides)
-    shape[axis], strides[axis] = n, 0
-    view = np.ndarray(shape, a.dtype, a, 0, strides)
-    view.flags.writeable = False
-    return view
 
 
 def _rows(states: np.ndarray) -> np.ndarray:
@@ -133,10 +127,11 @@ def _rows(states: np.ndarray) -> np.ndarray:
 # A noise block holds at most this many steps and this many normals over
 # all its S*N streams (but never less than one step): 64 steps at S*N =
 # 1000, d = 1, 10 for six seeds of 1000 particles, one beyond 2^16 draws
-# per step.  A refill's largest uint64 temporary, two words per normal,
-# then stays at 1 MiB unless one step alone needs more.  Of the caps 2^13
-# to 2^16 on a 2-core x86-64 machine, 2^16 gave single-seed runs their
-# lowest wall time, and a six-seed compare within 2% of its lowest (2^15).
+# per step.  A refill hashes in place over a words array and a scratch
+# array of two words per normal, 1 MiB each, unless one step alone needs
+# more.  Of the caps 2^13 to 2^16 on a 2-core x86-64 machine, 2^16 gave
+# single-seed runs their lowest wall time, and a six-seed compare within
+# 2% of its lowest (2^15).
 _BLOCK_STEPS = 64
 _BLOCK_NORMALS = 1 << 16
 
@@ -291,11 +286,12 @@ def ensemble_stats(ensemble: ParticleEnsemble,
     ensemble's alone."""
     x = ensemble.states
     n = x.shape[-2]
-    # sum / n is np.mean's own add.reduce and division, without its
-    # per-call overhead
-    mean = x.sum(axis=-2) / n
+    # add.reduce / n is np.mean's own reduction and division, and
+    # ndarray.sum's reduction, without their per-call overhead
+    mean = np.add.reduce(x, axis=-2) / n
     centered = x - mean[..., None, :]
     cov = centered.swapaxes(-1, -2) @ centered / (n - 1)
     h_vals = np.asarray(obs_fn(x), dtype=float).reshape(x.shape[:-1])
-    return PosteriorStats(mean=mean, cov=cov, h_hat=h_vals.sum(axis=-1) / n,
+    return PosteriorStats(mean=mean, cov=cov,
+                          h_hat=np.add.reduce(h_vals, axis=-1) / n,
                           h_vals=h_vals)

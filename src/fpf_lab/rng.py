@@ -25,6 +25,8 @@ easy as 1, 2, 3" (SC'11), with the splitmix64 finalizer as the bijection.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _START = np.uint64(0x243F6A8885A308D3)  # pi's fraction bits; any non-zero
@@ -39,32 +41,40 @@ _U53 = 1.0 / 9007199254740992.0
 _HALF_U53 = _U53 / 2.0
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer: bijective avalanche on uint64, in place on
-    arrays (callers pass a temporary)."""
-    z ^= z >> _S30
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer: bijective avalanche on the uint64 array z, in
+    place, each shift written into the scratch array tmp of z's shape."""
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
     z *= _MIX1
-    z ^= z >> _S27
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
     z *= _MIX2
-    z ^= z >> _S31
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
     return z
 
 
-def _fold(acc, *words) -> np.ndarray:
-    """Fold counter words into the avalanche state acc (vectorized)."""
-    with np.errstate(over="ignore"):
-        for w in words:
-            acc = _mix(acc ^ (np.asarray(w, dtype=np.uint64) + _GOLDEN))
-    return acc
+def _fold(acc, word, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fold one counter word into the avalanche state acc, into out: acc
+    and word broadcast to out's shape, and tmp is scratch of that shape."""
+    np.bitwise_xor(acc, np.asarray(word, dtype=np.uint64) + _GOLDEN, out=out)
+    return _mix(out, tmp)
 
 
-def _unit(bits: np.ndarray) -> np.ndarray:
-    """Top 53 bits of each word as a float in the open interval (0, 1);
-    shifts bits in place on arrays (callers pass a temporary)."""
+def _unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Top 53 bits of each word as a float in the open interval (0, 1),
+    into the float64 array out; shifts bits in place.  The shifted words
+    are below 2^53, so their int64 view converts exactly."""
     bits >>= _S11
-    u = bits * _U53
+    u = np.multiply(bits.view(np.int64), _U53, out=out)
     u += _HALF_U53
     return u
+
+
+def _part(buffer: np.ndarray, shape) -> np.ndarray:
+    """The leading entries of a contiguous buffer as an array of shape."""
+    return buffer.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 def seed_words(seed) -> np.ndarray:
@@ -79,7 +89,13 @@ def seed_words(seed) -> np.ndarray:
 
 def uniform01(seed: int, stream, step: int, slot) -> np.ndarray:
     """Uniform draws in (0, 1) addressed by (seed, stream, step, slot)."""
-    return _unit(_fold(_START, seed_words(seed), stream, step, slot))
+    words = (seed_words(seed), stream, step, slot)
+    z = np.empty(np.broadcast_shapes(*map(np.shape, words)), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    acc = _START
+    for w in words:
+        acc = _fold(acc, w, z, tmp)
+    return _unit(z, tmp.view(np.float64))
 
 
 def standard_normal(seed, stream, step, n_slots: int) -> np.ndarray:
@@ -93,20 +109,36 @@ def standard_normal(seed, stream, step, n_slots: int) -> np.ndarray:
     slot consumes two uniforms (Box-Muller); slot j of a stream uses
     addresses (2j, 2j+1), so widening n_slots never disturbs earlier slots.
     Its uniforms are those of uniform01 at the same addresses.
+
+    The slot fold, the uniforms and Box-Muller run in place over one words
+    array and one scratch array of (2 n_slots, [K,] [S,] N) entries; the
+    draws are a view into the scratch unless n_slots > 1 needs a copy.
     """
     stream = np.asarray(stream, dtype=np.uint64).reshape(-1)
     step = np.asarray(step, dtype=np.uint64)
-    prefix = _fold(_START, seed_words(seed)[..., None], stream)  # ([S,] N)
-    # ([K,] [S,] N)
-    prefix = _fold(prefix, step.reshape(step.shape + (1,) * prefix.ndim))
+    seed = seed_words(seed)[..., None]
+    prefix_shape = step.shape + seed.shape[:-1] + stream.shape  # ([K,] [S,] N)
     # slots lead, so every broadcast runs along the contiguous stream axis
+    words = np.empty((2 * n_slots,) + prefix_shape, dtype=np.uint64)
+    tmp = np.empty_like(words)
+    # the (seed, stream) prefix once, then each step, in leading parts of
+    # the two arrays: each fold reads its input from one and writes into
+    # the other, and the slot fold reads the last prefix from tmp before
+    # its mix overwrites it
+    shape = seed.shape[:-1] + stream.shape                       # ([S,] N)
+    prefix = _fold(_START, seed, np.empty_like(seed), np.empty_like(seed))
+    prefix = _fold(prefix, stream, _part(words, shape), _part(tmp, shape))
+    prefix = _fold(prefix, step.reshape(step.shape + (1,) * len(shape)),
+                   _part(tmp, prefix_shape), _part(words[1:], prefix_shape))
     slots = np.arange(2 * n_slots, dtype=np.uint64)
-    u = _unit(_fold(prefix, slots.reshape((-1,) + (1,) * prefix.ndim)))
-    # Box-Muller in place, so a block's temporaries stay few
+    _fold(prefix, slots.reshape((-1,) + (1,) * len(prefix_shape)), words, tmp)
+    u = _unit(words, tmp.view(np.float64))
+    # Box-Muller in place
     r, c = u[0::2], u[1::2]
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
     c *= 2.0 * np.pi
     np.cos(c, out=c)
-    return np.ascontiguousarray(np.moveaxis(r * c, 0, -1))
+    r *= c
+    return np.ascontiguousarray(np.moveaxis(r, 0, -1))

@@ -50,8 +50,7 @@ def euler_maruyama_step(model: SdeModel, ensemble: ParticleEnsemble,
     """
     x = ensemble.states
     dw = ensemble.draw_normals(ensemble.dim) * np.sqrt(dt)
-    noise = dw.reshape(-1, x.shape[-1]) @ np.asarray(model.diffusion,
-                                                     dtype=float).T
+    noise = np.dot(dw.reshape(-1, x.shape[-1]), model.diffusion_t)
     ensemble.states = x + model.drift_at(x) * dt + noise.reshape(x.shape)
     ensemble.time += dt
     return ensemble

@@ -102,6 +102,30 @@ class TestFpfStep:
             fpf_step(model, ens, dz=0.1, dt=0.01, config=cfg)
         np.testing.assert_array_equal(ens.states, propagated.states)
 
+    def test_broadcast_field_flags_count_per_seed(self, monkeypatch):
+        """A batch's particle-constant field, one Jacobian per seed (k of
+        shape (3, 1, 1)), flags every particle of the seed whose update
+        map collapses (k_jac = -1/dz) and none of the others; an aborting
+        configuration names that seed."""
+        model = make_model("linear1d")
+        seeds = np.array([21, 22, 23], dtype=np.uint64)
+        n, dz = 40, 0.1
+        k_jac = np.zeros((3, 1, 1, 1))
+        k_jac[1] = -1.0 / dz
+        monkeypatch.setattr(filter_module, "compute_gain",
+                            lambda *args, **kwargs: GainField(
+                                k=np.zeros((3, 1, 1)), k_jac=k_jac,
+                                u=np.zeros((3, 1, 1)),
+                                u_jac=np.zeros((3, 1, 1, 1))))
+        ens = sample_initial_ensemble(1, n, [0.0], [[1.0]], seeds)
+        n_flagged = fpf_step(model, ens, dz, 0.01, FilterConfig())
+        np.testing.assert_array_equal(n_flagged, [0, n, 0])
+        ens = sample_initial_ensemble(1, n, [0.0], [[1.0]], seeds)
+        with pytest.raises(FilterAbortError,
+                           match=rf"^{n} particle\(s\) .*\(seed 22\)$"):
+            fpf_step(model, ens, dz, 0.01,
+                     FilterConfig(abort_on_inadmissible=True))
+
     def test_flag_count_without_abort(self):
         model = make_model("linear1d")
         ens = sample_initial_ensemble(1, 50, [0.0], [[1.0]], seed=3)

@@ -37,7 +37,9 @@ class TestConstantGain:
         stats = _stats_for(states, lambda s: s[:, 0])
         field = constant_gain(states, stats, np.ones((3, 1)))
         np.testing.assert_allclose(field.k, 2.0 / 3.0, rtol=1e-15)
-        np.testing.assert_array_equal(field.k_jac, np.zeros((3, 1, 1)))
+        # particle-constant: a particle axis of length 1
+        assert field.k.shape == (1, 1)
+        np.testing.assert_array_equal(field.k_jac, np.zeros((1, 1, 1)))
 
     def test_correction_reduces_to_observation_term(self):
         """A constant gain has Omega = (1/2) K . grad K = 0 identically, so
@@ -66,7 +68,9 @@ class TestExactGain:
         field = exact_gain(stats, np.array([1.0, 0.0]), np.ones((200, 2)))
         np.testing.assert_allclose(field.k[0], stats.cov @ [1.0, 0.0],
                                    rtol=1e-14)
-        np.testing.assert_array_equal(field.k_jac, np.zeros((200, 2, 2)))
+        # particle-constant: a particle axis of length 1
+        assert field.k.shape == (1, 2)
+        np.testing.assert_array_equal(field.k_jac, np.zeros((1, 2, 2)))
 
     def test_requires_affine_observation(self):
         model = make_model("cubic-sensor")
@@ -128,7 +132,8 @@ class TestGalerkinGain:
                 [3.0 * ens.states[:, 0] ** 2] + [np.zeros(500)] * (dim - 1))
             g1 = galerkin_gain(ens.states, stats, h_grad, degree=1, ridge=0.0)
             gc = constant_gain(ens.states, stats, h_grad)
-            np.testing.assert_allclose(g1.k, gc.k, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(g1.k, np.broadcast_to(gc.k, g1.k.shape),
+                                       rtol=0, atol=1e-10)
 
     def test_jacobian_is_symmetric(self):
         """K is the gradient of a potential, so grad K^T is symmetric."""
@@ -316,7 +321,9 @@ class TestGainProperties:
         gc = constant_gain(states, stats, h_grad)
         scale = (np.abs(h_vals).max() + 1.0) * (np.abs(states).max() + 1.0)
         for name in ("k", "k_jac", "u", "u_jac"):
-            np.testing.assert_allclose(getattr(g1, name), getattr(gc, name),
+            a = getattr(g1, name)
+            np.testing.assert_allclose(a, np.broadcast_to(getattr(gc, name),
+                                                          a.shape),
                                        rtol=0, atol=1e-13 * scale ** 2,
                                        err_msg=name)
 

@@ -405,6 +405,28 @@ class TestOneJetPerField:
         assert sum(a.nbytes for a in (monomials, rows, *derivs,
                                       *index)) < 1e6
 
+    @pytest.mark.parametrize("n", [193, 200, 1])
+    def test_blocks_of_points_match_one_block(self, monkeypatch, n):
+        """A jet evaluated in blocks of 64 points (the last one short; a
+        single point left over joins the block before it) equals the
+        one-block jet byte for byte, at every order."""
+        gen = np.random.default_rng(33)
+        field = PolyVectorField.random(3, 3, gen)
+        x = gen.uniform(-1.5, 1.5, size=(n, 3))
+        whole = field.partials(x, 3)
+        q = field._weights(3)[2].shape[1]
+        monkeypatch.setattr(fields, "JET_BLOCK", 64 * q + 63)
+        calls, evaluate = [], fields.monomial_values
+        monkeypatch.setattr(fields, "monomial_values",
+                            lambda points, rows: calls.append(len(points))
+                            or evaluate(points, rows))
+        blocked = field.partials(x, 3)
+        assert calls == {193: [64, 64, 65], 200: [64, 64, 64, 8],
+                         1: [1]}[n]
+        for got, want in zip(blocked, whole):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_expansion_checks_evaluate_each_field_once(self, monkeypatch):
         """dt order: p, h, K, u; dz order: p, h, K; identity 1: log p, K."""
         calls = []

@@ -108,6 +108,19 @@ class TestNoiseStreams:
             noise.uniform01(seed, column, step, slots),
             _oracle_uniform01(seed, column, step, slots))
 
+    def test_seed_step_block_matches_per_uniform_hash(self):
+        """A (K, S, N, 3) block of several steps and seeds on strided
+        streams, hashed in place over one words and one scratch array,
+        is bit-equal to the per-uniform hash with Box-Muller."""
+        seeds = np.array([2 ** 64 - 1, 0, 13], dtype=np.uint64)
+        streams = np.arange(3, 300, 7, dtype=np.uint64)[::-2]
+        steps = np.arange(4, 9)
+        block = noise.standard_normal(seeds, streams, steps, 3)
+        assert block.shape == (len(steps), len(seeds), len(streams), 3)
+        np.testing.assert_array_equal(
+            block, _oracle_standard_normal(seeds.reshape(-1, 1, 1), streams,
+                                           steps.reshape(-1, 1, 1, 1), 3))
+
     @pytest.mark.parametrize("n", [1, 7, 1000])
     @pytest.mark.parametrize("n_slots", [1, 2, 3])
     def test_step_blocks_match_per_step_hash(self, n, n_slots):
@@ -324,7 +337,11 @@ class TestPolynomialModel:
                                    PolyVectorField(drift).value(states), **tol)
         np.testing.assert_allclose(model.obs_at(states),
                                    obs_field.value(states), **tol)
-        np.testing.assert_allclose(model.obs_grad_at(states),
+        grad = model.obs_grad_at(states)
+        # an affine h's gradient is one row H^T for every state
+        assert grad.shape == ((1, model.dim) if model.obs_vector is not None
+                              else states.shape)
+        np.testing.assert_allclose(np.broadcast_to(grad, states.shape),
                                    obs_field.grad(states), **tol)
         if model.drift_matrix is not None:
             np.testing.assert_allclose(model.drift_at(states),

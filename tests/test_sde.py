@@ -16,6 +16,7 @@ from fpf_lab import (
     write_truth_csv,
 )
 from fpf_lab.fields import Polynomial
+from fpf_lab.rng import standard_normal
 from fpf_lab.table import write_table
 
 
@@ -55,6 +56,37 @@ class TestEulerMaruyama:
         euler_maruyama_step(model, ens, 0.01)
         np.testing.assert_allclose(ens.states[:, 1], 2.0 * ens.states[:, 0],
                                    atol=1e-14)
+
+
+    def test_noise_is_matmul_bit_for_bit(self):
+        """With a non-diagonal 3 x 3 sigma_b, a batched step is
+        x + a(x) dt + dw @ sigma_b^T byte for byte, and so is each step of
+        a truth path, whose noise is a single row."""
+        sigma = np.array([[0.7, 0.2, -0.1], [0.3, 1.1, 0.4],
+                          [-0.5, 0.6, 0.9]])
+        drift = [Polynomial(3, {(1, 0, 0): -1.0, (0, 1, 1): 0.3}),
+                 Polynomial(3, {(0, 1, 0): -0.5, (2, 0, 0): 0.1}),
+                 Polynomial(3, {(0, 0, 1): -2.0, (1, 1, 0): 0.2})]
+        model = SdeModel(drift, Polynomial(3, {(1, 0, 0): 1.0}), sigma,
+                         "inline")
+        dt = 0.01
+        seeds = np.array([4, 9], dtype=np.uint64)
+        ens = sample_initial_ensemble(3, 500, np.zeros(3), np.eye(3), seeds)
+        twin = sample_initial_ensemble(3, 500, np.zeros(3), np.eye(3), seeds)
+        x = ens.states
+        euler_maruyama_step(model, ens, dt)
+        dw = twin.draw_normals(3) * np.sqrt(dt)
+        expected = (x + model.drift_at(x) * dt
+                    + (dw.reshape(-1, 3) @ sigma.T).reshape(x.shape))
+        assert ens.states.tobytes() == expected.tobytes()
+
+        truth = simulate_truth(model, [0.1, -0.2, 0.3], dt, 0.3, seed=5)
+        dw = standard_normal(5, np.zeros(1, dtype=np.uint64),
+                             np.arange(30), 3) * np.sqrt(dt)
+        x = truth.states[:1]
+        for k in range(30):
+            x = x + model.drift_at(x) * dt + dw[k] @ sigma.T
+            assert truth.states[k + 1].tobytes() == x[0].tobytes()
 
 
 class TestSimulateTruth:
