@@ -129,16 +129,21 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
 
 def read_ini(path: str) -> configparser.ConfigParser:
     """Parse an INI file. Text after # or ; is a comment, and % is an
-    ordinary character (no interpolation)."""
+    ordinary character (no interpolation). The parser's `asked` set holds
+    each (section, key) a read asked for, [verify] suite from the start:
+    `fpf-lab verify --config` reads it from the same file."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                    interpolation=None)
+    cp.asked = {("verify", "suite")}
     try:
         with open(path) as fh:
             cp.read_file(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
+        # a syntax error names each bad line on a line of its own
+        raise ConfigError(f"cannot parse config file {path}: "
+                          f"{' '.join(str(exc).split())}") from None
     return cp
 
 
@@ -155,6 +160,7 @@ def _field(cp: configparser.ConfigParser, section: str, key: str,
     reject NaN and inf), and `bound` is a (test, text) pair: a value that
     fails the test is reported as "must be <text>".
     """
+    cp.asked.add((section, key))
     if not cp.has_option(section, key):
         if default is _REQUIRED:
             raise ConfigError(f"missing field `{key}` in section [{section}]")
@@ -315,31 +321,17 @@ def _build_inline_model(cp: configparser.ConfigParser) -> SdeModel:
                            default=np.eye(dim)), "inline")
 
 
-# the keys load_config reads outside [model], plus [verify] suite, which
-# `fpf-lab verify --config` reads from the same file
-_KEYS = {
-    "time": {"dt", "t_end"},
-    "filter": {"n_particles", "gain", "galerkin_degree", "galerkin_ridge",
-               "admissibility_eps", "abort_on_inadmissible"},
-    "seeds": {"truth", "observation", "filter"},
-    "prior": {"mean", "cov"},
-    "compare": {"seeds", "grid_halfwidth", "grid_points"},
-    "output": {"dir"},
-    "verify": {"suite"},
-}
-
-
-def _reject_unknown(cp: configparser.ConfigParser, model_keys: set) -> None:
-    """A ConfigError naming the first key, or empty section, that no run
-    reads: a misspelt key would otherwise leave its default in force."""
-    known = dict(_KEYS, model=model_keys)
+def _reject_unknown(cp: configparser.ConfigParser) -> None:
+    """A ConfigError naming the first key, or empty section, that no read
+    asked for: a misspelt key would otherwise leave its default in force."""
+    sections = {section for section, _ in cp.asked}
     for section in cp.sections():
         for key in cp.options(section):
-            if key not in known.get(section, ()):
-                what = "field" if section in known else "section"
+            if (section, key) not in cp.asked:
+                what = "field" if section in sections else "section"
                 raise ConfigError(
                     f"field `{key}` in [{section}]: unknown {what}")
-        if section not in known:
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
 
 
@@ -347,29 +339,26 @@ def load_config(path: str) -> ExperimentConfig:
     """Parse and resolve an experiment configuration file.
 
     Raises ConfigError for anything wrong with the file itself (missing
-    fields, unknown names, sections or keys, unparsable or out-of-range
-    values).
+    fields, unknown names, unparsable or out-of-range values, then
+    sections or keys that no read asked for).
     """
     cp = read_ini(path)
     for section in ("model", "time", "filter", "seeds"):
         if not cp.has_section(section):
             raise ConfigError(f"missing section [{section}]")
 
-    if cp.has_option("model", "name"):
+    name = _field(cp, "model", "name", default=None)
+    if name is not None:
         if cp.has_option("model", "dimension"):
             raise ConfigError(
                 "[model] gives both `name` and an inline polynomial "
                 "definition; use one")
         try:
-            model = make_model(cp.get("model", "name"))
+            model = make_model(name)
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from None
-        model_keys = {"name", "x0"}
     else:
         model = _build_inline_model(cp)
-        model_keys = {"dimension", "obs", "sigma", "x0",
-                      *(f"drift_{i}" for i in range(1, model.dim + 1))}
-    _reject_unknown(cp, model_keys)
 
     dim = model.dim
     prior_mean = _field(cp, "prior", "mean", lambda raw: _as_vector(raw, dim),
@@ -386,17 +375,18 @@ def load_config(path: str) -> ExperimentConfig:
 
     n_particles = _field(cp, "filter", "n_particles", _integer,
                          bound=_between(2, MAX_PARTICLE_COORDS // dim))
+
+    def knob(key, parse, bound=None):
+        """A [filter] key whose default is FilterConfig's."""
+        return _field(cp, "filter", key, parse,
+                      default=getattr(FilterConfig, key), bound=bound)
+
     filter_cfg = FilterConfig(
         gain_method=_field(cp, "filter", "gain", _gain_method),
-        galerkin_degree=_field(cp, "filter", "galerkin_degree", _integer,
-                               default=3, bound=_at_least(1)),
-        galerkin_ridge=_field(cp, "filter", "galerkin_ridge", _number,
-                              default=None, bound=_at_least(0)),
-        admissibility_eps=_field(cp, "filter", "admissibility_eps", _number,
-                                 default=1e-8),
-        abort_on_inadmissible=_field(cp, "filter", "abort_on_inadmissible",
-                                     _boolean, default=False),
-    )
+        galerkin_degree=knob("galerkin_degree", _integer, _at_least(1)),
+        galerkin_ridge=knob("galerkin_ridge", _number, _at_least(0)),
+        admissibility_eps=knob("admissibility_eps", _number),
+        abort_on_inadmissible=knob("abort_on_inadmissible", _boolean))
 
     n_basis = math.comb(dim + filter_cfg.galerkin_degree, dim) - 1
     table = math.comb(dim + 3, 3) * n_basis * (n_basis + 1)
@@ -408,7 +398,7 @@ def load_config(path: str) -> ExperimentConfig:
     seeds = {key: _field(cp, "seeds", key, _integer, bound=_SEED)
              for key in ("truth", "observation", "filter")}
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         model=model,
         dt=dt,
         t_end=t_end,
@@ -430,3 +420,5 @@ def load_config(path: str) -> ExperimentConfig:
                            default=1601,
                            bound=_between(16, MAX_GRID_POINTS)),
     )
+    _reject_unknown(cp)
+    return config

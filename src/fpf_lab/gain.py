@@ -54,7 +54,8 @@ class SingularGainError(FilterAbortError):
 @dataclass
 class GainField:
     """Gain and drift-correction fields evaluated at the ensemble; a
-    particle-constant field has 1 in place of N."""
+    particle-constant field has 1 in place of N.  u_jac's shape covers
+    k_jac's: a K that varies over the particles makes u vary too."""
 
     k: np.ndarray                       # ([S,] N, d)
     k_jac: np.ndarray                   # ([S,] N, d, d)
@@ -252,8 +253,12 @@ def check_admissible(field: GainField, dz: float, dt: float,
     one determinant stands for every particle of its seed.  A determinant
     that is not finite is flagged too.
     """
-    v_jac = field.k_jac * dz + field.u_jac * dt
-    dets = _det(_identity(v_jac.shape[-1]) + v_jac)
+    # I + grad v^T in one (N, d, d) array beyond the inputs; addition
+    # commutes, so this is (k_jac dz + u_jac dt) + I bit for bit
+    a = field.u_jac * dt
+    a += field.k_jac * dz
+    a += _identity(a.shape[-1])
+    dets = _det(a)
     flags = ~((dets > eps) & np.isfinite(dets))
     return flags, dets
 

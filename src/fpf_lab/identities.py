@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Sequence, Tuple
 
-import mpmath
 import numpy as np
 
 from .divergence import TV_DELTA
@@ -132,6 +131,8 @@ def _mp_cofactor_transpose(v_rows):
 
 def _mp_generator_derivatives(name: str):
     """(f', f'') of a divergence generator in arbitrary precision."""
+    # local import: mpmath adds ~35 ms to each fpf-lab start (2 cores)
+    import mpmath
     if name == "kl":
         return (lambda s: mpmath.log(s) + 1,
                 lambda s: 1 / s)
@@ -187,6 +188,7 @@ def el_generator_invariance(p: ExpPolyDensity, h: PolyScalarField,
     negligible even where f''' ~ 1/delta^2 (probes with xi near 1);
     at 50 digits there is no cancellation penalty.
     """
+    import mpmath      # local import, as in _mp_generator_derivatives
     x = np.asarray(x, dtype=float)
     d = v.dim
     p_y = observation_marginal(p, h, y, dt)

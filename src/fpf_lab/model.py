@@ -37,19 +37,19 @@ class FilterAbortError(RuntimeError):
     or simulated path diverged to non-finite states."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SdeModel:
     """Diffusion state model given by its polynomials: `drift` holds one
     Polynomial a_i(x) per state coordinate and `obs` the Polynomial h(x),
-    all in the same d variables; `diffusion` is the constant (d, d) matrix
-    sigma_b and `name` a registry label, informational only.
+    all in the same d variables; `diffusion` is the constant, finite (d, d)
+    matrix sigma_b, kept as a read-only copy, and `name` a registry label,
+    informational only.  A model is checked when it is built, and frozen.
 
     Derived at construction, so that they agree with the polynomials: dim
-    d = len(drift) >= 1; drift_matrix, F of a linear drift a(x) = F x (for
-    the Kalman-Bucy reference), else None; obs_vector and obs_offset, H
-    and c of an affine h(x) = H^T x + c (for the closed-form gain), else
-    None and 0.0; diffusion_t, sigma_b^T (for the Euler-Maruyama noise),
-    else None when sigma_b is not (d, d).
+    d = len(drift); drift_matrix, F of a linear drift a(x) = F x (for the
+    Kalman-Bucy reference), else None; obs_vector and obs_offset, H and c
+    of an affine h(x) = H^T x + c (for the closed-form gain), else None
+    and 0.0; diffusion_t, sigma_b^T (for the Euler-Maruyama noise).
     """
 
     drift: Sequence[Polynomial]
@@ -58,28 +58,33 @@ class SdeModel:
     name: str
 
     def __post_init__(self):
-        self.drift = tuple(self.drift)
-        self.dim = d = len(self.drift)
+        d = len(self.drift)
         dims = [p.dim for p in (*self.drift, self.obs)]
         if d < 1 or dims != [d] * (d + 1):
             raise ModelValidationError(
                 f"a model needs d >= 1 drift polynomials and every polynomial "
                 f"in d variables; got d = {d} and dimensions {dims}")
+        sigma = np.array(self.diffusion, dtype=float)
+        sigma.flags.writeable = False
+        if sigma.shape != (d, d):
+            raise ModelValidationError(
+                f"diffusion must have shape ({d}, {d}), got {sigma.shape}")
+        if not np.all(np.isfinite(sigma)):
+            raise ModelValidationError("diffusion contains non-finite entries")
         rows = [_affine_parts(p) for p in self.drift]
-        self.drift_matrix = None
-        if all(r is not None and r[1] == 0.0 for r in rows):
-            self.drift_matrix = np.vstack([r[0] for r in rows])
-            self._drift_t = np.ascontiguousarray(self.drift_matrix.T)
-        self.obs_vector, self.obs_offset = \
-            _affine_parts(self.obs) or (None, 0.0)
-        # a malformed sigma_b is left to validate_model to report.  The
-        # transposed view, not a contiguous copy: np.dot with the copy
-        # rounds a single row (a truth path) differently from matmul
-        self.diffusion_t = None
-        if np.shape(self.diffusion) == (d, d):
-            self.diffusion_t = np.asarray(self.diffusion, dtype=float).T
-        self._drift_field = PolyVectorField(self.drift)
-        self._obs_field = PolyScalarField(self.obs)
+        linear = all(r is not None and r[1] == 0.0 for r in rows)
+        drift_matrix = np.vstack([r[0] for r in rows]) if linear else None
+        obs_vector, obs_offset = _affine_parts(self.obs) or (None, 0.0)
+        # frozen: the derived fields bypass __setattr__.  diffusion_t is the
+        # transposed view, not a contiguous copy: np.dot with the copy rounds
+        # a single row (a truth path) differently from matmul
+        vars(self).update(
+            drift=tuple(self.drift), dim=d, drift_matrix=drift_matrix,
+            _drift_t=np.ascontiguousarray(drift_matrix.T) if linear else None,
+            obs_vector=obs_vector, obs_offset=obs_offset, diffusion=sigma,
+            diffusion_t=sigma.T,
+            _drift_field=PolyVectorField(self.drift),
+            _obs_field=PolyScalarField(self.obs))
 
     def drift_at(self, states: np.ndarray) -> np.ndarray:
         flat = _rows(states)
@@ -222,18 +227,12 @@ class PosteriorStats:
 def validate_model(model: SdeModel) -> None:
     """Raise ModelValidationError unless the model is usable.
 
-    Checks the diffusion's shape and finiteness, and the finiteness of the
-    drift, h and its gradient at a fixed probe set (origin plus a few
-    seeded points in [-1, 1]^d): a huge coefficient can still overflow.
+    A built model already has a finite (d, d) diffusion; this checks the
+    finiteness of the drift, h and its gradient at a fixed probe set
+    (origin plus a few seeded points in [-1, 1]^d): a huge coefficient can
+    still overflow.
     """
     d = model.dim
-    sig = np.asarray(model.diffusion, dtype=float)
-    if sig.shape != (d, d):
-        raise ModelValidationError(
-            f"diffusion must have shape ({d}, {d}), got {sig.shape}")
-    if not np.all(np.isfinite(sig)):
-        raise ModelValidationError("diffusion contains non-finite entries")
-
     probes = np.vstack([np.zeros((1, d)),
                         rng.standard_normal(2024, np.arange(4), 0, d) * 0.5])
     for what, at in (("drift", model.drift_at), ("obs", model.obs_at),

@@ -235,6 +235,73 @@ dir = results
         load_config(_write(tmp_path, BASE_CONFIG
                            + "\n[verify]\nsuite = poincare\n"))
 
+    @pytest.mark.parametrize("model", [
+        "name = linear2d",
+        "dimension = 2\ndrift_1 = -x1\ndrift_2 = -x2 + 0.5*x1\nobs = x1\n"
+        "sigma = 0.5"], ids=["registry", "inline"])
+    def test_every_documented_key_is_accepted(self, tmp_path, model):
+        """A key is accepted when a read asks for it, so a key read on only
+        some branches would be refused on the others: a file that sets
+        every key of README's table, and [verify] suite, loads with either
+        kind of model."""
+        text = f"""\
+[model]
+{model}
+x0 = 0.3 -0.3
+
+[time]
+dt = 0.05
+t_end = 0.5
+
+[filter]
+n_particles = 50
+gain = galerkin
+galerkin_degree = 2
+galerkin_ridge = 1e-5
+admissibility_eps = 1e-6
+abort_on_inadmissible = yes
+
+[seeds]
+truth = 11
+observation = 12
+filter = 13
+
+[prior]
+mean = 0.1 0.2
+cov = 1 0; 0 2
+
+[compare]
+seeds = 5, 6
+grid_halfwidth = 6
+grid_points = 801
+
+[output]
+dir = results
+
+[verify]
+suite = poincare
+"""
+        cfg = load_config(_write(tmp_path, text))
+        assert cfg.model.dim == 2
+        np.testing.assert_array_equal(cfg.x0, [0.3, -0.3])
+        assert (cfg.filter_cfg.galerkin_degree, cfg.filter_cfg.galerkin_ridge,
+                cfg.filter_cfg.admissibility_eps,
+                cfg.filter_cfg.abort_on_inadmissible) == (2, 1e-5, 1e-6, True)
+        np.testing.assert_array_equal(cfg.prior_mean, [0.1, 0.2])
+        np.testing.assert_array_equal(cfg.prior_cov, [[1.0, 0.0], [0.0, 2.0]])
+        assert (cfg.compare_seeds, cfg.grid_halfwidth, cfg.grid_points,
+                cfg.out_dir) == ((5, 6), 6.0, 801, "results")
+
+    def test_bad_value_is_reported_before_unknown_key(self, tmp_path):
+        """Keys are checked after the last read, so of a bad value and an
+        unknown key the value is reported."""
+        text = BASE_CONFIG.replace("dt = 0.05", "dt = nan\ndtt = 0.05")
+        with pytest.raises(ConfigError, match=r"field `dt` in \[time\]"):
+            load_config(_write(tmp_path, text))
+        text = BASE_CONFIG.replace("dt = 0.05", "dt = 0.05\ndtt = 0.05")
+        with pytest.raises(ConfigError, match=r"`dtt` in \[time\]: unknown"):
+            load_config(_write(tmp_path, text))
+
     def test_missing_field_names_section(self, tmp_path):
         text = BASE_CONFIG.replace("dt = 0.05\n", "")
         with pytest.raises(ConfigError,
@@ -478,6 +545,19 @@ class TestCliExitCodes:
          "`drift_2` in [model]"),
         ("simulate", "name = linear1d", "name = linear1d\nobs = x1^2",
          "`obs` in [model]"),
+        ("simulate", "name = linear1d",
+         "dimension = 1\ndrift_1 = -x1\nobs = x1 -", "`obs` in [model]"),
+        ("filter", "n_particles = 50", "n_particles = 1.5",
+         "`n_particles` in [filter]"),
+        ("compare", "[seeds]", "[compare]\nseeds = ,\n\n[seeds]",
+         "`seeds` in [compare]"),
+        ("filter", "gain = exact_gaussian",
+         "gain = exact_gaussian\nabort_on_inadmissible = maybe",
+         "`abort_on_inadmissible` in [filter]"),
+        ("filter", "name = linear1d",
+         "name = linear2d\n\n[prior]\nmean = 1 2 3", "`mean` in [prior]"),
+        ("filter", "name = linear1d",
+         "name = linear2d\n\n[prior]\ncov = 1 0; 0", "`cov` in [prior]"),
     ], ids=["dt-nan", "t_end-inf", "degree-0", "eps-nan", "compare-seed-neg",
             "halfwidth-0", "percent", "dt-tiny", "cov-negative",
             "cov-asymmetric", "grid-tiny", "grid-huge", "grid-truncates",
@@ -486,7 +566,9 @@ class TestCliExitCodes:
             "dimension-21", "galerkin-table-huge", "particles-1e10",
             "ridge-negative", "unknown-key", "misspelt-key",
             "unknown-section", "drift-beyond-dimension",
-            "inline-key-with-name"])
+            "inline-key-with-name", "dangling-sign", "particles-fraction",
+            "compare-seeds-empty", "abort-maybe", "mean-3-in-2d",
+            "cov-ragged"])
     def test_bad_config_value_is_two(self, tmp_path, capsys, command, old,
                                      new, field):
         """Each value is a config error, reported before any file is
@@ -507,17 +589,31 @@ class TestCliExitCodes:
 
     def test_cli_import_leaves_scipy_solvers_unloaded(self):
         """Every command starts without scipy.linalg and scipy.integrate,
-        which cost ~0.3 s of start-up; the suites and the grid oracle that
-        use them import them when they run."""
+        which cost ~0.3 s of start-up, and without mpmath (~35 ms); the
+        suites and the grid oracle that use them import them when they
+        run."""
         src = os.path.dirname(os.path.dirname(fpf_lab.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys, fpf_lab.cli; print(sorted(m for m in "
-                "('scipy.linalg', 'scipy.integrate') if m in sys.modules))")
+                "('scipy.linalg', 'scipy.integrate', 'mpmath') "
+                "if m in sys.modules))")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
+
+    def test_ini_syntax_error_is_two(self, tmp_path, capsys):
+        """A line that is not INI is reported against the file, not a
+        field, before any file is written."""
+        cfg = _write(tmp_path, BASE_CONFIG + "no equals sign\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"fpf-lab: config error: cannot parse config file {cfg}: ")
+        assert not out.exists()
 
     def test_undecodable_config_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"

@@ -1,5 +1,8 @@
 """Tests for the gain-function solvers and admissibility diagnostics."""
 
+import tracemalloc
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from fpf_lab import (
     GainField,
     ModelValidationError,
     ParticleEnsemble,
+    SdeModel,
     check_admissible,
     compute_gain,
     constant_gain,
@@ -20,6 +24,8 @@ from fpf_lab import (
     monomial_exponents,
     sample_initial_ensemble,
 )
+from fpf_lab.fields import Polynomial
+from fpf_lab.gain import _det
 from fpf_lab.model import PosteriorStats
 
 
@@ -370,6 +376,78 @@ class TestAdmissibility:
         flags, dets = check_admissible(field, dz=0.3, dt=0.01)
         np.testing.assert_array_equal(flags, [False, True, True])
         assert dets[0] == 1.0
+
+
+def _field_of(model, seeds, n, method):
+    """The gain field of `method` on a sampled ensemble of `model`, one
+    seed or a batch."""
+    ens = sample_initial_ensemble(model.dim, n, np.zeros(model.dim),
+                                  0.5 * np.eye(model.dim), seed=seeds)
+    stats = ensemble_stats(ens, model.obs_at)
+    return compute_gain(model, ens.states, stats, method)
+
+
+def _dense_cubic_h(d):
+    """A d-dimensional model with h = x1 + 1e-4 * every cubic monomial."""
+    cubics = {tuple(np.bincount(c, minlength=d)): 1e-4 for c in
+              combinations_with_replacement(range(d), 3)}
+    cubics[tuple(np.eye(d, dtype=int)[0])] = 1.0
+    drift = [Polynomial(d, {tuple(-e): -1.0}) for e in -np.eye(d, dtype=int)]
+    return SdeModel(drift, Polynomial(d, cubics), np.eye(d), "dense-cubic")
+
+
+class TestAdmissibleInOneArray:
+    """check_admissible builds I + grad v^T in one array: its flags and
+    determinants are those of _det(I + (k_jac dz + u_jac dt)) bit for bit,
+    and a per-particle field costs one (N, d, d) array beyond its inputs."""
+
+    @pytest.mark.parametrize("case", [
+        "dense-cubic-d20-constant", "linear2d-galerkin",
+        "linear1d-3-seed-exact", "cubic-sensor-2-seed-constant",
+        "linear2d-constant"])
+    def test_bits_equal_the_summed_displacement(self, case):
+        model, seeds, method = {
+            "dense-cubic-d20-constant": (_dense_cubic_h(20), 5, "constant"),
+            "linear2d-galerkin": (make_model("linear2d"), 5, "galerkin"),
+            "linear1d-3-seed-exact": (make_model("linear1d"),
+                                      np.array([3, 4, 5]), "exact_gaussian"),
+            "cubic-sensor-2-seed-constant": (make_model("cubic-sensor"),
+                                             np.array([6, 7]), "constant"),
+            "linear2d-constant": (make_model("linear2d"), 5, "constant"),
+        }[case]
+        field = _field_of(model, seeds, 200, method)
+        dt = 0.01
+        for dz in (0.03, -2.0, 50.0):
+            d = field.k_jac.shape[-1]
+            ref = _det(np.eye(d) + (field.k_jac * dz + field.u_jac * dt))
+            flags, dets = check_admissible(field, dz, dt)
+            assert dets.shape == ref.shape and dets.dtype == ref.dtype
+            assert dets.tobytes() == ref.tobytes()
+            np.testing.assert_array_equal(
+                flags, ~((ref > 1e-8) & np.isfinite(ref)))
+            assert flags.shape == ref.shape
+
+    def test_traced_peak_is_one_jacobian(self):
+        """A non-affine h's constant gain has a per-particle u_jac; the
+        check holds one (N, d, d) array beside it, not two."""
+        n, d = 5000, 8
+        gen = np.random.default_rng(8)
+        states = gen.normal(size=(n, d))
+        stats = _stats_for(states, lambda s: (s ** 3).sum(axis=1))
+        field = constant_gain(states, stats, 3 * states ** 2)
+        assert field.u_jac.shape == (n, d, d)
+        check_admissible(field, 0.1, 0.01)      # warm the identity cache
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            check_admissible(field, 0.1, 0.01)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        one = field.u_jac.nbytes
+        # beyond it, the determinants and the flags with their three bool
+        # temporaries: (N,) arrays of 8 and 1 bytes an entry
+        assert one <= peak <= one + n * (8 + 4) + 16384
 
 
 class TestClosedFormDeterminant:

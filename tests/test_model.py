@@ -1,5 +1,6 @@
 """Tests for the model containers, noise streams, and ensemble statistics."""
 
+from dataclasses import FrozenInstanceError
 from unittest import mock
 
 import numpy as np
@@ -284,10 +285,20 @@ class TestValidateModel:
             validate_model(make_model(name))
 
     def test_wrong_diffusion_shape(self):
+        """sigma is checked when the model is built, and a built model is
+        frozen, so no sigma that Euler-Maruyama would not use can be set."""
+        x1 = Polynomial(1, {(1,): -1.0})
+        for sigma, message in ((np.eye(2), r"\(1, 1\), got \(2, 2\)"),
+                               (np.full((1, 1), np.nan), "non-finite")):
+            with pytest.raises(ModelValidationError,
+                               match="diffusion.*" + message):
+                SdeModel([x1], x1, sigma, "bad")
         model = make_model("linear1d")
-        model.diffusion = np.eye(2)
-        with pytest.raises(ModelValidationError, match="diffusion"):
-            validate_model(model)
+        with pytest.raises(FrozenInstanceError):
+            model.diffusion = 2 * np.eye(1)
+        with pytest.raises(ValueError, match="read-only"):
+            model.diffusion[0, 0] = np.nan
+        np.testing.assert_array_equal(model.diffusion_t, np.eye(1))
 
     def test_nonfinite_drift(self):
         model = SdeModel([Polynomial(1, {(1,): np.nan})],
