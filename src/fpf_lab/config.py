@@ -54,7 +54,7 @@ import numpy as np
 
 from .fields import Polynomial
 from .filter import FilterConfig
-from .gain import GAIN_METHODS
+from .gain import GAIN_METHODS, galerkin_table_size
 from .model import SdeModel, covariance_sqrt
 from .registry import make_model
 
@@ -269,8 +269,8 @@ MAX_GRID_POINTS = 10 ** 6
 # at 84 MiB in 1.4 s at d = 40 with this cap raised; at d = 20 and
 # N = 20,000, two steps peak at 612 MiB and take 18 s (measured on 2 cores)
 MAX_DIM = 20
-# the Galerkin weight table has C(d + 3, 3) K (K + 1) entries for the
-# K = C(d + D, D) - 1 basis monomials; 2^27 float64 entries are 1 GiB
+# the Galerkin weight table of degree D in d variables has
+# gain.galerkin_table_size(d, D) entries; 2^27 float64 entries are 1 GiB
 MAX_GALERKIN_TABLE = 2 ** 27
 # n_particles * dimension above this is a config error: the ensemble and
 # each of its per-step temporaries hold that many numbers, 80 MB each here
@@ -388,8 +388,7 @@ def load_config(path: str) -> ExperimentConfig:
         admissibility_eps=knob("admissibility_eps", _number),
         abort_on_inadmissible=knob("abort_on_inadmissible", _boolean))
 
-    n_basis = math.comb(dim + filter_cfg.galerkin_degree, dim) - 1
-    table = math.comb(dim + 3, 3) * n_basis * (n_basis + 1)
+    table = galerkin_table_size(dim, filter_cfg.galerkin_degree)
     if filter_cfg.gain_method == "galerkin" and table > MAX_GALERKIN_TABLE:
         raise ConfigError(f"field `galerkin_degree` in [filter]: needs a "
                           f"weight table of {table} entries in dimension "

@@ -39,21 +39,22 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 def monomial_values(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """x_n^alpha_q at every point, shape (Q, N), for the monomials alpha_q
-    whose rows = monomial_rows(monomials), from the power table
-    powers[e * d + j, n] = x_nj**e built by repeated multiplication (no
-    pow). Each monomial multiplies the power rows of its nonzero exponents
-    alone, in coordinate order and padded with row 0 (x_0^0 = 1): a cubic
-    costs at most 3 gathers in any dimension, and as 1.0 * v = v its value
-    is the all-coordinate product's, bit for bit."""
-    n, d = points.shape
-    powers = np.ones((rows.max(initial=0) // d + 1, d, n))
-    for e in range(1, len(powers)):
-        np.multiply(powers[e - 1], points.T, out=powers[e])
-    powers = powers.reshape(-1, n)
-    values = powers[rows[0]]
+    """x_n^alpha_q at points ([S,] N, d), shape ([S,] Q, N), for the
+    monomials alpha_q whose rows = monomial_rows(monomials), from the power
+    table powers[..., e * d + j, n] = x_nj**e built by repeated
+    multiplication (no pow). Each monomial multiplies the power rows of its
+    nonzero exponents alone, in coordinate order and padded with row 0
+    (x_0^0 = 1): a cubic costs at most 3 gathers in any dimension, and as
+    1.0 * v = v its value is the all-coordinate product's, bit for bit."""
+    *lead, n, d = points.shape
+    powers = np.ones((*lead, rows.max(initial=0) // d + 1, d, n))
+    for e in range(1, powers.shape[-3]):
+        np.multiply(powers[..., e - 1, :, :], points.swapaxes(-1, -2),
+                    out=powers[..., e, :, :])
+    powers = powers.reshape(*lead, -1, n)
+    values = powers[..., rows[0], :]
     for r in rows[1:]:
-        values *= powers[r]
+        values *= powers[..., r, :]
     return values
 
 
@@ -147,6 +148,7 @@ class Polynomial:
         self.dim = dim
         self.exponents = np.array(list(terms), dtype=int).reshape(-1, dim)
         self.coeffs = np.array(list(terms.values()))
+        self.exponents.flags.writeable = self.coeffs.flags.writeable = False
 
     @property
     def terms(self) -> Dict[Tuple[int, ...], float]:

@@ -9,12 +9,12 @@ Jacobian convention throughout: jac[n, i, j] = d(field_j)/dx_i at particle n,
 i.e. each jac[n] is the matrix usually written as (grad v^T).
 
 A batch of S ensembles (states (S, N, d), one per filter seed) gives every
-field a leading S axis.  The closed-form and constant gains solve all seeds
-at once; the Galerkin gain solves one seed at a time.  A field that takes
-one value at every particle (K and its zero Jacobian for the particle-
-constant gains, and u's Jacobian for them when h is affine) has a particle
-axis of length 1 and reaches the particles by broadcasting, so
-check_admissible computes its determinant once per seed.
+field a leading S axis; every solver solves all seeds at once, each seed
+with the bits of its ensemble alone.  A field that takes one value at
+every particle (K and its zero Jacobian for the particle-constant gains,
+and u's Jacobian for them when h is affine) has a particle axis of length
+1 and reaches the particles by broadcasting, so check_admissible computes
+its determinant once per seed.
 
 Methods:
     exact_gaussian  closed form K = Cov(X) H for affine observations
@@ -100,6 +100,12 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
     return np.array(alphas, dtype=int)
 
 
+def galerkin_table_size(dim: int, degree: int) -> int:
+    """Entries of _basis_table(dim, degree)'s weights, which config caps."""
+    n_basis = math.comb(dim + degree, dim) - 1
+    return math.comb(dim + 3, 3) * n_basis * (n_basis + 1)
+
+
 @lru_cache(maxsize=None)
 def _basis_table(dim: int, degree: int):
     """(monomials, rows, weights, index) of the basis psi_k = x^exps[k],
@@ -162,39 +168,52 @@ def galerkin_gain(states: np.ndarray, stats: PosteriorStats,
     and returns K = sum_k c_k grad psi_k together with its Jacobian; the
     third partials of sum_k c_k psi_k enter the Jacobian of u.
 
-    ridge defaults to 1e-6 * tr(A) / dim(A); pass 0.0 to disable.  A
-    singular system raises SingularGainError.
+    A batch (S, N, d) stacks each seed's products and solve.  ridge
+    defaults to 1e-6 * tr(A) / dim(A), per seed; pass 0.0 to disable.  A
+    singular system raises SingularGainError for the first seed at fault.
     """
-    n, d = states.shape
+    n, d = states.shape[-2:]
     monomials, rows, weights, index = _basis_table(d, degree)
-    mono = monomial_values(states, rows)          # psi_k = mono[1 + k]
-    nb = len(mono) - 1
+    mono = monomial_values(states, rows)      # psi_k = mono[..., 1 + k, :]
+    nb = len(monomials) - 1
 
-    # the (K, d N) gradient matrix, so A is one BLAS product
+    # the ([S,] K, d N) gradient matrices, so each A is one BLAS product
     grad = (weights[1:1 + d].transpose(1, 0, 2).reshape(nb * d, -1)
-            @ mono).reshape(nb, d * n)
-    a_mat = grad @ grad.T / n
-    b_vec = mono[1:] @ (stats.h_vals - stats.h_hat) / n
+            @ mono).reshape(mono.shape[:-2] + (nb, d * n))
+    a_mat = grad @ grad.swapaxes(-1, -2) / n
+    h_hat = np.asarray(stats.h_hat)[..., None]
+    b_vec = mono[..., 1:, :] @ (stats.h_vals - h_hat)[..., None] / n
     if ridge is None:
-        ridge = 1e-6 * np.trace(a_mat) / nb
+        ridge = 1e-6 * np.trace(a_mat, axis1=-2, axis2=-1) / nb
+    a_mat = a_mat + np.asarray(ridge)[..., None, None] * np.eye(nb)
     try:
-        coeffs = np.linalg.solve(a_mat + ridge * np.eye(nb), b_vec)
+        coeffs = np.linalg.solve(a_mat, b_vec)[..., 0]
     except np.linalg.LinAlgError:
-        raise SingularGainError("the Galerkin system is singular") from None
+        exc = SingularGainError("the Galerkin system is singular")
+        if a_mat.ndim == 3:
+            # solve's LU meets an exact zero pivot where slogdet's sign is 0
+            exc.index = int(np.argmax(np.linalg.slogdet(a_mat).sign == 0))
+        raise exc from None
 
-    # every partial of phi = sum_k c_k psi_k, particles last: K = grad phi,
-    # k_jac is the Hessian of phi, and the sum_l K_l d^2 K_j / dx_i dx_l
+    # every partial of phi = sum_k c_k psi_k, axes (partial, [S,] N): K =
+    # grad phi, k_jac is its Hessian, and the sum_l K_l d^2 K_j/dx_i dx_l
     # term of u_jac is the third partial of phi contracted with K
-    phi = (coeffs @ weights) @ mono
+    phi = ((coeffs[..., None, None, :] @ weights)[..., 0, :]
+           @ mono).swapaxes(0, -2)
     k, hess = phi[index[1]], phi[index[2]]
-    hs = stats.h_vals + stats.h_hat
+    hs = stats.h_vals + h_hat
+    # the gradient of h, its axis first: (d, [S,] N), (d, [1,] 1) if affine
+    h_grad = h_grad.reshape((1,) * (states.ndim - h_grad.ndim) + h_grad.shape)
+    h_grad = h_grad.transpose(-1, *range(states.ndim - 1))
     u = -0.5 * k * hs + 0.5 * sum(k[l] * hess[l] for l in range(d))
     u_jac = (-0.5 * hs * hess
-             - 0.5 * h_grad.T[:, None] * k
+             - 0.5 * h_grad[:, None] * k
              + 0.5 * sum(hess[:, l, None] * hess[l] for l in range(d))
              + 0.5 * sum(k[l] * phi[index[3][:, l]] for l in range(d)))
-    k, k_jac, u, u_jac = (np.moveaxis(f, -1, 0).copy()
-                          for f in (k, hess, u, u_jac))
+    # the partial's axes last again (np.moveaxis costs more per call)
+    k, u = (f.transpose(*range(1, f.ndim), 0).copy() for f in (k, u))
+    k_jac, u_jac = (f.transpose(*range(2, f.ndim), 0, 1).copy()
+                    for f in (hess, u_jac))
     return GainField(k=k, k_jac=k_jac, u=u, u_jac=u_jac, coeffs=coeffs,
                      exponents=monomials[1:])
 
@@ -206,33 +225,15 @@ GAIN_METHODS = ("exact_gaussian", "exact", "constant", "galerkin")
 def compute_gain(model: SdeModel, states: np.ndarray, stats: PosteriorStats,
                  method: str, degree: int = 3,
                  ridge: Optional[float] = None) -> GainField:
-    """Dispatch to a gain solver by one of the names in GAIN_METHODS; a
-    batch of ensembles (S, N, d) gives a field with a leading S axis."""
+    """Dispatch to a gain solver by one of the names in GAIN_METHODS; each
+    solver takes a batch (S, N, d) in one call, with a leading S axis."""
     if method not in GAIN_METHODS:
         raise ValueError(f"unknown gain method {method!r}")
     h_grad = model.obs_grad_at(states)
     if method == "constant":
         return constant_gain(states, stats, h_grad)
     if method == "galerkin":
-        if states.ndim == 2:
-            return galerkin_gain(states, stats, h_grad, degree=degree,
-                                 ridge=ridge)
-        fields = []
-        for s in range(len(states)):
-            # an affine h's gradient (1, d) has no seed axis
-            grad_s = h_grad[s] if h_grad.ndim == 3 else h_grad
-            try:
-                fields.append(galerkin_gain(states[s], stats.of_seed(s),
-                                            grad_s, degree=degree,
-                                            ridge=ridge))
-            except SingularGainError as exc:
-                exc.index = s
-                raise
-        return GainField(
-            *(np.stack([getattr(f, name) for f in fields])
-              for name in ("k", "k_jac", "u", "u_jac")),
-            coeffs=np.stack([f.coeffs for f in fields]),
-            exponents=fields[0].exponents)
+        return galerkin_gain(states, stats, h_grad, degree, ridge)
     if model.obs_vector is None:
         raise ModelValidationError("exact solver requires affine h")
     return exact_gain(stats, model.obs_vector, h_grad)

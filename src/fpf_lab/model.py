@@ -42,8 +42,8 @@ class SdeModel:
     """Diffusion state model given by its polynomials: `drift` holds one
     Polynomial a_i(x) per state coordinate and `obs` the Polynomial h(x),
     all in the same d variables; `diffusion` is the constant, finite (d, d)
-    matrix sigma_b, kept as a read-only copy, and `name` a registry label,
-    informational only.  A model is checked when it is built, and frozen.
+    matrix sigma_b, kept as a copy, and `name` a registry label,
+    informational only.  A built model is checked, frozen, and read-only.
 
     Derived at construction, so that they agree with the polynomials: dim
     d = len(drift); drift_matrix, F of a linear drift a(x) = F x (for the
@@ -65,7 +65,6 @@ class SdeModel:
                 f"a model needs d >= 1 drift polynomials and every polynomial "
                 f"in d variables; got d = {d} and dimensions {dims}")
         sigma = np.array(self.diffusion, dtype=float)
-        sigma.flags.writeable = False
         if sigma.shape != (d, d):
             raise ModelValidationError(
                 f"diffusion must have shape ({d}, {d}), got {sigma.shape}")
@@ -75,14 +74,17 @@ class SdeModel:
         linear = all(r is not None and r[1] == 0.0 for r in rows)
         drift_matrix = np.vstack([r[0] for r in rows]) if linear else None
         obs_vector, obs_offset = _affine_parts(self.obs) or (None, 0.0)
+        drift_t = np.ascontiguousarray(drift_matrix.T) if linear else None
+        for table in (sigma, drift_matrix, drift_t, obs_vector):
+            if table is not None:
+                table.flags.writeable = False
         # frozen: the derived fields bypass __setattr__.  diffusion_t is the
         # transposed view, not a contiguous copy: np.dot with the copy rounds
         # a single row (a truth path) differently from matmul
         vars(self).update(
             drift=tuple(self.drift), dim=d, drift_matrix=drift_matrix,
-            _drift_t=np.ascontiguousarray(drift_matrix.T) if linear else None,
-            obs_vector=obs_vector, obs_offset=obs_offset, diffusion=sigma,
-            diffusion_t=sigma.T,
+            _drift_t=drift_t, obs_vector=obs_vector, obs_offset=obs_offset,
+            diffusion=sigma, diffusion_t=sigma.T,
             _drift_field=PolyVectorField(self.drift),
             _obs_field=PolyScalarField(self.obs))
 
@@ -211,17 +213,12 @@ class ParticleEnsemble:
 @dataclass
 class PosteriorStats:
     """Empirical summary of an ensemble under an observation function; a
-    batch of S ensembles gives each field a leading S axis."""
+    batch of S ensembles gives each field, h_hat too, a leading S axis."""
 
-    mean: np.ndarray          # (d,)
-    cov: np.ndarray           # (d, d), unbiased (N-1) normalization
-    h_hat: float              # mean of h over particles
-    h_vals: np.ndarray        # (N,)
-
-    def of_seed(self, s: int) -> "PosteriorStats":
-        """The summary of ensemble s of a batch."""
-        return PosteriorStats(self.mean[s], self.cov[s], self.h_hat[s],
-                              self.h_vals[s])
+    mean: np.ndarray          # ([S,] d)
+    cov: np.ndarray           # ([S,] d, d), unbiased (N-1) normalization
+    h_hat: float              # mean of h over particles, ([S,]) for a batch
+    h_vals: np.ndarray        # ([S,] N)
 
 
 def validate_model(model: SdeModel) -> None:

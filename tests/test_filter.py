@@ -203,6 +203,12 @@ _BATCH_MODELS = {name: make_model(name) for name in
 _BATCH_MODELS["inline-affine"] = SdeModel(
     [Polynomial(1, {(1,): -0.5})], Polynomial(1, {(1,): 2.0, (0,): 0.3}),
     0.8 * np.eye(1), "inline")
+# d = 3 with a non-affine h = x1 + x2 x3: the batched Galerkin gain beyond
+# d = 2, with a gradient that varies over the particles
+_BATCH_MODELS["inline-3d"] = SdeModel(
+    [Polynomial(3, {tuple(np.eye(3, dtype=int)[i]): -1.0}) for i in range(3)],
+    Polynomial(3, {(1, 0, 0): 1.0, (0, 1, 1): 1.0}), 0.5 * np.eye(3),
+    "inline")
 _BATCH_OBS = {name: _observations(model, dt=0.05, t_end=0.4)
               for name, model in _BATCH_MODELS.items()}
 

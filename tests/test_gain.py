@@ -25,7 +25,8 @@ from fpf_lab import (
     sample_initial_ensemble,
 )
 from fpf_lab.fields import Polynomial
-from fpf_lab.gain import _det
+from fpf_lab.gain import (SingularGainError, _basis_table, _det,
+                          galerkin_table_size)
 from fpf_lab.model import PosteriorStats
 
 
@@ -125,6 +126,82 @@ class TestKAtOnBatch:
             assert k[s].tobytes() == k_1.tobytes()
 
 
+def _inline_model(d, affine):
+    """Drift -x_i; h = x1 (affine) or x1 + x1 x_d, whose partials each sum
+    unit-weight monomials, so that h and its gradient take the same bits
+    at a particle whatever the rows evaluated beside it."""
+    e = np.eye(d, dtype=int)
+    terms = {tuple(e[0]): 1.0}
+    if not affine:
+        terms[tuple(e[0] + e[-1])] = 1.0
+    return SdeModel([Polynomial(d, {tuple(e[i]): -1.0}) for i in range(d)],
+                    Polynomial(d, terms), np.eye(d), "inline")
+
+
+def _seed_stats(stats, s):
+    """The summary of ensemble s of a batch."""
+    return PosteriorStats(stats.mean[s], stats.cov[s], stats.h_hat[s],
+                          stats.h_vals[s])
+
+
+class TestGalerkinBatch:
+    @pytest.mark.parametrize("ridge", [None, 1e-3])
+    @pytest.mark.parametrize("affine", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batch_equals_each_seed(self, d, affine, ridge):
+        """compute_gain's Galerkin field of a batch (S, N, d) holds, in
+        slice s, the bits of galerkin_gain on ensemble s alone: k, k_jac,
+        u, u_jac and the coefficients, for an affine h (gradient (1, d))
+        and a non-affine one (gradient (S, N, d)), with the default ridge
+        and an explicit one."""
+        model = _inline_model(d, affine)
+        states = np.random.default_rng(d).standard_normal((3, 40, d))
+        ens = ParticleEnsemble(states=states, time=0.0, seed=np.arange(3),
+                               streams=np.arange(40, dtype=np.uint64))
+        stats = ensemble_stats(ens, model.obs_at)
+        h_grad = model.obs_grad_at(states)
+        assert h_grad.shape == ((1, d) if affine else states.shape)
+        batch = compute_gain(model, states, stats, "galerkin", ridge=ridge)
+        for s in range(3):
+            alone = galerkin_gain(states[s], _seed_stats(stats, s),
+                                  h_grad if affine else h_grad[s],
+                                  ridge=ridge)
+            for name in ("k", "k_jac", "u", "u_jac", "coeffs"):
+                a, b = getattr(batch, name)[s], getattr(alone, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_singular_batch_names_its_first_singular_seed(self):
+        """Without a ridge, of three ensembles only the one at index 1,
+        collapsed onto one point, has a singular system: the batch raises
+        that seed's error with index 1.  The ensemble at index 0, spread
+        over 1e-5, has a system of numerical rank 2 < 3 that its solve
+        still solves, so an index from a rank tolerance would be 0."""
+        model = make_model("linear1d")
+        rng = np.random.default_rng(3)
+        states = np.stack([1e-5 * rng.standard_normal((40, 1)),
+                           np.full((40, 1), 0.5),
+                           rng.standard_normal((40, 1))])
+        ens = ParticleEnsemble(states=states, time=0.0, seed=np.arange(3),
+                               streams=np.arange(40, dtype=np.uint64))
+        stats = ensemble_stats(ens, model.obs_at)
+        h_grad = model.obs_grad_at(states)
+        x = states[0, :, 0]
+        grads = np.stack([np.ones_like(x), 2 * x, 3 * x ** 2])
+        assert np.linalg.matrix_rank(grads @ grads.T / len(x)) == 2
+        alone = []
+        for s in range(3):
+            try:
+                galerkin_gain(states[s], _seed_stats(stats, s), h_grad,
+                              ridge=0.0)
+            except SingularGainError as exc:
+                alone.append((s, exc.index, str(exc)))
+        assert [a[:2] for a in alone] == [(1, ())]
+        with pytest.raises(SingularGainError) as batch:
+            compute_gain(model, states, stats, "galerkin", ridge=0.0)
+        assert batch.value.index == 1
+        assert str(batch.value) == alone[0][2]
+
+
 class TestGalerkinGain:
     def test_degree_one_equals_constant_gain(self):
         """In the degree-1 monomial basis the weak form reduces exactly to
@@ -196,6 +273,13 @@ class TestGalerkinGain:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             monomial_exponents(2, 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_table_size_is_the_basis_table_size(self, d):
+        """galerkin_table_size, which config caps, counts the entries of
+        the weights table that the Galerkin gain allocates."""
+        for deg in (1, 2, 3):
+            assert galerkin_table_size(d, deg) == _basis_table(d, deg)[2].size
 
 
 def _monomial_partial(points, alpha, axes):

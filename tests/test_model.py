@@ -300,6 +300,23 @@ class TestValidateModel:
             model.diffusion[0, 0] = np.nan
         np.testing.assert_array_equal(model.diffusion_t, np.eye(1))
 
+    def test_built_model_arrays_are_read_only(self):
+        """An in-place edit of a built model's polynomials or derived
+        arrays raises, so they cannot disagree with each other: h = x on
+        linear1d keeps reading h = x, and linear2d's F keeps the drift."""
+        model = make_model("linear1d")
+        with pytest.raises(ValueError, match="read-only"):
+            model.obs.coeffs[0] = 3.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.obs.exponents[0, 0] = 2
+        np.testing.assert_array_equal(model.obs_at(np.ones((1, 1))), [1.0])
+        model = make_model("linear2d")
+        for table in (model.drift_matrix, model._drift_t, model.obs_vector):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, ...] = 5.0
+        np.testing.assert_array_equal(model.drift_at(np.eye(2)),
+                                      model.drift_matrix.T)
+
     def test_nonfinite_drift(self):
         model = SdeModel([Polynomial(1, {(1,): np.nan})],
                          Polynomial(1, {(1,): 1.0}), np.eye(1), "nan")
