@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from typing import List, Optional
 
 import numpy as np
@@ -245,27 +246,39 @@ def _resolve_suite(args) -> str:
     return suite
 
 
+def _margin(row: CheckRow) -> float:
+    """residual / tolerance; 0 for an infinite tolerance."""
+    if row.tolerance == np.inf:
+        return 0.0
+    return float(np.divide(row.residual, row.tolerance))
+
+
 def cmd_verify(args) -> int:
     suite = _resolve_suite(args)
     out = _out_dir(args, None)
+    start = time.perf_counter()
     rows: List[CheckRow] = run_suite(suite)
+    seconds = time.perf_counter() - start
     csv_path = os.path.join(out, f"verify_{suite}.csv")
     write_suite_csv(csv_path, rows)
 
     by_check: dict = {}
     for row in rows:
-        passed, total, worst = by_check.get(row.check, (0, 0, 0.0))
-        by_check[row.check] = (passed + int(row.passed), total + 1,
-                               max(worst, row.residual))
+        by_check.setdefault(row.check, []).append(row)
     all_pass = True
     for check in sorted(by_check):
-        passed, total, worst = by_check[check]
-        status = "pass" if passed == total else "FAIL"
-        all_pass &= passed == total
-        print(f"{check}: {passed}/{total} {status} "
-              f"(worst residual {worst:.3e})")
+        group = by_check[check]
+        passed = sum(row.passed for row in group)
+        status = "pass" if passed == len(group) else "FAIL"
+        all_pass &= passed == len(group)
+        # np.max, unlike max(), keeps a NaN residual in the summary
+        worst = np.max([row.residual for row in group])
+        margin = np.max([_margin(row) for row in group])
+        print(f"{check}: {passed}/{len(group)} {status} "
+              f"(worst residual {worst:.3e}, "
+              f"worst residual/tolerance {margin:.3g})")
     print(f"suite {suite}: {'PASS' if all_pass else 'FAIL'} "
-          f"({len(rows)} checks, results in {csv_path})")
+          f"({len(rows)} checks in {seconds:.3f} s, results in {csv_path})")
     return 0 if all_pass else 1
 
 

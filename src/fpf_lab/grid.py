@@ -75,6 +75,16 @@ class GridDensity:
         return cls(x, p).normalize() if normalize else cls(x, p)
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of y over x from x[0] to each node, 0 at x[0]:
+    scipy.integrate.cumulative_trapezoid(y, x, initial=0.0)'s formula, so
+    its bytes too."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    out[1:] = np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+    return out
+
+
 def clip_roundoff_negatives(p: np.ndarray) -> np.ndarray:
     """Zero out negative entries down to -1e-12; larger excursions are
     errors."""

@@ -26,8 +26,8 @@ __all__ = [
     "piola_residual", "el_bracket_residual", "el_generator_invariance",
     "dz_order_residual", "dt_order_residual", "quadratic_term_identity",
     "double_divergence_expansion_check", "poincare_ratio_sweep",
-    "weighted_poisson_derivative_check", "bounded_slope_grad_log",
-    "QUADRATIC_IDENTITY_IDS",
+    "weighted_poisson_derivative_check", "solve_tridiagonal",
+    "bounded_slope_grad_log", "QUADRATIC_IDENTITY_IDS",
 ]
 
 
@@ -519,6 +519,58 @@ def poincare_ratio_sweep(q: int, grad_log_p, radii: Sequence[float],
 # Weighted-Poisson derivative recursion, 1-D base case
 # ---------------------------------------------------------------------------
 
+def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+                      b: np.ndarray) -> np.ndarray:
+    """x with A x = b, A tridiagonal with sub-diagonal dl, diagonal d and
+    super-diagonal du, byte for byte what scipy.linalg.solve_banded((1, 1),
+    ...) returns. A non-finite input raises ValueError and an exactly zero
+    pivot np.linalg.LinAlgError, as there."""
+    return _gtsv(dl, d, du, b)[0]
+
+
+def _gtsv(dl, d, du, b) -> Tuple[np.ndarray, int]:
+    """Reference LAPACK dgtsv's operations in its order, on Python floats
+    (no fused multiply-add): Gaussian elimination with partial pivoting by
+    row interchange, whose fill-in of the second super-diagonal is kept in
+    dl, then back-substitution. Returns (x, row interchanges made)."""
+    arrays = [np.asarray(a, dtype=float) for a in (dl, d, du, b)]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+    dl, d, du, b = (a.tolist() for a in arrays)
+    n = len(d)
+    if len(dl) != n - 1 or len(du) != n - 1 or len(b) != n:
+        raise ValueError("tridiagonal bands and right-hand side disagree "
+                         "in length")
+    swaps = 0
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            swaps += 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:       # the last pair has no fill-in
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    b[-1] = b[-1] / d[-1]
+    if n > 1:
+        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return np.array(b), swaps
+
+
 def weighted_poisson_derivative_check(x: np.ndarray, p_vals: np.ndarray,
                                       h_vals: np.ndarray,
                                       h_grad_vals: np.ndarray,
@@ -531,9 +583,6 @@ def weighted_poisson_derivative_check(x: np.ndarray, p_vals: np.ndarray,
     half nodes and phi = 0 at both ends; the relation is then checked with
     central differences over interior nodes. Returns (max residual, phi').
     """
-    # local import: scipy.linalg adds ~0.3 s to each fpf-lab start (2 cores)
-    from scipy.linalg import solve_banded
-
     x = np.asarray(x, dtype=float)
     p_vals = np.asarray(p_vals, dtype=float)
     h_vals = np.asarray(h_vals, dtype=float)
@@ -544,13 +593,10 @@ def weighted_poisson_derivative_check(x: np.ndarray, p_vals: np.ndarray,
     rhs = (h_vals - h_hat) * p_vals
 
     p_half = 0.5 * (p_vals[:-1] + p_vals[1:])       # at i + 1/2
-    n_in = n - 2
-    ab = np.zeros((3, n_in))
-    ab[1] = (p_half[:-1] + p_half[1:]) / dx ** 2     # diagonal, rows 1..n-2
-    ab[0, 1:] = -p_half[1:-1] / dx ** 2              # upper
-    ab[2, :-1] = -p_half[1:-1] / dx ** 2             # lower
+    diag = (p_half[:-1] + p_half[1:]) / dx ** 2      # rows 1..n-2
+    off = -p_half[1:-1] / dx ** 2                    # symmetric off-diagonals
     phi = np.zeros(n)
-    phi[1:-1] = solve_banded((1, 1), ab, rhs[1:-1])
+    phi[1:-1] = solve_tridiagonal(off, diag, off, rhs[1:-1])
 
     phi_p = np.zeros(n)
     phi_p[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * dx)

@@ -144,7 +144,9 @@ def _chang_cooper_factors(drift_vals_mid: np.ndarray, sigma: float,
     kept for any dt; p_{i+1} / p_i = e^w is a fixed point. Column
     dominance means partial pivoting swaps no rows, and the factors solve
     bit for bit as scipy's solve_banded (?gtsv) does."""
-    # local import: scipy.linalg adds ~0.3 s to each fpf-lab start (2 cores)
+    # local import: scipy.linalg.lapack costs 0.31-0.33 s and 25.6 MiB of
+    # max RSS after fpf_lab.cli (5 fresh interpreters, 2-core x86-64
+    # machine, SciPy 1.17.1); only compare pays it
     from scipy.linalg.lapack import dgttrf
 
     diff = 0.5 * sigma * sigma

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import (ExpPolyDensity, Polynomial, PolyScalarField,
                      PolyVectorField)
-from .grid import trapezoid
+from .grid import cumulative_trapezoid, trapezoid
 from .identities import (
     QUADRATIC_IDENTITY_IDS,
     bounded_slope_grad_log,
@@ -219,9 +219,6 @@ def suite_lemma_d() -> List[CheckRow]:
     is nearly singular where p ~ 1e-15 near the domain ends, so boundary
     values of phi' amplify rounding of the right-hand side by 1/p.
     """
-    # local import: scipy.integrate adds ~0.3 s to each fpf-lab start (2 cores)
-    from scipy.integrate import cumulative_trapezoid
-
     x = np.linspace(-8.0, 8.0, 2001)
     p = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
     interior = np.abs(x) <= 3.0
@@ -238,7 +235,7 @@ def suite_lemma_d() -> List[CheckRow]:
     rows.append(_row("lemmaD-residual", "h=x^2", res2, 1e-3))
     # quadrature oracle: phi'(x) = (1/p) int_x^inf (h - h_hat) p ds
     h_hat = trapezoid(x * x * p, x) / trapezoid(p, x)
-    cumulative = cumulative_trapezoid((x * x - h_hat) * p, x, initial=0.0)
+    cumulative = cumulative_trapezoid((x * x - h_hat) * p, x)
     oracle = (cumulative[-1] - cumulative) / p
     rows.append(_row("lemmaD-gain", "h=x^2,quadrature",
                      np.max(np.abs(phi_p2[interior] - oracle[interior])),

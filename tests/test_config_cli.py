@@ -15,7 +15,7 @@ from fpf_lab.cli import main
 from fpf_lab.config import ConfigError, load_config, parse_polynomial
 from fpf_lab.fields import PolyScalarField
 from fpf_lab.filter import read_trace_csv
-from fpf_lab.verify import run_suite
+from fpf_lab.verify import CheckRow, run_suite
 
 BASE_CONFIG = """\
 [model]
@@ -587,21 +587,58 @@ class TestCliExitCodes:
         assert err[0].startswith(f"fpf-lab: config error: field {field}: ")
         assert not out.exists()
 
-    def test_cli_import_leaves_scipy_solvers_unloaded(self):
-        """Every command starts without scipy.linalg and scipy.integrate,
-        which cost ~0.3 s of start-up, and without mpmath (~35 ms); the
-        suites and the grid oracle that use them import them when they
-        run."""
+    @staticmethod
+    def _run_python(code):
+        """stdout of `code` run in a fresh interpreter on this package."""
         src = os.path.dirname(os.path.dirname(fpf_lab.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import sys, fpf_lab.cli; print(sorted(m for m in "
-                "('scipy.linalg', 'scipy.integrate', 'mpmath') "
-                "if m in sys.modules))")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[]"
+        return run.stdout
+
+    def test_cli_import_leaves_scipy_solvers_unloaded(self):
+        """Every command starts without scipy.linalg and scipy.integrate
+        and without mpmath (~35 ms); of the commands, only compare's grid
+        oracle imports scipy.linalg, when it runs (see
+        test_only_compare_loads_scipy)."""
+        out = self._run_python(
+            "import sys, fpf_lab.cli; print(sorted(m for m in "
+            "('scipy.linalg', 'scipy.integrate', 'mpmath') "
+            "if m in sys.modules))")
+        assert out.strip() == "[]"
+
+    def test_only_compare_loads_scipy(self, tmp_path):
+        """All seven verify suites, simulate and filter run on NumPy alone:
+        no scipy module is loaded after them. compare then loads
+        scipy.linalg (its grid oracle's LAPACK ?gttrf/?gttrs), and still
+        not scipy.integrate."""
+        cfg = _write(tmp_path, BASE_CONFIG)
+        out, obs = str(tmp_path / "out"), str(tmp_path / "out" / "obs.csv")
+        code = f"""
+import contextlib, io, sys
+from fpf_lab.cli import main
+from fpf_lab.verify import SUITE_NAMES
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify", s, "--out", {out!r}]) for s in SUITE_NAMES]
+    codes.append(main(["simulate", "--config", {cfg!r}, "--out", {out!r}]))
+    codes.append(main(["filter", "--config", {cfg!r}, "--obs", {obs!r},
+                       "--out", {out!r}]))
+print(len(SUITE_NAMES), codes, scipy_modules())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["compare", "--config", {cfg!r}, "--obs", {obs!r},
+                 "--out", {out!r}])
+print(code, "scipy.linalg" in sys.modules, "scipy.integrate" in sys.modules)
+"""
+        before, after = self._run_python(code).splitlines()
+        assert before == "7 [0, 0, 0, 0, 0, 0, 0, 0, 0] []"
+        assert after == "0 True False"
 
     def test_ini_syntax_error_is_two(self, tmp_path, capsys):
         """A line that is not INI is reported against the file, not a
@@ -985,6 +1022,30 @@ class TestCliVerify:
         lines = (tmp_path / "verify_poincare.csv").read_text().splitlines()
         assert lines[0] == "check,point,residual,tolerance,pass"
         assert all(line.endswith(",1") for line in lines[1:])
+
+    def test_summary_reports_nan_margin_and_time(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """A NaN residual is the check's worst residual and margin, not
+        hidden behind a finite one; an infinite tolerance is a 0 margin.
+        The CSV and the exit code are as before."""
+        rows = [CheckRow("c", "0", math.nan, 1.0, False),
+                CheckRow("c", "1", 0.5, 1.0, True),
+                CheckRow("d", "0", 2e-4, 1e-3, True),
+                CheckRow("d", "1", 7.0, math.inf, True)]
+        monkeypatch.setattr("fpf_lab.cli.run_suite", lambda suite: rows)
+        assert main(["verify", "poincare", "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == ("c: 1/2 FAIL (worst residual nan, "
+                          "worst residual/tolerance nan)")
+        assert out[1] == ("d: 2/2 pass (worst residual 7.000e+00, "
+                          "worst residual/tolerance 0.2)")
+        assert out[2].startswith("suite poincare: FAIL (4 checks in ")
+        assert out[2].endswith(
+            f" s, results in {tmp_path / 'verify_poincare.csv'})")
+        float(out[2].split(" checks in ")[1].split(" s,")[0])
+        assert (tmp_path / "verify_poincare.csv").read_text().splitlines() \
+            == ["check,point,residual,tolerance,pass", "c,0,nan,1,0",
+                "c,1,0.5,1,1", "d,0,0.0002,0.001,1", "d,1,7,inf,1"]
 
     def test_suite_from_config_file(self, tmp_path):
         for line in ("suite = poincare", "suite = poincare  # fast"):

@@ -23,7 +23,8 @@ from fpf_lab import (
     weighted_stats,
 )
 from fpf_lab.fields import Polynomial
-from fpf_lab.grid import clip_roundoff_negatives, trapezoid
+from fpf_lab.grid import (clip_roundoff_negatives, cumulative_trapezoid,
+                           trapezoid)
 from fpf_lab.reference import _chang_cooper_factors, fokker_planck_substeps
 
 
@@ -179,6 +180,20 @@ class TestGridDensity:
         np.testing.assert_array_equal(out, [0.5, 0.0, 0.5])
         with pytest.raises(GridNegativityError):
             clip_roundoff_negatives(np.array([0.5, -1e-6, 0.5]))
+
+
+class TestCumulativeTrapezoid:
+    @pytest.mark.parametrize("n", [1, 2, 3, 2001])
+    @pytest.mark.parametrize("uniform", [True, False],
+                             ids=["uniform", "non-uniform"])
+    def test_matches_scipy_bytes(self, n, uniform):
+        from scipy.integrate import cumulative_trapezoid as reference
+        rng = np.random.default_rng(n)
+        x = np.linspace(-8.0, 8.0, n) if uniform \
+            else np.cumsum(rng.uniform(0.01, 1.0, n))
+        y = np.exp(-0.5 * x * x) * (x * x - 1.0) + rng.standard_normal(n)
+        assert cumulative_trapezoid(y, x).tobytes() \
+            == reference(y, x, initial=0.0).tobytes()
 
 
 class TestGridFilter:
