@@ -8,8 +8,8 @@
                                                  a --config file)
 
 Exit codes: 0 success, 1 verification failures, 2 configuration error
-(an output directory that cannot be made is one), 3 model/precondition
-error, 4 runtime filter abort.
+(an output directory that cannot be made or an output file that cannot be
+written is one), 3 model/precondition error, 4 runtime filter abort.
 
 Every command is a deterministic function of its configuration file: all
 randomness flows from the explicit seeds.
@@ -53,6 +53,21 @@ def _out_dir(args, cfg: Optional[ExperimentConfig]) -> str:
     return out
 
 
+def _write(path: str, write, *args) -> None:
+    """write(path, *args); a file that cannot be written is a config
+    error that names it, like a directory that cannot be made."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") \
+            from None
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _load_observations(path: str):
     try:
         return read_observations_csv(path)
@@ -73,8 +88,8 @@ def cmd_simulate(args) -> int:
     obs = synthesize_observations(cfg.model, truth, cfg.seed_observation)
     truth_path = os.path.join(out, "truth.csv")
     obs_path = os.path.join(out, "obs.csv")
-    write_truth_csv(truth_path, truth)
-    write_observations_csv(obs_path, obs)
+    _write(truth_path, write_truth_csv, truth)
+    _write(obs_path, write_observations_csv, obs)
     print(f"wrote {truth_path} ({len(truth.times)} rows) and "
           f"{obs_path} ({len(obs)} rows)")
     return 0
@@ -89,7 +104,7 @@ def cmd_filter(args) -> int:
                           cfg.filter_cfg, cfg.prior_mean, cfg.prior_cov,
                           cfg.dt)
     trace_path = os.path.join(out, "fpf_trace.csv")
-    write_trace_csv(trace_path, trace)
+    _write(trace_path, write_trace_csv, trace)
     flagged = int(trace.n_flagged.sum())
     print(f"wrote {trace_path} ({len(trace.times)} rows, "
           f"{flagged} flagged particle updates)")
@@ -183,7 +198,7 @@ def cmd_compare(args) -> int:
             header += [f"{name}_{stat}_{i + 1}"
                        for i in range(values.shape[1])]
             columns.append(values)
-    write_table(compare_path, header, np.column_stack(columns))
+    _write(compare_path, write_table, header, np.column_stack(columns))
 
     lines: List[str] = [
         f"model={cfg.model.name}",
@@ -218,8 +233,7 @@ def cmd_compare(args) -> int:
                                     get_generator(gen))
             lines.append(f"{gen}_fpf_vs_grid={FMT % val}")
     summary_path = os.path.join(out, "summary.txt")
-    with open(summary_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(summary_path, _write_text, "\n".join(lines) + "\n")
     print(f"wrote {compare_path} and {summary_path}")
     for line in lines:
         print("  " + line)
@@ -260,7 +274,7 @@ def cmd_verify(args) -> int:
     rows: List[CheckRow] = run_suite(suite)
     seconds = time.perf_counter() - start
     csv_path = os.path.join(out, f"verify_{suite}.csv")
-    write_suite_csv(csv_path, rows)
+    _write(csv_path, write_suite_csv, rows)
 
     by_check: dict = {}
     for row in rows:

@@ -11,9 +11,11 @@ continuum limit is recovered as dt -> 0).
 
 An SdeModel holds the polynomials a and h.  Its methods drift_at, obs_at
 and obs_grad_at map an ensemble (N, d) to (N, d), (N,) and (N, d), and a
-batch of ensembles (S, N, d), one per filter seed, in one call on its S*N
-rows.  The gradient of an affine h is one row H^T, shape (1, d) for any
-ensemble or batch, which reaches the particles by broadcasting.
+batch of ensembles (S, N, d), one per filter seed, to a leading S axis:
+an affine map in one call on its S*N rows, a polynomial one ensemble at a
+time, so that each seed's values are the bits of its ensemble alone.
+The gradient of an affine h is one row H^T, shape (1, d) for any ensemble
+or batch, which reaches the particles by broadcasting.
 """
 
 from __future__ import annotations
@@ -89,19 +91,17 @@ class SdeModel:
             _obs_field=PolyScalarField(self.obs))
 
     def drift_at(self, states: np.ndarray) -> np.ndarray:
+        if self.drift_matrix is None:
+            return _each_ensemble(self._drift_field.value, states)
         flat = _rows(states)
-        if self.drift_matrix is not None:
-            out = np.dot(flat, self._drift_t)
-        else:
-            out = self._drift_field.value(flat)
+        out = np.dot(flat, self._drift_t)
         return out if flat is states else out.reshape(states.shape)
 
     def obs_at(self, states: np.ndarray) -> np.ndarray:
+        if self.obs_vector is None:
+            return _each_ensemble(self._obs_field.value, states)
         flat = _rows(states)
-        if self.obs_vector is not None:
-            out = np.dot(flat, self.obs_vector) + self.obs_offset
-        else:
-            out = self._obs_field.value(flat)
+        out = np.dot(flat, self.obs_vector) + self.obs_offset
         return out if flat is states else out.reshape(states.shape[:-1])
 
     def obs_grad_at(self, states: np.ndarray) -> np.ndarray:
@@ -109,9 +109,7 @@ class SdeModel:
         the one row H^T, shape (1, d), whatever the states."""
         if self.obs_vector is not None:
             return self.obs_vector[None, :]
-        flat = _rows(states)
-        out = self._obs_field.grad(flat)
-        return out if flat is states else out.reshape(states.shape)
+        return _each_ensemble(self._obs_field.grad, states)
 
 
 def _affine_parts(poly: Polynomial) -> Optional[Tuple[np.ndarray, float]]:
@@ -121,6 +119,18 @@ def _affine_parts(poly: Polynomial) -> Optional[Tuple[np.ndarray, float]]:
         return None
     return (poly.coeffs[degree == 1] @ poly.exponents[degree == 1],
             float(poly.coeffs[degree == 0].sum()))
+
+
+def _each_ensemble(evaluate, states: np.ndarray) -> np.ndarray:
+    """evaluate, a polynomial field's view, on each (N, d) ensemble of
+    states (..., N, d), stacked: one product over all rows of a batch may
+    round a row other than the product over its ensemble alone, so a
+    seed's values would depend on its batch."""
+    if states.ndim == 2:
+        return evaluate(states)
+    ensembles = states.reshape(-1, *states.shape[-2:])
+    out = np.stack([evaluate(x) for x in ensembles])
+    return out.reshape(states.shape[:-2] + out.shape[1:])
 
 
 def _rows(states: np.ndarray) -> np.ndarray:
@@ -134,11 +144,10 @@ def _rows(states: np.ndarray) -> np.ndarray:
 # A noise block holds at most this many steps and this many normals over
 # all its S*N streams (but never less than one step): 64 steps at S*N =
 # 1000, d = 1, 10 for six seeds of 1000 particles, one beyond 2^16 draws
-# per step.  A refill hashes in place over a words array and a scratch
-# array of two words per normal, 1 MiB each, unless one step alone needs
-# more.  Of the caps 2^13 to 2^16 on a 2-core x86-64 machine, 2^16 gave
-# single-seed runs their lowest wall time, and a six-seed compare within
-# 2% of its lowest (2^15).
+# per step.  A refill's temporaries peak near five words per normal,
+# about 2.5 MiB, unless one step alone needs more.  Of the caps 2^13 to
+# 2^16 on a 2-core x86-64 machine, 2^16 gave single-seed runs their lowest
+# wall time, and a six-seed compare within 2% of its lowest (2^15).
 _BLOCK_STEPS = 64
 _BLOCK_NORMALS = 1 << 16
 

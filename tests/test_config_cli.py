@@ -480,6 +480,36 @@ class TestCliExitCodes:
         assert err[0].startswith(
             f"fpf-lab: config error: cannot make output directory {path}: ")
 
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "truth.csv"),
+        ("simulate", "obs.csv"),
+        ("filter", "fpf_trace.csv"),
+        ("compare", "compare.csv"),
+        ("compare", "summary.txt"),
+        ("verify", "verify_taylor.csv"),
+    ])
+    def test_unwritable_output_file_is_two(self, tmp_path, capsys, command,
+                                           name):
+        """An output file that cannot be written, here because a directory
+        has its name, is a config error whose one line names the file,
+        not a traceback with verify's exit 1."""
+        cfg = _write(tmp_path, BASE_CONFIG)
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")])
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        capsys.readouterr()
+        argv = {"simulate": ["simulate", "--config", cfg],
+                "filter": ["filter", "--config", cfg],
+                "compare": ["compare", "--config", cfg],
+                "verify": ["verify", "taylor"]}[command]
+        if command in ("filter", "compare"):
+            argv += ["--obs", str(tmp_path / "run" / "obs.csv")]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"fpf-lab: config error: cannot write output file {out / name}: ")
+
     @pytest.mark.parametrize("command, old, new, field", [
         ("simulate", "dt = 0.05", "dt = nan", "`dt` in [time]"),
         ("simulate", "t_end = 0.5", "t_end = inf", "`t_end` in [time]"),

@@ -12,10 +12,13 @@ and records the regeneration and its reason in CHANGES.md.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import fpf_lab
 from fpf_lab.cli import main
 from fpf_lab.verify import SUITE_NAMES
 
@@ -64,27 +67,50 @@ def _run(argv, out: Path) -> dict:
     return {"exit": code, "files": files}
 
 
+def _model_cases(root: Path, name: str, runs) -> dict:
+    """simulate/<name>, then <command>/<name>/<gain> on its observations
+    for each (command, gain) of runs."""
+    case = root / name
+    case.mkdir()
+    for gain in GAINS:
+        cfg = case / f"{gain}.ini"
+        cfg.write_text(CONFIG.format(model=MODELS[name], gain=gain))
+    sim = case / "simulate"
+    cfg = str(case / f"{GAINS[0]}.ini")
+    table = {f"simulate/{name}": _run(["simulate", "--config", cfg], sim)}
+    obs = str(sim / "obs.csv")
+    for command, gain in runs:
+        cfg = str(case / f"{gain}.ini")
+        table[f"{command}/{name}/{gain}"] = _run(
+            [command, "--config", cfg, "--obs", obs],
+            case / f"{command}-{gain}")
+    return table
+
+
+def _suite_cases(root: Path, suites) -> dict:
+    return {f"verify/{suite}": _run(["verify", suite],
+                                    root / f"verify-{suite}")
+            for suite in suites}
+
+
 def golden_table(root: Path) -> dict:
     table = {}
-    for name, model in MODELS.items():
-        case = root / name
-        case.mkdir()
-        for gain in GAINS:
-            cfg = case / f"{gain}.ini"
-            cfg.write_text(CONFIG.format(model=model, gain=gain))
-        sim = case / "simulate"
-        cfg = str(case / f"{GAINS[0]}.ini")
-        table[f"simulate/{name}"] = _run(["simulate", "--config", cfg], sim)
-        obs = str(sim / "obs.csv")
-        for gain in GAINS:
-            cfg = str(case / f"{gain}.ini")
-            for command in ("filter", "compare"):
-                table[f"{command}/{name}/{gain}"] = _run(
-                    [command, "--config", cfg, "--obs", obs],
-                    case / f"{command}-{gain}")
-    for suite in SUITE_NAMES:
-        table[f"verify/{suite}"] = _run(["verify", suite],
-                                        root / f"verify-{suite}")
+    for name in MODELS:
+        table.update(_model_cases(root, name, [
+            (command, gain) for gain in GAINS
+            for command in ("filter", "compare")]))
+    table.update(_suite_cases(root, SUITE_NAMES))
+    return table
+
+
+def blas_table(root: Path) -> dict:
+    """The golden cases whose numbers pass through BLAS products: the
+    Galerkin gain in d = 2 and on a cubic h, and two suites built on
+    matrix products."""
+    table = {}
+    for name in ("linear2d", "cubic-sensor"):
+        table.update(_model_cases(root, name, [("filter", "galerkin")]))
+    table.update(_suite_cases(root, ("el-invariance", "appendixB")))
     return table
 
 
@@ -101,6 +127,28 @@ def test_outputs_match_golden_digests(tmp_path, capsys):
     assert not changed, (
         f"cases differing from {GOLDEN.name}: {', '.join(changed)}\n"
         f"new digest table:\n{_dump(table)}")
+
+
+def test_blas_cases_match_golden_digests_on_one_thread(tmp_path):
+    """The golden corpus does not depend on the BLAS thread count: its
+    BLAS-heavy cases, run in a fresh interpreter with one BLAS and OpenMP
+    thread, write the files whose digests the table holds."""
+    src = os.path.dirname(os.path.dirname(fpf_lab.__file__))
+    path = [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import json, sys; from pathlib import Path; "
+            "from test_golden import blas_table; root = Path(sys.argv[1]); "
+            "table = blas_table(root); "
+            "(root / 'table.json').write_text(json.dumps(table))")
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    table = json.loads((tmp_path / "table.json").read_text())
+    expected = json.loads(GOLDEN.read_text())
+    assert len(table) == 6
+    assert table == {case: expected[case] for case in table}
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Tests for the model containers, noise streams, and ensemble statistics."""
 
+import hashlib
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
@@ -111,8 +112,7 @@ class TestNoiseStreams:
 
     def test_seed_step_block_matches_per_uniform_hash(self):
         """A (K, S, N, 3) block of several steps and seeds on strided
-        streams, hashed in place over one words and one scratch array,
-        is bit-equal to the per-uniform hash with Box-Muller."""
+        streams is bit-equal to the per-uniform hash with Box-Muller."""
         seeds = np.array([2 ** 64 - 1, 0, 13], dtype=np.uint64)
         streams = np.arange(3, 300, 7, dtype=np.uint64)[::-2]
         steps = np.arange(4, 9)
@@ -213,6 +213,66 @@ class TestNoiseStreams:
         second = ens.draw_normals(1)
         assert ens.draw_step == 2
         assert not np.array_equal(first, second)
+
+
+_STRIDED = np.arange(3, 300, 7, dtype=np.uint64)[::-2]
+_PERMUTED = np.random.default_rng(5).permutation(61).astype(np.uint64)
+
+# Each call at an address shape the golden corpus does not reach, and the
+# sha256 of its float64 bytes.  The digests were taken from the hash before
+# its in-place scratch arrays were removed; any change to the hash, in
+# standard_normal and uniform01 alike, moves them.
+NOISE_BYTES = {
+    "int-seed-steps": (
+        lambda: noise.standard_normal(42, np.arange(64), np.arange(5, 13), 2),
+        (8, 64, 2),
+        "d28e28e3db05ea26690c18ed0afd36504ad176383b5ad618b1ecc1daea40ef35"),
+    "seed-batch-3-slots": (
+        lambda: noise.standard_normal([7, 2 ** 63 + 1, 0], np.arange(50),
+                                      np.arange(2, 5), 3),
+        (3, 3, 50, 3),
+        "b61545d5962960a7e4e42d81abb431dda96d7fe0185b7e7145d8f1e915e7de1e"),
+    "permuted-streams": (
+        lambda: noise.standard_normal(11, _PERMUTED, np.arange(3), 2),
+        (3, 61, 2),
+        "51fceee223da4bfad97aff5065ea320ee24ded89dceaa18e60124a21fec5441f"),
+    "strided-streams": (
+        lambda: noise.standard_normal([3, 4], _STRIDED, 6, 2),
+        (2, len(_STRIDED), 2),
+        "d64195e5ceab9a253106761dc37c5f8b2c705470a480757219c48c876cff9f29"),
+    "max-seed": (
+        lambda: noise.standard_normal(2 ** 64 - 1, np.arange(40),
+                                      np.arange(4), 1),
+        (4, 40, 1),
+        "116bb83dc618b36094a602321cf031d112cda6ba037f26c3212023eda29ecc30"),
+    "scalar-step": (
+        lambda: noise.standard_normal(5, np.arange(33), 17, 4),
+        (33, 4),
+        "669cef25cc4eab3a20a4ed8d3665597835e28351657e99e9fe8b6a713c3bbfec"),
+    "uniform-resample-address": (
+        lambda: noise.uniform01(13, np.uint64(0xFFFFFFFF), 250,
+                                np.uint64(0)),
+        (),
+        "1896240d010972f005a95e19d09101962586f380ddfee26a0b732477de56e3b0"),
+    "uniform-broadcast": (
+        lambda: noise.uniform01([9], np.arange(30).reshape(-1, 1, 1),
+                                np.arange(4).reshape(-1, 1),
+                                np.arange(5, dtype=np.uint64)),
+        (30, 4, 5),
+        "b97288519fc6c9457cff938d54ea2a2507e58a9491e87c1b8e1b91a2644e31f8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_BYTES))
+def test_noise_bytes_pinned(case):
+    """The noise hash gives the same bits at every address shape: the
+    digests below hold for standard_normal and uniform01 at once, which
+    the golden CLI digests alone would not show to drift together."""
+    call, shape, digest = NOISE_BYTES[case]
+    draws = np.asarray(call())
+    assert draws.shape == shape
+    assert draws.dtype == np.float64
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
 
 
 class TestSampleInitialEnsemble:
@@ -378,6 +438,23 @@ class TestPolynomialModel:
             np.testing.assert_allclose(
                 model.obs_at(states),
                 states @ model.obs_vector + model.obs_offset, **tol)
+
+    @pytest.mark.parametrize("n", [5, 37])
+    def test_batch_rows_are_each_ensembles_bits(self, n):
+        """A cubic drift and h on a batch (3, N, 1) give, in slice s, the
+        bytes of the call on ensemble s alone: drift, h and grad h.  One
+        product over the 3N rows of the batch rounds some gradient rows
+        differently at these N."""
+        model = SdeModel(drift=[Polynomial(1, {(1,): -1.0, (3,): -0.2})],
+                         obs=Polynomial(1, {(1,): 1.0, (2,): 0.4,
+                                            (3,): 0.1}),
+                         diffusion=[[0.5]], name="cubic")
+        states = np.random.default_rng(2).standard_normal((3, n, 1))
+        for at in (model.drift_at, model.obs_at, model.obs_grad_at):
+            batch = at(states)
+            assert batch.shape[:2] == (3, n)
+            for s in range(3):
+                assert batch[s].tobytes() == at(states[s]).tobytes()
 
 
 class TestCovarianceSqrt:
