@@ -18,6 +18,8 @@ randomness flows from the explicit seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import os
 import sys
 import time
@@ -53,14 +55,42 @@ def _out_dir(args, cfg: Optional[ExperimentConfig]) -> str:
     return out
 
 
-def _write(path: str, write, *args) -> None:
-    """write(path, *args); a file that cannot be written is a config
-    error that names it, like a directory that cannot be made."""
+def _make_empty(temp: str, path: str) -> None:
+    if os.path.isdir(path):     # no file can take its name
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    open(temp, "w").close()
+
+
+@contextlib.contextmanager
+def _outputs(*paths: str):
+    """Yields write(path, writer, *args), which runs writer on a temporary
+    file beside path. Every temporary file is made before the block runs,
+    so a file that cannot be written is a config error that names it
+    before any work, like a directory that cannot be made. The files take
+    their names when the block ends and are removed if it raises, so a
+    failed command leaves no file of its own."""
+    temps = {}
+
+    def write(path, writer, *args):
+        try:
+            writer(temps[path], *args)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {path}: {exc}") \
+                from None
+
     try:
-        write(path, *args)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file {path}: {exc}") \
-            from None
+        for path in paths:
+            head, tail = os.path.split(path)
+            temps[path] = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+            write(path, _make_empty, path)
+        yield write
+        for path in paths:
+            write(path, os.replace, path)
+            del temps[path]
+    finally:
+        for temp in temps.values():
+            with contextlib.suppress(OSError):
+                os.remove(temp)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -83,13 +113,14 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     validate_model(cfg.model)
     out = _out_dir(args, cfg)
-    truth = simulate_truth(cfg.model, cfg.x0, cfg.dt, cfg.t_end,
-                           cfg.seed_truth)
-    obs = synthesize_observations(cfg.model, truth, cfg.seed_observation)
     truth_path = os.path.join(out, "truth.csv")
     obs_path = os.path.join(out, "obs.csv")
-    _write(truth_path, write_truth_csv, truth)
-    _write(obs_path, write_observations_csv, obs)
+    with _outputs(truth_path, obs_path) as write:
+        truth = simulate_truth(cfg.model, cfg.x0, cfg.dt, cfg.t_end,
+                               cfg.seed_truth)
+        obs = synthesize_observations(cfg.model, truth, cfg.seed_observation)
+        write(truth_path, write_truth_csv, truth)
+        write(obs_path, write_observations_csv, obs)
     print(f"wrote {truth_path} ({len(truth.times)} rows) and "
           f"{obs_path} ({len(obs)} rows)")
     return 0
@@ -99,12 +130,13 @@ def cmd_filter(args) -> int:
     cfg = load_config(args.config)
     validate_model(cfg.model)
     out = _out_dir(args, cfg)
-    obs = _load_observations(args.obs)
-    trace, _ = run_filter(cfg.model, obs, cfg.n_particles, cfg.seed_filter,
-                          cfg.filter_cfg, cfg.prior_mean, cfg.prior_cov,
-                          cfg.dt)
     trace_path = os.path.join(out, "fpf_trace.csv")
-    _write(trace_path, write_trace_csv, trace)
+    with _outputs(trace_path) as write:
+        obs = _load_observations(args.obs)
+        trace, _ = run_filter(cfg.model, obs, cfg.n_particles,
+                              cfg.seed_filter, cfg.filter_cfg,
+                              cfg.prior_mean, cfg.prior_cov, cfg.dt)
+        write(trace_path, write_trace_csv, trace)
     flagged = int(trace.n_flagged.sum())
     print(f"wrote {trace_path} ({len(trace.times)} rows, "
           f"{flagged} flagged particle updates)")
@@ -163,77 +195,78 @@ def cmd_compare(args) -> int:
     model, d, dt = cfg.model, cfg.model.dim, cfg.dt
     grid_density = _grid_prior(cfg) if d == 1 else None
     out = _out_dir(args, cfg)
-    obs = _load_observations(args.obs)
-
-    fpf_traces, fpf_final = run_filters(model, obs, cfg.n_particles,
-                                        cfg.compare_seeds, cfg.filter_cfg,
-                                        cfg.prior_mean, cfg.prior_cov, dt)
-    fpf_trace = fpf_traces[0]
-
-    # (means, variances) per filter, in compare.csv column order
-    paths = {"fpf": (fpf_trace.means,
-                     np.diagonal(fpf_trace.covs, axis1=1, axis2=2))}
-    if model.drift_matrix is not None and model.obs_vector is not None:
-        paths["kb"] = _moment_path(
-            KalmanState(cfg.prior_mean.copy(), cfg.prior_cov.copy()),
-            lambda state, dz: kalman_bucy_step(state, model, dz, dt),
-            lambda state: (state.mean, state.cov), obs.dz)
-    paths["bpf"] = _moment_path(
-        (sample_initial_ensemble(d, cfg.n_particles, cfg.prior_mean,
-                                 cfg.prior_cov, cfg.seed_filter),
-         np.zeros(cfg.n_particles)),
-        lambda state, dz: bootstrap_pf_step(model, *state, dz, dt)[:2],
-        lambda state: weighted_stats(state[0].states, state[1]), obs.dz)
-    if grid_density is not None:
-        # the step updates the density in place, so grid_density is the
-        # final posterior afterwards
-        paths["grid"] = _moment_path(
-            grid_density, KushnerGrid(grid_density.x, model, dt).step,
-            _grid_moments, obs.dz)
-
     compare_path = os.path.join(out, "compare.csv")
-    header, columns = ["t"], [fpf_trace.times]
-    for name, moments in paths.items():
-        for stat, values in zip(("mean", "var"), moments):
-            header += [f"{name}_{stat}_{i + 1}"
-                       for i in range(values.shape[1])]
-            columns.append(values)
-    _write(compare_path, write_table, header, np.column_stack(columns))
-
-    lines: List[str] = [
-        f"model={cfg.model.name}",
-        f"dt={FMT % cfg.dt}",
-        f"t_end={FMT % cfg.t_end}",
-        f"n_particles={cfg.n_particles}",
-        f"gain={cfg.filter_cfg.gain_method}",
-        f"n_compare_seeds={len(cfg.compare_seeds)}",
-    ]
-    if "kb" in paths:
-        kb_means, bpf_means = paths["kb"][0], paths["bpf"][0]
-        rmses = []
-        for seed, trace in zip(cfg.compare_seeds, fpf_traces):
-            r = _rmse(trace.means, kb_means)
-            rmses.append(r)
-            lines.append(f"fpf_rmse_vs_kb_seed_{seed}={FMT % r}")
-        lines.append(f"fpf_mean_rmse_vs_kb={FMT % float(np.mean(rmses))}")
-        lines.append(f"bpf_rmse_vs_kb={FMT % _rmse(bpf_means, kb_means)}")
-        if "grid" in paths:
-            lines.append("grid_mean_rmse_vs_kb="
-                         + FMT % _rmse(paths["grid"][0], kb_means))
-    total_flagged = sum(int(trace.n_flagged.sum()) for trace in fpf_traces)
-    lines.append(f"n_flagged_total={total_flagged}")
-    lines.append(f"fpf_final_var_11={FMT % fpf_trace.covs[-1, 0, 0]}")
-    if "kb" in paths:
-        lines.append(f"kb_final_var_11={FMT % paths['kb'][1][-1, 0]}")
-    if grid_density is not None:
-        fpf_density = kde_density(fpf_final.states[0, :, 0],
-                                  grid_density.x)
-        for gen in ("kl", "hellinger", "tv"):
-            val = f_divergence_grid(fpf_density, grid_density,
-                                    get_generator(gen))
-            lines.append(f"{gen}_fpf_vs_grid={FMT % val}")
     summary_path = os.path.join(out, "summary.txt")
-    _write(summary_path, _write_text, "\n".join(lines) + "\n")
+    with _outputs(compare_path, summary_path) as write:
+        obs = _load_observations(args.obs)
+
+        fpf_traces, fpf_final = run_filters(model, obs, cfg.n_particles,
+                                            cfg.compare_seeds, cfg.filter_cfg,
+                                            cfg.prior_mean, cfg.prior_cov, dt)
+        fpf_trace = fpf_traces[0]
+
+        # (means, variances) per filter, in compare.csv column order
+        paths = {"fpf": (fpf_trace.means,
+                         np.diagonal(fpf_trace.covs, axis1=1, axis2=2))}
+        if model.drift_matrix is not None and model.obs_vector is not None:
+            paths["kb"] = _moment_path(
+                KalmanState(cfg.prior_mean.copy(), cfg.prior_cov.copy()),
+                lambda state, dz: kalman_bucy_step(state, model, dz, dt),
+                lambda state: (state.mean, state.cov), obs.dz)
+        paths["bpf"] = _moment_path(
+            (sample_initial_ensemble(d, cfg.n_particles, cfg.prior_mean,
+                                     cfg.prior_cov, cfg.seed_filter),
+             np.zeros(cfg.n_particles)),
+            lambda state, dz: bootstrap_pf_step(model, *state, dz, dt)[:2],
+            lambda state: weighted_stats(state[0].states, state[1]), obs.dz)
+        if grid_density is not None:
+            # the step updates the density in place, so grid_density is the
+            # final posterior afterwards
+            paths["grid"] = _moment_path(
+                grid_density, KushnerGrid(grid_density.x, model, dt).step,
+                _grid_moments, obs.dz)
+
+        header, columns = ["t"], [fpf_trace.times]
+        for name, moments in paths.items():
+            for stat, values in zip(("mean", "var"), moments):
+                header += [f"{name}_{stat}_{i + 1}"
+                           for i in range(values.shape[1])]
+                columns.append(values)
+        write(compare_path, write_table, header, np.column_stack(columns))
+
+        lines: List[str] = [
+            f"model={cfg.model.name}",
+            f"dt={FMT % cfg.dt}",
+            f"t_end={FMT % cfg.t_end}",
+            f"n_particles={cfg.n_particles}",
+            f"gain={cfg.filter_cfg.gain_method}",
+            f"n_compare_seeds={len(cfg.compare_seeds)}",
+        ]
+        if "kb" in paths:
+            kb_means, bpf_means = paths["kb"][0], paths["bpf"][0]
+            rmses = []
+            for seed, trace in zip(cfg.compare_seeds, fpf_traces):
+                r = _rmse(trace.means, kb_means)
+                rmses.append(r)
+                lines.append(f"fpf_rmse_vs_kb_seed_{seed}={FMT % r}")
+            lines.append(f"fpf_mean_rmse_vs_kb={FMT % float(np.mean(rmses))}")
+            lines.append(f"bpf_rmse_vs_kb={FMT % _rmse(bpf_means, kb_means)}")
+            if "grid" in paths:
+                lines.append("grid_mean_rmse_vs_kb="
+                             + FMT % _rmse(paths["grid"][0], kb_means))
+        total_flagged = sum(int(trace.n_flagged.sum()) for trace in fpf_traces)
+        lines.append(f"n_flagged_total={total_flagged}")
+        lines.append(f"fpf_final_var_11={FMT % fpf_trace.covs[-1, 0, 0]}")
+        if "kb" in paths:
+            lines.append(f"kb_final_var_11={FMT % paths['kb'][1][-1, 0]}")
+        if grid_density is not None:
+            fpf_density = kde_density(fpf_final.states[0, :, 0],
+                                      grid_density.x)
+            for gen in ("kl", "hellinger", "tv"):
+                val = f_divergence_grid(fpf_density, grid_density,
+                                        get_generator(gen))
+                lines.append(f"{gen}_fpf_vs_grid={FMT % val}")
+        write(summary_path, _write_text, "\n".join(lines) + "\n")
     print(f"wrote {compare_path} and {summary_path}")
     for line in lines:
         print("  " + line)
@@ -270,11 +303,12 @@ def _margin(row: CheckRow) -> float:
 def cmd_verify(args) -> int:
     suite = _resolve_suite(args)
     out = _out_dir(args, None)
-    start = time.perf_counter()
-    rows: List[CheckRow] = run_suite(suite)
-    seconds = time.perf_counter() - start
     csv_path = os.path.join(out, f"verify_{suite}.csv")
-    _write(csv_path, write_suite_csv, rows)
+    with _outputs(csv_path) as write:
+        start = time.perf_counter()
+        rows: List[CheckRow] = run_suite(suite)
+        seconds = time.perf_counter() - start
+        write(csv_path, write_suite_csv, rows)
 
     by_check: dict = {}
     for row in rows:

@@ -26,7 +26,7 @@ __all__ = [
     "piola_residual", "el_bracket_residual", "el_generator_invariance",
     "dz_order_residual", "dt_order_residual", "quadratic_term_identity",
     "double_divergence_expansion_check", "poincare_ratio_sweep",
-    "weighted_poisson_derivative_check", "solve_tridiagonal",
+    "weighted_poisson_derivative_check",
     "bounded_slope_grad_log", "QUADRATIC_IDENTITY_IDS",
 ]
 
@@ -161,7 +161,7 @@ def observation_marginal(p: ExpPolyDensity, h: PolyScalarField, y: float,
     d, n = p.dim, 201
     axes = [np.linspace(-10.0, 10.0, n)] * d
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    # four blocks of points keep the grid's monomial tables small
+    # four blocks of points: one call on the 2-D grid ran ~3x slower
     vals = np.concatenate([p.value(b) * np.sqrt(dt / (2.0 * np.pi))
                            * np.exp(-0.5 * dt * (y - h.value(b)) ** 2)
                            for b in np.array_split(pts, 4)]).reshape([n] * d)
@@ -519,58 +519,6 @@ def poincare_ratio_sweep(q: int, grad_log_p, radii: Sequence[float],
 # Weighted-Poisson derivative recursion, 1-D base case
 # ---------------------------------------------------------------------------
 
-def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
-                      b: np.ndarray) -> np.ndarray:
-    """x with A x = b, A tridiagonal with sub-diagonal dl, diagonal d and
-    super-diagonal du, byte for byte what scipy.linalg.solve_banded((1, 1),
-    ...) returns. A non-finite input raises ValueError and an exactly zero
-    pivot np.linalg.LinAlgError, as there."""
-    return _gtsv(dl, d, du, b)[0]
-
-
-def _gtsv(dl, d, du, b) -> Tuple[np.ndarray, int]:
-    """Reference LAPACK dgtsv's operations in its order, on Python floats
-    (no fused multiply-add): Gaussian elimination with partial pivoting by
-    row interchange, whose fill-in of the second super-diagonal is kept in
-    dl, then back-substitution. Returns (x, row interchanges made)."""
-    arrays = [np.asarray(a, dtype=float) for a in (dl, d, du, b)]
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("array must not contain infs or NaNs")
-    dl, d, du, b = (a.tolist() for a in arrays)
-    n = len(d)
-    if len(dl) != n - 1 or len(du) != n - 1 or len(b) != n:
-        raise ValueError("tridiagonal bands and right-hand side disagree "
-                         "in length")
-    swaps = 0
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                raise np.linalg.LinAlgError("singular matrix")
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:
-            swaps += 1
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:       # the last pair has no fill-in
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-    if d[-1] == 0.0:
-        raise np.linalg.LinAlgError("singular matrix")
-    b[-1] = b[-1] / d[-1]
-    if n > 1:
-        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return np.array(b), swaps
-
-
 def weighted_poisson_derivative_check(x: np.ndarray, p_vals: np.ndarray,
                                       h_vals: np.ndarray,
                                       h_grad_vals: np.ndarray,
@@ -579,13 +527,23 @@ def weighted_poisson_derivative_check(x: np.ndarray, p_vals: np.ndarray,
     """Solve -(p phi')' = (h - h_hat) p, then verify the derivative relation
     -(p phi'')' = G1 p with G1 = (log p)'' phi' + h'.
 
-    The solve uses a conservative tridiagonal discretization with p at
-    half nodes and phi = 0 at both ends; the relation is then checked with
-    central differences over interior nodes. Returns (max residual, phi').
+    The conservative discretization has p at half nodes and phi = 0 at
+    both ends, so the face flux q_{i+1/2} = p_{i+1/2} (phi_{i+1} - phi_i)
+    / dx falls by dx (h_i - h_hat) p_i across each interior node i. It is
+    solved exactly by two running sums: q is a constant minus dx times the
+    running sum of the right-hand side, phi is dx times the running sum of
+    q / p_{i+1/2}, and phi = 0 at the right end makes the constant a ratio
+    of two sums over 1 / p_{i+1/2}. The relation is then checked with
+    central differences over interior nodes. A non-finite input or a
+    p <= 0 raises ValueError. Returns (max residual, phi').
     """
-    x = np.asarray(x, dtype=float)
-    p_vals = np.asarray(p_vals, dtype=float)
-    h_vals = np.asarray(h_vals, dtype=float)
+    arrays = [np.asarray(a, dtype=float)
+              for a in (x, p_vals, h_vals, h_grad_vals, log_p_hess_vals)]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+    x, p_vals, h_vals, h_grad_vals, log_p_hess_vals = arrays
+    if not np.all(p_vals > 0.0):
+        raise ValueError("p must be positive at every node")
     n = len(x)
     dx = x[1] - x[0]
 
@@ -593,10 +551,11 @@ def weighted_poisson_derivative_check(x: np.ndarray, p_vals: np.ndarray,
     rhs = (h_vals - h_hat) * p_vals
 
     p_half = 0.5 * (p_vals[:-1] + p_vals[1:])       # at i + 1/2
-    diag = (p_half[:-1] + p_half[1:]) / dx ** 2      # rows 1..n-2
-    off = -p_half[1:-1] / dx ** 2                    # symmetric off-diagonals
+    # q_{i+1/2} = c - s_i with s_i = dx * sum of rhs over nodes 1..i
+    s = np.concatenate(([0.0], dx * np.cumsum(rhs[1:-1])))
+    c = np.sum(s / p_half) / np.sum(1.0 / p_half)
     phi = np.zeros(n)
-    phi[1:-1] = solve_tridiagonal(off, diag, off, rhs[1:-1])
+    phi[1:-1] = dx * np.cumsum(((c - s) / p_half)[:-1])
 
     phi_p = np.zeros(n)
     phi_p[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * dx)

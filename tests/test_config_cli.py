@@ -488,16 +488,25 @@ class TestCliExitCodes:
         ("compare", "summary.txt"),
         ("verify", "verify_taylor.csv"),
     ])
-    def test_unwritable_output_file_is_two(self, tmp_path, capsys, command,
-                                           name):
+    def test_unwritable_output_file_is_two(self, tmp_path, capsys,
+                                           monkeypatch, command, name):
         """An output file that cannot be written, here because a directory
         has its name, is a config error whose one line names the file,
-        not a traceback with verify's exit 1."""
+        not a traceback with verify's exit 1. It is found before the
+        command's work runs, and the command leaves no file behind: no
+        truth.csv when obs.csv fails, and no temporary file."""
         cfg = _write(tmp_path, BASE_CONFIG)
         main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")])
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
         capsys.readouterr()
+
+        def work(*args, **kwargs):
+            raise AssertionError("the command ran its work")
+
+        for attr in ("simulate_truth", "run_filter", "run_filters",
+                     "run_suite"):
+            monkeypatch.setattr(fpf_lab.cli, attr, work)
         argv = {"simulate": ["simulate", "--config", cfg],
                 "filter": ["filter", "--config", cfg],
                 "compare": ["compare", "--config", cfg],
@@ -509,6 +518,26 @@ class TestCliExitCodes:
         assert len(err) == 1
         assert err[0].startswith(
             f"fpf-lab: config error: cannot write output file {out / name}: ")
+        assert [p.name for p in out.iterdir()] == [name]
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys,
+                                         monkeypatch):
+        """A write that fails part way, after another output was written,
+        exits 2 naming its file and leaves neither file behind."""
+        cfg = _write(tmp_path, BASE_CONFIG)
+
+        def full_disk(path, obs):
+            with open(path, "w") as fh:
+                fh.write("t,y,dz\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(fpf_lab.cli, "write_observations_csv", full_disk)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"fpf-lab: config error: cannot write output file "
+            f"{out / 'obs.csv'}: [Errno 28] No space left on device\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command, old, new, field", [
         ("simulate", "dt = 0.05", "dt = nan", "`dt` in [time]"),

@@ -3,11 +3,14 @@
 `tests/golden/digests.json` maps each case (command, model, gain or suite)
 to its exit code and the digest of each file the command wrote. A refactor
 must leave the table unchanged. A change that alters outputs on purpose
-regenerates it with
+regenerates the cases it means to change, by name, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 
-and records the regeneration and its reason in CHANGES.md.
+(for example `verify/lemmaD`), and records the regeneration and its reason
+in CHANGES.md. That rewrites only the named cases: if any other case
+differs from the table, or a name is not a case, it writes nothing, lists
+them and exits 1. Without a name it rewrites the whole table.
 """
 
 import hashlib
@@ -151,7 +154,25 @@ def test_blas_cases_match_golden_digests_on_one_thread(tmp_path):
     assert table == {case: expected[case] for case in table}
 
 
-if __name__ == "__main__":
+def _regenerate(names) -> int:
     with tempfile.TemporaryDirectory() as root:
-        GOLDEN.write_text(_dump(golden_table(Path(root))))
+        table = golden_table(Path(root))
+    if names:
+        expected = json.loads(GOLDEN.read_text())
+        unknown = sorted(set(names) - table.keys())
+        others = sorted(k for k in table.keys() | expected.keys()
+                        if k not in names and table.get(k) != expected.get(k))
+        if unknown or others:
+            sys.stderr.write(
+                f"not a case: {', '.join(unknown) or '-'}; unnamed cases "
+                f"differing from {GOLDEN.name}: {', '.join(others) or '-'}; "
+                "nothing written\n")
+            return 1
+        table = {**expected, **{name: table[name] for name in names}}
+    GOLDEN.write_text(_dump(table))
     sys.stdout.write(f"wrote {GOLDEN}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_regenerate(sys.argv[1:]))

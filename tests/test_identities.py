@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpf_lab import fields, identities, verify
+from fpf_lab import fields, verify
 from fpf_lab.fields import (
     ExpPolyDensity,
     Polynomial,
@@ -33,9 +33,7 @@ from fpf_lab.identities import (
     observation_marginal,
     piola_residual,
     poincare_ratio_sweep,
-    _gtsv,
     quadratic_term_identity,
-    solve_tridiagonal,
     weighted_poisson_derivative_check,
 )
 
@@ -759,79 +757,53 @@ class TestWeightedPoissonSolve:
         assert res <= 1e-9
         assert np.max(np.abs(phi_p[interior])) <= 1e-10
 
-
-def _banded(dl, d, du):
-    """solve_banded's (1, 1) layout of the tridiagonal bands."""
-    ab = np.zeros((3, len(d)))
-    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-    return ab
-
-
-class TestTridiagonalSolve:
-    """The in-package elimination against scipy's LAPACK dgtsv."""
-
-    def _assert_matches_scipy(self, dl, d, du, b):
+    def test_lemma_d_systems_match_solve_banded(self, monkeypatch):
+        """On each system the lemmaD suite builds, phi' of the running-sum
+        solve agrees on |x| <= 3 with phi' of scipy's banded LU solution of
+        the same conservative tridiagonal system."""
         from scipy.linalg import solve_banded
-        x, swaps = _gtsv(dl, d, du, b)
-        assert x.tobytes() == solve_banded((1, 1), _banded(dl, d, du),
-                                           b).tobytes()
-        assert solve_tridiagonal(dl, d, du, b).tobytes() == x.tobytes()
-        return swaps
-
-    def test_lemma_d_systems_swap_rows_and_match(self, monkeypatch):
-        """The three systems the lemmaD suite solves: rounding leaves the
-        pivot below the sub-diagonal from row ~910 on, so 1,066 of the
-        1,998 elimination steps interchange rows."""
         systems = []
 
-        def recording(dl, d, du, b):
-            systems.append((dl, d, du, b))
-            return solve_tridiagonal(dl, d, du, b)
+        def recording(*args, **kwargs):
+            systems.append((args, kwargs))
+            return weighted_poisson_derivative_check(*args, **kwargs)
 
-        monkeypatch.setattr(identities, "solve_tridiagonal", recording)
+        monkeypatch.setattr(verify, "weighted_poisson_derivative_check",
+                            recording)
         verify.run_suite("lemmaD")
         assert len(systems) == 3
-        for dl, d, du, b in systems:
-            assert len(d) == 1999
-            assert self._assert_matches_scipy(dl, d, du, b) == 1066
+        for (x, p, h), kwargs in systems:
+            dx = x[1] - x[0]
+            h_hat = np.trapezoid(h * p, x) / np.trapezoid(p, x)
+            p_half = 0.5 * (p[:-1] + p[1:])
+            bands = np.zeros((3, len(x) - 2))
+            bands[0, 1:] = bands[2, :-1] = -p_half[1:-1] / dx ** 2
+            bands[1] = (p_half[:-1] + p_half[1:]) / dx ** 2
+            phi = np.zeros(len(x))
+            phi[1:-1] = solve_banded((1, 1), bands, ((h - h_hat) * p)[1:-1])
+            expected = (phi[2:] - phi[:-2]) / (2.0 * dx)
+            _, phi_p = weighted_poisson_derivative_check(x, p, h, **kwargs)
+            interior = np.abs(x[1:-1]) <= 3.0
+            assert np.max(np.abs(phi_p[1:-1] - expected)[interior]) <= 1e-8
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 33, 60])
-    @pytest.mark.parametrize("dominant", [True, False],
-                             ids=["no-swaps", "swaps"])
-    def test_random_systems_match(self, n, dominant):
-        rng = np.random.default_rng(1000 * n + dominant)
-        for _ in range(20):
-            dl, du = rng.standard_normal((2, n - 1))
-            b = rng.standard_normal(n)
-            d = rng.standard_normal(n)
-            if dominant:
-                d += np.sign(d) * 4.0
-            elif n > 1:
-                d[0] = 0.1 * dl[0]
-            swaps = self._assert_matches_scipy(dl, d, du, b)
-            assert (swaps == 0) if dominant or n == 1 else (swaps > 0)
+    def _args(self):
+        x = self.X
+        return [x.copy(), self._p(), x.copy(), np.ones_like(x),
+                -np.ones_like(x)]
 
-    @pytest.mark.parametrize("dl, d, du", [
-        ([0.0], [0.0, 1.0], [1.0]),           # first pivot zero
-        ([1.0], [1.0, 1.0], [1.0]),           # last pivot cancels to zero
-        ([0.0, 0.0], [2.0, 0.0, 1.0], [1.0, 1.0]),
-    ], ids=["first", "last", "middle"])
-    def test_zero_pivot_is_lin_alg_error(self, dl, d, du):
-        from scipy.linalg import solve_banded
-        b = np.ones(len(d))
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_banded((1, 1), _banded(dl, d, du), b)
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            solve_tridiagonal(dl, d, du, b)
+    @pytest.mark.parametrize("value", [0.0, -1e-3])
+    @pytest.mark.parametrize("node", [0, 1000, -1],
+                             ids=["first", "middle", "last"])
+    def test_nonpositive_density_is_value_error(self, value, node):
+        args = self._args()
+        args[1][node] = value
+        with pytest.raises(ValueError, match="p must be positive"):
+            weighted_poisson_derivative_check(*args)
 
-    @pytest.mark.parametrize("band", range(4))
+    @pytest.mark.parametrize("argument", range(5))
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input_is_value_error(self, band, bad):
-        from scipy.linalg import solve_banded
-        args = [np.ones(2), np.full(3, 4.0), np.ones(2), np.ones(3)]
-        args[band][1] = bad
-        dl, d, du, b = args
-        with pytest.raises(ValueError):
-            solve_banded((1, 1), _banded(dl, d, du), b)
+    def test_non_finite_input_is_value_error(self, argument, bad):
+        args = self._args()
+        args[argument][7] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            solve_tridiagonal(dl, d, du, b)
+            weighted_poisson_derivative_check(*args)
