@@ -263,11 +263,11 @@ MAX_STEPS = 10_000_000
 # the grid oracle and the KDE hold a few arrays of this length per step; at
 # 10^8 points they take gigabytes and the process is killed
 MAX_GRID_POINTS = 10 ** 6
-# an inline model's tables, and each evaluation's C(d + 3, 3) x N monomial
-# values, grow with the monomials a dense cubic reaches: `filter` on a
-# dense cubic h (N = 10, 5 steps) peaks at 40 MiB in 0.13 s at d = 20, and
-# at 84 MiB in 1.4 s at d = 40 with this cap raised; at d = 20 and
-# N = 20,000, two steps peak at 612 MiB and take 18 s (measured on 2 cores)
+# an inline model's tables grow with the C(d + 3, 3) monomials a dense
+# cubic reaches: `filter` on a dense cubic h (N = 10, 5 steps) peaks at
+# 38 MiB in 0.3 s at d = 20, and at 84 MiB in 1.4 s at d = 40 with this
+# cap raised; at d = 20 and N = 20,000, evaluated in blocks of points, two
+# steps peak at 188 MiB and take 1.7-2.0 s (measured on 2 cores)
 MAX_DIM = 20
 # the Galerkin weight table of degree D in d variables has
 # gain.galerkin_table_size(d, D) entries; 2^27 float64 entries are 1 GiB

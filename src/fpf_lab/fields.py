@@ -12,8 +12,8 @@ repeated multiplication, each from the power rows of its nonzero exponents
 alone, and `partial_table` maps every partial of order <= 3 of a monomial
 to the one weighted monomial it is.
 Each field's `partials(points, order)` returns the value and the partials
-of orders 1..order from one power table per block of points, as one matrix
-product per order;
+of orders 1..order at points (N, d) or a batch (..., N, d) from one power
+table per block of points, as one matrix product per order;
 `value`, `grad` and `jac` are views of one order, and no order's weights
 are built before it is asked.
 
@@ -135,9 +135,9 @@ def partial_table(dim: int, exponents: Tuple[Tuple[int, ...], ...],
 # ---------------------------------------------------------------------------
 
 # A field's partials are evaluated in blocks of points of at most this many
-# monomial values (16 MiB), with one same-size gathered temporary beside
-# them: a d = 20 dense cubic (Q = 1,771) takes 1,152 points a block
-JET_BLOCK = 1 << 21
+# monomial values (512 KiB, as the KDE and noise blocks), with one same-size
+# gathered temporary beside them: a d = 20 dense cubic takes 64 points
+JET_BLOCK = 1 << 16
 
 class Polynomial:
     """Multivariate polynomial: exponents (T, d) and coefficients (T,)."""
@@ -242,16 +242,21 @@ class PolyVectorField:
         return self._weight_tables
 
     def _jet(self, points, orders: Sequence[int]) -> list:
-        """The partials of each order r in `orders`, shape
-        (N,) + (d,) * r + (J,), from one power table.  More points than
-        one block holds are evaluated block by block and the partials
-        concatenated, so the (Q, N) values of a large ensemble never exist
-        at once.  A block is a multiple of 64 points holding at most
-        JET_BLOCK values (64 points at least), and the last block takes a
-        single point left over: BLAS rounds a one-row product differently,
-        and with these blocks a single-threaded BLAS gives every point the
-        values of one block."""
+        """The partials of each order r in `orders` at points (..., N, d),
+        shape (..., N) + (d,) * r + (J,).  A batch is evaluated one (N, d)
+        ensemble at a time, as a product over all its rows may round a row
+        otherwise, and an ensemble block by block, so its (Q, N) values
+        never exist at once.  A block is a multiple of 64 points holding
+        at most JET_BLOCK values (64 points at least), and the last block
+        takes a single point left over, as BLAS rounds a one-row product
+        differently.  The blocks depend on N and Q alone; a block's rows
+        need not get the bits of a longer product, even on one thread."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.ndim > 2:
+            parts = [self._jet(x, orders)
+                     for x in points.reshape(-1, *points.shape[-2:])]
+            return [np.stack(jets).reshape(points.shape[:-2] + jets[0].shape)
+                    for jets in zip(*parts)]
         _, tables, rows = self._weights(max(orders))
         n, d = points.shape
         block = max(64, JET_BLOCK // max(1, rows.shape[1]) // 64 * 64)

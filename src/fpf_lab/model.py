@@ -12,8 +12,8 @@ continuum limit is recovered as dt -> 0).
 An SdeModel holds the polynomials a and h.  Its methods drift_at, obs_at
 and obs_grad_at map an ensemble (N, d) to (N, d), (N,) and (N, d), and a
 batch of ensembles (S, N, d), one per filter seed, to a leading S axis:
-an affine map in one call on its S*N rows, a polynomial one ensemble at a
-time, so that each seed's values are the bits of its ensemble alone.
+an affine map in one call on its S*N rows, a polynomial by its field,
+which gives each seed the bits of its ensemble alone.
 The gradient of an affine h is one row H^T, shape (1, d) for any ensemble
 or batch, which reaches the particles by broadcasting.
 """
@@ -92,14 +92,14 @@ class SdeModel:
 
     def drift_at(self, states: np.ndarray) -> np.ndarray:
         if self.drift_matrix is None:
-            return _each_ensemble(self._drift_field.value, states)
+            return self._drift_field.value(states)
         flat = _rows(states)
         out = np.dot(flat, self._drift_t)
         return out if flat is states else out.reshape(states.shape)
 
     def obs_at(self, states: np.ndarray) -> np.ndarray:
         if self.obs_vector is None:
-            return _each_ensemble(self._obs_field.value, states)
+            return self._obs_field.value(states)
         flat = _rows(states)
         out = np.dot(flat, self.obs_vector) + self.obs_offset
         return out if flat is states else out.reshape(states.shape[:-1])
@@ -109,7 +109,7 @@ class SdeModel:
         the one row H^T, shape (1, d), whatever the states."""
         if self.obs_vector is not None:
             return self.obs_vector[None, :]
-        return _each_ensemble(self._obs_field.grad, states)
+        return self._obs_field.grad(states)
 
 
 def _affine_parts(poly: Polynomial) -> Optional[Tuple[np.ndarray, float]]:
@@ -119,18 +119,6 @@ def _affine_parts(poly: Polynomial) -> Optional[Tuple[np.ndarray, float]]:
         return None
     return (poly.coeffs[degree == 1] @ poly.exponents[degree == 1],
             float(poly.coeffs[degree == 0].sum()))
-
-
-def _each_ensemble(evaluate, states: np.ndarray) -> np.ndarray:
-    """evaluate, a polynomial field's view, on each (N, d) ensemble of
-    states (..., N, d), stacked: one product over all rows of a batch may
-    round a row other than the product over its ensemble alone, so a
-    seed's values would depend on its batch."""
-    if states.ndim == 2:
-        return evaluate(states)
-    ensembles = states.reshape(-1, *states.shape[-2:])
-    out = np.stack([evaluate(x) for x in ensembles])
-    return out.reshape(states.shape[:-2] + out.shape[1:])
 
 
 def _rows(states: np.ndarray) -> np.ndarray:

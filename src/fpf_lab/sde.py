@@ -85,14 +85,18 @@ def synthesize_observations(model: SdeModel, truth: TruthPath,
     h = model.obs_at(truth.states[1:])
     w = rng.standard_normal(seed, [0], 0, len(h))[0]
     y = h + w / np.sqrt(dt)
-    _require_finite("observation record", truth.times[1:], y)
-    return ObservationSet(times=truth.times[1:].copy(), y=y, dz=y * dt)
+    obs = ObservationSet(times=truth.times[1:].copy(), y=y, dz=y * dt)
+    _require_finite("observation record", obs.times, obs.y, obs.dz)
+    return obs
 
 
-def _require_finite(what: str, times: np.ndarray, values: np.ndarray):
-    """Raise FilterAbortError at the first time whose values are not all
-    finite, so a diverging simulation is not written out."""
-    bad = ~np.isfinite(values.reshape(len(times), -1)).all(axis=1)
+def _require_finite(what: str, times: np.ndarray, *columns: np.ndarray):
+    """Raise FilterAbortError at the first row of (times, *columns) that
+    holds a number that is not finite, so a diverging simulation, or one
+    whose dz = y dt overflows, is not written out."""
+    bad = ~np.logical_and.reduce([
+        np.isfinite(c.reshape(len(times), -1)).all(axis=1)
+        for c in (times, *columns)])
     if bad.any():
         raise FilterAbortError(f"{what} diverged to non-finite values at "
                                f"t={times[np.argmax(bad)]:.6g}")

@@ -971,15 +971,18 @@ print(code, "scipy.linalg" in sys.modules, "scipy.integrate" in sys.modules)
         assert (tmp_path / "out" / "truth.csv").exists()
         assert (tmp_path / "out" / "fpf_trace.csv").exists()
 
-    @pytest.mark.parametrize("drift, obs, what", [
-        ("x1^3", "x1", "truth path"),
-        ("-1.0*x1", "x1^800", "observation record"),
-    ])
+    @pytest.mark.parametrize("drift, obs, dt, t_end, what", [
+        ("x1^3", "x1", "0.05", "5", "truth path"),
+        ("-1.0*x1", "x1^800", "0.05", "5", "observation record"),
+        ("-1.0*x1", "x1", "1e300", "1e300", "observation record"),
+    ], ids=["x1^3-x1-truth path", "-1.0*x1-x1^800-observation record",
+            "-1.0*x1-x1-dt=1e300-observation record"])
     def test_diverging_simulation_is_four(self, tmp_path, capsys, drift,
-                                          obs, what):
+                                          obs, dt, t_end, what):
         """An unstable drift blows the truth path up, a steep sensor
-        overflows the observations; either stops with one line and exit 4
-        instead of writing inf/nan rows with exit 0."""
+        overflows the observations, a huge step overflows dz = y dt though
+        y is finite; each stops with one line and exit 4 instead of
+        writing inf/nan rows with exit 0."""
         text = f"""\
 [model]
 dimension = 1
@@ -988,8 +991,8 @@ obs = {obs}
 sigma = 3.0
 
 [time]
-dt = 0.05
-t_end = 5
+dt = {dt}
+t_end = {t_end}
 
 [filter]
 n_particles = 10

@@ -19,10 +19,15 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import combinations_with_replacement
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import fpf_lab
 from fpf_lab.cli import main
+from fpf_lab.fields import Polynomial, PolyScalarField
 from fpf_lab.verify import SUITE_NAMES
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
@@ -108,17 +113,56 @@ def golden_table(root: Path) -> dict:
 
 def blas_table(root: Path) -> dict:
     """The golden cases whose numbers pass through BLAS products: the
-    Galerkin gain in d = 2 and on a cubic h, and two suites built on
-    matrix products."""
+    Galerkin gain in d = 2 and on a cubic h, and the suites built on
+    matrix products or on polynomial fields."""
     table = {}
     for name in ("linear2d", "cubic-sensor"):
         table.update(_model_cases(root, name, [("filter", "galerkin")]))
-    table.update(_suite_cases(root, ("el-invariance", "appendixB")))
+    table.update(_suite_cases(root, ("el-invariance", "appendixB", "piola",
+                                     "lm2", "taylor")))
     return table
+
+
+def dense_cubic_digests() -> dict:
+    """sha256 of the value and gradient bytes of a d = 20 dense cubic h,
+    every monomial of degree 1 to 3 (1,770 terms), at 3,001 seeded points:
+    one ensemble of many blocks, whose product rows BLAS may split among
+    its threads."""
+    d = 20
+    terms = {tuple(axes.count(j) for j in range(d)): 1e-4
+             for r in (1, 2, 3)
+             for axes in combinations_with_replacement(range(d), r)}
+    terms[(1,) + (0,) * (d - 1)] = 1.0
+    h = PolyScalarField(Polynomial(d, terms))
+    x = np.random.default_rng(36).uniform(-1.0, 1.0, size=(3001, d))
+    return {name: hashlib.sha256(a.tobytes()).hexdigest()
+            for name, a in zip(("value", "grad"), h.partials(x, 1))}
 
 
 def _dump(table: dict) -> str:
     return json.dumps(table, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.fixture(scope="module")
+def one_thread(tmp_path_factory) -> dict:
+    """blas_table and dense_cubic_digests, run in a fresh interpreter with
+    one BLAS and OpenMP thread."""
+    root = tmp_path_factory.mktemp("one-thread")
+    src = os.path.dirname(os.path.dirname(fpf_lab.__file__))
+    path = [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import json, sys; from pathlib import Path; "
+            "from test_golden import blas_table, dense_cubic_digests; "
+            "root = Path(sys.argv[1]); "
+            "out = {'table': blas_table(root), "
+            "'fields': dense_cubic_digests()}; "
+            "(root / 'out.json').write_text(json.dumps(out))")
+    run = subprocess.run([sys.executable, "-c", code, str(root)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads((root / "out.json").read_text())
 
 
 def test_outputs_match_golden_digests(tmp_path, capsys):
@@ -132,26 +176,20 @@ def test_outputs_match_golden_digests(tmp_path, capsys):
         f"new digest table:\n{_dump(table)}")
 
 
-def test_blas_cases_match_golden_digests_on_one_thread(tmp_path):
+def test_blas_cases_match_golden_digests_on_one_thread(one_thread):
     """The golden corpus does not depend on the BLAS thread count: its
-    BLAS-heavy cases, run in a fresh interpreter with one BLAS and OpenMP
-    thread, write the files whose digests the table holds."""
-    src = os.path.dirname(os.path.dirname(fpf_lab.__file__))
-    path = [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = ("import json, sys; from pathlib import Path; "
-            "from test_golden import blas_table; root = Path(sys.argv[1]); "
-            "table = blas_table(root); "
-            "(root / 'table.json').write_text(json.dumps(table))")
-    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert run.returncode == 0, run.stderr
-    table = json.loads((tmp_path / "table.json").read_text())
+    BLAS-heavy cases, run with one BLAS thread, write the files whose
+    digests the table holds."""
+    table = one_thread["table"]
     expected = json.loads(GOLDEN.read_text())
-    assert len(table) == 6
+    assert len(table) == 9
     assert table == {case: expected[case] for case in table}
+
+
+def test_dense_cubic_field_bits_do_not_depend_on_blas_threads(one_thread):
+    """A d = 20 dense cubic h gives the same value and gradient bytes
+    with one BLAS thread as with this process's default thread count."""
+    assert one_thread["fields"] == dense_cubic_digests()
 
 
 def _regenerate(names) -> int:

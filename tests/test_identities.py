@@ -409,23 +409,32 @@ class TestOneJetPerField:
     def test_blocks_of_points_match_one_block(self, monkeypatch, n):
         """A jet evaluated in blocks of 64 points (the last one short; a
         single point left over joins the block before it) equals the
-        one-block jet byte for byte, at every order."""
+        one-block jet byte for byte, at every order. A batch of three
+        ensembles is evaluated one ensemble at a time, each in its own
+        blocks and with the bytes of that ensemble alone."""
         gen = np.random.default_rng(33)
         field = PolyVectorField.random(3, 3, gen)
-        x = gen.uniform(-1.5, 1.5, size=(n, 3))
-        whole = field.partials(x, 3)
+        batch = gen.uniform(-1.5, 1.5, size=(3, n, 3))
+        wholes = [field.partials(x, 3) for x in batch]
         q = field._weights(3)[2].shape[1]
         monkeypatch.setattr(fields, "JET_BLOCK", 64 * q + 63)
         calls, evaluate = [], fields.monomial_values
         monkeypatch.setattr(fields, "monomial_values",
-                            lambda points, rows: calls.append(len(points))
+                            lambda points, rows: calls.append(points.shape)
                             or evaluate(points, rows))
-        blocked = field.partials(x, 3)
-        assert calls == {193: [64, 64, 65], 200: [64, 64, 64, 8],
-                         1: [1]}[n]
-        for got, want in zip(blocked, whole):
+        blocks = [(m, 3) for m in {193: [64, 64, 65], 200: [64, 64, 64, 8],
+                                   1: [1]}[n]]
+        blocked = field.partials(batch[0], 3)
+        assert calls == blocks
+        for got, want in zip(blocked, wholes[0]):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+        calls.clear()
+        stacked = field.partials(batch, 3)
+        assert calls == blocks * 3
+        for got, *want in zip(stacked, *wholes):
+            assert got.shape == (3, *want[0].shape)
+            assert got.tobytes() == np.stack(want).tobytes()
 
     def test_expansion_checks_evaluate_each_field_once(self, monkeypatch):
         """dt order: p, h, K, u; dz order: p, h, K; identity 1: log p, K."""
