@@ -130,12 +130,13 @@ def _rows(states: np.ndarray) -> np.ndarray:
 
 
 # A noise block holds at most this many steps and this many normals over
-# all its S*N streams (but never less than one step): 64 steps at S*N =
-# 1000, d = 1, 10 for six seeds of 1000 particles, one beyond 2^16 draws
-# per step.  A refill's temporaries peak near five words per normal,
-# about 2.5 MiB, unless one step alone needs more.  Of the caps 2^13 to
-# 2^16 on a 2-core x86-64 machine, 2^16 gave single-seed runs their lowest
-# wall time, and a six-seed compare within 2% of its lowest (2^15).
+# all its S*N streams, in whole Box-Muller pairs of steps (so never less
+# than two steps): 64 steps at S*N = 1000, d = 1, 10 for six seeds of 1000
+# particles, two beyond 2^15 draws per step.  A refill's temporaries peak
+# near three words per normal, about 1.5 MiB, unless two steps alone need
+# more.  On a 2-core x86-64 machine the caps 2^13 to 2^17 were within the
+# run-to-run spread of each other, for 20 single-seed criterion-1 runs and
+# for one six-seed batch alike.
 _BLOCK_STEPS = 64
 _BLOCK_NORMALS = 1 << 16
 
@@ -151,11 +152,12 @@ class ParticleEnsemble:
     of steps at a time: draw_normals serves draw_step from a cached
     (K, N, n_slots) block of rng.standard_normal, (K, S, N, n_slots) for a
     batch, and refills it when draw_step leaves the block's range, or when
-    seed, the streams object or n_slots changes.  A block holds at most
-    _BLOCK_NORMALS normals over all S*N streams, so K shrinks as the batch
-    grows.  Relabeling assigns a new streams array rather than editing it
-    in place.  Every draw equals the per-step call at the same address, so
-    blocking changes no value.
+    seed, the streams object or n_slots changes.  A block starts at an even
+    step and holds an even K, whole pairs of steps that share their
+    uniforms, and at most _BLOCK_NORMALS normals over all S*N streams
+    unless K = 2, so K shrinks as the batch grows.  Relabeling assigns a
+    new streams array rather than editing it in place.  Every draw equals
+    the per-step call at the same address, so blocking changes no value.
 
     Attributes:
         states: (N, d) particle positions, or (S, N, d) for a batch
@@ -194,9 +196,10 @@ class ParticleEnsemble:
                 or not (seed is self.seed or np.array_equal(seed, self.seed))
                 or streams is not self.streams
                 or not start <= self.draw_step < start + len(block)):
-            start = self.draw_step
+            # whole pairs of steps, so that each pair is hashed once
+            start = self.draw_step & ~1
             draws = np.size(self.seed) * len(self.streams) * n_slots
-            steps = max(1, min(_BLOCK_STEPS, _BLOCK_NORMALS // draws))
+            steps = max(2, min(_BLOCK_STEPS, _BLOCK_NORMALS // draws) & ~1)
             block = rng.standard_normal(self.seed, self.streams,
                                         np.arange(start, start + steps),
                                         n_slots)

@@ -80,7 +80,12 @@ def simulate_truth(model: SdeModel, x0, dt: float, t_final: float,
 
 def synthesize_observations(model: SdeModel, truth: TruthPath,
                             seed: int) -> ObservationSet:
-    """Draw y_n = h(x(t_n)) + w_n, w_n ~ N(0, 1/dt), at t_n = dt..T."""
+    """Draw y_n = h(x(t_n)) + w_n, w_n ~ N(0, 1/dt), at t_n = dt..T.
+
+    The record's noise is slot n of one stream at step 0, the cosine half
+    of each Box-Muller pair: the draws are independent across slots, and
+    the sine halves, which step 1 would give, go unused.
+    """
     dt = truth.dt
     h = model.obs_at(truth.states[1:])
     w = rng.standard_normal(seed, [0], 0, len(h))[0]

@@ -10,7 +10,8 @@ regenerates the cases it means to change, by name, with
 (for example `verify/lemmaD`), and records the regeneration and its reason
 in CHANGES.md. That rewrites only the named cases: if any other case
 differs from the table, or a name is not a case, it writes nothing, lists
-them and exits 1. Without a name it rewrites the whole table.
+them and exits 1. Without a name it rewrites the whole table. Every case
+on a linear or affine model must exit 0, and a test holds the table to it.
 """
 
 import hashlib
@@ -174,6 +175,17 @@ def test_outputs_match_golden_digests(tmp_path, capsys):
     assert not changed, (
         f"cases differing from {GOLDEN.name}: {', '.join(changed)}\n"
         f"new digest table:\n{_dump(table)}")
+
+
+def test_linear_cases_are_golden_only_as_successes():
+    """Every command on a linear or affine model exits 0 in the table, so a
+    regeneration cannot record a divergence or an abort there as golden."""
+    table = json.loads(GOLDEN.read_text())
+    linear = {case: entry["exit"] for case, entry in table.items()
+              if case.split("/")[1] in ("linear1d", "linear2d",
+                                        "inline-affine")}
+    assert len(linear) == 3 * (1 + 2 * len(GAINS))
+    assert linear == dict.fromkeys(linear, 0)
 
 
 def test_blas_cases_match_golden_digests_on_one_thread(one_thread):
