@@ -17,6 +17,11 @@ table per block of points, as one matrix product per order;
 `value`, `grad` and `jac` are views of one order, and no order's weights
 are built before it is asked.
 
+Finite differences, the outermost layer alone, call a function once per
+stencil: `fd_grad(fn, x, step)` evaluates fn (M, d) -> (M,) on all 2d points.
+A stencil row may differ from a one-point call in its last bits, as BLAS
+rounds a product by its rows.
+
 Derivative tensor conventions of partials[r] (N = number of eval points,
 d = dim):
     scalar field:  grad (N, d), hess (N, d, d), third (N, d, d, d)
@@ -367,11 +372,12 @@ class ExpPolyDensity:
 # ---------------------------------------------------------------------------
 
 def fd_grad(fn, x: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function of one point."""
+    """Central-difference gradient at x (d,) of fn, points (M, d) -> values
+    (M,), from one call on the stencil x + step e_i, then x - step e_i."""
     x = np.asarray(x, dtype=float)
     e = step * np.eye(len(x))
-    return np.array([(fn(x + e[i]) - fn(x - e[i])) / (2.0 * step)
-                     for i in range(len(x))])
+    f = fn(np.concatenate([x + e, x - e]))
+    return (f[:len(x)] - f[len(x):]) / (2.0 * step)
 
 
 def converges_quadratically(gap: float, gap_half: float) -> bool:

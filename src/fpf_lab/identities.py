@@ -4,7 +4,8 @@ Every check follows the same discipline: inner derivatives of the probe
 fields are analytic (see fields.py) and finite differences appear only in
 the outermost layer, so each residual is either an exact cancellation
 (roundoff-floor small) or O(fd_step^2) truncation that must shrink by ~4x
-when the step is halved.
+when the step is halved. Each check evaluates each field once per stencil,
+on all the points the difference needs.
 
 Notation used throughout the docstrings: p is a smooth positive density,
 L = log p, h the scalar observation function, K and u vector fields,
@@ -13,7 +14,6 @@ V = I + grad v^T the displacement Jacobian, all evaluated pointwise.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -35,9 +35,13 @@ __all__ = [
 # Piola identity: the cofactor columns of V = I + grad v^T are divergence-free
 # ---------------------------------------------------------------------------
 
-def _minor(mat: np.ndarray, i: int, j: int) -> float:
-    sub = np.delete(np.delete(mat, i, axis=0), j, axis=1)
-    return float(np.linalg.det(sub)) if sub.size else 1.0
+def _minors(mats: np.ndarray) -> np.ndarray:
+    """minors[..., i, j] = det of mats[...] (d, d) without row i and column
+    j, from one batched det over index arrays; every minor is 1 at d = 1."""
+    c = np.arange(mats.shape[-1] - 1)
+    keep = c + (c >= np.arange(mats.shape[-1])[:, None])   # all but i
+    return np.linalg.det(mats[..., keep[:, None, :, None],
+                              keep[None, :, None, :]])
 
 
 def piola_residual(v: PolyVectorField, x: np.ndarray,
@@ -51,31 +55,19 @@ def piola_residual(v: PolyVectorField, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     d = v.dim
-    v0 = np.eye(d) + v.jac(x)[0]
-    if abs(np.linalg.det(v0)) < 1e-12:
-        raise ValueError("I + grad v^T is singular at the probe point")
-
-    res = np.zeros(d)
     step = fd_step * np.eye(d)
-    for i in range(d):
-        v_hi = np.eye(d) + v.jac(x + step[i])[0]
-        v_lo = np.eye(d) + v.jac(x - step[i])[0]
-        for j in range(d):
-            sign = -1.0 if (i + j) % 2 else 1.0
-            res[j] += sign * (_minor(v_hi, i, j) - _minor(v_lo, i, j)) \
-                / (2.0 * fd_step)
-    return res
+    mats = np.eye(d) + v.jac(np.concatenate([x[None], x + step, x - step]))
+    if abs(np.linalg.det(mats[0])) < 1e-12:
+        raise ValueError("I + grad v^T is singular at the probe point")
+    i = np.arange(d)
+    minors = _minors(mats[1:].reshape(2, d, d, d))[:, i, i]  # side, i, j
+    sign = np.where((i[:, None] + i) % 2, -1.0, 1.0)
+    return np.sum(sign * (minors[0] - minors[1]) / (2.0 * fd_step), axis=0)
 
 
 # ---------------------------------------------------------------------------
 # Euler-Lagrange first variation for the one-step update map
 # ---------------------------------------------------------------------------
-
-def _obs_likelihood(y: float, h_val, dt: float):
-    """Density of the sampled observation y given state s: N(h(s), 1/dt)."""
-    return math.sqrt(dt / (2.0 * math.pi)) \
-        * math.exp(-0.5 * dt * (y - h_val) ** 2)
-
 
 def el_bracket_residual(p: ExpPolyDensity, h: PolyScalarField,
                         v: PolyVectorField, x: np.ndarray, y: float,
@@ -94,13 +86,13 @@ def el_bracket_residual(p: ExpPolyDensity, h: PolyScalarField,
     """
     x = np.asarray(x, dtype=float)
 
-    def g_at(pt: np.ndarray) -> float:
-        shifted = pt + v.value(pt)[0]
-        return float(p.value(shifted)[0]) \
-            * _obs_likelihood(y, float(h.value(shifted)[0]), dt)
+    def g_at(pts: np.ndarray) -> np.ndarray:
+        shifted = pts + v.value(pts)     # rho(y | s): N(h(s), 1/dt) at y
+        return p.value(shifted) * (np.sqrt(dt / (2.0 * np.pi)) * np.exp(
+            -0.5 * dt * (y - h.value(shifted)) ** 2))
 
     d = v.dim
-    g0 = g_at(x)
+    g0 = g_at(x[None])[0]
     p0, grad_p0 = (a[0] for a in p.partials(x, 1))
     _, jac, sec = (a[0] for a in v.partials(x, 2))  # sec[i] = d_i grad v^T
     v_inv = np.linalg.inv(np.eye(d) + jac)
@@ -366,13 +358,14 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
                + 0.5 * np.einsum("a,b,abj->j", k, k, tl)
                - np.einsum("i,il,jl->j", k, hl, jk))
 
-        def curvature_quad(pt):
-            kk = K.value(pt)[0]
-            _, g, hess = (a[0] for a in p.q.partials(pt, 2))
-            return float(kk @ (hess + np.outer(g, g)) @ kk)
+        def curvature_quad(pts):
+            kk = K.value(pts)
+            _, g, hess = p.q.partials(pts, 2)
+            return np.einsum("ni,nij,nj->n", kk,
+                             hess + np.einsum("ni,nj->nij", g, g), kk)
 
-        def slope_quad(pt):
-            return float((K.value(pt)[0] @ p.grad_log(pt)[0]) ** 2)
+        def slope_quad(pts):
+            return np.einsum("ni,ni->n", K.value(pts), p.grad_log(pts)) ** 2
 
         rhs = -0.5 * fd_grad(curvature_quad, x, fd_step) \
             + 0.5 * fd_grad(slope_quad, x, fd_step)
@@ -383,9 +376,9 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
                - np.einsum("i,l,ijl->j", k, gl, sk)
                - gl @ (jk.T @ jk.T))
 
-        def transport(pt):
-            kk, jac = (a[0] for a in K.partials(pt, 1))
-            return float(kk @ jac @ p.grad_log(pt)[0])
+        def transport(pts):
+            kk, jac = K.partials(pts, 1)
+            return np.einsum("ni,nij,nj->n", kk, jac, p.grad_log(pts))
 
         rhs = -fd_grad(transport, x, fd_step)
         return lhs, rhs
@@ -393,9 +386,9 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
     if identity_id == 8:
         lhs = -np.einsum("i,ijll->j", k, tk) - grad_div_k @ jk.T
 
-        def div_flux(pt):
-            kk, _, sk2 = (a[0] for a in K.partials(pt, 2))
-            return float(np.einsum("all->a", sk2) @ kk)
+        def div_flux(pts):
+            kk, _, sk2 = K.partials(pts, 2)
+            return np.einsum("nall,na->n", sk2, kk)
 
         rhs = -fd_grad(div_flux, x, fd_step)
         return lhs, rhs
@@ -413,26 +406,22 @@ def double_divergence_expansion_check(p: ExpPolyDensity, K: PolyVectorField,
          + p (div K)^2 + 2 p grad^T(div K) K + p tr[(grad K^T)^2].
     """
     x = np.asarray(x, dtype=float)
-    d = K.dim
-
-    def pkk(pt, i, j):
-        kk = K.value(pt)[0]
-        return float(p.value(pt)[0] * kk[i] * kk[j])
-
-    lhs = 0.0
-    e = np.eye(d)
-    for i in range(d):
-        lhs += (pkk(x + fd_step * e[i], i, i)
-                - 2.0 * pkk(x, i, i)
-                + pkk(x - fd_step * e[i], i, i)) / fd_step ** 2
-        for j in range(d):
-            if j == i:
-                continue
-            lhs += (pkk(x + fd_step * (e[i] + e[j]), i, j)
-                    - pkk(x + fd_step * (e[i] - e[j]), i, j)
-                    - pkk(x - fd_step * (e[i] - e[j]), i, j)
-                    + pkk(x - fd_step * (e[i] + e[j]), i, j)) \
-                / (4.0 * fd_step ** 2)
+    d, h, n, e = K.dim, fd_step, np.arange(K.dim), np.eye(K.dim)
+    a, b = np.nonzero(n[:, None] < n)
+    # the unique stencil: x, x + h e_i, x - h e_i, then x + h (s e_a + t e_b)
+    # for (s, t) = (1, 1), (1, -1), (-1, 1), (-1, -1), each over pairs a < b
+    s, t = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])[:, :, None, None]
+    pts = x + h * np.concatenate([0 * e[:1], e, -e,
+                                  (s * e[a] + t * e[b]).reshape(-1, d)])
+    kk = K.value(pts)
+    pkk = p.value(pts)[:, None, None] * kk[:, :, None] * kk[:, None, :]
+    pp, pm, mp, mm = 1 + 2 * d + np.arange(4 * len(a)).reshape(4, len(a))
+    lhs = np.sum((pkk[1 + n, n, n] - 2.0 * pkk[0, n, n]
+                  + pkk[1 + d + n, n, n]) / h ** 2)
+    # the (i, j) = (a, b) terms, then (b, a); rows ij hold x + h (e_i - e_j)
+    for i, j, ij, ji in ((a, b, pm, mp), (b, a, mp, pm)):
+        lhs += np.sum((pkk[pp, i, j] - pkk[ij, i, j] - pkk[ji, i, j]
+                       + pkk[mm, i, j]) / (4.0 * h ** 2))
 
     p0, gp, hp = (a[0] for a in p.partials(x, 2))
     k, jk, sk = (a[0] for a in K.partials(x, 2))

@@ -67,7 +67,9 @@ def stationary_variance_1d(f: float, sigma: float, h: float) -> float:
 # ---------------------------------------------------------------------------
 
 def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
-    """Systematic resampling indices from normalized weights and u in [0,1)."""
+    """Systematic resampling indices from normalized weights and u in (0, 1],
+    the range of rng.uniform01; at u = 1 the last position is 1 and still
+    maps to an index below N."""
     n = len(weights)
     positions = (np.arange(n) + u) / n
     cumulative = np.cumsum(weights)

@@ -115,7 +115,10 @@ def suite_lm2() -> List[CheckRow]:
     The gap rows run at fd_step=1e-4 where truncation is tiny; the
     convergence rows run at 1e-2 -> 5e-3 because second differences at
     1e-4 already sit on the roundoff floor eps/h^2 ~ 1e-8, where halving
-    the step measures noise rather than order.
+    the step measures noise rather than order. The same floor bounds how
+    far a gap row moves with the fields' last bits, which depend on how
+    many points share a field call: up to 1.2e-8 between one call per
+    point and one call per stencil.
     """
     rng = np.random.default_rng(2112)
     rows: List[CheckRow] = []

@@ -11,7 +11,8 @@ regenerates the cases it means to change, by name, with
 in CHANGES.md. That rewrites only the named cases: if any other case
 differs from the table, or a name is not a case, it writes nothing, lists
 them and exits 1. Without a name it rewrites the whole table. Every case
-on a linear or affine model must exit 0, and a test holds the table to it.
+on a linear or affine model and every verify suite must exit 0, and tests
+hold the table to it.
 """
 
 import hashlib
@@ -186,6 +187,17 @@ def test_linear_cases_are_golden_only_as_successes():
                                         "inline-affine")}
     assert len(linear) == 3 * (1 + 2 * len(GAINS))
     assert linear == dict.fromkeys(linear, 0)
+
+
+def test_verify_cases_are_golden_only_as_successes():
+    """Every verify suite exits 0 in the table, so a regeneration cannot
+    record a failing suite as golden."""
+    table = json.loads(GOLDEN.read_text())
+    suites = {case: entry["exit"] for case, entry in table.items()
+              if case.startswith("verify/")}
+    assert sorted(suites) == sorted(f"verify/{s}" for s in SUITE_NAMES)
+    assert len(suites) == 7
+    assert suites == dict.fromkeys(suites, 0)
 
 
 def test_blas_cases_match_golden_digests_on_one_thread(one_thread):

@@ -5,6 +5,7 @@ so every inner derivative is analytic and finite differences appear only
 in the outermost layer of a check.
 """
 
+import math
 from itertools import combinations_with_replacement, product
 
 import mpmath
@@ -24,6 +25,7 @@ from fpf_lab.fields import (
 )
 from fpf_lab.identities import (
     QUADRATIC_IDENTITY_IDS,
+    _minors,
     bounded_slope_grad_log,
     double_divergence_expansion_check,
     dt_order_residual,
@@ -70,9 +72,26 @@ class TestFieldPrimitives:
         x = np.array([0.3, -0.4, 0.2])
         field = PolyScalarField(poly)
         analytic = field.grad(x[None, :])[0]
-        numeric = fd_grad(lambda pt: float(field.value(pt[None, :])[0]), x,
-                          1e-6)
+        numeric = fd_grad(field.value, x, 1e-6)
         np.testing.assert_allclose(numeric, analytic, atol=1e-8)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_fd_grad_calls_fn_once_on_its_stencil(self, dim):
+        """fn gets the (2d, d) stencil in one call: the rows x + step e_i,
+        then the rows x - step e_i."""
+        x = np.linspace(-0.5, 0.5, dim)
+        calls = []
+
+        def fn(points):
+            calls.append(points.copy())
+            return np.sum(points ** 2, axis=1)
+
+        grad = fd_grad(fn, x, 1e-3)
+        e = 1e-3 * np.eye(dim)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0],
+                                      np.concatenate([x + e, x - e]))
+        np.testing.assert_allclose(grad, 2.0 * x, atol=1e-12)
 
     def test_vector_jacobian_convention(self):
         """jac[n, i, j] = d(component j)/d(x_i)."""
@@ -436,6 +455,24 @@ class TestOneJetPerField:
             assert got.shape == (3, *want[0].shape)
             assert got.tobytes() == np.stack(want).tobytes()
 
+    def test_suites_keep_their_field_call_budget(self, monkeypatch):
+        """Each check evaluates a field once per stencil, so the number of
+        monomial_values calls a suite makes is fixed by its probes: at
+        most these, and a return to one point per call would multiply
+        them (piola 1,200, appendixB 2,284, lm2 5,856 that way)."""
+        budget = {"piola": 200, "appendixB": 1150, "lm2": 600,
+                  "taylor": 350}
+        kernel, calls = fields.monomial_values, []
+        monkeypatch.setattr(fields, "monomial_values",
+                            lambda points, rows: calls.append(1)
+                            or kernel(points, rows))
+        counts = {}
+        for suite in budget:
+            calls.clear()
+            assert all(row.passed for row in verify.run_suite(suite))
+            counts[suite] = len(calls)
+        assert all(counts[s] <= budget[s] for s in budget), counts
+
     def test_expansion_checks_evaluate_each_field_once(self, monkeypatch):
         """dt order: p, h, K, u; dz order: p, h, K; identity 1: log p, K."""
         calls = []
@@ -458,7 +495,144 @@ class TestOneJetPerField:
             assert len(calls) == expected
 
 
+def _fd_grad_per_point(fn, x, step):
+    """The central difference with one call of fn per point."""
+    e = step * np.eye(len(x))
+    return np.array([(fn(x + e[i]) - fn(x - e[i])) / (2.0 * step)
+                     for i in range(len(x))])
+
+
+def _piola_per_point(v, x, step):
+    """Cofactor divergence from one Jacobian call per point and one
+    np.delete'd determinant per minor."""
+    d = v.dim
+    res, e = np.zeros(d), step * np.eye(d)
+    for i in range(d):
+        mats = [np.eye(d) + v.jac(x + s * e[i])[0] for s in (1.0, -1.0)]
+        for j in range(d):
+            hi, lo = (np.delete(np.delete(m, i, axis=0), j, axis=1)
+                      for m in mats)
+            minor_hi, minor_lo = (float(np.linalg.det(m)) if m.size else 1.0
+                                  for m in (hi, lo))
+            res[j] += (-1.0) ** (i + j) * (minor_hi - minor_lo) / (2.0 * step)
+    return res
+
+
+def _lm2_lhs_per_point(p, k, x, step):
+    """sum_ij d^2(p K_i K_j)/dx_i dx_j, two field calls per p K_i K_j."""
+    d, e = k.dim, np.eye(k.dim)
+
+    def pkk(pt, i, j):
+        kk = k.value(pt)[0]
+        return float(p.value(pt)[0] * kk[i] * kk[j])
+
+    lhs = 0.0
+    for i in range(d):
+        lhs += (pkk(x + step * e[i], i, i) - 2.0 * pkk(x, i, i)
+                + pkk(x - step * e[i], i, i)) / step ** 2
+        for j in range(d):
+            if j != i:
+                lhs += (pkk(x + step * (e[i] + e[j]), i, j)
+                        - pkk(x + step * (e[i] - e[j]), i, j)
+                        - pkk(x - step * (e[i] - e[j]), i, j)
+                        + pkk(x - step * (e[i] + e[j]), i, j)) \
+                    / (4.0 * step ** 2)
+    return lhs
+
+
+def _quadratic_rhs_per_point(ident, p, k, x, step):
+    """The telescoped side of identities 6-8, one point per field call."""
+    def curvature_quad(pt):
+        kk = k.value(pt)[0]
+        _, g, hess = (a[0] for a in p.q.partials(pt, 2))
+        return float(kk @ (hess + np.outer(g, g)) @ kk)
+
+    def slope_quad(pt):
+        return float((k.value(pt)[0] @ p.grad_log(pt)[0]) ** 2)
+
+    def transport(pt):
+        kk, jac = (a[0] for a in k.partials(pt, 1))
+        return float(kk @ jac @ p.grad_log(pt)[0])
+
+    def div_flux(pt):
+        kk, _, sk = (a[0] for a in k.partials(pt, 2))
+        return float(np.einsum("all->a", sk) @ kk)
+
+    if ident == 6:
+        return (-0.5 * _fd_grad_per_point(curvature_quad, x, step)
+                + 0.5 * _fd_grad_per_point(slope_quad, x, step))
+    return -_fd_grad_per_point(transport if ident == 7 else div_flux, x, step)
+
+
+def _el_bracket_per_point(p, h, v, x, y, dt):
+    """el_bracket_residual with g evaluated one point per call."""
+    def g_at(pt):
+        shifted = pt + v.value(pt)[0]
+        return float(p.value(shifted)[0]) * math.sqrt(dt / (2.0 * math.pi)) \
+            * math.exp(-0.5 * dt * (y - float(h.value(shifted)[0])) ** 2)
+
+    d, g0 = v.dim, g_at(x)
+    p0, grad_p0 = (a[0] for a in p.partials(x, 1))
+    _, jac, sec = (a[0] for a in v.partials(x, 2))
+    v_inv = np.linalg.inv(np.eye(d) + jac)
+    return (_fd_grad_per_point(g_at, x, 1e-4) * p0
+            + g0 * np.einsum("ab,iba->i", v_inv, sec) * p0 - g0 * grad_p0)
+
+
+class TestStencilsAgainstPerPointOracle:
+    """Each check evaluates its fields once over its whole stencil. The
+    one-point-per-call formulas it replaced (above) agree with it to
+    finite-difference roundoff: a field's last bits depend on how many
+    points share its call, and the outer difference divides them by h
+    (by h^2 for lm2's second differences). Over 40 probes a dimension at
+    h = 1e-4 and 1e-3 the largest gaps were, in eps/h: piola 2.7,
+    identities 6-8 1.2, 2.0 and 4.0, the el bracket 0.003; lm2 0.72
+    eps/h^2. The bounds keep a margin of 4 or more."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_checks_match_per_point_formulas(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        for _ in range(10):
+            p = ExpPolyDensity.random_gaussian(dim, rng)
+            k = PolyVectorField.random(dim, 3, rng, scale=0.4)
+            v = PolyVectorField.random(dim, 3, rng, scale=0.4)
+            h = PolyScalarField(Polynomial.random(dim, 2, rng, scale=0.5))
+            x = rng.uniform(-0.6, 0.6, size=dim)
+            for step in (1e-4, 1e-3):
+                assert np.max(np.abs(piola_residual(v, x, step)
+                                     - _piola_per_point(v, x, step))) \
+                    <= 16.0 * self.EPS / step
+                lhs, _ = double_divergence_expansion_check(p, k, x, step)
+                assert abs(lhs - _lm2_lhs_per_point(p, k, x, step)) \
+                    <= 4.0 * self.EPS / step ** 2
+                for ident in (6, 7, 8):
+                    _, rhs = quadratic_term_identity(ident, p, k, x, step)
+                    assert np.max(np.abs(rhs - _quadratic_rhs_per_point(
+                        ident, p, k, x, step))) <= 16.0 * self.EPS / step
+            small = PolyVectorField.random(dim, 2, rng, scale=0.05)
+            y = float(0.3 * rng.standard_normal())
+            gap = el_bracket_residual(p, h, small, x, y, 0.01) \
+                - _el_bracket_per_point(p, h, small, x, y, 0.01)
+            assert np.max(np.abs(gap)) <= 0.02 * self.EPS / 1e-4
+
+
 class TestPiolaIdentity:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_batched_minors_match_deleted_determinants(self, dim):
+        """Every minor of the one batched det equals np.linalg.det of the
+        np.delete'd matrix bit for bit; at d = 1 the empty minor is 1."""
+        gen = np.random.default_rng(dim)
+        mats = np.eye(dim) + gen.uniform(-1.0, 1.0, size=(2, 3, dim, dim))
+        minors = _minors(mats)
+        assert minors.shape == (2, 3, dim, dim)
+        for idx in np.ndindex(2, 3, dim, dim):
+            *m, i, j = idx
+            sub = np.delete(np.delete(mats[tuple(m)], i, axis=0), j, axis=1)
+            want = np.float64(np.linalg.det(sub) if sub.size else 1.0)
+            assert minors[idx].tobytes() == want.tobytes(), idx
+
     def test_two_d_hand_example(self):
         """v = (x2^2, x1^2): the cofactor entries of I + grad v^T are
         linear, so the central differences are exact and the divergences

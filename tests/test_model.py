@@ -99,6 +99,15 @@ class TestNoiseStreams:
         assert np.all(u > 0.0)
         assert np.all(u < 1.0)
 
+    def test_all_ones_word_is_exactly_one(self):
+        """The top 53 bits of 2^64 - 1 are (2^53 - 1) 2^-53, and adding
+        2^-54 rounds to even, to 1.0: uniform01 draws from (0, 1]. The
+        all-zeros word gives the smallest draw, 2^-54."""
+        words = np.array([2 ** 64 - 1, 0], dtype=np.uint64)
+        u = noise._unit(words.copy())
+        assert u[0] == 1.0
+        assert u[1] == 2.0 ** -54
+
     @pytest.mark.parametrize("seed", [0, 5, 2 ** 63 + 7])
     @pytest.mark.parametrize("streams", [
         np.random.default_rng(1).permutation(40).astype(np.uint64),

@@ -84,6 +84,18 @@ class TestSystematicResample:
         idx = systematic_resample(w, 0.5)
         np.testing.assert_array_equal(idx, [1, 1, 1])
 
+    @pytest.mark.parametrize("n", [2, 7, 1000])
+    def test_u_of_one_stays_in_range(self, n):
+        """uniform01 reaches 1.0 (the all-ones word), and resampling at
+        u = 1 still returns indices in [0, N - 1], with a zero last weight
+        too."""
+        raw = np.random.default_rng(n).dirichlet(np.ones(n))
+        zero_tail = np.append(raw[:-1], 0.0) / raw[:-1].sum()
+        for w in (np.full(n, 1.0 / n), raw, zero_tail):
+            idx = systematic_resample(w, 1.0)
+            assert len(idx) == n
+            assert idx.min() >= 0 and idx.max() <= n - 1
+
     @given(st.lists(st.floats(min_value=1e-3, max_value=1.0),
                     min_size=2, max_size=12),
            st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
