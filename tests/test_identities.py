@@ -23,6 +23,7 @@ from fpf_lab.fields import (
     converges_quadratically,
     fd_grad,
 )
+from fpf_lab.grid import trapezoid
 from fpf_lab.identities import (
     QUADRATIC_IDENTITY_IDS,
     _minors,
@@ -116,6 +117,43 @@ class TestFieldPrimitives:
         t = f.partials(np.array([[0.3, 0.7]]), 3)[3][0]
         np.testing.assert_array_equal(t, np.transpose(t, (1, 0, 2)))
         np.testing.assert_array_equal(t, np.transpose(t, (0, 2, 1)))
+
+    @pytest.mark.parametrize("dim,degree,scale", [
+        (1, 0, 1.0), (1, 3, 0.5), (2, 2, 0.05), (3, 3, 0.4), (3, 4, 1.0)])
+    def test_random_polynomial_matches_scalar_draws(self, dim, degree,
+                                                    scale):
+        """One vector draw gives the coefficients, term order and
+        generator state of one scalar draw per term."""
+        for seed in range(20):
+            gen, scalar = (np.random.default_rng(seed) for _ in range(2))
+            got = Polynomial.random(dim, degree, gen, scale)
+            want = Polynomial(dim, {
+                alpha: scale * scalar.standard_normal()
+                for alpha in product(range(degree + 1), repeat=dim)
+                if sum(alpha) <= degree})
+            assert got.exponents.tobytes() == want.exponents.tobytes()
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert gen.standard_normal() == scalar.standard_normal()
+
+    def test_jac_one_builds_its_polynomials_once(self, monkeypatch):
+        """Repeated jac_one calls on one field construct no Polynomial,
+        and jac_one equals jac at a float point, also for one component
+        of two coordinates (a (2, 1) Jacobian)."""
+        field = PolyVectorField.random(3, 3, np.random.default_rng(7))
+        x = np.array([0.3, -0.5, 0.7])
+        first = field.jac_one(list(x))
+        built, init = [], Polynomial.__init__
+        monkeypatch.setattr(Polynomial, "__init__",
+                            lambda self, *a: built.append(1)
+                            or init(self, *a))
+        assert field.jac_one(list(x)) == first
+        field.jac_one([0.1, 0.2, -0.3])
+        assert built == []
+        np.testing.assert_allclose(first, field.jac(x)[0], rtol=1e-13,
+                                   atol=1e-15)
+        monkeypatch.undo()
+        column = PolyVectorField([Polynomial(2, {(1, 0): 1.0, (0, 2): 3.0})])
+        assert column.jac_one([0.5, 0.25]) == [[1.0], [1.5]]
 
     def test_convergence_helper(self):
         assert converges_quadratically(1e-3, 2e-4)
@@ -459,19 +497,24 @@ class TestOneJetPerField:
         """Each check evaluates a field once per stencil, so the number of
         monomial_values calls a suite makes is fixed by its probes: at
         most these, and a return to one point per call would multiply
-        them (piola 1,200, appendixB 2,284, lm2 5,856 that way)."""
+        them (piola 1,200, appendixB 2,284, lm2 5,856 that way).
+        El-invariance also bounds the points summed over its calls, most
+        of them p_Y's quadrature grid: 201 nodes an axis would make them
+        2,030,133."""
         budget = {"piola": 200, "appendixB": 1150, "lm2": 600,
-                  "taylor": 350}
+                  "el-invariance": 124, "taylor": 350}
         kernel, calls = fields.monomial_values, []
         monkeypatch.setattr(fields, "monomial_values",
-                            lambda points, rows: calls.append(1)
+                            lambda points, rows: calls.append(
+                                points.size // points.shape[-1])
                             or kernel(points, rows))
-        counts = {}
+        counts, points = {}, {}
         for suite in budget:
             calls.clear()
             assert all(row.passed for row in verify.run_suite(suite))
-            counts[suite] = len(calls)
+            counts[suite], points[suite] = len(calls), sum(calls)
         assert all(counts[s] <= budget[s] for s in budget), counts
+        assert points["el-invariance"] <= 86_133, points
 
     def test_expansion_checks_evaluate_each_field_once(self, monkeypatch):
         """dt order: p, h, K, u; dz order: p, h, K; identity 1: log p, K."""
@@ -864,7 +907,25 @@ class TestGeneratorInvariance:
         expected = np.exp(-0.5 * 0.4 ** 2 / var_y) \
             / np.sqrt(2.0 * np.pi * var_y)
         got = observation_marginal(_std_normal(), _h_linear(), 0.4, 0.01)
-        assert got == pytest.approx(expected, rel=1e-6)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_observation_marginal_matches_a_finer_trapezoid(self):
+        """On every el-invariance probe, p_Y on 41 nodes an axis agrees
+        with the trapezoid rule on 201 nodes an axis over the same
+        [-10, 10] to 1e-10 relative."""
+        rng, dt = np.random.default_rng(3001), 0.01
+        for i in range(50):
+            p, h, _, _, y = verify._el_probe(rng, 1 + i % 2)
+            axes = [np.linspace(-10.0, 10.0, 201)] * p.dim
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"),
+                           axis=-1).reshape(-1, p.dim)
+            vals = (p.value(pts) * np.sqrt(dt / (2.0 * np.pi))
+                    * np.exp(-0.5 * dt * (y - h.value(pts)) ** 2)
+                    ).reshape([201] * p.dim)
+            for axis_grid in axes:
+                vals = trapezoid(vals, axis_grid, axis=-1)
+            assert observation_marginal(p, h, y, dt) == pytest.approx(
+                float(vals), rel=1e-10), i
 
 
 class TestPoincareRatioSweep:
