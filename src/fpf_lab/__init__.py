@@ -35,7 +35,6 @@ from .gain import (
     compute_gain,
     constant_gain,
     exact_gain,
-    gain_residual_on_grid,
     galerkin_gain,
     monomial_exponents,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "f_divergence",
     "f_divergence_grid",
     "fpf_step",
-    "gain_residual_on_grid",
     "galerkin_gain",
     "get_generator",
     "kalman_bucy_step",

@@ -15,7 +15,9 @@ Each field's `partials(points, order)` returns the value and the partials
 of orders 1..order at points (N, d) or a batch (..., N, d) from one power
 table per block of points, as one matrix product per order;
 `value`, `grad` and `jac` are views of one order, and no order's weights
-are built before it is asked.
+are built before it is asked. Points are float64, or an object array of
+mpmath.mpf for the 50-digit checks, which the same power and weight tables
+evaluate in mpmath arithmetic.
 
 Finite differences, the outermost layer alone, call a function once per
 stencil: `fd_grad(fn, x, step)` evaluates fn (M, d) -> (M,) on all 2d points.
@@ -52,7 +54,8 @@ def monomial_values(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     (x_0^0 = 1): a cubic costs at most 3 gathers in any dimension, and as
     1.0 * v = v its value is the all-coordinate product's, bit for bit."""
     *lead, n, d = points.shape
-    powers = np.ones((*lead, rows.max(initial=0) // d + 1, d, n))
+    powers = np.ones((*lead, rows.max(initial=0) // d + 1, d, n),
+                     dtype=points.dtype)
     for e in range(1, powers.shape[-3]):
         np.multiply(powers[..., e - 1, :, :], points.swapaxes(-1, -2),
                     out=powers[..., e, :, :])
@@ -144,6 +147,23 @@ def partial_table(dim: int, exponents: Tuple[Tuple[int, ...], ...],
 # gathered temporary beside them: a d = 20 dense cubic takes 64 points
 JET_BLOCK = 1 << 16
 
+
+def _product(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """values (N, Q) @ table (Q, K).  OpenBLAS splits the rows of a large
+    one-column product among its threads (from about 460,000 values with
+    OpenBLAS 0.3.31 on 2 cores), and a thread's rows past its last
+    multiple of 4 take another kernel; so a one-column product of
+    JET_BLOCK values or more runs on rows padded with zeros to a multiple
+    of 64, so that a split among 2, 4, 8 or 16 threads leaves every row
+    in the kernel it takes on one thread."""
+    n, q = values.shape
+    if table.shape[1] > 1 or n * q < JET_BLOCK or n % 64 == 0:
+        return values @ table
+    padded = np.zeros((q, n + -n % 64), dtype=values.dtype).T
+    padded[:n] = values
+    return (padded @ table)[:n]
+
+
 class Polynomial:
     """Multivariate polynomial: exponents (T, d) and coefficients (T,)."""
 
@@ -163,18 +183,6 @@ class Polynomial:
     @cached_property
     def _field(self) -> "PolyVectorField":
         return PolyVectorField([self])
-
-    def eval_one(self, x: Sequence):
-        """Evaluate at one point with plain Python arithmetic.
-
-        Works with any numeric type supporting * and ** (e.g. mpmath.mpf),
-        which the high-precision checks rely on.
-        """
-        total = 0
-        for alpha, c in zip(self.exponents.tolist(), self.coeffs.tolist()):
-            total = total + math.prod((xi ** ai for xi, ai in zip(x, alpha)
-                                       if ai), start=c)
-        return total
 
     @classmethod
     def random(cls, dim: int, degree: int, rng: np.random.Generator,
@@ -250,15 +258,6 @@ class PolyVectorField:
             for r in range(order + 1)], rows
         return self._weight_tables
 
-    @cached_property
-    def _jac_polys(self) -> list:
-        """The first partials dF_j/dx_i as Polynomials, ordered (i, j),
-        from the weights of the first partials; built once per field."""
-        monomials, tables, _ = self._weights(1)
-        exponents = list(map(tuple, monomials.tolist()))
-        return [Polynomial(monomials.shape[1], dict(zip(exponents, col)))
-                for col in tables[1].T.tolist()]
-
     def _jet(self, points, orders: Sequence[int]) -> list:
         """The partials of each order r in `orders` at points (..., N, d),
         shape (..., N) + (d,) * r + (J,).  A batch is evaluated one (N, d)
@@ -268,8 +267,12 @@ class PolyVectorField:
         at most JET_BLOCK values (64 points at least), and the last block
         takes a single point left over, as BLAS rounds a one-row product
         differently.  The blocks depend on N and Q alone; a block's rows
-        need not get the bits of a longer product, even on one thread."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        need not get the bits of a longer product, even on one thread.
+        Object arrays of mpmath.mpf points keep their dtype, and are
+        evaluated in mpmath arithmetic through the same tables."""
+        points = np.asarray(points)
+        points = np.atleast_2d(points if points.dtype == object
+                               else points.astype(float, copy=False))
         if points.ndim > 2:
             parts = [self._jet(x, orders)
                      for x in points.reshape(-1, *points.shape[-2:])]
@@ -284,8 +287,8 @@ class PolyVectorField:
                      for lo, hi in zip(bounds, bounds[1:])]
             return [np.concatenate(jets) for jets in zip(*parts)]
         values = monomial_values(points, rows).T
-        return [(values @ tables[r]).reshape((n,) + (d,) * r + (self.dim,))
-                for r in orders]
+        return [_product(values, tables[r]).reshape(
+            (n,) + (d,) * r + (self.dim,)) for r in orders]
 
     def partials(self, points, order: int) -> list:
         """[value, jac, second, third][:order + 1] from one power table per
@@ -298,14 +301,6 @@ class PolyVectorField:
     def jac(self, points) -> np.ndarray:
         """jac[n, i, j] = dF_j/dx_i, i.e. each jac[n] is (grad F^T)."""
         return self._jet(points, (1,))[0]
-
-    def value_one(self, x: Sequence) -> list:
-        return [c.eval_one(x) for c in self.components]
-
-    def jac_one(self, x: Sequence) -> list:
-        """Row-major nested list J[i][j] = dF_j/dx_i at one point."""
-        jac = [poly.eval_one(x) for poly in self._jac_polys]
-        return [jac[i:i + self.dim] for i in range(0, len(jac), self.dim)]
 
 
 class ExpPolyDensity:
@@ -352,23 +347,20 @@ class ExpPolyDensity:
         p = np.exp(q[0])
         out = [p]
         if order >= 1:
-            out.append(p[:, None] * q[1])
+            out.append(p[..., None] * q[1])
         if order >= 2:
-            out.append(p[:, None, None]
-                       * (q[2] + np.einsum("ni,nj->nij", q[1], q[1])))
+            out.append(p[..., None, None]
+                       * (q[2] + np.einsum("...i,...j->...ij", q[1], q[1])))
         if order >= 3:
-            sym = (np.einsum("nij,nk->nijk", q[2], q[1])
-                   + np.einsum("nik,nj->nijk", q[2], q[1])
-                   + np.einsum("njk,ni->nijk", q[2], q[1]))
-            outer3 = np.einsum("ni,nj,nk->nijk", q[1], q[1], q[1])
-            out.append(p[:, None, None, None] * (q[3] + sym + outer3))
+            sym = (np.einsum("...ij,...k->...ijk", q[2], q[1])
+                   + np.einsum("...ik,...j->...ijk", q[2], q[1])
+                   + np.einsum("...jk,...i->...ijk", q[2], q[1]))
+            outer3 = np.einsum("...i,...j,...k->...ijk", q[1], q[1], q[1])
+            out.append(p[..., None, None, None] * (q[3] + sym + outer3))
         return out
 
     def value(self, points) -> np.ndarray:
         return self.partials(points, 0)[0]
-
-    def log_one(self, x: Sequence):
-        return self.q.poly.eval_one(x)
 
     # log-density gradient (a polynomial evaluation)
     def grad_log(self, points) -> np.ndarray:

@@ -33,14 +33,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .fields import monomial_values, partial_table
-from .grid import trapezoid
 from .model import (FilterAbortError, ModelValidationError, PosteriorStats,
                     SdeModel)
 
 __all__ = [
     "GAIN_METHODS", "GainField", "SingularGainError", "compute_gain",
     "exact_gain", "constant_gain", "galerkin_gain", "monomial_exponents",
-    "check_admissible", "gain_residual_on_grid",
+    "check_admissible",
 ]
 
 
@@ -281,20 +280,3 @@ def _det(a: np.ndarray) -> np.ndarray:
         return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     return np.linalg.det(a)
 
-
-def gain_residual_on_grid(x: np.ndarray, p: np.ndarray, h_vals: np.ndarray,
-                          k_vals: np.ndarray) -> float:
-    """Weak-form defect of a 1-D gain on a grid.
-
-    Measures max_i |d/dx (p K) + (h - h_hat) p| over interior nodes with
-    central differences; zero (to discretization error) iff K solves the
-    weighted Poisson equation for h under p.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    h_hat = trapezoid(h_vals * p, x) / trapezoid(p, x)
-    pk = p * k_vals
-    dx = x[1] - x[0]
-    flux_div = (pk[2:] - pk[:-2]) / (2.0 * dx)
-    residual = flux_div + (h_vals[1:-1] - h_hat) * p[1:-1]
-    return float(np.max(np.abs(residual)))

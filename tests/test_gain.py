@@ -18,7 +18,6 @@ from fpf_lab import (
     constant_gain,
     ensemble_stats,
     exact_gain,
-    gain_residual_on_grid,
     galerkin_gain,
     make_model,
     monomial_exponents,
@@ -559,30 +558,3 @@ class TestClosedFormDeterminant:
         np.testing.assert_allclose(dets[sound], ref[sound], rtol=1e-13,
                                    atol=0)
 
-
-class TestGainResidualOnGrid:
-    """Weak-form defect |d/dx(pK) + (h - h_hat) p| on a standard normal."""
-
-    def setup_method(self):
-        self.x = np.linspace(-8.0, 8.0, 2001)
-        self.p = np.exp(-0.5 * self.x ** 2) / np.sqrt(2.0 * np.pi)
-
-    def test_zero_gain_defect(self):
-        """With K = 0 the defect is max |x| p(x), attained at x = 1."""
-        res = gain_residual_on_grid(self.x, self.p, self.x,
-                                    np.zeros_like(self.x))
-        phi_at_one = np.exp(-0.5) / np.sqrt(2.0 * np.pi)
-        assert res == pytest.approx(0.24197072451914342, rel=1e-12)
-        assert res == pytest.approx(phi_at_one, rel=1e-6)
-
-    def test_exact_gain_near_zero_defect(self):
-        """K = 1 solves the equation for h = x exactly; what is left is
-        second-order discretization error."""
-        res = gain_residual_on_grid(self.x, self.p, self.x,
-                                    np.ones_like(self.x))
-        assert res <= 1e-4
-
-    def test_wrong_gain_detected(self):
-        res = gain_residual_on_grid(self.x, self.p, self.x,
-                                    2.0 * np.ones_like(self.x))
-        assert res > 0.1

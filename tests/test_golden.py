@@ -125,20 +125,32 @@ def blas_table(root: Path) -> dict:
     return table
 
 
-def dense_cubic_digests() -> dict:
-    """sha256 of the value and gradient bytes of a d = 20 dense cubic h,
-    every monomial of degree 1 to 3 (1,770 terms), at 3,001 seeded points:
-    one ensemble of many blocks, whose product rows BLAS may split among
-    its threads."""
+def dense_field_digests(degree: int, sizes=(3001,)) -> dict:
+    """sha256 of the value and gradient bytes of a d = 20 dense h, every
+    monomial of degree 1 to `degree` (1,770 terms for a cubic), at each
+    number of seeded points in `sizes`: 3,001 points are one ensemble of
+    many blocks, whose product rows BLAS may split among its threads."""
     d = 20
     terms = {tuple(axes.count(j) for j in range(d)): 1e-4
-             for r in (1, 2, 3)
+             for r in range(1, degree + 1)
              for axes in combinations_with_replacement(range(d), r)}
     terms[(1,) + (0,) * (d - 1)] = 1.0
     h = PolyScalarField(Polynomial(d, terms))
-    x = np.random.default_rng(36).uniform(-1.0, 1.0, size=(3001, d))
-    return {name: hashlib.sha256(a.tobytes()).hexdigest()
-            for name, a in zip(("value", "grad"), h.partials(x, 1))}
+    gen = np.random.default_rng(36)
+    return {f"{name}@{n}": hashlib.sha256(a.tobytes()).hexdigest()
+            for n in sizes
+            for name, a in zip(("value", "grad"), h.partials(
+                gen.uniform(-1.0, 1.0, size=(n, d)), 1))}
+
+
+def _fresh_env(threads: str) -> dict:
+    """This environment with `threads` BLAS and OpenMP threads, and the
+    package and this directory on the path."""
+    src = os.path.dirname(os.path.dirname(fpf_lab.__file__))
+    path = [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def _dump(table: dict) -> str:
@@ -147,22 +159,18 @@ def _dump(table: dict) -> str:
 
 @pytest.fixture(scope="module")
 def one_thread(tmp_path_factory) -> dict:
-    """blas_table and dense_cubic_digests, run in a fresh interpreter with
-    one BLAS and OpenMP thread."""
+    """blas_table and the dense cubic's dense_field_digests, run in a
+    fresh interpreter with one BLAS and OpenMP thread."""
     root = tmp_path_factory.mktemp("one-thread")
-    src = os.path.dirname(os.path.dirname(fpf_lab.__file__))
-    path = [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, path)))
     code = ("import json, sys; from pathlib import Path; "
-            "from test_golden import blas_table, dense_cubic_digests; "
+            "from test_golden import blas_table, dense_field_digests; "
             "root = Path(sys.argv[1]); "
             "out = {'table': blas_table(root), "
-            "'fields': dense_cubic_digests()}; "
+            "'fields': dense_field_digests(3)}; "
             "(root / 'out.json').write_text(json.dumps(out))")
     run = subprocess.run([sys.executable, "-c", code, str(root)],
-                         capture_output=True, text=True, env=env, timeout=120)
+                         capture_output=True, text=True,
+                         env=_fresh_env("1"), timeout=120)
     assert run.returncode == 0, run.stderr
     return json.loads((root / "out.json").read_text())
 
@@ -213,7 +221,24 @@ def test_blas_cases_match_golden_digests_on_one_thread(one_thread):
 def test_dense_cubic_field_bits_do_not_depend_on_blas_threads(one_thread):
     """A d = 20 dense cubic h gives the same value and gradient bytes
     with one BLAS thread as with this process's default thread count."""
-    assert one_thread["fields"] == dense_cubic_digests()
+    assert one_thread["fields"] == dense_field_digests(3)
+
+
+def test_dense_quartic_field_bits_do_not_depend_on_blas_threads():
+    """A d = 20 dense quartic h (10,625 terms, 64-point blocks) gives the
+    same value and gradient bytes in fresh interpreters with one and with
+    two BLAS threads: at 3,001 points, whose last block has 57 rows, and
+    at 57 points, one block."""
+    code = ("import json; from test_golden import dense_field_digests; "
+            "print(json.dumps(dense_field_digests(4, (3001, 57))))")
+    runs = [subprocess.Popen([sys.executable, "-c", code],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True, env=_fresh_env(threads))
+            for threads in ("1", "2")]
+    outs = [run.communicate(timeout=120) for run in runs]
+    assert [run.returncode for run in runs] == [0, 0], outs
+    one, two = (json.loads(out) for out, _ in outs)
+    assert len(one) == 4 and one == two
 
 
 def _regenerate(names) -> int:

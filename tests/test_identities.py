@@ -135,26 +135,6 @@ class TestFieldPrimitives:
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
             assert gen.standard_normal() == scalar.standard_normal()
 
-    def test_jac_one_builds_its_polynomials_once(self, monkeypatch):
-        """Repeated jac_one calls on one field construct no Polynomial,
-        and jac_one equals jac at a float point, also for one component
-        of two coordinates (a (2, 1) Jacobian)."""
-        field = PolyVectorField.random(3, 3, np.random.default_rng(7))
-        x = np.array([0.3, -0.5, 0.7])
-        first = field.jac_one(list(x))
-        built, init = [], Polynomial.__init__
-        monkeypatch.setattr(Polynomial, "__init__",
-                            lambda self, *a: built.append(1)
-                            or init(self, *a))
-        assert field.jac_one(list(x)) == first
-        field.jac_one([0.1, 0.2, -0.3])
-        assert built == []
-        np.testing.assert_allclose(first, field.jac(x)[0], rtol=1e-13,
-                                   atol=1e-15)
-        monkeypatch.undo()
-        column = PolyVectorField([Polynomial(2, {(1, 0): 1.0, (0, 2): 3.0})])
-        assert column.jac_one([0.5, 0.25]) == [[1.0], [1.5]]
-
     def test_convergence_helper(self):
         assert converges_quadratically(1e-3, 2e-4)
         assert not converges_quadratically(1e-3, 5e-4)
@@ -245,13 +225,19 @@ class TestPolynomialKernelAgainstOracle:
             for got, view in zip(jet, views):
                 np.testing.assert_array_equal(got, view(points))
 
+        # 50-digit points, the last three, through the same tables
         with mpmath.workdps(50):
-            x_mp = [mpmath.mpf(float(v)) for v in points[-1]]
-            jac = np.array([[float(v) for v in row]
-                            for row in field.jac_one(x_mp)])
-            value = float(polys[0].eval_one(x_mp))
-        _assert_partials_match(jac[None], terms, points[-1:], 1)
-        _assert_partials_match(np.array([[value]]), terms[:1], points[-1:], 0)
+            points_mp = np.array([[mpmath.mpf(v) for v in row]
+                                  for row in points[-3:].tolist()],
+                                 dtype=object)
+            jets = ((field.partials(points_mp, 3), terms),
+                    ([a[..., None] for a in scalar.partials(points_mp, 3)],
+                     terms[:1]))
+        for jet, jet_terms in jets:
+            for order, got in enumerate(jet):
+                assert got.dtype == object
+                _assert_partials_match(got.astype(float), jet_terms,
+                                       points[-3:], order)
 
 
 def _dense_partial_table(dim, exponents, order):
@@ -421,6 +407,22 @@ class TestOneJetPerField:
                 np.testing.assert_array_equal(g, e)
             np.testing.assert_array_equal(p.value(x), got[0])
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_density_partials_of_a_batch_stack_its_ensembles(self, dim):
+        """partials on a batch (3, 5, d) at every order equals the stack
+        of the three ensembles' own partials, byte for byte."""
+        rng = np.random.default_rng(40 + dim)
+        p = ExpPolyDensity(Polynomial.random(dim, 3, rng, scale=0.3))
+        batch = rng.uniform(-1.0, 1.0, size=(3, 5, dim))
+        for order in range(4):
+            got = p.partials(batch, order)
+            wants = [p.partials(x, order) for x in batch]
+            assert len(got) == order + 1
+            for r, g in enumerate(got):
+                want = np.stack([w[r] for w in wants])
+                assert g.shape == (3, 5) + (dim,) * r
+                assert g.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 40])
     def test_value_builds_no_partial_tables(self, n):
         """A field builds the weights of the orders asked so far: value
@@ -495,26 +497,33 @@ class TestOneJetPerField:
 
     def test_suites_keep_their_field_call_budget(self, monkeypatch):
         """Each check evaluates a field once per stencil, so the number of
-        monomial_values calls a suite makes is fixed by its probes: at
-        most these, and a return to one point per call would multiply
-        them (piola 1,200, appendixB 2,284, lm2 5,856 that way).
-        El-invariance also bounds the points summed over its calls, most
-        of them p_Y's quadrature grid: 201 nodes an axis would make them
-        2,030,133."""
+        float64 monomial_values calls a suite makes is fixed by its
+        probes: at most these, and a return to one point per call would
+        multiply them (piola 1,200, appendixB 2,284, lm2 5,856 that way).
+        El-invariance makes exactly its 124 and bounds the points summed
+        over them, most of them p_Y's quadrature grid: 201 nodes an axis
+        would make them 2,030,133. Its 50-digit stencils are counted
+        apart, at most three calls a probe, and no other suite makes any."""
         budget = {"piola": 200, "appendixB": 1150, "lm2": 600,
                   "el-invariance": 124, "taylor": 350}
         kernel, calls = fields.monomial_values, []
         monkeypatch.setattr(fields, "monomial_values",
                             lambda points, rows: calls.append(
-                                points.size // points.shape[-1])
+                                (points.dtype == object,
+                                 points.size // points.shape[-1]))
                             or kernel(points, rows))
-        counts, points = {}, {}
+        counts, points, mp_counts = {}, {}, {}
         for suite in budget:
             calls.clear()
             assert all(row.passed for row in verify.run_suite(suite))
-            counts[suite], points[suite] = len(calls), sum(calls)
+            floats = [n for is_mp, n in calls if not is_mp]
+            counts[suite], points[suite] = len(floats), sum(floats)
+            mp_counts[suite] = len(calls) - len(floats)
         assert all(counts[s] <= budget[s] for s in budget), counts
-        assert points["el-invariance"] <= 86_133, points
+        assert counts["el-invariance"] == 124, counts
+        assert points["el-invariance"] == 86_133, points
+        assert mp_counts.pop("el-invariance") <= 150
+        assert not any(mp_counts.values()), mp_counts
 
     def test_expansion_checks_evaluate_each_field_once(self, monkeypatch):
         """dt order: p, h, K, u; dz order: p, h, K; identity 1: log p, K."""
