@@ -19,6 +19,21 @@ are built before it is asked. Points are float64, or an object array of
 mpmath.mpf for the 50-digit checks, which the same power and weight tables
 evaluate in mpmath arithmetic.
 
+A probe family's structure is built once and cached; every field of the
+family is built from arrays:
+- `Polynomial.random` takes its exponents from a read-only table per
+  (dim, degree), and `ExpPolyDensity.gaussian` its term order and the
+  order in which off-diagonal precision entries merge from a plan per
+  dimension. Both give the coefficient bytes of the dict they replaced.
+- `partial_table`'s map and a field's weight layout (each map entry's flat
+  scatter position, each order's gather rows) are one lru_cache entry,
+  keyed by (dim, exponent shape and bytes, order, component term counts)
+  and bounded at 1,024 entries. A field concatenates its coefficients and
+  makes one multiply, one scatter and one gather per order.
+- Layout is part of the bits: values @ table rounds by the operands'
+  layout, so each order's table is the column-major view of a C-ordered
+  gather that it has always been.
+
 Finite differences, the outermost layer alone, call a function once per
 stencil: `fd_grad(fn, x, step)` evaluates fn (M, d) -> (M,) on all 2d points.
 A stencil row may differ from a one-point call in its last bits, as BLAS
@@ -92,12 +107,10 @@ def _differentiate(alpha: Tuple[int, ...], axes: Tuple[int, ...]):
     return tuple(exps), coef
 
 
-@lru_cache(maxsize=1024)
-def partial_table(dim: int, exponents: Tuple[Tuple[int, ...], ...],
-                  order: int = 3):
+def partial_table(dim: int, exponents, order: int = 3):
     """Partials of order <= `order` of the monomials x^exponents[t]:
-    (monomials, rows, (m, t, q, w), index), cached per (dim, exponents,
-    order).
+    (monomials, rows, (m, t, q, w), index) for exponents (T, dim), an array
+    or a sequence of tuples.
 
     monomials (Q, dim) are the exponents that partials of order <= 3 reach
     (at every order), by total degree, then lexicographically, and rows
@@ -108,13 +121,27 @@ def partial_table(dim: int, exponents: Tuple[Tuple[int, ...], ...],
     a partial that drops an exponent below 0 has no entry. The combos are
     the sorted axes of every order <= `order`, and index[r][i, l, ...] is
     the m of the ordered axes (i, l, ...) of order r. The tables are
-    read-only.
+    read-only, and cached as _partial_plan's entry of one component.
     """
+    exponents = np.asarray(exponents, dtype=int).reshape(-1, dim)
+    return _partial_plan(dim, exponents.shape, exponents.tobytes(), order,
+                         (len(exponents),))[:4]
+
+
+@lru_cache(maxsize=1024)
+def _partial_plan(dim: int, shape: Tuple[int, int], data: bytes, order: int,
+                  counts: Tuple[int, ...]):
+    """partial_table's tables of the (shape) int exponents in `data`, then
+    the layout of a field whose components hold counts[j] of them in turn:
+    scatter[e] is entry e's flat position (m, j, q) in a (combos, J, Q)
+    array, whose rows index[r] the order-r weights gather. Cached per
+    (dim, shape, bytes, order, counts)."""
+    exponents = np.frombuffer(data, dtype=int).reshape(shape)
     combos = {axes: m for m, axes in enumerate(
         axes for r in range(order + 1)
         for axes in combinations_with_replacement(range(dim), r))}
     reached, entries = set(), []
-    for t, alpha in enumerate(exponents):
+    for t, alpha in enumerate(map(tuple, exponents.tolist())):
         support = [j for j, a in enumerate(alpha) if a]
         for r in range(4):
             for axes in combinations_with_replacement(support, r):
@@ -133,9 +160,12 @@ def partial_table(dim: int, exponents: Tuple[Tuple[int, ...], ...],
     index = [np.array([combos[tuple(sorted(axes))]
                        for axes in product(range(dim), repeat=r)]
                       ).reshape((dim,) * r) for r in range(order + 1)]
-    for table in (monomials, rows, derivs, *index):
+    m, t, q, _ = derivs
+    owner = np.repeat(np.arange(len(counts)), counts)
+    scatter = (m * len(counts) + owner[t]) * len(monomials) + q
+    for table in (monomials, rows, derivs, *index, scatter):
         table.flags.writeable = False
-    return monomials, rows, tuple(derivs), index
+    return monomials, rows, tuple(derivs), index, scatter
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +178,12 @@ def partial_table(dim: int, exponents: Tuple[Tuple[int, ...], ...],
 JET_BLOCK = 1 << 16
 
 
+# OpenBLAS threads a dot product from about 10,000 values (between 9,990
+# and 10,010 in a scan with OpenBLAS 0.3.31 on 2 cores); a one-point,
+# one-column product from this many values takes the padded path
+DOT_SPLIT = 1 << 13
+
+
 def _product(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     """values (N, Q) @ table (Q, K).  OpenBLAS splits the rows of a large
     one-column product among its threads (from about 460,000 values with
@@ -155,9 +191,12 @@ def _product(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     multiple of 4 take another kernel; so a one-column product of
     JET_BLOCK values or more runs on rows padded with zeros to a multiple
     of 64, so that a split among 2, 4, 8 or 16 threads leaves every row
-    in the kernel it takes on one thread."""
+    in the kernel it takes on one thread.  A one-row, one-column product
+    is a dot product, which OpenBLAS splits from fewer values, so one of
+    DOT_SPLIT values or more is padded too."""
     n, q = values.shape
-    if table.shape[1] > 1 or n * q < JET_BLOCK or n % 64 == 0:
+    if (table.shape[1] > 1 or n % 64 == 0
+            or n * q < (DOT_SPLIT if n == 1 else JET_BLOCK)):
         return values @ table
     padded = np.zeros((q, n + -n % 64), dtype=values.dtype).T
     padded[:n] = values
@@ -165,15 +204,27 @@ def _product(values: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class Polynomial:
-    """Multivariate polynomial: exponents (T, d) and coefficients (T,)."""
+    """Multivariate polynomial: exponents (T, d) and coefficients (T,).
+    Terms with a zero coefficient are dropped."""
 
     def __init__(self, dim: int, terms: Dict[Tuple[int, ...], float]):
-        terms = {tuple(a): float(c) for a, c in terms.items()
-                 if float(c) != 0.0}
+        self._set(dim, np.array(list(terms), dtype=int).reshape(-1, dim),
+                  np.array([float(c) for c in terms.values()]))
+
+    def _set(self, dim: int, exponents: np.ndarray, coeffs: np.ndarray):
+        if not coeffs.all():
+            keep = coeffs != 0.0
+            exponents, coeffs = exponents[keep], coeffs[keep]
         self.dim = dim
-        self.exponents = np.array(list(terms), dtype=int).reshape(-1, dim)
-        self.coeffs = np.array(list(terms.values()))
+        self.exponents, self.coeffs = exponents, coeffs
         self.exponents.flags.writeable = self.coeffs.flags.writeable = False
+
+    @classmethod
+    def _from_arrays(cls, dim: int, exponents: np.ndarray,
+                     coeffs: np.ndarray) -> "Polynomial":
+        poly = cls.__new__(cls)
+        poly._set(dim, exponents, coeffs)
+        return poly
 
     @property
     def terms(self) -> Dict[Tuple[int, ...], float]:
@@ -190,10 +241,21 @@ class Polynomial:
         """Standard normal coefficients times scale on every exponent of
         total degree <= degree, from one vector draw (the same values, and
         the same generator state after, as one scalar draw per term)."""
-        alphas = [alpha for alpha in product(range(degree + 1), repeat=dim)
-                  if sum(alpha) <= degree]
-        return cls(dim, dict(zip(alphas,
-                                 scale * rng.standard_normal(len(alphas)))))
+        exponents = _all_exponents(dim, degree)
+        return cls._from_arrays(
+            dim, exponents, scale * rng.standard_normal(len(exponents)))
+
+
+@lru_cache(maxsize=None)
+def _all_exponents(dim: int, degree: int) -> np.ndarray:
+    """Every exponent of total degree <= degree, (T, dim) in the order of
+    itertools.product; read-only."""
+    exponents = np.array([alpha for alpha in product(range(degree + 1),
+                                                     repeat=dim)
+                          if sum(alpha) <= degree],
+                         dtype=int).reshape(-1, dim)
+    exponents.flags.writeable = False
+    return exponents
 
 
 class PolyScalarField:
@@ -236,26 +298,26 @@ class PolyVectorField:
         """(monomials, tables, rows), rows the monomials' monomial_rows:
         tables[r] (Q, d**r * J) holds the weights of
         the order-r partials, columns ordered (i, l, m, j), for r up to the
-        highest order asked so far. Each entry of partial_table's map puts
-        its term's coefficient times w at (partial, component, monomial) of
-        one (combos, J, Q) array, from which every order's columns are
-        gathered."""
+        highest order asked so far. Each entry of the cached plan's map puts
+        its term's coefficient times w at its scatter position in a flat
+        (combos, J, Q) array, whose gathered rows are each order's weights.
+        tables[r] is a column-major view of that C-ordered (d**r, J, Q)
+        gather: BLAS rounds values @ tables[r] by the operands' layout, so
+        the layout is part of every field's bits."""
         if len(self._weight_tables[1]) > order:
             return self._weight_tables
-        owner = np.repeat(np.arange(self.dim),
-                          [len(c.coeffs) for c in self.components])
-        coeffs = np.concatenate([c.coeffs for c in self.components])
-        exponents = np.vstack([c.exponents for c in self.components])
+        exponents = np.concatenate([c.exponents for c in self.components])
         d = exponents.shape[1]
-        monomials, rows, (m, t, q, w), index = partial_table(
-            d, tuple(map(tuple, exponents.tolist())), order)
-        phi = np.zeros((math.comb(d + order, order), self.dim,
-                        len(monomials)))
-        phi[m, owner[t], q] = coeffs[t] * w
+        monomials, rows, (_, t, _, w), index, scatter = _partial_plan(
+            d, exponents.shape, exponents.tobytes(), order,
+            tuple(len(c.coeffs) for c in self.components))
+        coeffs = np.concatenate([c.coeffs for c in self.components])
+        q = len(monomials)
+        phi = np.zeros((math.comb(d + order, order), self.dim * q))
+        phi.ravel()[scatter] = coeffs[t] * w
         self._weight_tables = monomials, [
-            phi[index[r].ravel()].transpose(2, 0, 1).reshape(
-                len(monomials), index[r].size * self.dim)
-            for r in range(order + 1)], rows
+            phi[i.ravel()].reshape(i.size, self.dim, q).transpose(2, 0, 1)
+            .reshape(q, i.size * self.dim) for i in index], rows
         return self._weight_tables
 
     def _jet(self, points, orders: Sequence[int]) -> list:
@@ -317,20 +379,24 @@ class ExpPolyDensity:
 
     @classmethod
     def gaussian(cls, mean, cov) -> "ExpPolyDensity":
+        """log N(mean, cov) as exp(q): q's constant, then for each i its
+        x_i term and the x_i x_j terms it reaches first, j = 0..d-1. An
+        x_i x_j coefficient is 0.0 - 0.5 prec[i, j], less 0.5 prec[j, i]
+        when i != j, in that order."""
         mean = np.asarray(mean, dtype=float).reshape(-1)
         d = len(mean)
         cov = np.asarray(cov, dtype=float).reshape(d, d)
         prec = np.linalg.inv(cov)
         const = -0.5 * (d * np.log(2.0 * np.pi)
                         + np.log(np.linalg.det(cov)))
-        eye = np.eye(d, dtype=int)
-        terms = {(0,) * d: const - 0.5 * mean @ prec @ mean}
-        for i in range(d):
-            terms[tuple(eye[i])] = float(prec[i] @ mean)
-            for j in range(d):
-                e_ij = tuple(eye[i] + eye[j])
-                terms[e_ij] = terms.get(e_ij, 0.0) - 0.5 * prec[i, j]
-        return cls(Polynomial(d, terms))
+        exponents, linear, quadratic, first, second = _gaussian_plan(d)
+        coeffs = np.empty(len(exponents))
+        coeffs[0] = const - 0.5 * mean @ prec @ mean
+        coeffs[linear] = [prec[i] @ mean for i in range(d)]
+        quad = 0.0 - 0.5 * prec.ravel()[first]
+        quad[d:] -= 0.5 * prec.ravel()[second]
+        coeffs[quadratic] = quad
+        return cls(Polynomial._from_arrays(d, exponents, coeffs))
 
     @classmethod
     def random_gaussian(cls, dim: int,
@@ -365,6 +431,34 @@ class ExpPolyDensity:
     # log-density gradient (a polynomial evaluation)
     def grad_log(self, points) -> np.ndarray:
         return self.q.grad(points)
+
+
+@lru_cache(maxsize=None)
+def _gaussian_plan(d: int):
+    """(exponents, linear, quadratic, first, second) of gaussian's terms in
+    dimension d, read-only: the exponents in the order of the dict that
+    adds x_i, then x_i x_j for j = 0..d-1, for each i in turn; the
+    positions of the x_i and of the quadratic terms, squares first; and
+    the flat precision entries (i, j) that add each quadratic term first
+    and, off the diagonal, the (j, i) that merge into it after."""
+    eye = np.eye(d, dtype=int)
+    terms = {(0,) * d: []}
+    linear = []
+    for i in range(d):
+        linear.append(len(terms))
+        terms[tuple(eye[i])] = []
+        for j in range(d):
+            terms.setdefault(tuple(eye[i] + eye[j]), []).append(i * d + j)
+    adds = list(terms.values())
+    quadratic = sorted((q for q, flat in enumerate(adds) if flat),
+                       key=lambda q: len(adds[q]))
+    plan = (np.array(list(terms), dtype=int).reshape(-1, d),
+            np.array(linear), np.array(quadratic, dtype=int),
+            np.array([adds[q][0] for q in quadratic], dtype=int),
+            np.array([adds[q][1] for q in quadratic[d:]], dtype=int))
+    for table in plan:
+        table.flags.writeable = False
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,7 @@ def _basis_table(dim: int, degree: int):
     filled from partial_table's map. The monomials are the constant, then
     exps."""
     exps = monomial_exponents(dim, degree)
-    monomials, rows, (m, k, q, w), index = partial_table(
-        dim, tuple(map(tuple, exps.tolist())))
+    monomials, rows, (m, k, q, w), index = partial_table(dim, exps)
     weights = np.zeros((math.comb(dim + 3, 3), len(exps), len(monomials)))
     weights[m, k, q] = w
     weights.flags.writeable = False

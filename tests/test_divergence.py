@@ -13,6 +13,7 @@ from fpf_lab import (
     get_generator,
     kde_density,
 )
+from fpf_lab.divergence import KDE_REACH
 
 X = np.linspace(-10.0, 10.0, 4001)
 
@@ -122,6 +123,26 @@ class TestKdeDensity:
         a = kde_density(samples, np.linspace(-6, 6, 401))
         b = kde_density(samples.ravel(), np.linspace(-6, 6, 401))
         np.testing.assert_array_equal(a.p, b.p)
+
+    @pytest.mark.parametrize("center", [0.5, 7.5])
+    def test_kernels_are_cut_at_their_reach(self, center):
+        """Against the full kernel sum over every grid point: the same
+        density to 1e-12 of its peak, exactly 0 at the grid points farther
+        than KDE_REACH bandwidths from every sample, and positive at the
+        others. 300 samples take two blocks; centred at 7.5, the windows
+        run past the grid's end."""
+        gen = np.random.default_rng(11)
+        samples = gen.normal(center, 0.7, size=300)
+        x = np.linspace(-8.0, 8.0, 1601)
+        bandwidth = 0.2
+        dens = kde_density(samples, x, bandwidth=bandwidth)
+        z = (x[None, :] - samples[:, None]) / bandwidth
+        full = GridDensity(x, np.exp(-0.5 * z * z).sum(axis=0)).normalize()
+        assert np.max(np.abs(dens.p - full.p)) <= 1e-12 * full.p.max()
+        far = np.abs(x[:, None] - samples).min(axis=1) \
+            > KDE_REACH * bandwidth
+        assert far.any() and not dens.p[far].any()
+        assert np.all(dens.p[~far] > 0.0)
 
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ValueError, match="bandwidth"):

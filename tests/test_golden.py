@@ -227,10 +227,11 @@ def test_dense_cubic_field_bits_do_not_depend_on_blas_threads(one_thread):
 def test_dense_quartic_field_bits_do_not_depend_on_blas_threads():
     """A d = 20 dense quartic h (10,625 terms, 64-point blocks) gives the
     same value and gradient bytes in fresh interpreters with one and with
-    two BLAS threads: at 3,001 points, whose last block has 57 rows, and
-    at 57 points, one block."""
+    two BLAS threads: at 3,001 points, whose last block has 57 rows, at
+    57 points, one block, and at one point, whose value is a dot product
+    of 10,626 monomials that OpenBLAS would split among its threads."""
     code = ("import json; from test_golden import dense_field_digests; "
-            "print(json.dumps(dense_field_digests(4, (3001, 57))))")
+            "print(json.dumps(dense_field_digests(4, (3001, 57, 1))))")
     runs = [subprocess.Popen([sys.executable, "-c", code],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                              text=True, env=_fresh_env(threads))
@@ -238,7 +239,22 @@ def test_dense_quartic_field_bits_do_not_depend_on_blas_threads():
     outs = [run.communicate(timeout=120) for run in runs]
     assert [run.returncode for run in runs] == [0, 0], outs
     one, two = (json.loads(out) for out, _ in outs)
-    assert len(one) == 4 and one == two
+    assert len(one) == 6 and one == two
+
+
+def test_cubic_sensor_compare_writes_a_finite_kl(tmp_path, capsys):
+    """compare/cubic-sensor/constant: the grid posterior underflows to 0
+    towards the grid's ends, and the FPF ensemble's KDE is exactly 0 there
+    too (each kernel is cut at KDE_REACH bandwidths), so the KL is finite
+    and the run exits 0."""
+    table = _model_cases(tmp_path, "cubic-sensor", [("compare", "constant")])
+    capsys.readouterr()
+    assert table["compare/cubic-sensor/constant"]["exit"] == 0
+    summary = dict(line.split("=", 1) for line in (
+        tmp_path / "cubic-sensor" / "compare-constant" / "summary.txt"
+    ).read_text().split())
+    for name in ("kl", "hellinger", "tv"):
+        assert np.isfinite(float(summary[f"{name}_fpf_vs_grid"])), summary
 
 
 def _regenerate(names) -> int:

@@ -6,6 +6,7 @@ in the outermost layer of a check.
 """
 
 import math
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 import mpmath
@@ -135,11 +136,66 @@ class TestFieldPrimitives:
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
             assert gen.standard_normal() == scalar.standard_normal()
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_random_polynomial_drops_an_exact_zero_draw(self, zero):
+        """A draw that holds an exact zero drops that term, as the dict
+        path does, and keeps the others in their order."""
+        class Draws:
+            def standard_normal(self, n):
+                draw = np.linspace(-1.0, 1.0, n) + 0.25
+                draw[3] = zero
+                return draw
+
+        got = Polynomial.random(2, 2, Draws(), 0.5)
+        alphas = [alpha for alpha in product(range(3), repeat=2)
+                  if sum(alpha) <= 2]
+        want = Polynomial(2, dict(zip(alphas,
+                                      0.5 * Draws().standard_normal(6))))
+        assert len(got.coeffs) == 5 and (1, 0) not in got.terms
+        assert got.exponents.tobytes() == want.exponents.tobytes()
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_gaussian_matches_its_dict_oracle(self, dim):
+        """ExpPolyDensity.gaussian's terms against the dict that built them:
+        the same exponents in the same order and the same coefficient
+        bytes, for random, diagonal (zero off-diagonal terms dropped) and
+        zero-mean (no linear terms) Gaussians."""
+        rng = np.random.default_rng(50 + dim)
+        for case in range(60):
+            mean = 0.3 * rng.standard_normal(dim) * (case % 3 != 1)
+            a = 0.3 * rng.standard_normal((dim, dim))
+            cov = np.eye(dim) + (a @ a.T if case % 3 != 2
+                                 else np.diag(np.diag(a @ a.T)))
+            got = ExpPolyDensity.gaussian(mean, cov).q.poly
+            want = _gaussian_oracle(mean, cov)
+            assert got.exponents.shape == want.exponents.shape
+            assert got.exponents.tobytes() == want.exponents.tobytes()
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
     def test_convergence_helper(self):
         assert converges_quadratically(1e-3, 2e-4)
         assert not converges_quadratically(1e-3, 5e-4)
         # both gaps at roundoff: identity without any FD content
         assert converges_quadratically(1e-14, 3e-14)
+
+
+def _gaussian_oracle(mean, cov):
+    """log N(mean, cov) as the dict-built Polynomial that
+    ExpPolyDensity.gaussian's cached plan replaced."""
+    mean = np.asarray(mean, dtype=float).reshape(-1)
+    d = len(mean)
+    cov = np.asarray(cov, dtype=float).reshape(d, d)
+    prec = np.linalg.inv(cov)
+    const = -0.5 * (d * np.log(2.0 * np.pi) + np.log(np.linalg.det(cov)))
+    eye = np.eye(d, dtype=int)
+    terms = {(0,) * d: const - 0.5 * mean @ prec @ mean}
+    for i in range(d):
+        terms[tuple(eye[i])] = float(prec[i] @ mean)
+        for j in range(d):
+            e_ij = tuple(eye[i] + eye[j])
+            terms[e_ij] = terms.get(e_ij, 0.0) - 0.5 * prec[i, j]
+    return Polynomial(d, terms)
 
 
 def _oracle_diff(terms, axis):
@@ -312,6 +368,69 @@ class TestPartialMapAgainstDenseTable:
         assert weights.tobytes() == dense_weights.tobytes()
 
 
+def _weights_from_map(field, order):
+    """Each order's weight table of a field, built from partial_table's map
+    as the fields did before their layout was cached: a (combos, J, Q)
+    array filled by the map, its rows gathered, transposed and reshaped."""
+    exponents = np.vstack([c.exponents for c in field.components])
+    coeffs = np.concatenate([c.coeffs for c in field.components])
+    owner = np.repeat(np.arange(field.dim),
+                      [len(c.coeffs) for c in field.components])
+    d = exponents.shape[1]
+    monomials, _, (m, t, q, w), index = fields.partial_table(
+        d, tuple(map(tuple, exponents.tolist())), order)
+    phi = np.zeros((math.comb(d + order, order), field.dim, len(monomials)))
+    phi[m, owner[t], q] = coeffs[t] * w
+    return [phi[index[r].ravel()].transpose(2, 0, 1).reshape(
+        len(monomials), index[r].size * field.dim) for r in range(order + 1)]
+
+
+class TestCachedPlans:
+    """Fields take their weight layout from one cached plan per family."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_tables_equal_the_map_built_tables(self, order):
+        """Every order's table equals the one built from partial_table's
+        map, in values, shape and strides (BLAS rounds by layout), for
+        random fields, scalar fields, uneven components and a field with
+        an empty component."""
+        rng = np.random.default_rng(60 + order)
+        built = [PolyVectorField.random(d, deg, rng, 0.4)
+                 for d in (1, 2, 3, 4) for deg in (0, 1, 2, 3)]
+        built += [PolyScalarField(Polynomial.random(d, 3, rng))
+                  .poly._field for d in (1, 2, 3)]
+        built += [PolyVectorField([Polynomial(2, {(1, 0): 2.0}),
+                                   Polynomial(2, {}),
+                                   Polynomial(2, {(0, 3): 1.5, (1, 1): -1.0,
+                                                  (0, 0): 0.5})])]
+        for field in built:
+            got = field._weights(order)[1]
+            want = _weights_from_map(field, order)
+            assert len(got) == len(want) == order + 1
+            for g, w in zip(got, want):
+                assert (g.shape, g.strides) == (w.shape, w.strides)
+                assert g.tobytes() == w.tobytes()
+
+    def test_verify_builds_each_family_once(self, monkeypatch):
+        """A pass of the seven suites builds about 1,400 fields' weight
+        tables but only one plan per distinct family (dim, exponents,
+        order, component term counts): 36, each once. A plan keyed by
+        anything that varies per field would rebuild it per field."""
+        build, keys = fields._partial_plan.__wrapped__, []
+        monkeypatch.setattr(fields, "_partial_plan", lru_cache(maxsize=1024)(
+            lambda *key: keys.append(key) or build(*key)))
+        weights, tables = fields.PolyVectorField._weights, []
+        monkeypatch.setattr(
+            fields.PolyVectorField, "_weights",
+            lambda self, order: tables.append(
+                len(self._weight_tables[1]) <= order)
+            or weights(self, order))
+        for suite in verify.SUITE_NAMES:
+            assert all(row.passed for row in verify.run_suite(suite))
+        assert len(keys) == len(set(keys)) <= 36, len(keys)
+        assert sum(tables) >= 1400, sum(tables)
+
+
 def _all_coordinate_values(points, monomials):
     """The monomial kernel that gathered the power rows of all d
     coordinates for every monomial, exponent 0 included."""
@@ -456,10 +575,10 @@ class TestOneJetPerField:
         h = PolyScalarField(Polynomial(d, terms))
         x = np.random.default_rng(20).uniform(-1.0, 1.0, size=(4, d))
         assert h.grad(x).shape == (4, d)
-        hits = fields.partial_table.cache_info().hits
+        hits = fields._partial_plan.cache_info().hits
         monomials, rows, derivs, index = fields.partial_table(
             d, tuple(map(tuple, h.poly.exponents.tolist())), 1)
-        assert fields.partial_table.cache_info().hits == hits + 1
+        assert fields._partial_plan.cache_info().hits == hits + 1
         assert len(h.poly.coeffs) == 1541 and len(monomials) == 1771
         assert sum(a.nbytes for a in (monomials, rows, *derivs,
                                       *index)) < 1e6
