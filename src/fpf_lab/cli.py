@@ -148,14 +148,14 @@ def _rmse(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _moment_path(state, step, moments, dz):
-    """Means and variances of a filter state at t=0 and after each
+    """Means and covariances of a filter state at t=0 and after each
     step(state, dz_n); moments(state) returns its (mean, covariance)."""
     path = [moments(state)]
     for dz_n in dz:
         state = step(state, float(dz_n))
         path.append(moments(state))
     return (np.array([mean for mean, _ in path]),
-            np.array([np.diag(cov) for _, cov in path]))
+            np.array([cov for _, cov in path]))
 
 
 # largest |trapezoid mass - 1| of the sampled prior that the compare grid
@@ -205,14 +205,22 @@ def cmd_compare(args) -> int:
                                             cfg.prior_mean, cfg.prior_cov, dt)
         fpf_trace = fpf_traces[0]
 
-        # (means, variances) per filter, in compare.csv column order
-        paths = {"fpf": (fpf_trace.means,
-                         np.diagonal(fpf_trace.covs, axis1=1, axis2=2))}
+        # (means, covariances) per filter, in compare.csv column order
+        paths = {"fpf": (fpf_trace.means, fpf_trace.covs)}
         if model.drift_matrix is not None and model.obs_vector is not None:
             paths["kb"] = _moment_path(
                 KalmanState(cfg.prior_mean.copy(), cfg.prior_cov.copy()),
                 lambda state, dz: kalman_bucy_step(state, model, dz, dt),
                 lambda state: (state.mean, state.cov), obs.dz)
+            # the explicit step overshoots P = 0 when dt is large against
+            # 1/(P H^2); a zero eigenvalue, say from a zero prior, is exact
+            low = np.linalg.eigvalsh(paths["kb"][1])[:, 0]
+            if (low < 0.0).any():
+                k = np.flatnonzero(low < 0.0)[0]
+                raise FilterAbortError(
+                    f"the Kalman-Bucy covariance has eigenvalue {low[k]:.6g} "
+                    f"at t={fpf_trace.times[k]:g}: dt is too large for the "
+                    "Kalman-Bucy step")
         paths["bpf"] = _moment_path(
             (sample_initial_ensemble(d, cfg.n_particles, cfg.prior_mean,
                                      cfg.prior_cov, cfg.seed_filter),
@@ -227,8 +235,9 @@ def cmd_compare(args) -> int:
                 _grid_moments, obs.dz)
 
         header, columns = ["t"], [fpf_trace.times]
-        for name, moments in paths.items():
-            for stat, values in zip(("mean", "var"), moments):
+        for name, (means, covs) in paths.items():
+            for stat, values in (("mean", means),
+                                 ("var", covs.diagonal(0, 1, 2))):
                 header += [f"{name}_{stat}_{i + 1}"
                            for i in range(values.shape[1])]
                 columns.append(values)
@@ -258,7 +267,7 @@ def cmd_compare(args) -> int:
         lines.append(f"n_flagged_total={total_flagged}")
         lines.append(f"fpf_final_var_11={FMT % fpf_trace.covs[-1, 0, 0]}")
         if "kb" in paths:
-            lines.append(f"kb_final_var_11={FMT % paths['kb'][1][-1, 0]}")
+            lines.append(f"kb_final_var_11={FMT % paths['kb'][1][-1, 0, 0]}")
         if grid_density is not None:
             fpf_density = kde_density(fpf_final.states[0, :, 0],
                                       grid_density.x)

@@ -22,9 +22,10 @@ evaluate in mpmath arithmetic.
 A probe family's structure is built once and cached; every field of the
 family is built from arrays:
 - `Polynomial.random` takes its exponents from a read-only table per
-  (dim, degree), and `ExpPolyDensity.gaussian` its term order and the
-  order in which off-diagonal precision entries merge from a plan per
-  dimension. Both give the coefficient bytes of the dict they replaced.
+  (dim, degree), and `ExpPolyDensity.gaussian` its exponents from one per
+  dimension. Term order is free: each (partial, component, monomial)
+  weight comes from exactly one term, so a field's bits depend on its
+  coefficients' arithmetic and not on the order of its terms.
 - `partial_table`'s map and a field's weight layout (each map entry's flat
   scatter position, each order's gather rows) are one lru_cache entry,
   keyed by (dim, exponent shape and bytes, order, component term counts)
@@ -49,8 +50,8 @@ d = dim):
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, product
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -231,10 +232,6 @@ class Polynomial:
         return dict(zip(map(tuple, self.exponents.tolist()),
                         self.coeffs.tolist()))
 
-    @cached_property
-    def _field(self) -> "PolyVectorField":
-        return PolyVectorField([self])
-
     @classmethod
     def random(cls, dim: int, degree: int, rng: np.random.Generator,
                scale: float = 1.0) -> "Polynomial":
@@ -264,9 +261,10 @@ class PolyScalarField:
     def __init__(self, poly: Polynomial):
         self.poly = poly
         self.dim = poly.dim
+        self._field = PolyVectorField([poly])
 
     def _jet(self, points, orders: Sequence[int]) -> list:
-        return [a[..., 0] for a in self.poly._field._jet(points, orders)]
+        return [a[..., 0] for a in self._field._jet(points, orders)]
 
     def partials(self, points, order: int) -> list:
         """[value, grad, hess, third][:order + 1] from one power table per
@@ -379,9 +377,8 @@ class ExpPolyDensity:
 
     @classmethod
     def gaussian(cls, mean, cov) -> "ExpPolyDensity":
-        """log N(mean, cov) as exp(q): q's constant, then for each i its
-        x_i term and the x_i x_j terms it reaches first, j = 0..d-1. An
-        x_i x_j coefficient is 0.0 - 0.5 prec[i, j], less 0.5 prec[j, i]
+        """log N(mean, cov) as exp(q), q's terms in _gaussian_terms' order.
+        An x_i x_j coefficient is 0.0 - 0.5 prec[i, j], less 0.5 prec[j, i]
         when i != j, in that order."""
         mean = np.asarray(mean, dtype=float).reshape(-1)
         d = len(mean)
@@ -389,13 +386,13 @@ class ExpPolyDensity:
         prec = np.linalg.inv(cov)
         const = -0.5 * (d * np.log(2.0 * np.pi)
                         + np.log(np.linalg.det(cov)))
-        exponents, linear, quadratic, first, second = _gaussian_plan(d)
+        exponents, first, second = _gaussian_terms(d)
+        flat = prec.ravel()
         coeffs = np.empty(len(exponents))
         coeffs[0] = const - 0.5 * mean @ prec @ mean
-        coeffs[linear] = [prec[i] @ mean for i in range(d)]
-        quad = 0.0 - 0.5 * prec.ravel()[first]
-        quad[d:] -= 0.5 * prec.ravel()[second]
-        coeffs[quadratic] = quad
+        coeffs[1:d + 1] = [prec[i] @ mean for i in range(d)]
+        coeffs[d + 1:] = 0.0 - 0.5 * flat[first]
+        coeffs[2 * d + 1:] -= 0.5 * flat[second]
         return cls(Polynomial._from_arrays(d, exponents, coeffs))
 
     @classmethod
@@ -434,31 +431,21 @@ class ExpPolyDensity:
 
 
 @lru_cache(maxsize=None)
-def _gaussian_plan(d: int):
-    """(exponents, linear, quadratic, first, second) of gaussian's terms in
-    dimension d, read-only: the exponents in the order of the dict that
-    adds x_i, then x_i x_j for j = 0..d-1, for each i in turn; the
-    positions of the x_i and of the quadratic terms, squares first; and
-    the flat precision entries (i, j) that add each quadratic term first
-    and, off the diagonal, the (j, i) that merge into it after."""
+def _gaussian_terms(d: int):
+    """(exponents, first, second) of gaussian's terms in dimension d,
+    read-only: the exponents of 1, each x_i, each x_i^2, then each x_i x_j
+    with i < j; the flat precision position (i, i) or (i, j) of each
+    quadratic term, and (j, i) of each x_i x_j."""
     eye = np.eye(d, dtype=int)
-    terms = {(0,) * d: []}
-    linear = []
-    for i in range(d):
-        linear.append(len(terms))
-        terms[tuple(eye[i])] = []
-        for j in range(d):
-            terms.setdefault(tuple(eye[i] + eye[j]), []).append(i * d + j)
-    adds = list(terms.values())
-    quadratic = sorted((q for q, flat in enumerate(adds) if flat),
-                       key=lambda q: len(adds[q]))
-    plan = (np.array(list(terms), dtype=int).reshape(-1, d),
-            np.array(linear), np.array(quadratic, dtype=int),
-            np.array([adds[q][0] for q in quadratic], dtype=int),
-            np.array([adds[q][1] for q in quadratic[d:]], dtype=int))
-    for table in plan:
+    i, j = np.array(list(combinations(range(d), 2)),
+                    dtype=int).reshape(-1, 2).T
+    terms = (np.concatenate([np.zeros((1, d), dtype=int), eye, 2 * eye,
+                             eye[i] + eye[j]]),
+             np.concatenate([np.arange(d) * (d + 1), i * d + j]),
+             j * d + i)
+    for table in terms:
         table.flags.writeable = False
-    return plan
+    return terms
 
 
 # ---------------------------------------------------------------------------

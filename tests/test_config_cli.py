@@ -871,6 +871,43 @@ print(code, "scipy.linalg" in sys.modules, "scipy.integrate" in sys.modules)
                        "with mass nan"]
         assert not (out / "compare.csv").exists()
 
+    def test_negative_kalman_bucy_variance_is_four(self, tmp_path, capsys):
+        """With h = 10 x the explicit Riccati step takes P = 1 to
+        1 + (-2 + 1 - 100) dt = -0.01 at t = 0.01. compare scores nothing
+        against that reference: it stops with exit 4 and one line, and
+        writes no file."""
+        text = ("[model]\ndimension = 1\ndrift_1 = -x1\nobs = 10*x1\n"
+                "sigma = 1\n\n[time]\ndt = 0.01\nt_end = 0.5\n\n"
+                "[filter]\nn_particles = 1000\ngain = exact_gaussian\n\n"
+                "[seeds]\ntruth = 1\nobservation = 2\nfilter = 3\n")
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) \
+            == 0
+        capsys.readouterr()
+        assert main(["compare", "--config", cfg,
+                     "--obs", str(tmp_path / "obs.csv"),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["fpf-lab: compare aborted: the Kalman-Bucy covariance "
+                       "has eigenvalue -0.01 at t=0.01: dt is too large for "
+                       "the Kalman-Bucy step"]
+        assert list(out.iterdir()) == []
+
+    def test_zero_kalman_bucy_variance_runs(self, tmp_path):
+        """A zero prior covariance is a degenerate but exact Kalman-Bucy
+        state: a 2-D compare, which has no grid, runs from it."""
+        text = (BASE_CONFIG.replace("name = linear1d", "name = linear2d")
+                + "\n[prior]\ncov = 0\n")
+        cfg = _write(tmp_path, text)
+        main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert main(["compare", "--config", cfg,
+                     "--obs", str(tmp_path / "obs.csv"),
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "compare.csv").read_text().splitlines()
+        header, first = rows[0].split(","), rows[1].split(",")
+        assert first[header.index("kb_var_1")] == "0"
+
     def test_diverging_ensemble_writes_one_stderr_line(self, tmp_path):
         """In a fresh interpreter, where no test harness captures warnings,
         the overflow on the way to the divergence abort prints nothing: the

@@ -157,10 +157,10 @@ class TestFieldPrimitives:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_gaussian_matches_its_dict_oracle(self, dim):
-        """ExpPolyDensity.gaussian's terms against the dict that built them:
-        the same exponents in the same order and the same coefficient
-        bytes, for random, diagonal (zero off-diagonal terms dropped) and
-        zero-mean (no linear terms) Gaussians."""
+        """ExpPolyDensity.gaussian's terms against the dict oracle: the
+        same coefficient bytes exponent by exponent, in any term order
+        (TestTermOrder), for random, diagonal (zero off-diagonal terms
+        dropped) and zero-mean (no linear terms) Gaussians."""
         rng = np.random.default_rng(50 + dim)
         for case in range(60):
             mean = 0.3 * rng.standard_normal(dim) * (case % 3 != 1)
@@ -169,9 +169,7 @@ class TestFieldPrimitives:
                                  else np.diag(np.diag(a @ a.T)))
             got = ExpPolyDensity.gaussian(mean, cov).q.poly
             want = _gaussian_oracle(mean, cov)
-            assert got.exponents.shape == want.exponents.shape
-            assert got.exponents.tobytes() == want.exponents.tobytes()
-            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert _coefficient_bytes(got) == _coefficient_bytes(want)
 
     def test_convergence_helper(self):
         assert converges_quadratically(1e-3, 2e-4)
@@ -180,9 +178,15 @@ class TestFieldPrimitives:
         assert converges_quadratically(1e-14, 3e-14)
 
 
+def _coefficient_bytes(poly):
+    """{exponents: coefficient bytes} of a Polynomial's terms."""
+    return {alpha: c.tobytes() for alpha, c in
+            zip(map(tuple, poly.exponents.tolist()), poly.coeffs)}
+
+
 def _gaussian_oracle(mean, cov):
-    """log N(mean, cov) as the dict-built Polynomial that
-    ExpPolyDensity.gaussian's cached plan replaced."""
+    """log N(mean, cov) as a Polynomial built one dict entry at a time,
+    off-diagonal precision entries merged (i, j) then (j, i)."""
     mean = np.asarray(mean, dtype=float).reshape(-1)
     d = len(mean)
     cov = np.asarray(cov, dtype=float).reshape(d, d)
@@ -397,8 +401,8 @@ class TestCachedPlans:
         rng = np.random.default_rng(60 + order)
         built = [PolyVectorField.random(d, deg, rng, 0.4)
                  for d in (1, 2, 3, 4) for deg in (0, 1, 2, 3)]
-        built += [PolyScalarField(Polynomial.random(d, 3, rng))
-                  .poly._field for d in (1, 2, 3)]
+        built += [PolyScalarField(Polynomial.random(d, 3, rng))._field
+                  for d in (1, 2, 3)]
         built += [PolyVectorField([Polynomial(2, {(1, 0): 2.0}),
                                    Polynomial(2, {}),
                                    Polynomial(2, {(0, 3): 1.5, (1, 1): -1.0,
@@ -429,6 +433,63 @@ class TestCachedPlans:
             assert all(row.passed for row in verify.run_suite(suite))
         assert len(keys) == len(set(keys)) <= 36, len(keys)
         assert sum(tables) >= 1400, sum(tables)
+
+
+def _permuted(poly, rng):
+    """poly with its terms in a random order other than their own."""
+    terms = list(poly.terms.items())
+    order = rng.permutation(len(terms))
+    if len(terms) > 1 and (order == np.arange(len(terms))).all():
+        order = order[::-1]
+    return Polynomial(poly.dim, dict(terms[k] for k in order))
+
+
+def _same(got, want):
+    """Equal dtype, shape and bytes for float64 arrays, and equal
+    mpmath.mpf values for object arrays, whose bytes are pointers."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and (bool((got == want).all()) if got.dtype == object
+                 else got.tobytes() == want.tobytes()))
+
+
+class TestTermOrder:
+    """Term order is free: each (partial, component, monomial) weight of a
+    field comes from exactly one term, so a permutation of a polynomial's
+    terms moves no byte of any partial."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_permuted_terms_move_no_partial(self, dim):
+        """Scalar fields, vector fields with uneven components (degrees 3,
+        0 and 2) and densities, at float64 points and on a 50-digit
+        (2d + 1)-point stencil, at every order 0..3."""
+        rng = np.random.default_rng(80 + dim)
+        x = rng.uniform(-1.5, 1.5, size=(7, dim))
+        with mpmath.workdps(50):
+            x_mp = np.array([mpmath.mpf(float(c)) for c in x[0]],
+                            dtype=object)
+            shift = np.diag([mpmath.mpf(1e-8)] * dim)
+            stencil = np.concatenate([x_mp[None], x_mp + shift,
+                                      x_mp - shift])
+        for _ in range(8):
+            scalar = [Polynomial.random(dim, 3, rng, 0.5)]
+            vector = [Polynomial.random(dim, deg, rng, 0.4)
+                      for deg in (3, 0, 2)]
+            log_p = [ExpPolyDensity.random_gaussian(dim, rng).q.poly]
+            # a density's exp takes float64 points alone
+            cases = [(lambda ps: PolyScalarField(ps[0]), scalar,
+                      (x, stencil)),
+                     (PolyVectorField, vector, (x, stencil)),
+                     (lambda ps: ExpPolyDensity(ps[0]), log_p, (x,)),
+                     (lambda ps: PolyScalarField(ps[0]), log_p,
+                      (x, stencil))]
+            for order in range(4):
+                for make, polys, point_sets in cases:
+                    permuted = [_permuted(p, rng) for p in polys]
+                    for points in point_sets:
+                        with mpmath.workdps(50):
+                            want = make(polys).partials(points, order)
+                            got = make(permuted).partials(points, order)
+                        assert all(map(_same, got, want))
 
 
 def _all_coordinate_values(points, monomials):
@@ -553,10 +614,10 @@ class TestOneJetPerField:
             scalar = PolyScalarField(field.components[0])
             x = rng.uniform(-2.0, 2.0, size=(n, dim))
             value, h = field.value(x), scalar.value(x)
-            for built in (field, field.components[0]._field):
+            for built in (field, scalar._field):
                 assert len(built._weight_tables[1]) == 1
             jac, grad = field.jac(x), scalar.grad(x)
-            for built in (field, field.components[0]._field):
+            for built in (field, scalar._field):
                 assert len(built._weight_tables[1]) == 2
             for got, full in ((value, field.partials(x, 3)[0]),
                               (jac, field.partials(x, 3)[1]),
