@@ -189,6 +189,20 @@ def _grid_moments(density: GridDensity):
     return [mean], [[var]]
 
 
+def _summary_lines(summary) -> List[str]:
+    """key=value lines of (key, value) pairs, a float value written with
+    FMT. A non-finite float raises FilterAbortError naming its key: a
+    summary states only numbers that a run produced."""
+    lines = []
+    for key, value in summary:
+        if isinstance(value, float):
+            if not np.isfinite(value):
+                raise FilterAbortError(f"summary value {key} is {value}")
+            value = FMT % value
+        lines.append(f"{key}={value}")
+    return lines
+
+
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     validate_model(cfg.model)
@@ -243,38 +257,33 @@ def cmd_compare(args) -> int:
                 columns.append(values)
         write(compare_path, write_table, header, np.column_stack(columns))
 
-        lines: List[str] = [
-            f"model={cfg.model.name}",
-            f"dt={FMT % cfg.dt}",
-            f"t_end={FMT % cfg.t_end}",
-            f"n_particles={cfg.n_particles}",
-            f"gain={cfg.filter_cfg.gain_method}",
-            f"n_compare_seeds={len(cfg.compare_seeds)}",
-        ]
+        summary = [("model", cfg.model.name), ("dt", cfg.dt),
+                   ("t_end", cfg.t_end), ("n_particles", cfg.n_particles),
+                   ("gain", cfg.filter_cfg.gain_method),
+                   ("n_compare_seeds", len(cfg.compare_seeds))]
         if "kb" in paths:
             kb_means, bpf_means = paths["kb"][0], paths["bpf"][0]
             rmses = []
             for seed, trace in zip(cfg.compare_seeds, fpf_traces):
-                r = _rmse(trace.means, kb_means)
-                rmses.append(r)
-                lines.append(f"fpf_rmse_vs_kb_seed_{seed}={FMT % r}")
-            lines.append(f"fpf_mean_rmse_vs_kb={FMT % float(np.mean(rmses))}")
-            lines.append(f"bpf_rmse_vs_kb={FMT % _rmse(bpf_means, kb_means)}")
+                rmses.append(_rmse(trace.means, kb_means))
+                summary.append((f"fpf_rmse_vs_kb_seed_{seed}", rmses[-1]))
+            summary.append(("fpf_mean_rmse_vs_kb", float(np.mean(rmses))))
+            summary.append(("bpf_rmse_vs_kb", _rmse(bpf_means, kb_means)))
             if "grid" in paths:
-                lines.append("grid_mean_rmse_vs_kb="
-                             + FMT % _rmse(paths["grid"][0], kb_means))
-        total_flagged = sum(int(trace.n_flagged.sum()) for trace in fpf_traces)
-        lines.append(f"n_flagged_total={total_flagged}")
-        lines.append(f"fpf_final_var_11={FMT % fpf_trace.covs[-1, 0, 0]}")
+                summary.append(("grid_mean_rmse_vs_kb",
+                                _rmse(paths["grid"][0], kb_means)))
+        summary.append(("n_flagged_total", sum(
+            int(trace.n_flagged.sum()) for trace in fpf_traces)))
+        summary.append(("fpf_final_var_11", fpf_trace.covs[-1, 0, 0]))
         if "kb" in paths:
-            lines.append(f"kb_final_var_11={FMT % paths['kb'][1][-1, 0, 0]}")
+            summary.append(("kb_final_var_11", paths["kb"][1][-1, 0, 0]))
         if grid_density is not None:
             fpf_density = kde_density(fpf_final.states[0, :, 0],
                                       grid_density.x)
             for gen in ("kl", "hellinger", "tv"):
-                val = f_divergence_grid(fpf_density, grid_density,
-                                        get_generator(gen))
-                lines.append(f"{gen}_fpf_vs_grid={FMT % val}")
+                summary.append((f"{gen}_fpf_vs_grid", f_divergence_grid(
+                    fpf_density, grid_density, get_generator(gen))))
+        lines = _summary_lines(summary)
         write(summary_path, _write_text, "\n".join(lines) + "\n")
     print(f"wrote {compare_path} and {summary_path}")
     for line in lines:

@@ -22,23 +22,35 @@ evaluate in mpmath arithmetic.
 A probe family's structure is built once and cached; every field of the
 family is built from arrays:
 - `Polynomial.random` takes its exponents from a read-only table per
-  (dim, degree), and `ExpPolyDensity.gaussian` its exponents from one per
-  dimension. Term order is free: each (partial, component, monomial)
-  weight comes from exactly one term, so a field's bits depend on its
-  coefficients' arithmetic and not on the order of its terms.
-- `partial_table`'s map and a field's weight layout (each map entry's flat
-  scatter position, each order's gather rows) are one lru_cache entry,
-  keyed by (dim, exponent shape and bytes, order, component term counts)
-  and bounded at 1,024 entries. A field concatenates its coefficients and
-  makes one multiply, one scatter and one gather per order.
+  (dim, degree), `all_exponents`, and `ExpPolyDensity.gaussian` its
+  exponents from one per dimension. Term order is free: each (partial,
+  component, monomial) weight comes from exactly one term, so a field's
+  bits depend on its coefficients' arithmetic and not on the order of its
+  terms.
+- `partial_table`'s map and a family's weight layout (each map entry's
+  flat scatter position, each order's gather rows) are one lru_cache
+  entry, keyed by (dim, exponent shape and bytes, order, component term
+  counts) and bounded at 1,024 entries.
+- A family (`_Family`) is P fields on the same terms, with coefficient
+  rows (P, T): one multiply, one scatter and one gather per order give its
+  weight tables (P, Q, K), and its partials at points (P, N, d), member m
+  at points[m], are one stacked matrix product per order and block of
+  points, one BLAS call a member. Every field is a family of one; a
+  `FieldStack` (`PolyScalarField.stack`, `ExpPolyDensity.gaussians`) holds
+  P fields, grouped into families by the terms their zero coefficients
+  leave, so that verify evaluates all its probes of one dimension in one
+  call.
 - Layout is part of the bits: values @ table rounds by the operands'
-  layout, so each order's table is the column-major view of a C-ordered
-  gather that it has always been.
+  layout, so each member's table is the column-major view of a C-ordered
+  gather that a field's has always been, and its values the F-ordered
+  view of its own C-ordered (Q, N) block. A member of a stack gets the
+  bits of its own field.
 
 Finite differences, the outermost layer alone, call a function once per
-stencil: `fd_grad(fn, x, step)` evaluates fn (M, d) -> (M,) on all 2d points.
-A stencil row may differ from a one-point call in its last bits, as BLAS
-rounds a product by its rows.
+stencil: `fd_grad(fn, x, step)` evaluates fn (..., M, d) -> (..., M) on
+all 2d points of each of the points x (..., d). A stencil row may differ
+from a one-point call in its last bits, as BLAS rounds a product by its
+rows.
 
 Derivative tensor conventions of partials[r] (N = number of eval points,
 d = dim):
@@ -186,22 +198,24 @@ DOT_SPLIT = 1 << 13
 
 
 def _product(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """values (N, Q) @ table (Q, K).  OpenBLAS splits the rows of a large
-    one-column product among its threads (from about 460,000 values with
-    OpenBLAS 0.3.31 on 2 cores), and a thread's rows past its last
-    multiple of 4 take another kernel; so a one-column product of
-    JET_BLOCK values or more runs on rows padded with zeros to a multiple
-    of 64, so that a split among 2, 4, 8 or 16 threads leaves every row
-    in the kernel it takes on one thread.  A one-row, one-column product
-    is a dot product, which OpenBLAS splits from fewer values, so one of
-    DOT_SPLIT values or more is padded too."""
-    n, q = values.shape
-    if (table.shape[1] > 1 or n % 64 == 0
+    """values (..., N, Q) @ table (..., Q, K), one BLAS product per slice.
+    OpenBLAS splits the rows of a large one-column product among its
+    threads (from about 460,000 values with OpenBLAS 0.3.31 on 2 cores),
+    and a thread's rows past its last multiple of 4 take another kernel;
+    so a one-column product of JET_BLOCK values or more runs on rows
+    padded with zeros to a multiple of 64, so that a split among 2, 4, 8
+    or 16 threads leaves every row in the kernel it takes on one thread.
+    A one-row, one-column product is a dot product, which OpenBLAS splits
+    from fewer values, so one of DOT_SPLIT values or more is padded too."""
+    n, q = values.shape[-2:]
+    if (table.shape[-1] > 1 or n % 64 == 0
             or n * q < (DOT_SPLIT if n == 1 else JET_BLOCK)):
         return values @ table
-    padded = np.zeros((q, n + -n % 64), dtype=values.dtype).T
-    padded[:n] = values
-    return (padded @ table)[:n]
+    padded = np.zeros(values.shape[:-2] + (q, n + -n % 64),
+                      dtype=values.dtype)
+    padded = padded.swapaxes(-1, -2)
+    padded[..., :n, :] = values
+    return (padded @ table)[..., :n, :]
 
 
 class Polynomial:
@@ -238,13 +252,13 @@ class Polynomial:
         """Standard normal coefficients times scale on every exponent of
         total degree <= degree, from one vector draw (the same values, and
         the same generator state after, as one scalar draw per term)."""
-        exponents = _all_exponents(dim, degree)
+        exponents = all_exponents(dim, degree)
         return cls._from_arrays(
             dim, exponents, scale * rng.standard_normal(len(exponents)))
 
 
 @lru_cache(maxsize=None)
-def _all_exponents(dim: int, degree: int) -> np.ndarray:
+def all_exponents(dim: int, degree: int) -> np.ndarray:
     """Every exponent of total degree <= degree, (T, dim) in the order of
     itertools.product; read-only."""
     exponents = np.array([alpha for alpha in product(range(degree + 1),
@@ -255,6 +269,74 @@ def _all_exponents(dim: int, degree: int) -> np.ndarray:
     return exponents
 
 
+class _Family:
+    """P vector fields whose J components hold counts[j] terms in turn on
+    shared exponents (T, d), with coefficients (P, T): the evaluation core
+    of every field, a field being a family of one."""
+
+    def __init__(self, exponents: np.ndarray, counts: Tuple[int, ...],
+                 coeffs: np.ndarray):
+        self.exponents, self.counts, self.coeffs = exponents, counts, coeffs
+        self._weight_tables = (None, [], None)   # what _weights built last
+
+    def _weights(self, order: int):
+        """(monomials, tables, rows), rows the monomials' monomial_rows:
+        tables[r] (P, Q, d**r * J) holds the weights of the order-r
+        partials, columns ordered (i, l, m, j), for r up to the highest
+        order asked so far. Each entry of the cached plan's map puts its
+        term's coefficient times w at its scatter position in a flat
+        (combos, J, Q) array per member, whose gathered rows are each
+        order's weights. Each member's tables[r] is a column-major view of
+        that C-ordered (d**r, J, Q) gather: BLAS rounds values @ tables[r]
+        by the operands' layout, so the layout is part of every field's
+        bits, and a member of a family gets the bits of its own field."""
+        if len(self._weight_tables[1]) > order:
+            return self._weight_tables
+        exponents = self.exponents
+        d = exponents.shape[1]
+        monomials, rows, (_, t, _, w), index, scatter = _partial_plan(
+            d, exponents.shape, exponents.tobytes(), order, self.counts)
+        p, j, q = len(self.coeffs), len(self.counts), len(monomials)
+        phi = np.zeros((p, math.comb(d + order, order), j * q))
+        phi.reshape(p, -1)[:, scatter] = self.coeffs[:, t] * w
+        self._weight_tables = monomials, [
+            np.take(phi, i.ravel(), axis=1).reshape(p, i.size, j, q)
+            .transpose(0, 3, 1, 2).reshape(p, q, i.size * j)
+            for i in index], rows
+        return self._weight_tables
+
+    def jet(self, points: np.ndarray, orders: Sequence[int]) -> list:
+        """The partials of each order r in `orders` of member m at
+        points[m], points (P, N, d): shape (P, N) + (d,) * r + (J,).  The
+        points are evaluated in blocks, so a block's (P, Q, N) values are
+        all that exist at once.  A block is a multiple of 64 points holding
+        at most JET_BLOCK values a member (64 points at least), and the
+        last block takes a single point left over, as BLAS rounds a
+        one-row product differently.  The blocks depend on N and Q alone,
+        so a member gets the bits of its own field; a block's rows need
+        not get the bits of a longer product, even on one thread."""
+        _, tables, rows = self._weights(max(orders))
+        p, n, d = points.shape
+        block = max(64, JET_BLOCK // max(1, rows.shape[1]) // 64 * 64)
+        if n > block + 1:
+            bounds = [0, *range(block, n - 1, block), n]
+            parts = [self.jet(points[:, lo:hi], orders)
+                     for lo, hi in zip(bounds, bounds[1:])]
+            return [np.concatenate(jets, axis=1) for jets in zip(*parts)]
+        values = np.ascontiguousarray(
+            monomial_values(points, rows)).swapaxes(-1, -2)
+        return [_product(values, tables[r]).reshape(
+            (p, n) + (d,) * r + (len(self.counts),)) for r in orders]
+
+
+def _as_points(points) -> np.ndarray:
+    """Points as float64 at least (1, d), or an object array of mpmath.mpf
+    kept as it is."""
+    points = np.asarray(points)
+    return np.atleast_2d(points if points.dtype == object
+                         else points.astype(float, copy=False))
+
+
 class PolyScalarField:
     """Scalar polynomial field with exact partials of order <= 3."""
 
@@ -262,6 +344,17 @@ class PolyScalarField:
         self.poly = poly
         self.dim = poly.dim
         self._field = PolyVectorField([poly])
+
+    @classmethod
+    def stack(cls, exponents: np.ndarray,
+              coeffs: np.ndarray) -> "PolyScalarField":
+        """P scalar fields with coefficient rows coeffs (P, T) on exponents
+        (T, d), evaluated as FieldStack evaluates its members; poly is
+        None."""
+        stacked = cls.__new__(cls)
+        stacked.poly, stacked.dim = None, exponents.shape[1]
+        stacked._field = FieldStack(exponents, (len(exponents),), coeffs)
+        return stacked
 
     def _jet(self, points, orders: Sequence[int]) -> list:
         return [a[..., 0] for a in self._field._jet(points, orders)]
@@ -284,7 +377,10 @@ class PolyVectorField:
     def __init__(self, components: Sequence[Polynomial]):
         self.components = list(components)
         self.dim = len(self.components)
-        self._weight_tables = (None, [], None)   # what _weights built last
+        self._family = _Family(
+            np.concatenate([c.exponents for c in self.components]),
+            tuple(len(c.coeffs) for c in self.components),
+            np.concatenate([c.coeffs for c in self.components])[None])
 
     @classmethod
     def random(cls, dim: int, degree: int, rng: np.random.Generator,
@@ -292,63 +388,20 @@ class PolyVectorField:
         return cls([Polynomial.random(dim, degree, rng, scale)
                     for _ in range(dim)])
 
-    def _weights(self, order: int):
-        """(monomials, tables, rows), rows the monomials' monomial_rows:
-        tables[r] (Q, d**r * J) holds the weights of
-        the order-r partials, columns ordered (i, l, m, j), for r up to the
-        highest order asked so far. Each entry of the cached plan's map puts
-        its term's coefficient times w at its scatter position in a flat
-        (combos, J, Q) array, whose gathered rows are each order's weights.
-        tables[r] is a column-major view of that C-ordered (d**r, J, Q)
-        gather: BLAS rounds values @ tables[r] by the operands' layout, so
-        the layout is part of every field's bits."""
-        if len(self._weight_tables[1]) > order:
-            return self._weight_tables
-        exponents = np.concatenate([c.exponents for c in self.components])
-        d = exponents.shape[1]
-        monomials, rows, (_, t, _, w), index, scatter = _partial_plan(
-            d, exponents.shape, exponents.tobytes(), order,
-            tuple(len(c.coeffs) for c in self.components))
-        coeffs = np.concatenate([c.coeffs for c in self.components])
-        q = len(monomials)
-        phi = np.zeros((math.comb(d + order, order), self.dim * q))
-        phi.ravel()[scatter] = coeffs[t] * w
-        self._weight_tables = monomials, [
-            phi[i.ravel()].reshape(i.size, self.dim, q).transpose(2, 0, 1)
-            .reshape(q, i.size * self.dim) for i in index], rows
-        return self._weight_tables
-
     def _jet(self, points, orders: Sequence[int]) -> list:
         """The partials of each order r in `orders` at points (..., N, d),
         shape (..., N) + (d,) * r + (J,).  A batch is evaluated one (N, d)
         ensemble at a time, as a product over all its rows may round a row
-        otherwise, and an ensemble block by block, so its (Q, N) values
-        never exist at once.  A block is a multiple of 64 points holding
-        at most JET_BLOCK values (64 points at least), and the last block
-        takes a single point left over, as BLAS rounds a one-row product
-        differently.  The blocks depend on N and Q alone; a block's rows
-        need not get the bits of a longer product, even on one thread.
+        otherwise, and an ensemble in its family's blocks of points.
         Object arrays of mpmath.mpf points keep their dtype, and are
         evaluated in mpmath arithmetic through the same tables."""
-        points = np.asarray(points)
-        points = np.atleast_2d(points if points.dtype == object
-                               else points.astype(float, copy=False))
+        points = _as_points(points)
         if points.ndim > 2:
             parts = [self._jet(x, orders)
                      for x in points.reshape(-1, *points.shape[-2:])]
             return [np.stack(jets).reshape(points.shape[:-2] + jets[0].shape)
                     for jets in zip(*parts)]
-        _, tables, rows = self._weights(max(orders))
-        n, d = points.shape
-        block = max(64, JET_BLOCK // max(1, rows.shape[1]) // 64 * 64)
-        if n > block + 1:
-            bounds = [0, *range(block, n - 1, block), n]
-            parts = [self._jet(points[lo:hi], orders)
-                     for lo, hi in zip(bounds, bounds[1:])]
-            return [np.concatenate(jets) for jets in zip(*parts)]
-        values = monomial_values(points, rows).T
-        return [_product(values, tables[r]).reshape(
-            (n,) + (d,) * r + (self.dim,)) for r in orders]
+        return [a[0] for a in self._family.jet(points[None], orders)]
 
     def partials(self, points, order: int) -> list:
         """[value, jac, second, third][:order + 1] from one power table per
@@ -361,6 +414,52 @@ class PolyVectorField:
     def jac(self, points) -> np.ndarray:
         """jac[n, i, j] = dF_j/dx_i, i.e. each jac[n] is (grad F^T)."""
         return self._jet(points, (1,))[0]
+
+
+class FieldStack(PolyVectorField):
+    """P vector fields with coefficient rows coeffs (P, T) on shared
+    exponents (T, d), whose J components hold counts[j] terms in turn:
+    a PolyVectorField whose partials, value and jac evaluate member m at
+    points[m], points (P, M, d), and stack its partials of order r as
+    (P, M) + (d,) * r + (J,); it has no components.  A zero
+    coefficient drops its term from its member, as Polynomial drops it,
+    and each member gets the bits of its own PolyVectorField.  Members
+    with the same terms (a probe family) form one _Family, whose tables
+    are built with one scatter and whose partials of each order are one
+    stacked matrix product per block of points; a member whose draw
+    dropped a term is a family of its own."""
+
+    def __init__(self, exponents: np.ndarray, counts: Tuple[int, ...],
+                 coeffs: np.ndarray):
+        exponents = np.asarray(exponents, dtype=int)
+        coeffs = np.asarray(coeffs, dtype=float)
+        self.dim, self.size = len(counts), len(coeffs)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        nonzero = coeffs != 0.0
+        members: Dict[bytes, list] = {}
+        for m, row in enumerate(nonzero):
+            members.setdefault(row.tobytes(), []).append(m)
+        self._families = []
+        for ms in members.values():
+            keep = nonzero[ms[0]]
+            self._families.append((np.array(ms), _Family(
+                exponents[keep],
+                tuple(np.bincount(owner[keep], minlength=len(counts))
+                      .tolist()),
+                coeffs[ms][:, keep])))
+
+    def _jet(self, points, orders: Sequence[int]) -> list:
+        points = _as_points(points)
+        if len(self._families) == 1:
+            return self._families[0][1].jet(points, orders)
+        parts = [(ms, family.jet(points[ms], orders))
+                 for ms, family in self._families]
+        out = [np.empty((self.size,) + a.shape[1:], dtype=a.dtype)
+               for a in parts[0][1]]
+        for ms, jets in parts:
+            for o, a in zip(out, jets):
+                o[ms] = a
+        return out
 
 
 class ExpPolyDensity:
@@ -377,31 +476,42 @@ class ExpPolyDensity:
 
     @classmethod
     def gaussian(cls, mean, cov) -> "ExpPolyDensity":
-        """log N(mean, cov) as exp(q), q's terms in _gaussian_terms' order.
-        An x_i x_j coefficient is 0.0 - 0.5 prec[i, j], less 0.5 prec[j, i]
-        when i != j, in that order."""
+        """log N(mean, cov) as exp(q), q's terms in _gaussian_terms' order:
+        gaussians' member of one."""
         mean = np.asarray(mean, dtype=float).reshape(-1)
         d = len(mean)
         cov = np.asarray(cov, dtype=float).reshape(d, d)
-        prec = np.linalg.inv(cov)
-        const = -0.5 * (d * np.log(2.0 * np.pi)
-                        + np.log(np.linalg.det(cov)))
-        exponents, first, second = _gaussian_terms(d)
-        flat = prec.ravel()
-        coeffs = np.empty(len(exponents))
-        coeffs[0] = const - 0.5 * mean @ prec @ mean
-        coeffs[1:d + 1] = [prec[i] @ mean for i in range(d)]
-        coeffs[d + 1:] = 0.0 - 0.5 * flat[first]
-        coeffs[2 * d + 1:] -= 0.5 * flat[second]
-        return cls(Polynomial._from_arrays(d, exponents, coeffs))
+        return cls(Polynomial._from_arrays(
+            d, _gaussian_terms(d)[0], _gaussian_coeffs(mean[None],
+                                                       cov[None])[0]))
+
+    @classmethod
+    def gaussians(cls, means: np.ndarray,
+                  covs: np.ndarray) -> "ExpPolyDensity":
+        """P Gaussians N(means[m], covs[m]), means (P, d) and covs (P, d, d),
+        as one density evaluated as FieldStack evaluates its members:
+        member m at points[m], points (P, M, d), with the bits of
+        gaussian(means[m], covs[m])."""
+        means = np.asarray(means, dtype=float)
+        stacked = cls.__new__(cls)
+        stacked.dim = means.shape[1]
+        stacked.q = PolyScalarField.stack(
+            _gaussian_terms(stacked.dim)[0],
+            _gaussian_coeffs(means, np.asarray(covs, dtype=float)))
+        return stacked
+
+    @staticmethod
+    def random_moments(dim: int, rng: np.random.Generator):
+        """(mean, cov) of random_gaussian's draw: mean 0.3 z, cov I + a a^T
+        with a 0.3 Z, in that order."""
+        mean = 0.3 * rng.standard_normal(dim)
+        a = 0.3 * rng.standard_normal((dim, dim))
+        return mean, np.eye(dim) + a @ a.T
 
     @classmethod
     def random_gaussian(cls, dim: int,
                         rng: np.random.Generator) -> "ExpPolyDensity":
-        mean = 0.3 * rng.standard_normal(dim)
-        a = 0.3 * rng.standard_normal((dim, dim))
-        cov = np.eye(dim) + a @ a.T
-        return cls.gaussian(mean, cov)
+        return cls.gaussian(*cls.random_moments(dim, rng))
 
     def partials(self, points, order: int) -> list:
         """[p, grad p, hess p, third p][:order + 1] by the product rule on
@@ -430,6 +540,28 @@ class ExpPolyDensity:
         return self.q.grad(points)
 
 
+def _gaussian_coeffs(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """The coefficient rows (P, T) of log N(means[m], covs[m]) on
+    _gaussian_terms' exponents, one LAPACK inverse and determinant and one
+    BLAS product per matrix, each row the bits of its own: the constant is
+    const - ((0.5 mean) @ prec) @ mean, x_i's coefficient prec[i] @ mean,
+    and an x_i x_j coefficient 0.0 - 0.5 prec[i, j], less 0.5 prec[j, i]
+    when i != j, in that order."""
+    p, d = means.shape
+    prec = np.linalg.inv(covs)
+    const = -0.5 * (d * np.log(2.0 * np.pi) + np.log(np.linalg.det(covs)))
+    exponents, first, second = _gaussian_terms(d)
+    flat = prec.reshape(p, d * d)
+    column = means[:, :, None]
+    coeffs = np.empty((p, len(exponents)))
+    coeffs[:, 0] = const - ((0.5 * means)[:, None] @ prec @ column)[:, 0, 0]
+    for i in range(d):
+        coeffs[:, 1 + i] = (prec[:, i, None] @ column)[:, 0, 0]
+    coeffs[:, d + 1:] = 0.0 - 0.5 * flat[:, first]
+    coeffs[:, 2 * d + 1:] -= 0.5 * flat[:, second]
+    return coeffs
+
+
 @lru_cache(maxsize=None)
 def _gaussian_terms(d: int):
     """(exponents, first, second) of gaussian's terms in dimension d,
@@ -453,12 +585,13 @@ def _gaussian_terms(d: int):
 # ---------------------------------------------------------------------------
 
 def fd_grad(fn, x: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference gradient at x (d,) of fn, points (M, d) -> values
-    (M,), from one call on the stencil x + step e_i, then x - step e_i."""
-    x = np.asarray(x, dtype=float)
-    e = step * np.eye(len(x))
-    f = fn(np.concatenate([x + e, x - e]))
-    return (f[:len(x)] - f[len(x):]) / (2.0 * step)
+    """Central-difference gradient at points x (..., d) of fn, points
+    (..., M, d) -> values (..., M), from one call on the stencil
+    x + step e_i, then x - step e_i, of each point."""
+    x = np.asarray(x, dtype=float)[..., None, :]
+    e = step * np.eye(x.shape[-1])
+    f = fn(np.concatenate([x + e, x - e], axis=-2))
+    return (f[..., :e.shape[0]] - f[..., e.shape[0]:]) / (2.0 * step)
 
 
 def converges_quadratically(gap: float, gap_half: float) -> bool:

@@ -7,6 +7,13 @@ the outermost layer, so each residual is either an exact cancellation
 when the step is halved. Each check evaluates each field once per stencil,
 on all the points the difference needs.
 
+The quadratic-term identities and the Lemma 2 expansion also take P probes
+at once: stacked fields (fields.FieldStack, ExpPolyDensity.gaussians) at
+points x (P, d), evaluated once per stencil for all P, with arithmetic
+that carries a leading probe axis (one BLAS product per probe where the
+one-probe formula has one). A single probe at x (d,) is a batch of one,
+through the same code, and each probe's result has its bits alone.
+
 Notation used throughout the docstrings: p is a smooth positive density,
 L = log p, h the scalar observation function, K and u vector fields,
 V = I + grad v^T the displacement Jacobian, all evaluated pointwise.
@@ -303,6 +310,24 @@ def dt_order_residual(p: ExpPolyDensity, h: PolyScalarField,
 QUADRATIC_IDENTITY_IDS = tuple(range(1, 9))
 
 
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for matrices (..., m, n) and vectors (..., n), one BLAS
+    matrix-vector product per matrix, as a 2-D a @ 1-D v is."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _vm(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """v @ a for vectors (..., m) and matrices (..., m, n), as a 1-D v @
+    2-D a is."""
+    return (v[..., None, :] @ a)[..., 0, :]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u @ v for vectors (..., n), one BLAS dot product per pair, as two
+    1-D operands are."""
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
+
+
 def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
                             K: PolyVectorField, x: np.ndarray,
                             fd_step: float = 1e-4
@@ -326,77 +351,94 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
 
     Identities 1-5 are evaluated purely analytically (gap at roundoff);
     6-8 difference an analytic scalar in the outermost layer only.
+
+    p and K are one density and field at one point x (d,), or P probes
+    stacked (ExpPolyDensity.gaussians, FieldStack) at points x (P, d),
+    whose lhs and rhs are (P, d): each field is evaluated once per stencil
+    for all P probes, and probe m's row has the bits of probe m alone, a
+    batch of one, which a single probe is.
     """
-    _, gl, hl, tl = (a[0] for a in p.q.partials(x, 3))
-    k, jk, sk, tk = (a[0] for a in K.partials(x, 3))
-    grad_div_k = np.einsum("all->a", sk)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        lhs, rhs = quadratic_term_identity(identity_id, p, K, x[None],
+                                           fd_step)
+        return lhs[0], rhs[0]
+    _, gl, hl, tl = (a[:, 0] for a in p.q.partials(x[:, None], 3))
+    k, jk, sk, tk = (a[:, 0] for a in K.partials(x[:, None], 3))
+    jk_t = jk.swapaxes(-1, -2)
+    grad_div_k = np.einsum("...all->...a", sk)
 
     if identity_id == 1:
         # -K^T grad^2 L (grad K^T)^T  vs  its negative, contracted K-first
-        lhs = -np.einsum("i,il,jl->j", k, hl, jk)
-        rhs = -(jk @ (hl @ k))
+        lhs = -np.einsum("...i,...il,...jl->...j", k, hl, jk)
+        rhs = -_mv(jk, _mv(hl, k))
         return lhs, rhs
 
     if identity_id == 2:
-        lhs = (k @ gl) * (jk @ gl)
-        rhs = (gl @ k) * (gl @ jk.T)
+        lhs = _dot(k, gl)[:, None] * _mv(jk, gl)
+        rhs = _dot(gl, k)[:, None] * _vm(gl, jk_t)
         return lhs, rhs
 
     if identity_id == 3:
-        lhs = -(gl @ k) * grad_div_k
-        rhs = -(k @ gl) * np.einsum("jll->j", sk)
+        lhs = -_dot(gl, k)[:, None] * grad_div_k
+        rhs = -_dot(k, gl)[:, None] * np.einsum("...jll->...j", sk)
         return lhs, rhs
 
     if identity_id == 4:
-        lhs = 0.5 * (k @ hl @ k) * gl + 0.5 * (gl @ k) ** 2 * gl
-        rhs = 0.5 * np.einsum("i,il,l->", k, hl, k) * gl \
-            + 0.5 * (k @ gl) * (gl @ k) * gl
+        lhs = 0.5 * _dot(_vm(k, hl), k)[:, None] * gl \
+            + 0.5 * _dot(gl, k)[:, None] ** 2 * gl
+        # K^T (grad^2 L K), contracted L-first; a scalar einsum of three
+        # operands rounds by how many probes share the call
+        rhs = 0.5 * _dot(k, _mv(hl, k))[:, None] * gl \
+            + 0.5 * _dot(k, gl)[:, None] * _dot(gl, k)[:, None] * gl
         return lhs, rhs
 
     if identity_id == 5:
-        lhs = 0.5 * (gl @ k) * (k @ hl) + 0.5 * (k @ gl) * (hl @ k) \
-            - (gl @ k) * (k @ hl)
+        lhs = 0.5 * _dot(gl, k)[:, None] * _vm(k, hl) \
+            + 0.5 * _dot(k, gl)[:, None] * _mv(hl, k) \
+            - _dot(gl, k)[:, None] * _vm(k, hl)
         rhs = np.zeros_like(k)
         return lhs, rhs
 
-    x = np.asarray(x, dtype=float)
-
     if identity_id == 6:
-        lhs = (-np.einsum("l,i,lij->j", k, k, tl)
-               + 0.5 * np.einsum("a,b,abj->j", k, k, tl)
-               - np.einsum("i,il,jl->j", k, hl, jk))
+        lhs = (-np.einsum("...l,...i,...lij->...j", k, k, tl)
+               + 0.5 * np.einsum("...a,...b,...abj->...j", k, k, tl)
+               - np.einsum("...i,...il,...jl->...j", k, hl, jk))
 
         def curvature_quad(pts):
             kk = K.value(pts)
             _, g, hess = p.q.partials(pts, 2)
-            return np.einsum("ni,nij,nj->n", kk,
-                             hess + np.einsum("ni,nj->nij", g, g), kk)
+            return np.einsum("...ni,...nij,...nj->...n", kk,
+                             hess + np.einsum("...ni,...nj->...nij", g, g),
+                             kk)
 
         def slope_quad(pts):
-            return np.einsum("ni,ni->n", K.value(pts), p.grad_log(pts)) ** 2
+            return np.einsum("...ni,...ni->...n", K.value(pts),
+                             p.grad_log(pts)) ** 2
 
         rhs = -0.5 * fd_grad(curvature_quad, x, fd_step) \
             + 0.5 * fd_grad(slope_quad, x, fd_step)
         return lhs, rhs
 
     if identity_id == 7:
-        lhs = (-np.einsum("i,il,lj->j", k, jk, hl)
-               - np.einsum("i,l,ijl->j", k, gl, sk)
-               - gl @ (jk.T @ jk.T))
+        lhs = (-np.einsum("...i,...il,...lj->...j", k, jk, hl)
+               - np.einsum("...i,...l,...ijl->...j", k, gl, sk)
+               - _vm(gl, jk_t @ jk_t))
 
         def transport(pts):
             kk, jac = K.partials(pts, 1)
-            return np.einsum("ni,nij,nj->n", kk, jac, p.grad_log(pts))
+            return np.einsum("...ni,...nij,...nj->...n", kk, jac,
+                             p.grad_log(pts))
 
         rhs = -fd_grad(transport, x, fd_step)
         return lhs, rhs
 
     if identity_id == 8:
-        lhs = -np.einsum("i,ijll->j", k, tk) - grad_div_k @ jk.T
+        lhs = -np.einsum("...i,...ijll->...j", k, tk) - _vm(grad_div_k, jk_t)
 
         def div_flux(pts):
             kk, _, sk2 = K.partials(pts, 2)
-            return np.einsum("nall,na->n", sk2, kk)
+            return np.einsum("...nall,...na->...n", sk2, kk)
 
         rhs = -fd_grad(div_flux, x, fd_step)
         return lhs, rhs
@@ -412,37 +454,45 @@ def double_divergence_expansion_check(p: ExpPolyDensity, K: PolyVectorField,
     lhs: direct second differences of the analytic scalar p K_i K_j.
     rhs: K^T grad^2 p K + 2 (grad^T p K)(div K) + 2 K^T (grad K^T) grad p
          + p (div K)^2 + 2 p grad^T(div K) K + p tr[(grad K^T)^2].
+
+    p and K are one density and field at one point x (d,), giving floats,
+    or P probes stacked at points x (P, d), giving arrays (P,) whose entry
+    m has the bits of probe m alone, a batch of one, which a single probe
+    is.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        lhs, rhs = double_divergence_expansion_check(p, K, x[None], fd_step)
+        return float(lhs[0]), float(rhs[0])
     d, h, n, e = K.dim, fd_step, np.arange(K.dim), np.eye(K.dim)
     a, b = np.nonzero(n[:, None] < n)
     # the unique stencil: x, x + h e_i, x - h e_i, then x + h (s e_a + t e_b)
     # for (s, t) = (1, 1), (1, -1), (-1, 1), (-1, -1), each over pairs a < b
     s, t = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])[:, :, None, None]
-    pts = x + h * np.concatenate([0 * e[:1], e, -e,
-                                  (s * e[a] + t * e[b]).reshape(-1, d)])
+    pts = x[:, None] + h * np.concatenate(
+        [0 * e[:1], e, -e, (s * e[a] + t * e[b]).reshape(-1, d)])
     kk = K.value(pts)
-    pkk = p.value(pts)[:, None, None] * kk[:, :, None] * kk[:, None, :]
+    pkk = p.value(pts)[..., None, None] * kk[..., :, None] * kk[..., None, :]
     pp, pm, mp, mm = 1 + 2 * d + np.arange(4 * len(a)).reshape(4, len(a))
-    lhs = np.sum((pkk[1 + n, n, n] - 2.0 * pkk[0, n, n]
-                  + pkk[1 + d + n, n, n]) / h ** 2)
+    lhs = np.sum((pkk[:, 1 + n, n, n] - 2.0 * pkk[:, 0, n, n]
+                  + pkk[:, 1 + d + n, n, n]) / h ** 2, axis=-1)
     # the (i, j) = (a, b) terms, then (b, a); rows ij hold x + h (e_i - e_j)
     for i, j, ij, ji in ((a, b, pm, mp), (b, a, mp, pm)):
-        lhs += np.sum((pkk[pp, i, j] - pkk[ij, i, j] - pkk[ji, i, j]
-                       + pkk[mm, i, j]) / (4.0 * h ** 2))
+        lhs += np.sum((pkk[:, pp, i, j] - pkk[:, ij, i, j] - pkk[:, ji, i, j]
+                       + pkk[:, mm, i, j]) / (4.0 * h ** 2), axis=-1)
 
-    p0, gp, hp = (a[0] for a in p.partials(x, 2))
-    k, jk, sk = (a[0] for a in K.partials(x, 2))
-    div_k = np.trace(jk)
-    grad_div_k = np.einsum("all->a", sk)
+    p0, gp, hp = (a[:, 0] for a in p.partials(x[:, None], 2))
+    k, jk, sk = (a[:, 0] for a in K.partials(x[:, None], 2))
+    div_k = np.trace(jk, axis1=-2, axis2=-1)
+    grad_div_k = np.einsum("...all->...a", sk)
 
-    rhs = (k @ hp @ k
-           + 2.0 * (gp @ k) * div_k
-           + 2.0 * k @ jk @ gp
+    rhs = (_dot(_vm(k, hp), k)
+           + 2.0 * _dot(gp, k) * div_k
+           + _dot(_vm(2.0 * k, jk), gp)
            + p0 * div_k ** 2
-           + 2.0 * p0 * grad_div_k @ k
-           + p0 * np.trace(jk @ jk))
-    return float(lhs), float(rhs)
+           + _dot(2.0 * p0[:, None] * grad_div_k, k)
+           + p0 * np.trace(jk @ jk, axis1=-2, axis2=-1))
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,9 @@ class ModelValidationError(ValueError):
 class FilterAbortError(RuntimeError):
     """The particle flow lost invertibility and the run was configured
     to stop rather than continue past flagged particles, an ensemble or
-    simulated path diverged to non-finite states, or a Kalman-Bucy step
-    left a covariance with a negative eigenvalue."""
+    simulated path diverged to non-finite states, a Kalman-Bucy step
+    left a covariance with a negative eigenvalue, or a compare summary
+    value came out non-finite."""
 
 
 @dataclass(frozen=True)

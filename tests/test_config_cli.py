@@ -894,6 +894,27 @@ print(code, "scipy.linalg" in sys.modules, "scipy.integrate" in sys.modules)
                        "the Kalman-Bucy step"]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_summary_value_is_four(self, tmp_path, capsys,
+                                              monkeypatch, value):
+        """A divergence that comes out inf or NaN is not written as a
+        summary: compare stops with exit 4 and one line naming the key, and
+        leaves no file, compare.csv included."""
+        cfg = _write(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) \
+            == 0
+        capsys.readouterr()
+        monkeypatch.setattr(fpf_lab.cli, "f_divergence_grid",
+                            lambda *args: value)
+        assert main(["compare", "--config", cfg,
+                     "--obs", str(tmp_path / "obs.csv"),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"fpf-lab: compare aborted: summary value "
+                       f"kl_fpf_vs_grid is {value}"]
+        assert list(out.iterdir()) == []
+
     def test_zero_kalman_bucy_variance_runs(self, tmp_path):
         """A zero prior covariance is a degenerate but exact Kalman-Bucy
         state: a 2-D compare, which has no grid, runs from it."""

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from fpf_lab import fields, verify
 from fpf_lab.fields import (
     ExpPolyDensity,
+    FieldStack,
     Polynomial,
     PolyScalarField,
     PolyVectorField,
@@ -394,8 +395,9 @@ class TestCachedPlans:
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_tables_equal_the_map_built_tables(self, order):
-        """Every order's table equals the one built from partial_table's
-        map, in values, shape and strides (BLAS rounds by layout), for
+        """Every order's table, a field's one slice of its family's,
+        equals the one built from partial_table's map, in values, shape
+        and strides (BLAS rounds by layout), for
         random fields, scalar fields, uneven components and a field with
         an empty component."""
         rng = np.random.default_rng(60 + order)
@@ -408,7 +410,7 @@ class TestCachedPlans:
                                    Polynomial(2, {(0, 3): 1.5, (1, 1): -1.0,
                                                   (0, 0): 0.5})])]
         for field in built:
-            got = field._weights(order)[1]
+            got = [t[0] for t in field._family._weights(order)[1]]
             want = _weights_from_map(field, order)
             assert len(got) == len(want) == order + 1
             for g, w in zip(got, want):
@@ -416,23 +418,33 @@ class TestCachedPlans:
                 assert g.tobytes() == w.tobytes()
 
     def test_verify_builds_each_family_once(self, monkeypatch):
-        """A pass of the seven suites builds about 1,400 fields' weight
-        tables but only one plan per distinct family (dim, exponents,
-        order, component term counts): 36, each once. A plan keyed by
-        anything that varies per field would rebuild it per field."""
+        """A pass of the seven suites builds one plan per distinct family
+        (dim, exponents, order, component term counts): 36, each once.
+        appendixB and lm2 build the weight tables of their 1,000 probe
+        fields as 60 stacks, one per (check, dimension, field) and, in
+        lm2, per order upgrade: a build per probe field would be 1,000.
+        Over all suites the tables built cover about 1,400 fields. A plan
+        keyed by anything that varies per field would rebuild it per
+        field."""
         build, keys = fields._partial_plan.__wrapped__, []
         monkeypatch.setattr(fields, "_partial_plan", lru_cache(maxsize=1024)(
             lambda *key: keys.append(key) or build(*key)))
-        weights, tables = fields.PolyVectorField._weights, []
+        weights, tables = fields._Family._weights, []
         monkeypatch.setattr(
-            fields.PolyVectorField, "_weights",
-            lambda self, order: tables.append(
-                len(self._weight_tables[1]) <= order)
+            fields._Family, "_weights",
+            lambda self, order: (len(self._weight_tables[1]) <= order
+                                 and tables.append(len(self.coeffs)))
             or weights(self, order))
+        members = {}
         for suite in verify.SUITE_NAMES:
+            tables.clear()
             assert all(row.passed for row in verify.run_suite(suite))
+            members[suite] = list(tables)
         assert len(keys) == len(set(keys)) <= 36, len(keys)
-        assert sum(tables) >= 1400, sum(tables)
+        stacked = {suite: (len(members[suite]), sum(members[suite]))
+                   for suite in ("appendixB", "lm2")}
+        assert stacked == {"appendixB": (48, 800), "lm2": (12, 200)}, stacked
+        assert sum(map(sum, members.values())) >= 1400, members
 
 
 def _permuted(poly, rng):
@@ -615,10 +627,10 @@ class TestOneJetPerField:
             x = rng.uniform(-2.0, 2.0, size=(n, dim))
             value, h = field.value(x), scalar.value(x)
             for built in (field, scalar._field):
-                assert len(built._weight_tables[1]) == 1
+                assert len(built._family._weight_tables[1]) == 1
             jac, grad = field.jac(x), scalar.grad(x)
             for built in (field, scalar._field):
-                assert len(built._weight_tables[1]) == 2
+                assert len(built._family._weight_tables[1]) == 2
             for got, full in ((value, field.partials(x, 3)[0]),
                               (jac, field.partials(x, 3)[1]),
                               (h, scalar.partials(x, 3)[0]),
@@ -655,14 +667,14 @@ class TestOneJetPerField:
         field = PolyVectorField.random(3, 3, gen)
         batch = gen.uniform(-1.5, 1.5, size=(3, n, 3))
         wholes = [field.partials(x, 3) for x in batch]
-        q = field._weights(3)[2].shape[1]
+        q = field._family._weights(3)[2].shape[1]
         monkeypatch.setattr(fields, "JET_BLOCK", 64 * q + 63)
         calls, evaluate = [], fields.monomial_values
         monkeypatch.setattr(fields, "monomial_values",
                             lambda points, rows: calls.append(points.shape)
                             or evaluate(points, rows))
-        blocks = [(m, 3) for m in {193: [64, 64, 65], 200: [64, 64, 64, 8],
-                                   1: [1]}[n]]
+        blocks = [(1, m, 3) for m in {193: [64, 64, 65],
+                                      200: [64, 64, 64, 8], 1: [1]}[n]]
         blocked = field.partials(batch[0], 3)
         assert calls == blocks
         for got, want in zip(blocked, wholes[0]):
@@ -680,11 +692,14 @@ class TestOneJetPerField:
         float64 monomial_values calls a suite makes is fixed by its
         probes: at most these, and a return to one point per call would
         multiply them (piola 1,200, appendixB 2,284, lm2 5,856 that way).
+        appendixB and lm2 evaluate each field once per stencil for all
+        the probes of one (check, dimension): their 69 and 36 calls were
+        1,150 and 600 when each probe made its own.
         El-invariance makes exactly its 124 and bounds the points summed
         over them, most of them p_Y's quadrature grid: 201 nodes an axis
         would make them 2,030,133. Its 50-digit stencils are counted
         apart, at most three calls a probe, and no other suite makes any."""
-        budget = {"piola": 200, "appendixB": 1150, "lm2": 600,
+        budget = {"piola": 200, "appendixB": 69, "lm2": 36,
                   "el-invariance": 124, "taylor": 350}
         kernel, calls = fields.monomial_values, []
         monkeypatch.setattr(fields, "monomial_values",
@@ -725,6 +740,86 @@ class TestOneJetPerField:
             calls.clear()
             check()
             assert len(calls) == expected
+
+
+def _member_fields(exponents, counts, rows):
+    """Each coefficient row's own PolyVectorField, its components built
+    through Polynomial, which drops a zero term."""
+    bounds = np.cumsum((0,) + tuple(counts))
+    d = exponents.shape[1]
+    return [PolyVectorField([
+        Polynomial(d, dict(zip(map(tuple, exponents[lo:hi].tolist()),
+                               row[lo:hi].tolist())))
+        for lo, hi in zip(bounds, bounds[1:])]) for row in rows]
+
+
+class TestFieldStacks:
+    """A stack of P fields evaluates member m at points[m] with the bits
+    of member m's own field, at every order."""
+
+    @staticmethod
+    def _assert_members(stacked, alone, points):
+        for order in range(4):
+            got = stacked.partials(points, order)
+            for m, field in enumerate(alone):
+                want = field.partials(points[m], order)
+                assert len(got) == len(want) == order + 1
+                for g, w in zip(got, want):
+                    assert g[m].shape == w.shape
+                    assert g[m].tobytes() == w.tobytes(), (m, order)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cubic_vector_family(self, dim):
+        """Nine cubic vector fields, one of whose draws is an exact zero
+        on a cubic term: that member drops the term, as its own field
+        does, and is a family of its own."""
+        rng = np.random.default_rng(90 + dim)
+        terms = fields.all_exponents(dim, 3)
+        exponents = np.tile(terms, (dim, 1))
+        counts = (len(terms),) * dim
+        rows = 0.4 * rng.standard_normal((9, len(exponents)))
+        rows[4, len(terms) - 1] = 0.0
+        stacked = FieldStack(exponents, counts, rows)
+        assert [ms.tolist() for ms, _ in stacked._families] \
+            == [[0, 1, 2, 3, 5, 6, 7, 8], [4]]
+        alone = _member_fields(exponents, counts, rows)
+        assert len(alone[4].components[0].coeffs) == len(terms) - 1
+        for n in (1, 2 * dim, 7):
+            self._assert_members(stacked, alone,
+                                 rng.uniform(-0.6, 0.6, size=(9, n, dim)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gaussian_family(self, dim):
+        """Eight Gaussians, the last with a diagonal covariance, whose
+        x_i x_j coefficients are exactly 0 when dim > 1 and dropped: each
+        member's log-density and density partials are those of
+        ExpPolyDensity.gaussian."""
+        rng = np.random.default_rng(95 + dim)
+        moments = [ExpPolyDensity.random_moments(dim, rng) for _ in range(7)]
+        moments.append((np.full(dim, 0.2), np.diag(np.arange(1.0, dim + 1))))
+        means, covs = (np.array(a) for a in zip(*moments))
+        stacked = ExpPolyDensity.gaussians(means, covs)
+        alone = [ExpPolyDensity.gaussian(m, c) for m, c in moments]
+        assert len(alone[-1].q.poly.coeffs) == 1 + 2 * dim
+        assert len(stacked.q._field._families) == (1 if dim == 1 else 2)
+        for n in (1, 2 * dim, 7):
+            points = rng.uniform(-0.6, 0.6, size=(8, n, dim))
+            self._assert_members(stacked.q, [p.q for p in alone], points)
+            self._assert_members(stacked, alone, points)
+
+    def test_one_field_is_a_stack_of_one(self):
+        """A field's own partials at points (1, M, d) are the stack's of
+        its one coefficient row."""
+        rng = np.random.default_rng(99)
+        terms = fields.all_exponents(2, 3)
+        rows = rng.standard_normal((1, 2 * len(terms)))
+        stacked = FieldStack(np.tile(terms, (2, 1)), (len(terms),) * 2, rows)
+        field = _member_fields(np.tile(terms, (2, 1)), (len(terms),) * 2,
+                               rows)[0]
+        points = rng.uniform(-1.0, 1.0, size=(1, 5, 2))
+        for got, want in zip(stacked.partials(points, 3),
+                             field.partials(points, 3)):
+            assert got.tobytes() == want.tobytes()
 
 
 def _fd_grad_per_point(fn, x, step):
@@ -1015,6 +1110,36 @@ class TestDoubleDivergenceExpansion:
             lhs, rhs = double_divergence_expansion_check(p, k, x,
                                                          fd_step=1e-4)
             assert abs(lhs - rhs) <= 1e-5
+
+
+class TestStackedSuites:
+    """appendixB and lm2 evaluate their probes one (check, dimension) at a
+    time, with a leading probe axis; each row equals its probe drawn as
+    the suites drew it one at a time and checked alone, a batch of one."""
+
+    def test_appendix_b_rows_equal_each_probe_alone(self):
+        rows = verify.run_suite("appendixB")
+        for ident in QUADRATIC_IDENTITY_IDS:
+            rng = np.random.default_rng(2000 + ident)
+            for i in range(50):
+                p, k, x = _quadratic_probe(rng)
+                lhs, rhs = quadratic_term_identity(ident, p, k, x, 1e-4)
+                row = rows[50 * (ident - 1) + i]
+                assert (row.check, row.point) == (f"identity-{ident}", str(i))
+                assert row.residual == float(np.max(np.abs(lhs - rhs)))
+
+    def test_lm2_rows_equal_each_probe_alone(self):
+        rows = verify.run_suite("lm2")
+        rng = np.random.default_rng(2112)
+        for i in range(50):
+            p, k, x = _quadratic_probe(rng)
+            gap, gap_c, gap_h = (
+                abs(np.subtract(*double_divergence_expansion_check(
+                    p, k, x, step))) for step in (1e-4, 1e-2, 5e-3))
+            assert rows[2 * i].residual == gap
+            assert (rows[2 * i + 1].residual,
+                    rows[2 * i + 1].tolerance) == (gap_h,
+                                                   max(gap_c / 3.0, 1e-12))
 
 
 class TestTransportBracket:
