@@ -25,10 +25,14 @@ KDE_REACH = 8.0
 
 @dataclass(frozen=True)
 class FGenerator:
-    """Convex generator f with f(1) = 0 and its linear growth rate."""
+    """Convex generator f with f(1) = 0, its first and second derivatives
+    and its linear growth rate. fp is analytic in s, so it also takes
+    complex s, as a complex-step derivative does."""
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
+    fp: Callable[[np.ndarray], np.ndarray]
+    fpp: Callable[[np.ndarray], np.ndarray]
     inf_slope: float  # lim_{s -> inf} f(s) / s
 
 
@@ -40,8 +44,24 @@ def _kl_f(s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kl_fp(s: np.ndarray) -> np.ndarray:
+    return np.log(s) + 1.0
+
+
+def _kl_fpp(s: np.ndarray) -> np.ndarray:
+    return 1.0 / np.asarray(s)
+
+
 def _hellinger_f(s: np.ndarray) -> np.ndarray:
     return (np.sqrt(s) - 1.0) ** 2
+
+
+def _hellinger_fp(s: np.ndarray) -> np.ndarray:
+    return 1.0 - 1.0 / np.sqrt(s)
+
+
+def _hellinger_fpp(s: np.ndarray) -> np.ndarray:
+    return 0.5 * np.asarray(s) ** -1.5
 
 
 def _tv_f(s: np.ndarray) -> np.ndarray:
@@ -50,10 +70,29 @@ def _tv_f(s: np.ndarray) -> np.ndarray:
                   - TV_DELTA)
 
 
+def _tv_fp(s: np.ndarray) -> np.ndarray:
+    """t / (2 sqrt(t^2 + delta^2)) at t = s - 1, as sign(t) / (2 sqrt(1 +
+    (delta/t)^2)): at complex t with |t| >> delta the first form cancels in
+    its imaginary part, the second does not. sign reads t.real, since
+    np.sign of a complex t is t/|t|; where t.real is 0 exactly, f' is
+    t / (2 delta) to O(t^3), and 0 at s = 1."""
+    t = np.asarray(s) - 1.0
+    flat = t.real == 0.0
+    r = TV_DELTA / np.where(flat, 1.0, t)
+    return np.where(flat, t / (2.0 * TV_DELTA),
+                    0.5 * np.sign(t.real) / np.sqrt(1.0 + r * r))
+
+
+def _tv_fpp(s: np.ndarray) -> np.ndarray:
+    t = np.asarray(s) - 1.0
+    return 0.5 * TV_DELTA ** 2 / (t * t + TV_DELTA ** 2) ** 1.5
+
+
 GENERATORS: Dict[str, FGenerator] = {
-    "kl": FGenerator("kl", _kl_f, np.inf),
-    "hellinger": FGenerator("hellinger", _hellinger_f, 1.0),
-    "tv": FGenerator("tv", _tv_f, 0.5),
+    "kl": FGenerator("kl", _kl_f, _kl_fp, _kl_fpp, np.inf),
+    "hellinger": FGenerator("hellinger", _hellinger_f, _hellinger_fp,
+                            _hellinger_fpp, 1.0),
+    "tv": FGenerator("tv", _tv_f, _tv_fp, _tv_fpp, 0.5),
 }
 
 for _gen in GENERATORS.values():

@@ -15,9 +15,9 @@ Each field's `partials(points, order)` returns the value and the partials
 of orders 1..order at points (N, d) or a batch (..., N, d) from one power
 table per block of points, as one matrix product per order;
 `value`, `grad` and `jac` are views of one order, and no order's weights
-are built before it is asked. Points are float64, or an object array of
-mpmath.mpf for the 50-digit checks, which the same power and weight tables
-evaluate in mpmath arithmetic.
+are built before it is asked. Points are float64, or complex128 for the
+complex-step checks, which the same power and weight tables evaluate in
+complex arithmetic.
 
 A probe family's structure is built once and cached; every field of the
 family is built from arrays:
@@ -330,11 +330,11 @@ class _Family:
 
 
 def _as_points(points) -> np.ndarray:
-    """Points as float64 at least (1, d), or an object array of mpmath.mpf
-    kept as it is."""
+    """Points as complex128 if they are complex, else as float64, at least
+    (1, d)."""
     points = np.asarray(points)
-    return np.atleast_2d(points if points.dtype == object
-                         else points.astype(float, copy=False))
+    return np.atleast_2d(points.astype(
+        complex if np.iscomplexobj(points) else float, copy=False))
 
 
 class PolyScalarField:
@@ -393,8 +393,8 @@ class PolyVectorField:
         shape (..., N) + (d,) * r + (J,).  A batch is evaluated one (N, d)
         ensemble at a time, as a product over all its rows may round a row
         otherwise, and an ensemble in its family's blocks of points.
-        Object arrays of mpmath.mpf points keep their dtype, and are
-        evaluated in mpmath arithmetic through the same tables."""
+        Complex points are evaluated in complex128 through the same
+        tables."""
         points = _as_points(points)
         if points.ndim > 2:
             parts = [self._jet(x, orders)

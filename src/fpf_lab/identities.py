@@ -25,7 +25,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .divergence import TV_DELTA
+from .divergence import get_generator
 from .fields import ExpPolyDensity, PolyScalarField, PolyVectorField, fd_grad
 from .grid import trapezoid
 
@@ -111,48 +111,6 @@ def el_bracket_residual(p: ExpPolyDensity, h: PolyScalarField,
     return t1 + t2 + t3
 
 
-def _mp_det(rows):
-    """Determinant by cofactor expansion along the first row, division-free."""
-    if not rows:
-        return 1
-    return sum((-1) ** j * rows[0][j] * _mp_det([r[:j] + r[j + 1:]
-                                                 for r in rows[1:]])
-               for j in range(len(rows)))
-
-
-def _mp_cofactor_transpose(v_rows):
-    """|V| V^{-T} as the cofactor matrix, division-free."""
-    d = len(v_rows)
-    return [[(-1) ** (i + j) * _mp_det([r[:j] + r[j + 1:] for k, r
-                                        in enumerate(v_rows) if k != i])
-             for j in range(d)] for i in range(d)]
-
-
-def _mp_generator_derivatives(name: str):
-    """(f', f'') of a divergence generator in arbitrary precision."""
-    # local import: mpmath adds ~35 ms to each fpf-lab start (2 cores)
-    import mpmath
-    if name == "kl":
-        return (lambda s: mpmath.log(s) + 1,
-                lambda s: 1 / s)
-    if name == "hellinger":
-        return (lambda s: 1 - 1 / mpmath.sqrt(s),
-                lambda s: mpmath.mpf("0.5") * s ** mpmath.mpf("-1.5"))
-    if name == "tv":
-        delta = mpmath.mpf(TV_DELTA)
-
-        def fp(s):
-            t = s - 1
-            return t / (2 * mpmath.sqrt(t * t + delta * delta))
-
-        def fpp(s):
-            t = s - 1
-            return delta * delta / (2 * (t * t + delta * delta) ** mpmath.mpf("1.5"))
-
-        return fp, fpp
-    raise KeyError(f"unknown generator {name!r}")
-
-
 def observation_marginal(p: ExpPolyDensity, h: PolyScalarField, y: float,
                          dt: float) -> float:
     """p_Y(y) = int p(s) rho(y|s) ds by trapezoid quadrature on the tensor
@@ -190,58 +148,39 @@ def el_generator_invariance(p: ExpPolyDensity, h: PolyScalarField,
     strips the only f-dependent factor, so the returned vectors must agree
     across generators — that is the invariance under test.
 
-    Evaluated in arbitrary precision: the smoothed-TV generator has
-    |f'| <= 1/2 pinned within ~delta of its limits, which float64
-    differencing cannot resolve. The step 1e-8 keeps the FD truncation
-    negligible even where f''' ~ 1/delta^2 (probes with xi near 1);
-    at 50 digits there is no cancellation penalty. The (2d+1)-point
-    stencil x, x + 1e-8 e_i, x - 1e-8 e_i is one object array of
-    mpmath.mpf points, on which each field is evaluated once: v's value
-    and Jacobian, h at the shifted points, and log p at the shifted and
-    the base points stacked.
+    grad_x[f'(xi)] is a complex-step derivative (Squire and Trapp, SIAM
+    Review 1998): d_i g(x) = Im g(x + i h e_i) / h + O(h^2), with no
+    subtraction, so h = 1e-30 leaves it at float64 roundoff, even for the
+    smoothed-TV generator, whose f' is pinned within ~delta of its limits
+    where a real difference cannot resolve it. The (d+1)-point stencil x,
+    x + i h e_i is one complex128 array, on which each field is evaluated
+    once: v's value and Jacobian, h at the shifted points, and log p at
+    the shifted and the base points stacked. xi takes det V, not |det V|,
+    as abs is not analytic; V is near I on the probes, and a stencil point
+    where Re xi <= 0 raises ValueError. The generators' f' and f'' are
+    divergence.GENERATORS'; an unknown name raises get_generator's
+    KeyError.
     """
-    import mpmath      # local import, as in _mp_generator_derivatives
+    gens = {name: get_generator(name) for name in generators}
     x = np.asarray(x, dtype=float)
     d = v.dim
     p_y = observation_marginal(p, h, y, dt)
 
-    with mpmath.workdps(50):
-        step = mpmath.mpf(1e-8)
-        p_y_mp = mpmath.mpf(p_y)
-        dt_mp = mpmath.mpf(dt)
-        y_mp = mpmath.mpf(y)
-
-        # the stencil x, x + step e_i, x - step e_i as one object array
-        x_mp = np.array([mpmath.mpf(float(c)) for c in x], dtype=object)
-        shift = np.diag([step] * d)
-        pts = np.concatenate([x_mp[None], x_mp + shift, x_mp - shift])
-        disp, jac = v.partials(pts, 1)
-        shifted = pts + disp
-        v_rows = (jac + np.eye(d, dtype=int)).tolist()
-        log_num, log_den = np.split(
-            p.q.value(np.concatenate([shifted, pts])), 2)
-        rho_scale = mpmath.sqrt(dt_mp / (2 * mpmath.pi))
-        xi = []
-        for rows, h_k, ln_k, ld_k in zip(v_rows, h.value(shifted), log_num,
-                                         log_den):
-            rho = rho_scale * mpmath.exp(-dt_mp * (y_mp - h_k) ** 2 / 2)
-            num = mpmath.exp(ln_k) * rho * abs(_mp_det(rows))
-            xi.append(num / (mpmath.exp(ld_k) * p_y_mp))
-            if xi[-1] <= 0:
-                raise ValueError("density ratio nonpositive at probe point")
-        xi0, xi_plus, xi_minus = xi[0], xi[1:d + 1], xi[d + 1:]
-        cof0 = _mp_cofactor_transpose(v_rows[0])
-
-        out: Dict[str, np.ndarray] = {}
-        for name in generators:
-            fp, fpp = _mp_generator_derivatives(name)
-            grad_fp = [(fp(xi_plus[i]) - fp(xi_minus[i])) / (2 * step)
-                       for i in range(d)]
-            residual = [sum(grad_fp[i] * cof0[i][j] for i in range(d))
-                        for j in range(d)]
-            scale = fpp(xi0)
-            out[name] = np.array([float(r / scale) for r in residual])
-    return out
+    step = 1e-30
+    pts = x + 1j * step * np.eye(d + 1, d, -1)   # x, then x + i h e_i
+    disp, jac = v.partials(pts, 1)
+    shifted = pts + disp
+    mats = np.eye(d) + jac
+    log_num, log_den = np.split(p.q.value(np.concatenate([shifted, pts])), 2)
+    rho = np.sqrt(dt / (2.0 * np.pi)) * np.exp(
+        -0.5 * dt * (y - h.value(shifted)) ** 2)
+    xi = np.exp(log_num - log_den) * rho * np.linalg.det(mats) / p_y
+    if np.any(xi.real <= 0.0):
+        raise ValueError("density ratio nonpositive at probe point")
+    i = np.arange(d)
+    cof0 = np.where((i[:, None] + i) % 2, -1.0, 1.0) * _minors(mats[0].real)
+    return {name: (gen.fp(xi[1:]).imag / step) @ cof0 / gen.fpp(xi[0].real)
+            for name, gen in gens.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,12 @@ def _quadratic_groups(rng: np.random.Generator, count: int):
         groups.setdefault(probe[0], []).append(i)
     out = []
     for d, idx in sorted(groups.items()):
+        # unpack a list, not a generator: CPython grows a tuple of a
+        # generator by resizing it, and keeps it on its size's free list
+        # when it dies (up to 2,000 a size), so a tuple of each group's
+        # size (10-22) piled up there every pass, and memory with them
         _, means, covs, ks, xs = (np.array(a) for a in
-                                  zip(*(probes[i] for i in idx)))
+                                  zip(*[probes[i] for i in idx]))
         exponents = all_exponents(d, 3)
         out.append((idx, ExpPolyDensity.gaussians(means, covs),
                     FieldStack(np.tile(exponents, (d, 1)),

@@ -659,9 +659,9 @@ class TestCliExitCodes:
 
     def test_cli_import_leaves_scipy_solvers_unloaded(self):
         """Every command starts without scipy.linalg and scipy.integrate
-        and without mpmath (~35 ms); of the commands, only compare's grid
-        oracle imports scipy.linalg, when it runs (see
-        test_only_compare_loads_scipy)."""
+        and without mpmath (~37 ms), which no command imports; of the
+        commands, only compare's grid oracle imports scipy.linalg, when it
+        runs (see test_only_compare_loads_scipy)."""
         out = self._run_python(
             "import sys, fpf_lab.cli; print(sorted(m for m in "
             "('scipy.linalg', 'scipy.integrate', 'mpmath') "
@@ -670,9 +670,10 @@ class TestCliExitCodes:
 
     def test_only_compare_loads_scipy(self, tmp_path):
         """All seven verify suites, simulate and filter run on NumPy alone:
-        no scipy module is loaded after them. compare then loads
-        scipy.linalg (its grid oracle's LAPACK ?gttrf/?gttrs), and still
-        not scipy.integrate."""
+        no scipy module, and no mpmath (el-invariance differentiates by
+        complex step in float arithmetic), is loaded after them. compare
+        then loads scipy.linalg (its grid oracle's LAPACK ?gttrf/?gttrs),
+        and still not scipy.integrate."""
         cfg = _write(tmp_path, BASE_CONFIG)
         out, obs = str(tmp_path / "out"), str(tmp_path / "out" / "obs.csv")
         code = f"""
@@ -680,16 +681,16 @@ import contextlib, io, sys
 from fpf_lab.cli import main
 from fpf_lab.verify import SUITE_NAMES
 
-def scipy_modules():
+def lazy_modules():
     return sorted(m for m in sys.modules
-                  if m == "scipy" or m.startswith("scipy."))
+                  if m.split(".")[0] in ("scipy", "mpmath"))
 
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["verify", s, "--out", {out!r}]) for s in SUITE_NAMES]
     codes.append(main(["simulate", "--config", {cfg!r}, "--out", {out!r}]))
     codes.append(main(["filter", "--config", {cfg!r}, "--obs", {obs!r},
                        "--out", {out!r}]))
-print(len(SUITE_NAMES), codes, scipy_modules())
+print(len(SUITE_NAMES), codes, lazy_modules())
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["compare", "--config", {cfg!r}, "--obs", {obs!r},
                  "--out", {out!r}])

@@ -13,7 +13,7 @@ from fpf_lab import (
     get_generator,
     kde_density,
 )
-from fpf_lab.divergence import KDE_REACH
+from fpf_lab.divergence import KDE_REACH, TV_DELTA
 
 X = np.linspace(-10.0, 10.0, 4001)
 
@@ -42,6 +42,58 @@ class TestGenerators:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown divergence"):
             get_generator("bogus")
+
+
+# s with |s - 1| from 1e-9 to 1e-1 on both sides of 1, which takes TV's
+# t = s - 1 from far below its delta = 1e-6 to far above it, and wider s
+_OFFSETS = np.logspace(-9, -1, 33)
+_S = np.concatenate([1.0 - _OFFSETS, 1.0 + _OFFSETS, [0.2, 0.5, 2.0, 7.5]])
+
+_CLOSED_FORMS = {
+    "kl": (lambda s: np.log(s) + 1.0, lambda s: 1.0 / s),
+    "hellinger": (lambda s: 1.0 - 1.0 / np.sqrt(s),
+                  lambda s: 0.5 / (s * np.sqrt(s))),
+    "tv": (lambda s: (s - 1.0) / (2.0 * np.sqrt((s - 1.0) ** 2
+                                                + TV_DELTA ** 2)),
+           lambda s: TV_DELTA ** 2 / (2.0 * ((s - 1.0) ** 2 + TV_DELTA ** 2)
+                                      ** 1.5)),
+}
+
+
+class TestGeneratorDerivatives:
+    """Each generator's f' and f'', the ones el_generator_invariance
+    differentiates by complex step."""
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_match_their_closed_forms(self, name):
+        gen, (fp, fpp) = get_generator(name), _CLOSED_FORMS[name]
+        np.testing.assert_allclose(gen.fp(_S), fp(_S), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(gen.fpp(_S), fpp(_S), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_fp_is_the_derivative_of_f(self, name):
+        """A central difference of f away from TV's kink scale."""
+        gen, s, step = get_generator(name), np.array([0.3, 0.7, 1.5, 2.5]), 1e-6
+        fd = (gen.f(s + step) - gen.f(s - step)) / (2.0 * step)
+        np.testing.assert_allclose(gen.fp(s), fd, rtol=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_complex_step_of_fp_is_fpp(self, name):
+        """Im f'(s + i h) / h = f''(s) for h = 1e-30, s = 1 included: the
+        form of TV's f' that cancels in its imaginary part, or np.sign of a
+        complex t, would miss this by up to ~1."""
+        gen, step = get_generator(name), 1e-30
+        s = np.append(_S, 1.0)
+        np.testing.assert_allclose(gen.fp(s + 1j * step).imag / step,
+                                   gen.fpp(s), rtol=1e-12, atol=0)
+
+    def test_tv_slope_at_one_is_zero_without_warning(self):
+        """delta / t divides by zero at s = 1; pytest makes any
+        RuntimeWarning an error."""
+        tv = get_generator("tv")
+        assert tv.fp(1.0) == 0.0
+        assert tv.fp(np.array([1.0, 1.0]) + 0j).tolist() == [0j, 0j]
+        assert tv.fpp(1.0) == pytest.approx(0.5 / TV_DELTA, rel=1e-15)
 
 
 class TestClosedFormValues:

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpf_lab import fields, verify
+from fpf_lab.divergence import TV_DELTA
 from fpf_lab.fields import (
     ExpPolyDensity,
     FieldStack,
@@ -217,19 +218,22 @@ def _oracle_diff(terms, axis):
 
 def _oracle_partial(terms, axes, points):
     """d^axes of the polynomial at every point, from a chain of one-axis
-    derivatives and one pow per term."""
+    derivatives and one pow per term, in the points' arithmetic (float64,
+    or mpmath.mpf in an object array)."""
     for axis in axes:
         terms = _oracle_diff(terms, axis)
-    out = np.zeros(len(points))
+    out = np.zeros(len(points), dtype=points.dtype)
     for alpha, c in terms.items():
         out += c * np.prod(points ** np.array(alpha), axis=1)
     return out
 
 
-def _assert_partials_match(actual, terms_list, points, order):
+def _assert_partials_match(actual, terms_list, points, order,
+                           atol=np.finfo(float).tiny):
     """actual[n, i, l, ..., j] against the oracle for component j, to
-    1e-12 relative to the sum of the absolute values of its terms, plus the
-    smallest normal double (subnormal results carry no relative precision)."""
+    1e-12 relative to the sum of the absolute values of its terms, plus
+    atol, by default the smallest normal double (subnormal results carry no
+    relative precision)."""
     dim = points.shape[1]
     for axes in product(range(dim), repeat=order):
         for j, terms in enumerate(terms_list):
@@ -237,8 +241,7 @@ def _assert_partials_match(actual, terms_list, points, order):
             scale = _oracle_partial({a: abs(c) for a, c in terms.items()},
                                     axes, np.abs(points))
             got = actual[(slice(None),) + axes + (j,)]
-            assert np.all(np.abs(got - expected)
-                          <= 1e-12 * scale + np.finfo(float).tiny), \
+            assert np.all(np.abs(got - expected) <= 1e-12 * scale + atol), \
                 (axes, j, got, expected)
 
 
@@ -286,19 +289,23 @@ class TestPolynomialKernelAgainstOracle:
             for got, view in zip(jet, views):
                 np.testing.assert_array_equal(got, view(points))
 
-        # 50-digit points, the last three, through the same tables
-        with mpmath.workdps(50):
-            points_mp = np.array([[mpmath.mpf(v) for v in row]
-                                  for row in points[-3:].tolist()],
-                                 dtype=object)
-            jets = ((field.partials(points_mp, 3), terms),
-                    ([a[..., None] for a in scalar.partials(points_mp, 3)],
-                     terms[:1]))
-        for jet, jet_terms in jets:
-            for order, got in enumerate(jet):
-                assert got.dtype == object
-                _assert_partials_match(got.astype(float), jet_terms,
-                                       points[-3:], order)
+        # complex steps from the last three points, through the same
+        # tables: Im partials(x + i h e_i, r) / h is the order-(r + 1)
+        # partial along axis i then the axes of order r, to O(h^2), which
+        # atol covers where a zero coordinate leaves no relative scale
+        last, step = points[-3:], 1e-30
+        for make, jet_terms in ((lambda z, r: field.partials(z, r)[r],
+                                 terms),
+                                (lambda z, r: scalar.partials(z, r)[r][
+                                    ..., None], terms[:1])):
+            for order in range(3):
+                steps = []
+                for i in range(dim):
+                    got = make(last + 1j * step * np.eye(dim)[i], order)
+                    assert got.dtype == complex
+                    steps.append(got.imag / step)
+                _assert_partials_match(np.stack(steps, axis=1), jet_terms,
+                                       last, order + 1, atol=1e-40)
 
 
 def _dense_partial_table(dim, exponents, order):
@@ -457,11 +464,9 @@ def _permuted(poly, rng):
 
 
 def _same(got, want):
-    """Equal dtype, shape and bytes for float64 arrays, and equal
-    mpmath.mpf values for object arrays, whose bytes are pointers."""
+    """Equal dtype, shape and bytes."""
     return (got.dtype == want.dtype and got.shape == want.shape
-            and (bool((got == want).all()) if got.dtype == object
-                 else got.tobytes() == want.tobytes()))
+            and got.tobytes() == want.tobytes())
 
 
 class TestTermOrder:
@@ -472,35 +477,29 @@ class TestTermOrder:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_permuted_terms_move_no_partial(self, dim):
         """Scalar fields, vector fields with uneven components (degrees 3,
-        0 and 2) and densities, at float64 points and on a 50-digit
-        (2d + 1)-point stencil, at every order 0..3."""
+        0 and 2) and densities, at float64 points and on a complex128
+        (d + 1)-point stencil (x, then x + 1e-30 i e_i), at every order
+        0..3."""
         rng = np.random.default_rng(80 + dim)
         x = rng.uniform(-1.5, 1.5, size=(7, dim))
-        with mpmath.workdps(50):
-            x_mp = np.array([mpmath.mpf(float(c)) for c in x[0]],
-                            dtype=object)
-            shift = np.diag([mpmath.mpf(1e-8)] * dim)
-            stencil = np.concatenate([x_mp[None], x_mp + shift,
-                                      x_mp - shift])
+        stencil = x[0] + 1j * 1e-30 * np.eye(dim + 1, dim, -1)
         for _ in range(8):
             scalar = [Polynomial.random(dim, 3, rng, 0.5)]
             vector = [Polynomial.random(dim, deg, rng, 0.4)
                       for deg in (3, 0, 2)]
             log_p = [ExpPolyDensity.random_gaussian(dim, rng).q.poly]
-            # a density's exp takes float64 points alone
             cases = [(lambda ps: PolyScalarField(ps[0]), scalar,
                       (x, stencil)),
                      (PolyVectorField, vector, (x, stencil)),
-                     (lambda ps: ExpPolyDensity(ps[0]), log_p, (x,)),
+                     (lambda ps: ExpPolyDensity(ps[0]), log_p, (x, stencil)),
                      (lambda ps: PolyScalarField(ps[0]), log_p,
                       (x, stencil))]
             for order in range(4):
                 for make, polys, point_sets in cases:
                     permuted = [_permuted(p, rng) for p in polys]
                     for points in point_sets:
-                        with mpmath.workdps(50):
-                            want = make(polys).partials(points, order)
-                            got = make(permuted).partials(points, order)
+                        want = make(polys).partials(points, order)
+                        got = make(permuted).partials(points, order)
                         assert all(map(_same, got, want))
 
 
@@ -697,28 +696,28 @@ class TestOneJetPerField:
         1,150 and 600 when each probe made its own.
         El-invariance makes exactly its 124 and bounds the points summed
         over them, most of them p_Y's quadrature grid: 201 nodes an axis
-        would make them 2,030,133. Its 50-digit stencils are counted
-        apart, at most three calls a probe, and no other suite makes any."""
+        would make them 2,030,133. Its complex128 stencils are counted
+        apart, exactly three calls a probe, and no other suite makes any."""
         budget = {"piola": 200, "appendixB": 69, "lm2": 36,
                   "el-invariance": 124, "taylor": 350}
         kernel, calls = fields.monomial_values, []
         monkeypatch.setattr(fields, "monomial_values",
                             lambda points, rows: calls.append(
-                                (points.dtype == object,
+                                (np.iscomplexobj(points),
                                  points.size // points.shape[-1]))
                             or kernel(points, rows))
-        counts, points, mp_counts = {}, {}, {}
+        counts, points, complex_counts = {}, {}, {}
         for suite in budget:
             calls.clear()
             assert all(row.passed for row in verify.run_suite(suite))
-            floats = [n for is_mp, n in calls if not is_mp]
+            floats = [n for is_complex, n in calls if not is_complex]
             counts[suite], points[suite] = len(floats), sum(floats)
-            mp_counts[suite] = len(calls) - len(floats)
+            complex_counts[suite] = len(calls) - len(floats)
         assert all(counts[s] <= budget[s] for s in budget), counts
         assert counts["el-invariance"] == 124, counts
         assert points["el-invariance"] == 86_133, points
-        assert mp_counts.pop("el-invariance") <= 150
-        assert not any(mp_counts.values()), mp_counts
+        assert complex_counts.pop("el-invariance") == 150
+        assert not any(complex_counts.values()), complex_counts
 
     def test_expansion_checks_evaluate_each_field_once(self, monkeypatch):
         """dt order: p, h, K, u; dz order: p, h, K; identity 1: log p, K."""
@@ -1189,7 +1188,93 @@ class TestTransportBracket:
         assert r_bad / r_opt >= 10.0
 
 
+def _mp_det(rows):
+    """Determinant by cofactor expansion along the first row, division-free."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * _mp_det([r[:j] + r[j + 1:]
+                                                 for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def _mp_generator_derivatives(name):
+    """(f', f'') of a divergence generator in mpmath arithmetic."""
+    delta = mpmath.mpf(TV_DELTA)
+    return {"kl": (lambda s: mpmath.log(s) + 1, lambda s: 1 / s),
+            "hellinger": (lambda s: 1 - 1 / mpmath.sqrt(s),
+                          lambda s: s ** mpmath.mpf("-1.5") / 2),
+            "tv": (lambda s: (s - 1) / (2 * mpmath.sqrt((s - 1) ** 2
+                                                        + delta ** 2)),
+                   lambda s: delta ** 2 / (2 * ((s - 1) ** 2 + delta ** 2)
+                                           ** mpmath.mpf("1.5")))}[name]
+
+
+def _mp_generator_invariance(p, h, v, x, y, dt):
+    """el_generator_invariance at 50 digits, as a reference: central
+    differences with step 1e-8 on the (2d + 1)-point stencil x, x + 1e-8
+    e_i, x - 1e-8 e_i, every polynomial evaluated from its terms, |det V|
+    and the cofactors of V by expansion, and f', f'' in mpmath; p_Y is
+    the float quadrature the checked function uses."""
+    d = v.dim
+    p_y = observation_marginal(p, h, y, dt)
+    with mpmath.workdps(50):
+        step = mpmath.mpf(1e-8)
+        x_mp = np.array([mpmath.mpf(float(c)) for c in x], dtype=object)
+        shift = np.diag([step] * d)
+        pts = np.concatenate([x_mp[None], x_mp + shift, x_mp - shift])
+        comps = [c.terms for c in v.components]
+        shifted = pts + np.stack([_oracle_partial(t, (), pts)
+                                  for t in comps], axis=1)
+        log_p, h_terms = p.q.poly.terms, h.poly.terms
+        xi = []
+        for k in range(2 * d + 1):
+            rows = [[int(i == j) + _oracle_partial(comps[j], (i,),
+                                                   pts[k:k + 1])[0]
+                     for j in range(d)] for i in range(d)]
+            s_k = shifted[k:k + 1]
+            rho = mpmath.sqrt(dt / (2 * mpmath.pi)) * mpmath.exp(
+                -dt * (y - _oracle_partial(h_terms, (), s_k)[0]) ** 2 / 2)
+            xi.append(mpmath.exp(_oracle_partial(log_p, (), s_k)[0]) * rho
+                      * abs(_mp_det(rows))
+                      / (mpmath.exp(_oracle_partial(log_p, (), pts[k:k + 1])
+                                    [0]) * p_y))
+            if k == 0:
+                cof0 = [[(-1) ** (i + j) * _mp_det(
+                    [r[:j] + r[j + 1:] for m, r in enumerate(rows) if m != i])
+                    for j in range(d)] for i in range(d)]
+        out = {}
+        for name in ("kl", "hellinger", "tv"):
+            fp, fpp = _mp_generator_derivatives(name)
+            grad_fp = [(fp(xi[1 + i]) - fp(xi[1 + d + i])) / (2 * step)
+                       for i in range(d)]
+            out[name] = np.array([float(sum(grad_fp[i] * cof0[i][j]
+                                            for i in range(d)) / fpp(xi[0]))
+                                  for j in range(d)])
+    return out
+
+
 class TestGeneratorInvariance:
+    def test_complex_step_matches_the_fifty_digit_oracle(self):
+        """On all 50 el-invariance probes, each generator's complex-step
+        vector matches the 50-digit central difference to 1e-9 relative
+        (both agree to ~1.6e-10; the suite's tolerance is 1e-6)."""
+        rng, dt = np.random.default_rng(3001), 0.01
+        for i in range(50):
+            p, h, v, x, y = verify._el_probe(rng, 1 + i % 2)
+            got = el_generator_invariance(p, h, v, x, y, dt)
+            want = _mp_generator_invariance(p, h, v, x, y, dt)
+            assert set(got) == set(want)
+            for name in want:
+                assert (np.linalg.norm(got[name] - want[name])
+                        <= 1e-9 * np.linalg.norm(want[name])), (i, name)
+
+    def test_unknown_generator_lists_the_available_ones(self):
+        p = ExpPolyDensity.gaussian([0.0], [[1.0]])
+        with pytest.raises(KeyError, match="available: hellinger, kl, tv"):
+            el_generator_invariance(
+                p, _h_linear(), _const_field(0.01), np.array([0.1]),
+                y=0.2, dt=0.01, generators=("kl", "chi2"))
+
     def test_normalized_residuals_agree_across_generators(self):
         """After dividing by f''(ratio), the stationarity residual keeps
         no trace of which convex generator produced it."""
