@@ -61,7 +61,12 @@ def _hellinger_fp(s: np.ndarray) -> np.ndarray:
 
 
 def _hellinger_fpp(s: np.ndarray) -> np.ndarray:
-    return 0.5 * np.asarray(s) ** -1.5
+    # s ** -1.5 as 1 / (s sqrt(s)): the two f'' take a product and a
+    # square root, each correctly rounded, where NumPy's vectorized pow
+    # rounds some values of an array otherwise than its scalar pow, so
+    # that a value's bits would depend on the array it sits in
+    s = np.asarray(s)
+    return 0.5 / (s * np.sqrt(s))
 
 
 def _tv_f(s: np.ndarray) -> np.ndarray:
@@ -84,8 +89,8 @@ def _tv_fp(s: np.ndarray) -> np.ndarray:
 
 
 def _tv_fpp(s: np.ndarray) -> np.ndarray:
-    t = np.asarray(s) - 1.0
-    return 0.5 * TV_DELTA ** 2 / (t * t + TV_DELTA ** 2) ** 1.5
+    u = (np.asarray(s) - 1.0) ** 2 + TV_DELTA ** 2
+    return 0.5 * TV_DELTA ** 2 / (u * np.sqrt(u))
 
 
 GENERATORS: Dict[str, FGenerator] = {

@@ -35,11 +35,13 @@ family is built from arrays:
   rows (P, T): one multiply, one scatter and one gather per order give its
   weight tables (P, Q, K), and its partials at points (P, N, d), member m
   at points[m], are one stacked matrix product per order and block of
-  points, one BLAS call a member. Every field is a family of one; a
-  `FieldStack` (`PolyScalarField.stack`, `ExpPolyDensity.gaussians`) holds
-  P fields, grouped into families by the terms their zero coefficients
-  leave, so that verify evaluates all its probes of one dimension in one
-  call.
+  points, one BLAS call a member. Every field is a family of one, which
+  evaluates a batch of ensembles (B, N, d) the same way, one BLAS call an
+  ensemble; a `FieldStack` (`PolyScalarField.stack`,
+  `ExpPolyDensity.gaussians`) holds P fields, grouped into families by the
+  terms their zero coefficients leave, so that verify evaluates all its
+  probes of one dimension in one call, and evaluates every member at
+  shared points (N, d) from one power table a family.
 - Layout is part of the bits: values @ table rounds by the operands'
   layout, so each member's table is the column-major view of a C-ordered
   gather that a field's has always been, and its values the F-ordered
@@ -307,16 +309,21 @@ class _Family:
 
     def jet(self, points: np.ndarray, orders: Sequence[int]) -> list:
         """The partials of each order r in `orders` of member m at
-        points[m], points (P, N, d): shape (P, N) + (d,) * r + (J,).  The
-        points are evaluated in blocks, so a block's (P, Q, N) values are
-        all that exist at once.  A block is a multiple of 64 points holding
-        at most JET_BLOCK values a member (64 points at least), and the
-        last block takes a single point left over, as BLAS rounds a
-        one-row product differently.  The blocks depend on N and Q alone,
-        so a member gets the bits of its own field; a block's rows need
-        not get the bits of a longer product, even on one thread."""
+        points[m], points (P, N, d): shape (P, N) + (d,) * r + (J,).
+        Points (1, N, d) are every member's, and a family of one evaluates
+        each points[b] of points (B, N, d), as one stacked product whose
+        slice b is the product of points[b] alone: its operand of one is
+        broadcast, not copied.  The points are evaluated in blocks, so a
+        block's (P, Q, N) values are all that exist at once.  A block is a
+        multiple of 64 points holding at most JET_BLOCK values a member or
+        ensemble (64 points at least), and the last block takes a single
+        point left over, as BLAS rounds a one-row product differently.
+        The blocks depend on N and Q alone, so a member gets the bits of
+        its own field; a block's rows need not get the bits of a longer
+        product, even on one thread."""
         _, tables, rows = self._weights(max(orders))
-        p, n, d = points.shape
+        n, d = points.shape[1:]
+        p = max(len(points), len(self.coeffs))
         block = max(64, JET_BLOCK // max(1, rows.shape[1]) // 64 * 64)
         if n > block + 1:
             bounds = [0, *range(block, n - 1, block), n]
@@ -390,18 +397,17 @@ class PolyVectorField:
 
     def _jet(self, points, orders: Sequence[int]) -> list:
         """The partials of each order r in `orders` at points (..., N, d),
-        shape (..., N) + (d,) * r + (J,).  A batch is evaluated one (N, d)
-        ensemble at a time, as a product over all its rows may round a row
-        otherwise, and an ensemble in its family's blocks of points.
-        Complex points are evaluated in complex128 through the same
-        tables."""
+        shape (..., N) + (d,) * r + (J,).  A batch is one call whose
+        products are one per (N, d) ensemble, as a product over all its
+        rows may round a row otherwise, each with the bits of that
+        ensemble alone, in its family's blocks of points.  Complex points
+        are evaluated in complex128 through the same tables."""
         points = _as_points(points)
-        if points.ndim > 2:
-            parts = [self._jet(x, orders)
-                     for x in points.reshape(-1, *points.shape[-2:])]
-            return [np.stack(jets).reshape(points.shape[:-2] + jets[0].shape)
-                    for jets in zip(*parts)]
-        return [a[0] for a in self._family.jet(points[None], orders)]
+        if points.ndim == 2:
+            return [a[0] for a in self._family.jet(points[None], orders)]
+        jets = self._family.jet(points.reshape(-1, *points.shape[-2:]),
+                                orders)
+        return [a.reshape(points.shape[:-2] + a.shape[1:]) for a in jets]
 
     def partials(self, points, order: int) -> list:
         """[value, jac, second, third][:order + 1] from one power table per
@@ -420,8 +426,10 @@ class FieldStack(PolyVectorField):
     """P vector fields with coefficient rows coeffs (P, T) on shared
     exponents (T, d), whose J components hold counts[j] terms in turn:
     a PolyVectorField whose partials, value and jac evaluate member m at
-    points[m], points (P, M, d), and stack its partials of order r as
-    (P, M) + (d,) * r + (J,); it has no components.  A zero
+    points[m], points (P, M, d), or every member at the same points
+    (M, d), and stack its partials of order r as (P, M) + (d,) * r + (J,);
+    it has no components.  Shared points take one power table per
+    family, not one per member.  A zero
     coefficient drops its term from its member, as Polynomial drops it,
     and each member gets the bits of its own PolyVectorField.  Members
     with the same terms (a probe family) form one _Family, whose tables
@@ -450,9 +458,12 @@ class FieldStack(PolyVectorField):
 
     def _jet(self, points, orders: Sequence[int]) -> list:
         points = _as_points(points)
+        if points.ndim == 2:
+            points = points[None]
         if len(self._families) == 1:
             return self._families[0][1].jet(points, orders)
-        parts = [(ms, family.jet(points[ms], orders))
+        parts = [(ms, family.jet(points if len(points) == 1 else points[ms],
+                                 orders))
                  for ms, family in self._families]
         out = [np.empty((self.size,) + a.shape[1:], dtype=a.dtype)
                for a in parts[0][1]]
@@ -490,8 +501,8 @@ class ExpPolyDensity:
                   covs: np.ndarray) -> "ExpPolyDensity":
         """P Gaussians N(means[m], covs[m]), means (P, d) and covs (P, d, d),
         as one density evaluated as FieldStack evaluates its members:
-        member m at points[m], points (P, M, d), with the bits of
-        gaussian(means[m], covs[m])."""
+        member m at points[m], points (P, M, d), or every member at points
+        (M, d), with the bits of gaussian(means[m], covs[m])."""
         means = np.asarray(means, dtype=float)
         stacked = cls.__new__(cls)
         stacked.dim = means.shape[1]
@@ -502,16 +513,11 @@ class ExpPolyDensity:
 
     @staticmethod
     def random_moments(dim: int, rng: np.random.Generator):
-        """(mean, cov) of random_gaussian's draw: mean 0.3 z, cov I + a a^T
-        with a 0.3 Z, in that order."""
+        """(mean, cov) of a random Gaussian probe: mean 0.3 z, cov I + a
+        a^T with a 0.3 Z, in that order."""
         mean = 0.3 * rng.standard_normal(dim)
         a = 0.3 * rng.standard_normal((dim, dim))
         return mean, np.eye(dim) + a @ a.T
-
-    @classmethod
-    def random_gaussian(cls, dim: int,
-                        rng: np.random.Generator) -> "ExpPolyDensity":
-        return cls.gaussian(*cls.random_moments(dim, rng))
 
     def partials(self, points, order: int) -> list:
         """[p, grad p, hess p, third p][:order + 1] by the product rule on
@@ -592,11 +598,3 @@ def fd_grad(fn, x: np.ndarray, step: float) -> np.ndarray:
     e = step * np.eye(x.shape[-1])
     f = fn(np.concatenate([x + e, x - e], axis=-2))
     return (f[..., :e.shape[0]] - f[..., e.shape[0]:]) / (2.0 * step)
-
-
-def converges_quadratically(gap: float, gap_half: float) -> bool:
-    """True when halving fd_step cut the gap by >= 3, or both gaps already
-    sit at the 1e-12 roundoff floor (FD-free identities)."""
-    if abs(gap) <= 1e-12 and abs(gap_half) <= 1e-12:
-        return True
-    return abs(gap) >= 3.0 * abs(gap_half)

@@ -7,12 +7,17 @@ the outermost layer, so each residual is either an exact cancellation
 when the step is halved. Each check evaluates each field once per stencil,
 on all the points the difference needs.
 
-The quadratic-term identities and the Lemma 2 expansion also take P probes
-at once: stacked fields (fields.FieldStack, ExpPolyDensity.gaussians) at
-points x (P, d), evaluated once per stencil for all P, with arithmetic
-that carries a leading probe axis (one BLAS product per probe where the
-one-probe formula has one). A single probe at x (d,) is a batch of one,
-through the same code, and each probe's result has its bits alone.
+Every probe check (piola_residual, el_generator_invariance and its
+observation_marginal, dz_order_residual, dt_order_residual, the
+quadratic-term identities and the Lemma 2 expansion) also takes P probes
+at once: stacked fields (fields.FieldStack, PolyScalarField.stack,
+ExpPolyDensity.gaussians), or one field that all P share, at points x
+(P, d), evaluated once per stencil for all P, with arithmetic that
+carries a leading probe axis (one BLAS product per probe where the
+one-probe formula has one, on operands of the one-probe layout, and no
+vectorized pow, which rounds some values otherwise than the scalar one).
+A single probe at x (d,) is a batch of one, through the same code, and
+each probe's result has its bits alone.
 
 Notation used throughout the docstrings: p is a smooth positive density,
 L = log p, h the scalar observation function, K and u vector fields,
@@ -44,32 +49,52 @@ __all__ = [
 
 def _minors(mats: np.ndarray) -> np.ndarray:
     """minors[..., i, j] = det of mats[...] (d, d) without row i and column
-    j, from one batched det over index arrays; every minor is 1 at d = 1."""
+    j, from one batched det over index arrays; every minor is 1 at d = 1.
+    C-ordered: det lays a batch out with its leading axes innermost, and a
+    product with it would then take another BLAS kernel than a product
+    with one matrix's minors, and round otherwise."""
     c = np.arange(mats.shape[-1] - 1)
     keep = c + (c >= np.arange(mats.shape[-1])[:, None])   # all but i
-    return np.linalg.det(mats[..., keep[:, None, :, None],
-                              keep[None, :, None, :]])
+    return np.ascontiguousarray(np.linalg.det(
+        mats[..., keep[:, None, :, None], keep[None, :, None, :]]))
 
 
 def piola_residual(v: PolyVectorField, x: np.ndarray,
-                   fd_step: float = 1e-4) -> np.ndarray:
+                   fd_step=1e-4) -> np.ndarray:
     """Divergence of the cofactor columns of V = I + grad v^T at x.
 
     residual_j = sum_i (-1)^(i+j) d/dx_i [minor_ij(V)], which the
     change-of-variables algebra requires to vanish identically. The minors
     are built from the analytic Jacobian of v; only the outer d/dx_i is a
     central difference.
+
+    v is one field at one point x (d,), giving (d,), or P probes stacked
+    (FieldStack) at points x (P, d), giving (P, d). fd_step is one step,
+    or S steps (S,), giving (S, d) or (P, S, d): the points of every
+    step's stencil, x, then x + step e_i and x - step e_i, go through one
+    v.jac call, and the minors of all of them through one batched det. A
+    probe where V is singular at x raises ValueError.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return piola_residual(v, x[None], fd_step)[0]
+    steps = np.asarray(fd_step, dtype=float)
     d = v.dim
-    step = fd_step * np.eye(d)
-    mats = np.eye(d) + v.jac(np.concatenate([x[None], x + step, x - step]))
-    if abs(np.linalg.det(mats[0])) < 1e-12:
-        raise ValueError("I + grad v^T is singular at the probe point")
+    e = steps.reshape(-1, 1, 1, 1) * np.eye(d)      # step e_i, (S, 1, d, d)
+    mats = np.eye(d) + v.jac(x[:, None] + np.concatenate(
+        [np.zeros((1, d)), np.concatenate([e, -e], axis=1).reshape(-1, d)]))
+    singular = np.abs(np.linalg.det(mats[:, 0])) < 1e-12
+    if singular.any():
+        raise ValueError(f"I + grad v^T is singular at the point of probe "
+                         f"{int(np.argmax(singular))}")
     i = np.arange(d)
-    minors = _minors(mats[1:].reshape(2, d, d, d))[:, i, i]  # side, i, j
+    # minors[..., side, i, j] at x +- step e_i, side 0 the + side
+    minors = _minors(mats[:, 1:].reshape(len(x), -1, 2, d, d, d))[
+        ..., i, i, :]
     sign = np.where((i[:, None] + i) % 2, -1.0, 1.0)
-    return np.sum(sign * (minors[0] - minors[1]) / (2.0 * fd_step), axis=0)
+    out = np.sum(sign * (minors[:, :, 0] - minors[:, :, 1])
+                 / (2.0 * steps.reshape(-1, 1, 1)), axis=-2)
+    return out if steps.ndim else out[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +136,8 @@ def el_bracket_residual(p: ExpPolyDensity, h: PolyScalarField,
     return t1 + t2 + t3
 
 
-def observation_marginal(p: ExpPolyDensity, h: PolyScalarField, y: float,
-                         dt: float) -> float:
+def observation_marginal(p: ExpPolyDensity, h: PolyScalarField, y,
+                         dt: float):
     """p_Y(y) = int p(s) rho(y|s) ds by trapezoid quadrature on the tensor
     grid of 41 nodes per axis (spacing 0.5) over [-10, 10] (float).
 
@@ -125,19 +150,25 @@ def observation_marginal(p: ExpPolyDensity, h: PolyScalarField, y: float,
     same at any node count. p_Y only places xi on each generator, so the
     invariance residuals hold for any positive p_Y, and its last digits
     move them at roundoff.
+
+    p and h are one density and field with one observation y, giving a
+    float, or P probes stacked with observations y (P,), giving (P,):
+    every member is evaluated on the one grid, one call a field.
     """
     d, n = p.dim, 41
     axes = [np.linspace(-10.0, 10.0, n)] * d
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    y = np.asarray(y, dtype=float)
     vals = (p.value(pts) * np.sqrt(dt / (2.0 * np.pi))
-            * np.exp(-0.5 * dt * (y - h.value(pts)) ** 2)).reshape([n] * d)
+            * np.exp(-0.5 * dt * (y[..., None] - h.value(pts)) ** 2))
+    vals = vals.reshape(y.shape + (n,) * d)
     for axis_grid in axes:
         vals = trapezoid(vals, axis_grid, axis=-1)
-    return float(vals)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def el_generator_invariance(p: ExpPolyDensity, h: PolyScalarField,
-                            v: PolyVectorField, x: np.ndarray, y: float,
+                            v: PolyVectorField, x: np.ndarray, y,
                             dt: float, generators: Sequence[str] = (
                                 "kl", "hellinger", "tv")
                             ) -> Dict[str, np.ndarray]:
@@ -160,27 +191,40 @@ def el_generator_invariance(p: ExpPolyDensity, h: PolyScalarField,
     where Re xi <= 0 raises ValueError. The generators' f' and f'' are
     divergence.GENERATORS'; an unknown name raises get_generator's
     KeyError.
+
+    p, h and v are one probe at one point x (d,) with one observation y,
+    giving vectors (d,), or P probes stacked at points x (P, d) with
+    observations y (P,), giving (P, d): the stencils of all P are one
+    (P, d + 1, d) array, p_Y one grid for all, and each generator's f'
+    and f'' one call on all P.
     """
     gens = {name: get_generator(name) for name in generators}
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        res = el_generator_invariance(p, h, v, x[None], np.reshape(y, 1),
+                                      dt, generators)
+        return {name: r[0] for name, r in res.items()}
+    y = np.asarray(y, dtype=float)[:, None]
     d = v.dim
-    p_y = observation_marginal(p, h, y, dt)
+    p_y = observation_marginal(p, h, y[:, 0], dt)[:, None]
 
     step = 1e-30
-    pts = x + 1j * step * np.eye(d + 1, d, -1)   # x, then x + i h e_i
+    pts = x[:, None] + 1j * step * np.eye(d + 1, d, -1)   # x, x + i h e_i
     disp, jac = v.partials(pts, 1)
     shifted = pts + disp
     mats = np.eye(d) + jac
-    log_num, log_den = np.split(p.q.value(np.concatenate([shifted, pts])), 2)
+    log_num, log_den = np.split(
+        p.q.value(np.concatenate([shifted, pts], axis=1)), 2, axis=1)
     rho = np.sqrt(dt / (2.0 * np.pi)) * np.exp(
         -0.5 * dt * (y - h.value(shifted)) ** 2)
     xi = np.exp(log_num - log_den) * rho * np.linalg.det(mats) / p_y
     if np.any(xi.real <= 0.0):
         raise ValueError("density ratio nonpositive at probe point")
     i = np.arange(d)
-    cof0 = np.where((i[:, None] + i) % 2, -1.0, 1.0) * _minors(mats[0].real)
-    return {name: (gen.fp(xi[1:]).imag / step) @ cof0 / gen.fpp(xi[0].real)
-            for name, gen in gens.items()}
+    cof0 = np.where((i[:, None] + i) % 2, -1.0, 1.0) * _minors(
+        mats[:, 0].real)
+    return {name: _vm(gen.fp(xi[:, 1:]).imag / step, cof0)
+            / gen.fpp(xi[:, :1].real) for name, gen in gens.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +240,28 @@ def dz_order_residual(p: ExpPolyDensity, h: PolyScalarField,
 
     which vanishes identically iff K solves grad^T(pK) = -(h - h_hat) p
     (verified here on closed-form families). All terms are analytic.
-    """
-    p0, gp, hp = (a[0] for a in p.partials(x, 2))
-    gh = h.partials(x, 1)[1][0]
-    # jk[i, j] = dK_j/dx_i, sk[i, l, j] = d2 K_j/dx_i dx_l
-    k, jk, sk = (a[0] for a in K.partials(x, 2))
-    grad_div_k = np.einsum("iaa->i", sk)
 
-    t1 = p0 * hp @ k
-    t2 = p0 * gp @ jk.T
+    The fields are one probe at one point x (d,), giving (d,), or P probes
+    at points x (P, d), giving (P, d): each field stacked (FieldStack,
+    PolyScalarField.stack, ExpPolyDensity.gaussians) evaluates member m
+    at x[m], and one field shared by all evaluates every x[m], in one call
+    either way. Each probe's row has the bits of that probe alone.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return dz_order_residual(p, h, K, x[None])[0]
+    p0, gp, hp = (a[:, 0] for a in p.partials(x[:, None], 2))
+    gh = h.partials(x[:, None], 1)[1][:, 0]
+    # jk[i, j] = dK_j/dx_i, sk[i, l, j] = d2 K_j/dx_i dx_l
+    k, jk, sk = (a[:, 0] for a in K.partials(x[:, None], 2))
+    grad_div_k = np.einsum("...iaa->...i", sk)
+    p0 = p0[:, None]
+
+    t1 = _mv(p0[..., None] * hp, k)
+    t2 = _vm(p0 * gp, jk.swapaxes(-1, -2))
     t3 = p0 * p0 * gh
     t4 = p0 * p0 * grad_div_k
-    t5 = -(gp @ k) * gp
+    t5 = -_dot(gp, k)[:, None] * gp
     return t1 + t2 + t3 + t4 + t5
 
 
@@ -219,26 +273,35 @@ def dt_order_residual(p: ExpPolyDensity, h: PolyScalarField,
     Twelve analytic terms; vanishes identically for the closed-form pair
     (K, u = -K(h + h_hat)/2 + Omega) on matched families, e.g. K = 1,
     u = -x/2 for the standard Gaussian with h = x.
-    """
-    p0, gp, hp, tp = (a[0] for a in p.partials(x, 3))
-    h0, gh, hh = (a[0] for a in h.partials(x, 2))
-    k, jk, sk = (a[0] for a in K.partials(x, 2))
-    u0, ju, su = (a[0] for a in u.partials(x, 2))
-    grad_div_k = np.einsum("iaa->i", sk)
-    grad_div_u = np.einsum("iaa->i", su)
 
-    s1 = p0 * hp @ u0
-    s2 = 0.5 * p0 * np.einsum("abj,a,b->j", tp, k, k)
-    s3 = p0 * gp @ ju.T
-    s4 = p0 * (hp @ k) @ jk.T
+    One probe at x (d,) or P probes at points x (P, d), as
+    dz_order_residual takes them.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return dt_order_residual(p, h, K, u, x[None])[0]
+    p0, gp, hp, tp = (a[:, 0] for a in p.partials(x[:, None], 3))
+    h0, gh, hh = (a[:, 0] for a in h.partials(x[:, None], 2))
+    k, jk, sk = (a[:, 0] for a in K.partials(x[:, None], 2))
+    u0, ju, su = (a[:, 0] for a in u.partials(x[:, None], 2))
+    grad_div_k = np.einsum("...iaa->...i", sk)
+    grad_div_u = np.einsum("...iaa->...i", su)
+    jk_t, ju_t = jk.swapaxes(-1, -2), ju.swapaxes(-1, -2)
+    p0, h0 = p0[:, None], h0[:, None]
+    gp_k = _dot(gp, k)[:, None]
+
+    s1 = _mv(p0[..., None] * hp, u0)
+    s2 = 0.5 * p0 * np.einsum("...abj,...a,...b->...j", tp, k, k)
+    s3 = _vm(p0 * gp, ju_t)
+    s4 = _vm(p0 * _mv(hp, k), jk_t)
     s5 = -p0 * p0 * h0 * gh
-    s6 = p0 * (gp @ k) * gh
-    s7 = p0 * p0 * hh @ k
-    s8 = p0 * p0 * gh @ jk.T
-    s9 = p0 * (gp @ k) * grad_div_k
-    s10 = p0 * p0 * (grad_div_u - np.einsum("ab,iba->i", jk, sk))
-    s11 = -(gp @ u0) * gp
-    s12 = -0.5 * (k @ hp @ k) * gp
+    s6 = p0 * gp_k * gh
+    s7 = _mv(p0[..., None] * p0[..., None] * hh, k)
+    s8 = _vm(p0 * p0 * gh, jk_t)
+    s9 = p0 * gp_k * grad_div_k
+    s10 = p0 * p0 * (grad_div_u - np.einsum("...ab,...iba->...i", jk, sk))
+    s11 = -_dot(gp, u0)[:, None] * gp
+    s12 = -0.5 * _dot(_vm(k, hp), k)[:, None] * gp
     return s1 + s2 + s3 + s4 + s5 + s6 + s7 + s8 + s9 + s10 + s11 + s12
 
 

@@ -22,6 +22,7 @@ from .fields import (ExpPolyDensity, FieldStack, Polynomial,
 from .grid import cumulative_trapezoid, trapezoid
 from .identities import (
     QUADRATIC_IDENTITY_IDS,
+    _dot,
     bounded_slope_grad_log,
     double_divergence_expansion_check,
     el_bracket_residual,
@@ -60,6 +61,40 @@ def _convergence_row(check: str, point, gap: float, gap_half: float,
 
 
 # ---------------------------------------------------------------------------
+# probe families: drawn one at a time, checked one dimension at a time
+# ---------------------------------------------------------------------------
+
+def _by_dimension(probes: list) -> list:
+    """probes, each (d, *arrays), grouped by dimension in ascending order:
+    (indices, d, *stacked) per dimension, each array stacked over the
+    group's probes in draw order."""
+    groups: Dict[int, List[int]] = {}
+    for i, probe in enumerate(probes):
+        groups.setdefault(probe[0], []).append(i)
+    # unpack a list, not a generator: CPython grows a tuple of a generator
+    # by resizing it, and keeps it on its size's free list when it dies
+    # (up to 2,000 a size), so a tuple of each group's size piled up there
+    # every pass, and memory with them
+    return [(idx, d, *[np.array(a) for a in zip(*[probes[i][1:]
+                                                  for i in idx])])
+            for d, idx in sorted(groups.items())]
+
+
+def _vector_coeffs(d: int, degree: int, scale: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The coefficients of d components on every term of degree <= degree
+    in turn, drawn as PolyVectorField.random draws them."""
+    return scale * rng.standard_normal(d * len(all_exponents(d, degree)))
+
+
+def _vector_stack(d: int, degree: int, coeffs: np.ndarray) -> FieldStack:
+    """The fields of _vector_coeffs rows (P, d * T), stacked."""
+    exponents = all_exponents(d, degree)
+    return FieldStack(np.tile(exponents, (d, 1)), (len(exponents),) * d,
+                      coeffs)
+
+
+# ---------------------------------------------------------------------------
 # piola
 # ---------------------------------------------------------------------------
 
@@ -68,16 +103,22 @@ def suite_piola() -> List[CheckRow]:
 
     The halved-step rows sit below a 1e-10 floor instead of the factor-3
     reduction whenever truncation is already exhausted (cubic fields have
-    many probes with near-zero third-derivative content).
+    many probes with near-zero third-derivative content). Both steps'
+    stencils of one dimension's probes go through one Jacobian call, and
+    each row has the bits of its probe checked alone.
     """
     rng = np.random.default_rng(1003)
-    rows: List[CheckRow] = []
+    probes = []
     for i in range(100):
         d = 2 if i % 2 == 0 else 3
-        v = PolyVectorField.random(d, 3, rng, scale=0.4)
-        x = rng.uniform(-0.8, 0.8, size=d)
-        r = float(np.max(np.abs(piola_residual(v, x, 1e-4))))
-        r_half = float(np.max(np.abs(piola_residual(v, x, 5e-5))))
+        probes.append((d, _vector_coeffs(d, 3, 0.4, rng),
+                       rng.uniform(-0.8, 0.8, size=d)))
+    gaps = np.empty((100, 2))
+    for idx, d, ks, xs in _by_dimension(probes):
+        gaps[idx] = np.max(np.abs(piola_residual(
+            _vector_stack(d, 3, ks), xs, (1e-4, 5e-5))), axis=-1)
+    rows: List[CheckRow] = []
+    for i, (r, r_half) in enumerate(gaps.tolist()):
         rows.append(_row("piola", i, r, 1e-6))
         rows.append(_convergence_row("piola-halved", i, r, r_half,
                                      floor=1e-10))
@@ -90,37 +131,22 @@ def suite_piola() -> List[CheckRow]:
 
 def _quadratic_probe(rng: np.random.Generator):
     """(d, mean, cov, k, x): a Gaussian p's moments, the coefficients of a
-    cubic K, d components of every term of degree <= 3 in turn, and a
-    point, drawn as random_gaussian, PolyVectorField.random and uniform
-    draw them."""
+    cubic K and a point, drawn as random_moments, PolyVectorField.random
+    and uniform draw them."""
     d = int(rng.integers(1, 4))
     mean, cov = ExpPolyDensity.random_moments(d, rng)
-    k = 0.4 * rng.standard_normal(d * len(all_exponents(d, 3)))
-    x = rng.uniform(-0.6, 0.6, size=d)
-    return d, mean, cov, k, x
+    return d, mean, cov, _vector_coeffs(d, 3, 0.4, rng), rng.uniform(
+        -0.6, 0.6, size=d)
 
 
 def _quadratic_groups(rng: np.random.Generator, count: int):
     """`count` probes drawn in turn, then grouped by dimension: (indices,
     p, K, x) per dimension, p and K the group's densities and fields
     stacked and x (P, d) its points."""
-    probes = [_quadratic_probe(rng) for _ in range(count)]
-    groups: Dict[int, List[int]] = {}
-    for i, probe in enumerate(probes):
-        groups.setdefault(probe[0], []).append(i)
-    out = []
-    for d, idx in sorted(groups.items()):
-        # unpack a list, not a generator: CPython grows a tuple of a
-        # generator by resizing it, and keeps it on its size's free list
-        # when it dies (up to 2,000 a size), so a tuple of each group's
-        # size (10-22) piled up there every pass, and memory with them
-        _, means, covs, ks, xs = (np.array(a) for a in
-                                  zip(*[probes[i] for i in idx]))
-        exponents = all_exponents(d, 3)
-        out.append((idx, ExpPolyDensity.gaussians(means, covs),
-                    FieldStack(np.tile(exponents, (d, 1)),
-                               (len(exponents),) * d, ks), xs))
-    return out
+    return [(idx, ExpPolyDensity.gaussians(means, covs),
+             _vector_stack(d, 3, ks), xs)
+            for idx, d, means, covs, ks, xs in _by_dimension(
+                [_quadratic_probe(rng) for _ in range(count)])]
 
 
 def suite_appendix_b() -> List[CheckRow]:
@@ -168,40 +194,54 @@ def suite_lm2() -> List[CheckRow]:
 # el-invariance
 # ---------------------------------------------------------------------------
 
-def _pairwise_rel(res: Dict[str, np.ndarray]) -> List[tuple]:
+def _pairwise_rel(res: Dict[str, np.ndarray]) -> tuple:
+    """(pairs, rel): each pair a~b of res's names in sorted order, and
+    rel (P, pairs) = |res[a] - res[b]| / max(|res[a]|, |res[b]|, 1e-30)
+    per probe, res[name] (P, d); each norm the one np.linalg.norm gives a
+    probe's vector, the square root of one dot product."""
     names = sorted(res)
-    out = []
+    norm = {name: np.sqrt(_dot(r, r)) for name, r in res.items()}
+    pairs, rel = [], []
     for a_i, a in enumerate(names):
         for b in names[a_i + 1:]:
-            scale = max(float(np.linalg.norm(res[a])),
-                        float(np.linalg.norm(res[b])), 1e-30)
-            out.append((f"{a}~{b}",
-                        float(np.linalg.norm(res[a] - res[b])) / scale))
-    return out
+            diff = res[a] - res[b]
+            pairs.append(f"{a}~{b}")
+            rel.append(np.sqrt(_dot(diff, diff))
+                       / np.maximum(np.maximum(norm[a], norm[b]), 1e-30))
+    return pairs, np.stack(rel, axis=-1)
 
 
 def _el_probe(rng: np.random.Generator, d: int):
-    """(p, h, v, x, y): a Gaussian prior, a quadratic h, a small quadratic
-    displacement, a point and an observation in dimension d."""
-    p = ExpPolyDensity.random_gaussian(d, rng)
-    h_field = PolyScalarField(Polynomial.random(d, 2, rng, scale=0.5))
-    v = PolyVectorField.random(d, 2, rng, scale=0.05)
+    """(d, mean, cov, h, v, x, y): a Gaussian prior's moments, the
+    coefficients of a quadratic h (every term of degree <= 2) and of a
+    small quadratic displacement v, a point and an observation in
+    dimension d, drawn as random_moments, Polynomial.random,
+    PolyVectorField.random, uniform and a normal draw them."""
+    mean, cov = ExpPolyDensity.random_moments(d, rng)
+    h = 0.5 * rng.standard_normal(len(all_exponents(d, 2)))
+    v = _vector_coeffs(d, 2, 0.05, rng)
     x = rng.uniform(-0.4, 0.4, size=d)
-    y = float(0.3 * rng.standard_normal())
-    return p, h_field, v, x, y
+    return d, mean, cov, h, v, x, 0.3 * rng.standard_normal()
 
 
 def suite_el_invariance() -> List[CheckRow]:
     """Generator-independence of normalized stationarity residuals,
-    plus the bracket check at the closed-form optimal displacement."""
+    plus the bracket check at the closed-form optimal displacement.
+
+    The invariance probes alternate d = 1, 2 by index; each dimension's
+    are checked in one call, and each row has the bits of its probe
+    checked alone."""
     rng = np.random.default_rng(3001)
-    rows: List[CheckRow] = []
     dt = 0.01
-    for i in range(50):
-        p, h_field, v, x, y = _el_probe(rng, 1 + i % 2)
-        res = el_generator_invariance(p, h_field, v, x, y, dt)
-        for pair, rel in _pairwise_rel(res):
-            rows.append(_row(f"invariance-{pair}", i, rel, 1e-6))
+    rel = np.empty((50, 3))
+    for idx, d, means, covs, hs, vs, xs, ys in _by_dimension(
+            [_el_probe(rng, 1 + i % 2) for i in range(50)]):
+        pairs, rel[idx] = _pairwise_rel(el_generator_invariance(
+            ExpPolyDensity.gaussians(means, covs),
+            PolyScalarField.stack(all_exponents(d, 2), hs),
+            _vector_stack(d, 2, vs), xs, ys, dt))
+    rows = [_row(f"invariance-{pair}", i, r, 1e-6)
+            for i, rs in enumerate(rel.tolist()) for pair, r in zip(pairs, rs)]
 
     # bracket at the optimal coupling: Gaussian prior, h = x,
     # v = K dz + u dt with K = var, u = -K(x + mean)/2
@@ -302,37 +342,38 @@ def suite_taylor() -> List[CheckRow]:
 
     dz order: Gaussian prior with affine h; K = cov @ H solves the gain
     equation, so the residual is identically zero. dt order: the pair
-    (K = 1, u = -x/2) on the standard Gaussian with h = x.
+    (K = 1, u = -x/2) on the standard Gaussian with h = x. Each
+    dimension's dz probes are checked in one call, the dt rows' points in
+    one call on their one set of fields, and each row has the bits of its
+    probe checked alone.
     """
     rng = np.random.default_rng(4001)
-    rows: List[CheckRow] = []
+    probes = []
     for i in range(50):
         d = 1 + i % 3
-        mean = 0.3 * rng.standard_normal(d)
-        a = 0.3 * rng.standard_normal((d, d))
-        cov = np.eye(d) + a @ a.T
+        mean, cov = ExpPolyDensity.random_moments(d, rng)
         hvec = rng.standard_normal(d)
-        offset = float(rng.standard_normal())
-        p = ExpPolyDensity.gaussian(mean, cov)
-        h_terms = {tuple(int(j == l) for l in range(d)): float(hvec[j])
-                   for j in range(d)}
-        h_terms[(0,) * d] = offset
-        h_field = PolyScalarField(Polynomial(d, h_terms))
-        gain = cov @ hvec
-        k = PolyVectorField([Polynomial(d, {(0,) * d: float(gain[j])})
-                             for j in range(d)])
-        x = rng.uniform(-0.7, 0.7, size=d)
-        r = float(np.max(np.abs(dz_order_residual(p, h_field, k, x))))
-        rows.append(_row("taylor-dz", i, r, 1e-10))
+        h = np.append(hvec, rng.standard_normal())   # x_j's, then 1's
+        probes.append((d, mean, cov, h, cov @ hvec,
+                       rng.uniform(-0.7, 0.7, size=d)))
+    gaps = np.empty(50)
+    for idx, d, means, covs, hs, gains, xs in _by_dimension(probes):
+        eye = np.eye(d, dtype=int)
+        gaps[idx] = np.max(np.abs(dz_order_residual(
+            ExpPolyDensity.gaussians(means, covs),
+            PolyScalarField.stack(np.concatenate([eye, 0 * eye[:1]]), hs),
+            FieldStack(0 * eye, (1,) * d, gains), xs)), axis=-1)
+    rows = [_row("taylor-dz", i, r, 1e-10)
+            for i, r in enumerate(gaps.tolist())]
 
     p1 = ExpPolyDensity.gaussian([0.0], [[1.0]])
     h1 = PolyScalarField(Polynomial(1, {(1,): 1.0}))
     k1 = PolyVectorField([Polynomial(1, {(0,): 1.0})])
     u1 = PolyVectorField([Polynomial(1, {(1,): -0.5})])
-    for i, x0 in enumerate(np.linspace(-2.0, 2.0, 50)):
-        r = float(np.max(np.abs(dt_order_residual(
-            p1, h1, k1, u1, np.array([x0])))))
-        rows.append(_row("taylor-dt", i, r, 1e-10))
+    gaps = np.max(np.abs(dt_order_residual(
+        p1, h1, k1, u1, np.linspace(-2.0, 2.0, 50)[:, None])), axis=-1)
+    rows += [_row("taylor-dt", i, r, 1e-10)
+             for i, r in enumerate(gaps.tolist())]
     return rows
 
 

@@ -23,7 +23,6 @@ from fpf_lab.fields import (
     Polynomial,
     PolyScalarField,
     PolyVectorField,
-    converges_quadratically,
     fd_grad,
 )
 from fpf_lab.grid import trapezoid
@@ -61,12 +60,56 @@ def _const_field(value=1.0):
     return PolyVectorField([Polynomial(1, {(0,): value})])
 
 
+def _random_gaussian(dim, rng):
+    """A Gaussian density of random_moments' draw."""
+    return ExpPolyDensity.gaussian(*ExpPolyDensity.random_moments(dim, rng))
+
+
 def _quadratic_probe(rng):
     d = int(rng.integers(1, 4))
-    p = ExpPolyDensity.random_gaussian(d, rng)
+    p = _random_gaussian(d, rng)
     k = PolyVectorField.random(d, 3, rng, scale=0.4)
     x = rng.uniform(-0.6, 0.6, size=d)
     return p, k, x
+
+
+def _el_probe(rng, d):
+    """(p, h, v, x, y): an el-invariance probe built one field at a time:
+    a Gaussian prior, a quadratic h, a small quadratic displacement, a
+    point and an observation in dimension d."""
+    p = _random_gaussian(d, rng)
+    h = PolyScalarField(Polynomial.random(d, 2, rng, scale=0.5))
+    v = PolyVectorField.random(d, 2, rng, scale=0.05)
+    x = rng.uniform(-0.4, 0.4, size=d)
+    y = float(0.3 * rng.standard_normal())
+    return p, h, v, x, y
+
+
+def _dz_probe(rng, d):
+    """(p, h, k, x): a taylor dz probe built one field at a time: a
+    Gaussian prior, an affine h and its closed-form gain K = cov @ H, and
+    a point."""
+    mean = 0.3 * rng.standard_normal(d)
+    a = 0.3 * rng.standard_normal((d, d))
+    cov = np.eye(d) + a @ a.T
+    hvec = rng.standard_normal(d)
+    p = ExpPolyDensity.gaussian(mean, cov)
+    h_terms = {tuple(int(j == l) for l in range(d)): float(hvec[j])
+               for j in range(d)}
+    h_terms[(0,) * d] = float(rng.standard_normal())
+    h = PolyScalarField(Polynomial(d, h_terms))
+    gain = cov @ hvec
+    k = PolyVectorField([Polynomial(d, {(0,) * d: float(gain[j])})
+                         for j in range(d)])
+    return p, h, k, rng.uniform(-0.7, 0.7, size=d)
+
+
+def converges_quadratically(gap, gap_half):
+    """True when halving fd_step cut the gap by >= 3, or both gaps already
+    sit at the 1e-12 roundoff floor (FD-free identities)."""
+    if abs(gap) <= 1e-12 and abs(gap_half) <= 1e-12:
+        return True
+    return abs(gap) >= 3.0 * abs(gap_half)
 
 
 class TestFieldPrimitives:
@@ -427,12 +470,14 @@ class TestCachedPlans:
     def test_verify_builds_each_family_once(self, monkeypatch):
         """A pass of the seven suites builds one plan per distinct family
         (dim, exponents, order, component term counts): 36, each once.
-        appendixB and lm2 build the weight tables of their 1,000 probe
-        fields as 60 stacks, one per (check, dimension, field) and, in
-        lm2, per order upgrade: a build per probe field would be 1,000.
-        Over all suites the tables built cover about 1,400 fields. A plan
-        keyed by anything that varies per field would rebuild it per
-        field."""
+        The probe suites build the weight tables of their fields as
+        stacks, one per (check, dimension, field) and per order upgrade:
+        96 builds over all suites cover 1,419 fields, where a build per
+        probe field was 479 builds. el-invariance's 21 are 6 stacks of 25
+        (p and h on p_Y's grid and v on the complex stencils, per
+        dimension; h and log p reuse their order-0 tables there) and the
+        3 bracket rows' 15 builds of single fields. A plan keyed by
+        anything that varies per field would rebuild it per field."""
         build, keys = fields._partial_plan.__wrapped__, []
         monkeypatch.setattr(fields, "_partial_plan", lru_cache(maxsize=1024)(
             lambda *key: keys.append(key) or build(*key)))
@@ -448,10 +493,11 @@ class TestCachedPlans:
             assert all(row.passed for row in verify.run_suite(suite))
             members[suite] = list(tables)
         assert len(keys) == len(set(keys)) <= 36, len(keys)
-        stacked = {suite: (len(members[suite]), sum(members[suite]))
-                   for suite in ("appendixB", "lm2")}
-        assert stacked == {"appendixB": (48, 800), "lm2": (12, 200)}, stacked
-        assert sum(map(sum, members.values())) >= 1400, members
+        stacked = {suite: (len(tables), sum(tables))
+                   for suite, tables in members.items() if tables}
+        assert stacked == {"piola": (2, 100), "appendixB": (48, 800),
+                           "lm2": (12, 200), "el-invariance": (21, 165),
+                           "taylor": (13, 154)}, stacked
 
 
 def _permuted(poly, rng):
@@ -487,7 +533,7 @@ class TestTermOrder:
             scalar = [Polynomial.random(dim, 3, rng, 0.5)]
             vector = [Polynomial.random(dim, deg, rng, 0.4)
                       for deg in (3, 0, 2)]
-            log_p = [ExpPolyDensity.random_gaussian(dim, rng).q.poly]
+            log_p = [_random_gaussian(dim, rng).q.poly]
             cases = [(lambda ps: PolyScalarField(ps[0]), scalar,
                       (x, stencil)),
                      (PolyVectorField, vector, (x, stencil)),
@@ -579,7 +625,7 @@ class TestOneJetPerField:
         """partials(points, 3) against the product rule on p = exp(q),
         written out from separate evaluations of q's partials."""
         rng = np.random.default_rng(30 + dim)
-        for p in (ExpPolyDensity.random_gaussian(dim, rng),
+        for p in (_random_gaussian(dim, rng),
                   ExpPolyDensity(Polynomial.random(dim, 3, rng, scale=0.3))):
             x = rng.uniform(-1.0, 1.0, size=(7, dim))
             pv = np.exp(p.q.value(x))
@@ -660,8 +706,8 @@ class TestOneJetPerField:
         """A jet evaluated in blocks of 64 points (the last one short; a
         single point left over joins the block before it) equals the
         one-block jet byte for byte, at every order. A batch of three
-        ensembles is evaluated one ensemble at a time, each in its own
-        blocks and with the bytes of that ensemble alone."""
+        ensembles is evaluated in one call per block, with the blocks of
+        one ensemble and each ensemble with the bytes it has alone."""
         gen = np.random.default_rng(33)
         field = PolyVectorField.random(3, 3, gen)
         batch = gen.uniform(-1.5, 1.5, size=(3, n, 3))
@@ -681,7 +727,7 @@ class TestOneJetPerField:
             assert got.tobytes() == want.tobytes()
         calls.clear()
         stacked = field.partials(batch, 3)
-        assert calls == blocks * 3
+        assert calls == [(3, m, 3) for _, m, _ in blocks]
         for got, *want in zip(stacked, *wholes):
             assert got.shape == (3, *want[0].shape)
             assert got.tobytes() == np.stack(want).tobytes()
@@ -689,17 +735,21 @@ class TestOneJetPerField:
     def test_suites_keep_their_field_call_budget(self, monkeypatch):
         """Each check evaluates a field once per stencil, so the number of
         float64 monomial_values calls a suite makes is fixed by its
-        probes: at most these, and a return to one point per call would
-        multiply them (piola 1,200, appendixB 2,284, lm2 5,856 that way).
-        appendixB and lm2 evaluate each field once per stencil for all
-        the probes of one (check, dimension): their 69 and 36 calls were
-        1,150 and 600 when each probe made its own.
-        El-invariance makes exactly its 124 and bounds the points summed
-        over them, most of them p_Y's quadrature grid: 201 nodes an axis
-        would make them 2,030,133. Its complex128 stencils are counted
-        apart, exactly three calls a probe, and no other suite makes any."""
-        budget = {"piola": 200, "appendixB": 69, "lm2": 36,
-                  "el-invariance": 124, "taylor": 350}
+        probes, and a return to one point per call would multiply them
+        (piola 1,200, appendixB 2,284, lm2 5,856 that way). Every probe
+        suite evaluates each field once per stencil for all the probes of
+        one (check, dimension): appendixB's 69 and lm2's 36 calls were
+        1,150 and 600 when each probe made its own, piola's 2 were 200
+        and taylor's 13 were 350. piola's 2 take both steps' stencils, 4d
+        + 1 points a probe. El-invariance's 28 are p and h on p_Y's
+        quadrature grid, one (41^d, d) grid shared by each dimension's
+        probes (4 calls), and the 3 bracket rows' 24; its points are
+        exactly these (86,133 when each probe had its own grid, and
+        201 nodes an axis would make them 2,030,133). Its complex128
+        stencils are counted apart, exactly three calls a dimension, and
+        no other suite makes any."""
+        budget = {"piola": 2, "appendixB": 69, "lm2": 36,
+                  "el-invariance": 28, "taylor": 13}
         kernel, calls = fields.monomial_values, []
         monkeypatch.setattr(fields, "monomial_values",
                             lambda points, rows: calls.append(
@@ -713,10 +763,11 @@ class TestOneJetPerField:
             floats = [n for is_complex, n in calls if not is_complex]
             counts[suite], points[suite] = len(floats), sum(floats)
             complex_counts[suite] = len(calls) - len(floats)
-        assert all(counts[s] <= budget[s] for s in budget), counts
-        assert counts["el-invariance"] == 124, counts
-        assert points["el-invariance"] == 86_133, points
-        assert complex_counts.pop("el-invariance") == 150
+        assert counts == budget, counts
+        assert points["piola"] == 50 * 9 + 50 * 13, points
+        assert points["taylor"] == 350, points
+        assert points["el-invariance"] == 2 * 41 + 2 * 41 ** 2 + 33, points
+        assert complex_counts.pop("el-invariance") == 6
         assert not any(complex_counts.values()), complex_counts
 
     def test_expansion_checks_evaluate_each_field_once(self, monkeypatch):
@@ -753,19 +804,22 @@ def _member_fields(exponents, counts, rows):
 
 
 class TestFieldStacks:
-    """A stack of P fields evaluates member m at points[m] with the bits
-    of member m's own field, at every order."""
+    """A stack of P fields evaluates member m at points[m], and every
+    member at shared points (M, d), with the bits of member m's own field,
+    at every order."""
 
     @staticmethod
     def _assert_members(stacked, alone, points):
         for order in range(4):
             got = stacked.partials(points, order)
+            shared = stacked.partials(points[0], order)
             for m, field in enumerate(alone):
-                want = field.partials(points[m], order)
-                assert len(got) == len(want) == order + 1
-                for g, w in zip(got, want):
-                    assert g[m].shape == w.shape
-                    assert g[m].tobytes() == w.tobytes(), (m, order)
+                for jets, at in ((got, points[m]), (shared, points[0])):
+                    want = field.partials(at, order)
+                    assert len(jets) == len(want) == order + 1
+                    for g, w in zip(jets, want):
+                        assert g[m].shape == w.shape
+                        assert g[m].tobytes() == w.tobytes(), (m, order)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_cubic_vector_family(self, dim):
@@ -921,7 +975,7 @@ class TestStencilsAgainstPerPointOracle:
     def test_checks_match_per_point_formulas(self, dim):
         rng = np.random.default_rng(60 + dim)
         for _ in range(10):
-            p = ExpPolyDensity.random_gaussian(dim, rng)
+            p = _random_gaussian(dim, rng)
             k = PolyVectorField.random(dim, 3, rng, scale=0.4)
             v = PolyVectorField.random(dim, 3, rng, scale=0.4)
             h = PolyScalarField(Polynomial.random(dim, 2, rng, scale=0.5))
@@ -1009,20 +1063,7 @@ class TestExpansionOrders:
         in any dimension."""
         rng = np.random.default_rng(5)
         for i in range(6):
-            d = 1 + i % 3
-            mean = 0.3 * rng.standard_normal(d)
-            a = 0.3 * rng.standard_normal((d, d))
-            cov = np.eye(d) + a @ a.T
-            hvec = rng.standard_normal(d)
-            p = ExpPolyDensity.gaussian(mean, cov)
-            h_terms = {tuple(int(j == l) for l in range(d)): float(hvec[j])
-                       for j in range(d)}
-            h_terms[(0,) * d] = float(rng.standard_normal())
-            h = PolyScalarField(Polynomial(d, h_terms))
-            gain = cov @ hvec
-            k = PolyVectorField([Polynomial(d, {(0,) * d: float(gain[j])})
-                                 for j in range(d)])
-            x = rng.uniform(-0.7, 0.7, size=d)
+            p, h, k, x = _dz_probe(rng, 1 + i % 3)
             assert np.max(np.abs(dz_order_residual(p, h, k, x))) <= 1e-10
 
     def test_dz_residual_detects_wrong_gain(self):
@@ -1112,9 +1153,137 @@ class TestDoubleDivergenceExpansion:
 
 
 class TestStackedSuites:
-    """appendixB and lm2 evaluate their probes one (check, dimension) at a
+    """The probe suites evaluate their probes one (check, dimension) at a
     time, with a leading probe axis; each row equals its probe drawn as
-    the suites drew it one at a time and checked alone, a batch of one."""
+    the suites drew it one field at a time and checked alone, a batch of
+    one."""
+
+    def test_piola_rows_equal_each_probe_alone(self):
+        rows = verify.run_suite("piola")
+        rng = np.random.default_rng(1003)
+        for i in range(100):
+            d = 2 if i % 2 == 0 else 3
+            v = PolyVectorField.random(d, 3, rng, scale=0.4)
+            x = rng.uniform(-0.8, 0.8, size=d)
+            r, r_half = (float(np.max(np.abs(piola_residual(v, x, step))))
+                         for step in (1e-4, 5e-5))
+            assert (rows[2 * i].check, rows[2 * i].point,
+                    rows[2 * i].residual) == ("piola", str(i), r)
+            assert (rows[2 * i + 1].residual,
+                    rows[2 * i + 1].tolerance) == (r_half,
+                                                   max(r / 3.0, 1e-10))
+
+    def test_taylor_rows_equal_each_probe_alone(self):
+        rows = verify.run_suite("taylor")
+        rng = np.random.default_rng(4001)
+        for i in range(50):
+            r = float(np.max(np.abs(dz_order_residual(
+                *_dz_probe(rng, 1 + i % 3)))))
+            assert (rows[i].check, rows[i].point,
+                    rows[i].residual) == ("taylor-dz", str(i), r)
+        p, h, k = _std_normal(), _h_linear(), _const_field(1.0)
+        u = PolyVectorField([Polynomial(1, {(1,): -0.5})])
+        for i, x0 in enumerate(np.linspace(-2.0, 2.0, 50)):
+            r = float(np.max(np.abs(dt_order_residual(p, h, k, u,
+                                                      np.array([x0])))))
+            assert (rows[50 + i].check, rows[50 + i].point,
+                    rows[50 + i].residual) == ("taylor-dt", str(i), r)
+
+    def test_el_invariance_rows_equal_each_probe_alone(self):
+        """Each generator's vector, and each pair's relative gap from
+        np.linalg.norm, of a probe checked alone."""
+        rows = verify.run_suite("el-invariance")
+        rng = np.random.default_rng(3001)
+        for i in range(50):
+            res = el_generator_invariance(*_el_probe(rng, 1 + i % 2), 0.01)
+            names = sorted(res)
+            pairs = [(a, b) for n, a in enumerate(names)
+                     for b in names[n + 1:]]
+            for row, (a, b) in zip(rows[3 * i:3 * i + 3], pairs):
+                scale = max(float(np.linalg.norm(res[a])),
+                            float(np.linalg.norm(res[b])), 1e-30)
+                rel = float(np.linalg.norm(res[a] - res[b])) / scale
+                assert (row.check, row.point, row.residual) \
+                    == (f"invariance-{a}~{b}", str(i), rel)
+        assert [row.check for row in rows[150:]] == ["el-bracket"] * 3
+
+    def test_a_zero_draw_drops_its_term_and_keeps_its_bits(self):
+        """A member whose draw is exactly 0 drops that term, as its own
+        field does, and is a family of its own: the stacked piola,
+        el-invariance and dz results still equal each probe alone."""
+        rng = np.random.default_rng(77)
+        d, count = 2, 4
+        cubic, quadratic = fields.all_exponents(d, 3), \
+            fields.all_exponents(d, 2)
+        ks = 0.4 * rng.standard_normal((count, d * len(cubic)))
+        ks[2, 3] = 0.0
+        stack = FieldStack(np.tile(cubic, (d, 1)), (len(cubic),) * d, ks)
+        assert len(stack._families) == 2
+        alone = _member_fields(np.tile(cubic, (d, 1)), (len(cubic),) * d,
+                               ks)
+        xs = rng.uniform(-0.8, 0.8, size=(count, d))
+        got = piola_residual(stack, xs, (1e-4, 5e-5))
+        for m in range(count):
+            for s, step in enumerate((1e-4, 5e-5)):
+                assert _same(got[m, s], piola_residual(alone[m], xs[m],
+                                                       step))
+
+        moments = [ExpPolyDensity.random_moments(d, rng)
+                   for _ in range(count)]
+        means, covs = (np.array(a) for a in zip(*moments))
+        hs = 0.5 * rng.standard_normal((count, len(quadratic)))
+        vs = 0.05 * rng.standard_normal((count, d * len(quadratic)))
+        hs[1, 2], vs[3, 0] = 0.0, 0.0
+        ys = 0.3 * rng.standard_normal(count)
+        xs = rng.uniform(-0.4, 0.4, size=(count, d))
+        h_stack = PolyScalarField.stack(quadratic, hs)
+        v_stack = FieldStack(np.tile(quadratic, (d, 1)),
+                             (len(quadratic),) * d, vs)
+        assert len(h_stack._field._families) == 2
+        assert len(v_stack._families) == 2
+        got = el_generator_invariance(ExpPolyDensity.gaussians(means, covs),
+                                      h_stack, v_stack, xs, ys, 0.01)
+        h_alone = _member_fields(quadratic, (len(quadratic),), hs)
+        v_alone = _member_fields(np.tile(quadratic, (d, 1)),
+                                 (len(quadratic),) * d, vs)
+        for m in range(count):
+            want = el_generator_invariance(
+                ExpPolyDensity.gaussian(*moments[m]),
+                PolyScalarField(h_alone[m].components[0]), v_alone[m],
+                xs[m], ys[m], 0.01)
+            for name in want:
+                assert _same(got[name][m], want[name]), (m, name)
+
+        affine = np.concatenate([np.eye(d, dtype=int),
+                                 np.zeros((1, d), dtype=int)])
+        gains = rng.standard_normal((count, d))
+        hs = rng.standard_normal((count, d + 1))
+        hs[0, 1], gains[2, 0] = 0.0, 0.0
+        k_stack = FieldStack(np.zeros((d, d), dtype=int), (1,) * d, gains)
+        got = dz_order_residual(ExpPolyDensity.gaussians(means, covs),
+                                PolyScalarField.stack(affine, hs), k_stack,
+                                xs)
+        h_alone = _member_fields(affine, (d + 1,), hs)
+        k_alone = _member_fields(np.zeros((d, d), dtype=int), (1,) * d,
+                                 gains)
+        for m in range(count):
+            assert _same(got[m], dz_order_residual(
+                ExpPolyDensity.gaussian(*moments[m]),
+                PolyScalarField(h_alone[m].components[0]), k_alone[m],
+                xs[m]))
+
+    def test_a_singular_probe_raises(self):
+        """piola rejects a stack one of whose probes has a singular V at
+        its point, naming the probe, as it rejects that probe alone."""
+        stack = FieldStack(np.eye(2, dtype=int), (1, 1),
+                           [[0.1, 0.2], [-1.0, -1.0], [0.3, -0.1]])
+        xs = np.full((3, 2), 0.2)
+        with pytest.raises(ValueError, match="singular.* probe 1$"):
+            piola_residual(stack, xs)
+        alone = _member_fields(np.eye(2, dtype=int), (1, 1),
+                               np.array([[-1.0, -1.0]]))[0]
+        with pytest.raises(ValueError, match="singular"):
+            piola_residual(alone, xs[1])
 
     def test_appendix_b_rows_equal_each_probe_alone(self):
         rows = verify.run_suite("appendixB")
@@ -1260,7 +1429,7 @@ class TestGeneratorInvariance:
         (both agree to ~1.6e-10; the suite's tolerance is 1e-6)."""
         rng, dt = np.random.default_rng(3001), 0.01
         for i in range(50):
-            p, h, v, x, y = verify._el_probe(rng, 1 + i % 2)
+            p, h, v, x, y = _el_probe(rng, 1 + i % 2)
             got = el_generator_invariance(p, h, v, x, y, dt)
             want = _mp_generator_invariance(p, h, v, x, y, dt)
             assert set(got) == set(want)
@@ -1314,7 +1483,7 @@ class TestGeneratorInvariance:
         [-10, 10] to 1e-10 relative."""
         rng, dt = np.random.default_rng(3001), 0.01
         for i in range(50):
-            p, h, _, _, y = verify._el_probe(rng, 1 + i % 2)
+            p, h, _, _, y = _el_probe(rng, 1 + i % 2)
             axes = [np.linspace(-10.0, 10.0, 201)] * p.dim
             pts = np.stack(np.meshgrid(*axes, indexing="ij"),
                            axis=-1).reshape(-1, p.dim)
