@@ -81,7 +81,10 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
 
     Terms are separated by top-level + or -, factors within a term by *;
     a factor is either a float literal or x<i> with an optional integer
-    power. Scientific notation is fine ('1e-3*x1').
+    power. Scientific notation is fine ('1e-3*x1'). A term whose
+    coefficients sum to 0 is dropped: a Polynomial keeps its zero terms,
+    and '0*x1^400' would build powers that overflow where the field is
+    otherwise finite (inf * 0 is NaN).
     """
     cleaned = text.replace("**", "^").replace(" ", "")
     if not cleaned:
@@ -120,7 +123,7 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
                         f"{piece!r}") from None
         key = tuple(alpha)
         terms[key] = terms.get(key, 0.0) + coef
-    return Polynomial(dim, terms)
+    return Polynomial(dim, {key: c for key, c in terms.items() if c != 0.0})
 
 
 # ---------------------------------------------------------------------------

@@ -26,22 +26,26 @@ family is built from arrays:
   exponents from one per dimension. Term order is free: each (partial,
   component, monomial) weight comes from exactly one term, so a field's
   bits depend on its coefficients' arithmetic and not on the order of its
-  terms.
-- `partial_table`'s map and a family's weight layout (each map entry's
+  terms. A field keeps every term it is given, a zero coefficient's too,
+  so a stack's members share their terms whatever their draws; a zero
+  term still builds its powers, and where one overflows, its 0 weight
+  makes the field NaN (inf * 0), so `config.parse_polynomial` drops the
+  zero terms a user writes.
+- `partial_table`'s map and a field's weight layout (each map entry's
   flat scatter position, each order's gather rows) are one lru_cache
   entry, keyed by (dim, exponent shape and bytes, order, component term
   counts) and bounded at 1,024 entries.
-- A family (`_Family`) is P fields on the same terms, with coefficient
-  rows (P, T): one multiply, one scatter and one gather per order give its
-  weight tables (P, Q, K), and its partials at points (P, N, d), member m
-  at points[m], are one stacked matrix product per order and block of
-  points, one BLAS call a member. Every field is a family of one, which
-  evaluates a batch of ensembles (B, N, d) the same way, one BLAS call an
-  ensemble; a `FieldStack` (`PolyScalarField.stack`,
-  `ExpPolyDensity.gaussians`) holds P fields, grouped into families by the
-  terms their zero coefficients leave, so that verify evaluates all its
-  probes of one dimension in one call, and evaluates every member at
-  shared points (N, d) from one power table a family.
+- A `PolyVectorField` is one coefficient-row table: P fields on the same
+  terms, with coefficient rows (P, T). One multiply, one scatter and one
+  gather per order give its weight tables (P, Q, K), and its partials at
+  points (P, N, d), member m at points[m], are one stacked matrix product
+  per order and block of points, one BLAS call a member. A field built
+  from components is one row, which evaluates a batch of ensembles
+  (B, N, d) the same way, one BLAS call an ensemble; a stack
+  (`PolyVectorField.stack`, `PolyScalarField.stack`,
+  `ExpPolyDensity.gaussians`) holds P fields, so that verify evaluates
+  all its probes of one dimension in one call, and evaluates every member
+  at shared points (N, d) from one power table.
 - Layout is part of the bits: values @ table rounds by the operands'
   layout, so each member's table is the column-major view of a C-ordered
   gather that a field's has always been, and its values the F-ordered
@@ -221,17 +225,16 @@ def _product(values: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class Polynomial:
-    """Multivariate polynomial: exponents (T, d) and coefficients (T,).
-    Terms with a zero coefficient are dropped."""
+    """Multivariate polynomial: exponents (T, d) and coefficients (T,),
+    every term kept, a zero coefficient's too. A zero term is evaluated
+    with the others, so a field holding one is NaN wherever that term's
+    power overflows (inf * 0), e.g. 0 * x1^400 at |x1| > 5.9."""
 
     def __init__(self, dim: int, terms: Dict[Tuple[int, ...], float]):
         self._set(dim, np.array(list(terms), dtype=int).reshape(-1, dim),
                   np.array([float(c) for c in terms.values()]))
 
     def _set(self, dim: int, exponents: np.ndarray, coeffs: np.ndarray):
-        if not coeffs.all():
-            keep = coeffs != 0.0
-            exponents, coeffs = exponents[keep], coeffs[keep]
         self.dim = dim
         self.exponents, self.coeffs = exponents, coeffs
         self.exponents.flags.writeable = self.coeffs.flags.writeable = False
@@ -262,78 +265,15 @@ class Polynomial:
 @lru_cache(maxsize=None)
 def all_exponents(dim: int, degree: int) -> np.ndarray:
     """Every exponent of total degree <= degree, (T, dim) in the order of
-    itertools.product; read-only."""
+    itertools.product; read-only. The order must stay: a random probe's
+    coefficients are drawn in this order, so it fixes which draw goes to
+    which term of every random verify probe."""
     exponents = np.array([alpha for alpha in product(range(degree + 1),
                                                      repeat=dim)
                           if sum(alpha) <= degree],
                          dtype=int).reshape(-1, dim)
     exponents.flags.writeable = False
     return exponents
-
-
-class _Family:
-    """P vector fields whose J components hold counts[j] terms in turn on
-    shared exponents (T, d), with coefficients (P, T): the evaluation core
-    of every field, a field being a family of one."""
-
-    def __init__(self, exponents: np.ndarray, counts: Tuple[int, ...],
-                 coeffs: np.ndarray):
-        self.exponents, self.counts, self.coeffs = exponents, counts, coeffs
-        self._weight_tables = (None, [], None)   # what _weights built last
-
-    def _weights(self, order: int):
-        """(monomials, tables, rows), rows the monomials' monomial_rows:
-        tables[r] (P, Q, d**r * J) holds the weights of the order-r
-        partials, columns ordered (i, l, m, j), for r up to the highest
-        order asked so far. Each entry of the cached plan's map puts its
-        term's coefficient times w at its scatter position in a flat
-        (combos, J, Q) array per member, whose gathered rows are each
-        order's weights. Each member's tables[r] is a column-major view of
-        that C-ordered (d**r, J, Q) gather: BLAS rounds values @ tables[r]
-        by the operands' layout, so the layout is part of every field's
-        bits, and a member of a family gets the bits of its own field."""
-        if len(self._weight_tables[1]) > order:
-            return self._weight_tables
-        exponents = self.exponents
-        d = exponents.shape[1]
-        monomials, rows, (_, t, _, w), index, scatter = _partial_plan(
-            d, exponents.shape, exponents.tobytes(), order, self.counts)
-        p, j, q = len(self.coeffs), len(self.counts), len(monomials)
-        phi = np.zeros((p, math.comb(d + order, order), j * q))
-        phi.reshape(p, -1)[:, scatter] = self.coeffs[:, t] * w
-        self._weight_tables = monomials, [
-            np.take(phi, i.ravel(), axis=1).reshape(p, i.size, j, q)
-            .transpose(0, 3, 1, 2).reshape(p, q, i.size * j)
-            for i in index], rows
-        return self._weight_tables
-
-    def jet(self, points: np.ndarray, orders: Sequence[int]) -> list:
-        """The partials of each order r in `orders` of member m at
-        points[m], points (P, N, d): shape (P, N) + (d,) * r + (J,).
-        Points (1, N, d) are every member's, and a family of one evaluates
-        each points[b] of points (B, N, d), as one stacked product whose
-        slice b is the product of points[b] alone: its operand of one is
-        broadcast, not copied.  The points are evaluated in blocks, so a
-        block's (P, Q, N) values are all that exist at once.  A block is a
-        multiple of 64 points holding at most JET_BLOCK values a member or
-        ensemble (64 points at least), and the last block takes a single
-        point left over, as BLAS rounds a one-row product differently.
-        The blocks depend on N and Q alone, so a member gets the bits of
-        its own field; a block's rows need not get the bits of a longer
-        product, even on one thread."""
-        _, tables, rows = self._weights(max(orders))
-        n, d = points.shape[1:]
-        p = max(len(points), len(self.coeffs))
-        block = max(64, JET_BLOCK // max(1, rows.shape[1]) // 64 * 64)
-        if n > block + 1:
-            bounds = [0, *range(block, n - 1, block), n]
-            parts = [self.jet(points[:, lo:hi], orders)
-                     for lo, hi in zip(bounds, bounds[1:])]
-            return [np.concatenate(jets, axis=1) for jets in zip(*parts)]
-        values = np.ascontiguousarray(
-            monomial_values(points, rows)).swapaxes(-1, -2)
-        return [_product(values, tables[r]).reshape(
-            (p, n) + (d,) * r + (len(self.counts),)) for r in orders]
 
 
 def _as_points(points) -> np.ndarray:
@@ -356,11 +296,12 @@ class PolyScalarField:
     def stack(cls, exponents: np.ndarray,
               coeffs: np.ndarray) -> "PolyScalarField":
         """P scalar fields with coefficient rows coeffs (P, T) on exponents
-        (T, d), evaluated as FieldStack evaluates its members; poly is
-        None."""
+        (T, d), evaluated as PolyVectorField.stack evaluates its members;
+        poly is None."""
         stacked = cls.__new__(cls)
         stacked.poly, stacked.dim = None, exponents.shape[1]
-        stacked._field = FieldStack(exponents, (len(exponents),), coeffs)
+        stacked._field = PolyVectorField.stack(exponents, (len(exponents),),
+                                               coeffs)
         return stacked
 
     def _jet(self, points, orders: Sequence[int]) -> list:
@@ -379,15 +320,40 @@ class PolyScalarField:
 
 
 class PolyVectorField:
-    """Vector field with polynomial components and exact derivatives."""
+    """Vector field with polynomial components and exact derivatives.
+
+    Its J components hold counts[j] terms in turn on exponents (T, d), with
+    coefficient rows coeffs (P, T): P fields on the same terms.  A field
+    built from components is one row, and evaluates points (..., N, d)
+    with no member axis; a `stack` keeps the member axis."""
 
     def __init__(self, components: Sequence[Polynomial]):
         self.components = list(components)
         self.dim = len(self.components)
-        self._family = _Family(
-            np.concatenate([c.exponents for c in self.components]),
-            tuple(len(c.coeffs) for c in self.components),
-            np.concatenate([c.coeffs for c in self.components])[None])
+        self._set(np.concatenate([c.exponents for c in self.components]),
+                  tuple(len(c.coeffs) for c in self.components),
+                  np.concatenate([c.coeffs for c in self.components])[None])
+
+    def _set(self, exponents: np.ndarray, counts: Tuple[int, ...],
+             coeffs: np.ndarray):
+        self.exponents, self.counts, self.coeffs = exponents, counts, coeffs
+        self._weight_tables = (None, [], None)   # what _weights built last
+
+    @classmethod
+    def stack(cls, exponents: np.ndarray, counts: Tuple[int, ...],
+              coeffs: np.ndarray) -> "PolyVectorField":
+        """P vector fields with coefficient rows coeffs (P, T) on shared
+        exponents (T, d), whose J components hold counts[j] terms in turn:
+        partials, value and jac evaluate member m at points[m], points
+        (P, M, d), or every member at the same points (M, d), from one
+        power table, and stack the partials of order r as
+        (P, M) + (d,) * r + (J,); it has no components.  Each member gets
+        the bits of its own PolyVectorField."""
+        stacked = cls.__new__(cls)
+        stacked.components, stacked.dim = None, len(counts)
+        stacked._set(np.asarray(exponents, dtype=int), tuple(counts),
+                     np.asarray(coeffs, dtype=float))
+        return stacked
 
     @classmethod
     def random(cls, dim: int, degree: int, rng: np.random.Generator,
@@ -395,19 +361,77 @@ class PolyVectorField:
         return cls([Polynomial.random(dim, degree, rng, scale)
                     for _ in range(dim)])
 
+    def _weights(self, order: int):
+        """(monomials, tables, rows), rows the monomials' monomial_rows:
+        tables[r] (P, Q, d**r * J) holds the weights of the order-r
+        partials, columns ordered (i, l, m, j), for r up to the highest
+        order asked so far. Each entry of the cached plan's map puts its
+        term's coefficient times w at its scatter position in a flat
+        (combos, J, Q) array per member, whose gathered rows are each
+        order's weights. Each member's tables[r] is a column-major view of
+        that C-ordered (d**r, J, Q) gather: BLAS rounds values @ tables[r]
+        by the operands' layout, so the layout is part of every field's
+        bits, and a member of a stack gets the bits of its own field."""
+        if len(self._weight_tables[1]) > order:
+            return self._weight_tables
+        exponents = self.exponents
+        d = exponents.shape[1]
+        monomials, rows, (_, t, _, w), index, scatter = _partial_plan(
+            d, exponents.shape, exponents.tobytes(), order, self.counts)
+        p, j, q = len(self.coeffs), len(self.counts), len(monomials)
+        phi = np.zeros((p, math.comb(d + order, order), j * q))
+        phi.reshape(p, -1)[:, scatter] = self.coeffs[:, t] * w
+        self._weight_tables = monomials, [
+            np.take(phi, i.ravel(), axis=1).reshape(p, i.size, j, q)
+            .transpose(0, 3, 1, 2).reshape(p, q, i.size * j)
+            for i in index], rows
+        return self._weight_tables
+
     def _jet(self, points, orders: Sequence[int]) -> list:
-        """The partials of each order r in `orders` at points (..., N, d),
-        shape (..., N) + (d,) * r + (J,).  A batch is one call whose
-        products are one per (N, d) ensemble, as a product over all its
-        rows may round a row otherwise, each with the bits of that
-        ensemble alone, in its family's blocks of points.  Complex points
-        are evaluated in complex128 through the same tables."""
+        """The partials of each order r in `orders`: a stack's at points
+        (P, M, d) or (M, d), shape (P, M) + (d,) * r + (J,), and a field's
+        at points (..., N, d), shape (..., N) + (d,) * r + (J,).  A batch
+        is one call whose products are one per (N, d) ensemble, as a
+        product over all its rows may round a row otherwise, each with the
+        bits of that ensemble alone.  Complex points are evaluated in
+        complex128 through the same tables."""
         points = _as_points(points)
         if points.ndim == 2:
-            return [a[0] for a in self._family.jet(points[None], orders)]
-        jets = self._family.jet(points.reshape(-1, *points.shape[-2:]),
-                                orders)
+            jets = self._rows_jet(points[None], orders)
+            return jets if self.components is None else [a[0] for a in jets]
+        jets = self._rows_jet(points.reshape(-1, *points.shape[-2:]),
+                              orders)
+        if self.components is None:
+            return jets
         return [a.reshape(points.shape[:-2] + a.shape[1:]) for a in jets]
+
+    def _rows_jet(self, points: np.ndarray, orders: Sequence[int]) -> list:
+        """The partials of each order r in `orders` of member m at
+        points[m], points (P, N, d): shape (P, N) + (d,) * r + (J,).
+        Points (1, N, d) are every member's, and a field of one row
+        evaluates each points[b] of points (B, N, d), as one stacked
+        product whose slice b is the product of points[b] alone: its
+        operand of one is broadcast, not copied.  The points are evaluated
+        in blocks, so a block's (P, Q, N) values are all that exist at
+        once.  A block is a multiple of 64 points holding at most
+        JET_BLOCK values a member or ensemble (64 points at least), and
+        the last block takes a single point left over, as BLAS rounds a
+        one-row product differently.  The blocks depend on N and Q alone,
+        so a member gets the bits of its own field; a block's rows need
+        not get the bits of a longer product, even on one thread."""
+        _, tables, rows = self._weights(max(orders))
+        n, d = points.shape[1:]
+        p = max(len(points), len(self.coeffs))
+        block = max(64, JET_BLOCK // max(1, rows.shape[1]) // 64 * 64)
+        if n > block + 1:
+            bounds = [0, *range(block, n - 1, block), n]
+            parts = [self._rows_jet(points[:, lo:hi], orders)
+                     for lo, hi in zip(bounds, bounds[1:])]
+            return [np.concatenate(jets, axis=1) for jets in zip(*parts)]
+        values = np.ascontiguousarray(
+            monomial_values(points, rows)).swapaxes(-1, -2)
+        return [_product(values, tables[r]).reshape(
+            (p, n) + (d,) * r + (len(self.counts),)) for r in orders]
 
     def partials(self, points, order: int) -> list:
         """[value, jac, second, third][:order + 1] from one power table per
@@ -420,57 +444,6 @@ class PolyVectorField:
     def jac(self, points) -> np.ndarray:
         """jac[n, i, j] = dF_j/dx_i, i.e. each jac[n] is (grad F^T)."""
         return self._jet(points, (1,))[0]
-
-
-class FieldStack(PolyVectorField):
-    """P vector fields with coefficient rows coeffs (P, T) on shared
-    exponents (T, d), whose J components hold counts[j] terms in turn:
-    a PolyVectorField whose partials, value and jac evaluate member m at
-    points[m], points (P, M, d), or every member at the same points
-    (M, d), and stack its partials of order r as (P, M) + (d,) * r + (J,);
-    it has no components.  Shared points take one power table per
-    family, not one per member.  A zero
-    coefficient drops its term from its member, as Polynomial drops it,
-    and each member gets the bits of its own PolyVectorField.  Members
-    with the same terms (a probe family) form one _Family, whose tables
-    are built with one scatter and whose partials of each order are one
-    stacked matrix product per block of points; a member whose draw
-    dropped a term is a family of its own."""
-
-    def __init__(self, exponents: np.ndarray, counts: Tuple[int, ...],
-                 coeffs: np.ndarray):
-        exponents = np.asarray(exponents, dtype=int)
-        coeffs = np.asarray(coeffs, dtype=float)
-        self.dim, self.size = len(counts), len(coeffs)
-        owner = np.repeat(np.arange(len(counts)), counts)
-        nonzero = coeffs != 0.0
-        members: Dict[bytes, list] = {}
-        for m, row in enumerate(nonzero):
-            members.setdefault(row.tobytes(), []).append(m)
-        self._families = []
-        for ms in members.values():
-            keep = nonzero[ms[0]]
-            self._families.append((np.array(ms), _Family(
-                exponents[keep],
-                tuple(np.bincount(owner[keep], minlength=len(counts))
-                      .tolist()),
-                coeffs[ms][:, keep])))
-
-    def _jet(self, points, orders: Sequence[int]) -> list:
-        points = _as_points(points)
-        if points.ndim == 2:
-            points = points[None]
-        if len(self._families) == 1:
-            return self._families[0][1].jet(points, orders)
-        parts = [(ms, family.jet(points if len(points) == 1 else points[ms],
-                                 orders))
-                 for ms, family in self._families]
-        out = [np.empty((self.size,) + a.shape[1:], dtype=a.dtype)
-               for a in parts[0][1]]
-        for ms, jets in parts:
-            for o, a in zip(out, jets):
-                o[ms] = a
-        return out
 
 
 class ExpPolyDensity:
@@ -500,9 +473,9 @@ class ExpPolyDensity:
     def gaussians(cls, means: np.ndarray,
                   covs: np.ndarray) -> "ExpPolyDensity":
         """P Gaussians N(means[m], covs[m]), means (P, d) and covs (P, d, d),
-        as one density evaluated as FieldStack evaluates its members:
-        member m at points[m], points (P, M, d), or every member at points
-        (M, d), with the bits of gaussian(means[m], covs[m])."""
+        as one density evaluated as PolyVectorField.stack evaluates its
+        members: member m at points[m], points (P, M, d), or every member
+        at points (M, d), with the bits of gaussian(means[m], covs[m])."""
         means = np.asarray(means, dtype=float)
         stacked = cls.__new__(cls)
         stacked.dim = means.shape[1]

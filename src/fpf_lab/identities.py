@@ -10,7 +10,7 @@ on all the points the difference needs.
 Every probe check (piola_residual, el_generator_invariance and its
 observation_marginal, dz_order_residual, dt_order_residual, the
 quadratic-term identities and the Lemma 2 expansion) also takes P probes
-at once: stacked fields (fields.FieldStack, PolyScalarField.stack,
+at once: stacked fields (PolyVectorField.stack, PolyScalarField.stack,
 ExpPolyDensity.gaussians), or one field that all P share, at points x
 (P, d), evaluated once per stencil for all P, with arithmetic that
 carries a leading probe axis (one BLAS product per probe where the
@@ -69,11 +69,11 @@ def piola_residual(v: PolyVectorField, x: np.ndarray,
     central difference.
 
     v is one field at one point x (d,), giving (d,), or P probes stacked
-    (FieldStack) at points x (P, d), giving (P, d). fd_step is one step,
-    or S steps (S,), giving (S, d) or (P, S, d): the points of every
-    step's stencil, x, then x + step e_i and x - step e_i, go through one
-    v.jac call, and the minors of all of them through one batched det. A
-    probe where V is singular at x raises ValueError.
+    (PolyVectorField.stack) at points x (P, d), giving (P, d). fd_step is
+    one step, or S steps (S,), giving (S, d) or (P, S, d): the points of
+    every step's stencil, x, then x + step e_i and x - step e_i, go
+    through one v.jac call, and the minors of all of them through one
+    batched det. A probe where V is singular at x raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -242,10 +242,11 @@ def dz_order_residual(p: ExpPolyDensity, h: PolyScalarField,
     (verified here on closed-form families). All terms are analytic.
 
     The fields are one probe at one point x (d,), giving (d,), or P probes
-    at points x (P, d), giving (P, d): each field stacked (FieldStack,
-    PolyScalarField.stack, ExpPolyDensity.gaussians) evaluates member m
-    at x[m], and one field shared by all evaluates every x[m], in one call
-    either way. Each probe's row has the bits of that probe alone.
+    at points x (P, d), giving (P, d): each field stacked
+    (PolyVectorField.stack, PolyScalarField.stack,
+    ExpPolyDensity.gaussians) evaluates member m at x[m], and one field
+    shared by all evaluates every x[m], in one call either way. Each
+    probe's row has the bits of that probe alone.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -355,10 +356,10 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
     6-8 difference an analytic scalar in the outermost layer only.
 
     p and K are one density and field at one point x (d,), or P probes
-    stacked (ExpPolyDensity.gaussians, FieldStack) at points x (P, d),
-    whose lhs and rhs are (P, d): each field is evaluated once per stencil
-    for all P probes, and probe m's row has the bits of probe m alone, a
-    batch of one, which a single probe is.
+    stacked (ExpPolyDensity.gaussians, PolyVectorField.stack) at points
+    x (P, d), whose lhs and rhs are (P, d): each field is evaluated once
+    per stencil for all P probes, and probe m's row has the bits of probe
+    m alone, a batch of one, which a single probe is.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:

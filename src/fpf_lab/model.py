@@ -115,9 +115,10 @@ class SdeModel:
 
 
 def _affine_parts(poly: Polynomial) -> Optional[Tuple[np.ndarray, float]]:
-    """(coefficient vector, offset) of an affine polynomial, else None."""
+    """(coefficient vector, offset) of an affine polynomial, else None;
+    a term whose coefficient is 0 (or -0.0) does not count."""
     degree = poly.exponents.sum(axis=1)
-    if np.any(degree > 1):
+    if np.any(degree[poly.coeffs != 0.0] > 1):
         return None
     return (poly.coeffs[degree == 1] @ poly.exponents[degree == 1],
             float(poly.coeffs[degree == 0].sum()))

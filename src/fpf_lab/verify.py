@@ -17,8 +17,8 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from .fields import (ExpPolyDensity, FieldStack, Polynomial,
-                     PolyScalarField, PolyVectorField, all_exponents)
+from .fields import (ExpPolyDensity, Polynomial, PolyScalarField,
+                     PolyVectorField, all_exponents)
 from .grid import cumulative_trapezoid, trapezoid
 from .identities import (
     QUADRATIC_IDENTITY_IDS,
@@ -87,11 +87,12 @@ def _vector_coeffs(d: int, degree: int, scale: float,
     return scale * rng.standard_normal(d * len(all_exponents(d, degree)))
 
 
-def _vector_stack(d: int, degree: int, coeffs: np.ndarray) -> FieldStack:
+def _vector_stack(d: int, degree: int,
+                  coeffs: np.ndarray) -> PolyVectorField:
     """The fields of _vector_coeffs rows (P, d * T), stacked."""
     exponents = all_exponents(d, degree)
-    return FieldStack(np.tile(exponents, (d, 1)), (len(exponents),) * d,
-                      coeffs)
+    return PolyVectorField.stack(np.tile(exponents, (d, 1)),
+                                 (len(exponents),) * d, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +363,8 @@ def suite_taylor() -> List[CheckRow]:
         gaps[idx] = np.max(np.abs(dz_order_residual(
             ExpPolyDensity.gaussians(means, covs),
             PolyScalarField.stack(np.concatenate([eye, 0 * eye[:1]]), hs),
-            FieldStack(0 * eye, (1,) * d, gains), xs)), axis=-1)
+            PolyVectorField.stack(0 * eye, (1,) * d, gains), xs)),
+            axis=-1)
     rows = [_row("taylor-dz", i, r, 1e-10)
             for i, r in enumerate(gaps.tolist())]
 

@@ -72,6 +72,13 @@ class TestParsePolynomial:
         poly = parse_polynomial("x1 + x1", dim=1)
         assert poly.terms == {(1,): 2.0}
 
+    def test_zero_terms_are_dropped(self):
+        """A term whose coefficients sum to 0, or -0.0, is dropped, so
+        0*x1^400 builds no power that overflows."""
+        poly = parse_polynomial("x1^3 + 0*x1^400 - 0.0*x1 + x1^2 - x1^2",
+                                dim=1)
+        assert poly.terms == {(3,): 1.0}
+
     def test_empty_expression_rejected(self):
         with pytest.raises(ConfigError, match="empty polynomial"):
             parse_polynomial("   ", dim=1)
@@ -135,13 +142,20 @@ class TestLoadConfig:
         assert fc.admissibility_eps == 1e-6
         assert fc.abort_on_inadmissible is True
 
-    def test_inline_model_recovers_affine_metadata(self, tmp_path):
-        text = """\
+    @pytest.mark.parametrize("drift_1, obs", [
+        ("-1.0*x1 + 0.5*x2", "x1 + 0.5"),
+        ("-1.0*x1 + 0.5*x2 + 0*x2^3", "x1 + 0.5 + 0*x1^2"),
+    ], ids=["affine", "zero-terms"])
+    def test_inline_model_recovers_affine_metadata(self, tmp_path, drift_1,
+                                                   obs):
+        """An affine model keeps its drift matrix and observation vector
+        when it spells out nonlinear terms with a zero coefficient."""
+        text = f"""\
 [model]
 dimension = 2
-drift_1 = -1.0*x1 + 0.5*x2
+drift_1 = {drift_1}
 drift_2 = -0.5*x1 - 1.0*x2
-obs = x1 + 0.5
+obs = {obs}
 sigma = 1.0
 
 [time]
@@ -191,6 +205,23 @@ filter = 3
 """
         cfg = load_config(_write(tmp_path, text))
         assert cfg.model.obs_vector is None
+
+    def test_inline_zero_term_of_high_power_stays_finite(self, tmp_path):
+        """A model whose drift and h spell out a zero term of high power
+        evaluates as the model without it, bit for bit, also where that
+        power would overflow."""
+        def model(drift, obs):
+            return load_config(_write(tmp_path, BASE_CONFIG.replace(
+                "name = linear1d", f"dimension = 1\ndrift_1 = {drift}\n"
+                f"obs = {obs}\nsigma = 1.0"))).model
+
+        zero = model("-1.0*x1 + 0*x1^300", "x1^3 + 0*x1^400")
+        plain = model("-1.0*x1", "x1^3")
+        states = np.array([[-10.0], [0.3], [6.5]])
+        for at in ("drift_at", "obs_at", "obs_grad_at"):
+            value = getattr(zero, at)(states)
+            assert np.isfinite(value).all()
+            assert value.tobytes() == getattr(plain, at)(states).tobytes()
 
     def test_prior_compare_and_output_sections(self, tmp_path):
         text = BASE_CONFIG + """

@@ -1,5 +1,7 @@
 """Tests for the gain-function solvers and admissibility diagnostics."""
 
+import math
+import time
 import tracemalloc
 from itertools import combinations_with_replacement
 
@@ -23,6 +25,7 @@ from fpf_lab import (
     monomial_exponents,
     sample_initial_ensemble,
 )
+from fpf_lab.config import MAX_DIM, MAX_GALERKIN_TABLE
 from fpf_lab.fields import Polynomial
 from fpf_lab.gain import (SingularGainError, _basis_table, _det,
                           galerkin_table_size)
@@ -272,6 +275,20 @@ class TestGalerkinGain:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             monomial_exponents(2, 0)
+
+    def test_largest_admitted_dimension_enumerates_only_its_basis(self):
+        """Config admits degree 2 at MAX_DIM = 20; its 230 monomials come
+        at once, not from filtering the 3^20 grid {0..2}^20 (d = 14 first,
+        whose 3^14 grid alone takes seconds to filter)."""
+        assert galerkin_table_size(MAX_DIM, 2) <= MAX_GALERKIN_TABLE
+        for d in (14, MAX_DIM):
+            start = time.perf_counter()
+            exps = monomial_exponents(d, 2)
+            assert time.perf_counter() - start < 1.0
+        rows = [tuple(a) for a in exps.tolist()]
+        assert len(rows) == len(set(rows)) == math.comb(MAX_DIM + 2, 2) - 1
+        assert all(1 <= sum(a) <= 2 for a in rows)
+        assert rows == sorted(rows, key=lambda a: (sum(a), a))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_table_size_is_the_basis_table_size(self, d):

@@ -19,7 +19,6 @@ from fpf_lab import fields, verify
 from fpf_lab.divergence import TV_DELTA
 from fpf_lab.fields import (
     ExpPolyDensity,
-    FieldStack,
     Polynomial,
     PolyScalarField,
     PolyVectorField,
@@ -182,9 +181,9 @@ class TestFieldPrimitives:
             assert gen.standard_normal() == scalar.standard_normal()
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
-    def test_random_polynomial_drops_an_exact_zero_draw(self, zero):
-        """A draw that holds an exact zero drops that term, as the dict
-        path does, and keeps the others in their order."""
+    def test_random_polynomial_keeps_an_exact_zero_draw(self, zero):
+        """A draw that holds an exact zero keeps its term, as the dict
+        path does, with every term in its order."""
         class Draws:
             def standard_normal(self, n):
                 draw = np.linspace(-1.0, 1.0, n) + 0.25
@@ -196,7 +195,9 @@ class TestFieldPrimitives:
                   if sum(alpha) <= 2]
         want = Polynomial(2, dict(zip(alphas,
                                       0.5 * Draws().standard_normal(6))))
-        assert len(got.coeffs) == 5 and (1, 0) not in got.terms
+        assert len(got.coeffs) == 6
+        assert got.terms[(1, 0)] == 0.0
+        assert np.signbit(got.terms[(1, 0)]) == np.signbit(zero)
         assert got.exponents.tobytes() == want.exponents.tobytes()
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
@@ -205,7 +206,7 @@ class TestFieldPrimitives:
         """ExpPolyDensity.gaussian's terms against the dict oracle: the
         same coefficient bytes exponent by exponent, in any term order
         (TestTermOrder), for random, diagonal (zero off-diagonal terms
-        dropped) and zero-mean (no linear terms) Gaussians."""
+        kept) and zero-mean (zero linear terms) Gaussians."""
         rng = np.random.default_rng(50 + dim)
         for case in range(60):
             mean = 0.3 * rng.standard_normal(dim) * (case % 3 != 1)
@@ -445,7 +446,7 @@ class TestCachedPlans:
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_tables_equal_the_map_built_tables(self, order):
-        """Every order's table, a field's one slice of its family's,
+        """Every order's table, a field's one member slice of it,
         equals the one built from partial_table's map, in values, shape
         and strides (BLAS rounds by layout), for
         random fields, scalar fields, uneven components and a field with
@@ -460,7 +461,7 @@ class TestCachedPlans:
                                    Polynomial(2, {(0, 3): 1.5, (1, 1): -1.0,
                                                   (0, 0): 0.5})])]
         for field in built:
-            got = [t[0] for t in field._family._weights(order)[1]]
+            got = [t[0] for t in field._weights(order)[1]]
             want = _weights_from_map(field, order)
             assert len(got) == len(want) == order + 1
             for g, w in zip(got, want):
@@ -469,7 +470,7 @@ class TestCachedPlans:
 
     def test_verify_builds_each_family_once(self, monkeypatch):
         """A pass of the seven suites builds one plan per distinct family
-        (dim, exponents, order, component term counts): 36, each once.
+        (dim, exponents, order, component term counts): 33, each once.
         The probe suites build the weight tables of their fields as
         stacks, one per (check, dimension, field) and per order upgrade:
         96 builds over all suites cover 1,419 fields, where a build per
@@ -481,9 +482,9 @@ class TestCachedPlans:
         build, keys = fields._partial_plan.__wrapped__, []
         monkeypatch.setattr(fields, "_partial_plan", lru_cache(maxsize=1024)(
             lambda *key: keys.append(key) or build(*key)))
-        weights, tables = fields._Family._weights, []
+        weights, tables = fields.PolyVectorField._weights, []
         monkeypatch.setattr(
-            fields._Family, "_weights",
+            fields.PolyVectorField, "_weights",
             lambda self, order: (len(self._weight_tables[1]) <= order
                                  and tables.append(len(self.coeffs)))
             or weights(self, order))
@@ -492,7 +493,7 @@ class TestCachedPlans:
             tables.clear()
             assert all(row.passed for row in verify.run_suite(suite))
             members[suite] = list(tables)
-        assert len(keys) == len(set(keys)) <= 36, len(keys)
+        assert len(keys) == len(set(keys)) <= 33, len(keys)
         stacked = {suite: (len(tables), sum(tables))
                    for suite, tables in members.items() if tables}
         assert stacked == {"piola": (2, 100), "appendixB": (48, 800),
@@ -672,10 +673,10 @@ class TestOneJetPerField:
             x = rng.uniform(-2.0, 2.0, size=(n, dim))
             value, h = field.value(x), scalar.value(x)
             for built in (field, scalar._field):
-                assert len(built._family._weight_tables[1]) == 1
+                assert len(built._weight_tables[1]) == 1
             jac, grad = field.jac(x), scalar.grad(x)
             for built in (field, scalar._field):
-                assert len(built._family._weight_tables[1]) == 2
+                assert len(built._weight_tables[1]) == 2
             for got, full in ((value, field.partials(x, 3)[0]),
                               (jac, field.partials(x, 3)[1]),
                               (h, scalar.partials(x, 3)[0]),
@@ -712,7 +713,7 @@ class TestOneJetPerField:
         field = PolyVectorField.random(3, 3, gen)
         batch = gen.uniform(-1.5, 1.5, size=(3, n, 3))
         wholes = [field.partials(x, 3) for x in batch]
-        q = field._family._weights(3)[2].shape[1]
+        q = field._weights(3)[2].shape[1]
         monkeypatch.setattr(fields, "JET_BLOCK", 64 * q + 63)
         calls, evaluate = [], fields.monomial_values
         monkeypatch.setattr(fields, "monomial_values",
@@ -794,7 +795,7 @@ class TestOneJetPerField:
 
 def _member_fields(exponents, counts, rows):
     """Each coefficient row's own PolyVectorField, its components built
-    through Polynomial, which drops a zero term."""
+    through Polynomial, which keeps a zero term."""
     bounds = np.cumsum((0,) + tuple(counts))
     d = exponents.shape[1]
     return [PolyVectorField([
@@ -824,19 +825,16 @@ class TestFieldStacks:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_cubic_vector_family(self, dim):
         """Nine cubic vector fields, one of whose draws is an exact zero
-        on a cubic term: that member drops the term, as its own field
-        does, and is a family of its own."""
+        on a cubic term: that member keeps the term, as its own field
+        does."""
         rng = np.random.default_rng(90 + dim)
         terms = fields.all_exponents(dim, 3)
         exponents = np.tile(terms, (dim, 1))
         counts = (len(terms),) * dim
         rows = 0.4 * rng.standard_normal((9, len(exponents)))
         rows[4, len(terms) - 1] = 0.0
-        stacked = FieldStack(exponents, counts, rows)
-        assert [ms.tolist() for ms, _ in stacked._families] \
-            == [[0, 1, 2, 3, 5, 6, 7, 8], [4]]
+        stacked = PolyVectorField.stack(exponents, counts, rows)
         alone = _member_fields(exponents, counts, rows)
-        assert len(alone[4].components[0].coeffs) == len(terms) - 1
         for n in (1, 2 * dim, 7):
             self._assert_members(stacked, alone,
                                  rng.uniform(-0.6, 0.6, size=(9, n, dim)))
@@ -844,7 +842,7 @@ class TestFieldStacks:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_gaussian_family(self, dim):
         """Eight Gaussians, the last with a diagonal covariance, whose
-        x_i x_j coefficients are exactly 0 when dim > 1 and dropped: each
+        x_i x_j coefficients are exactly 0 when dim > 1 and kept: each
         member's log-density and density partials are those of
         ExpPolyDensity.gaussian."""
         rng = np.random.default_rng(95 + dim)
@@ -853,8 +851,6 @@ class TestFieldStacks:
         means, covs = (np.array(a) for a in zip(*moments))
         stacked = ExpPolyDensity.gaussians(means, covs)
         alone = [ExpPolyDensity.gaussian(m, c) for m, c in moments]
-        assert len(alone[-1].q.poly.coeffs) == 1 + 2 * dim
-        assert len(stacked.q._field._families) == (1 if dim == 1 else 2)
         for n in (1, 2 * dim, 7):
             points = rng.uniform(-0.6, 0.6, size=(8, n, dim))
             self._assert_members(stacked.q, [p.q for p in alone], points)
@@ -866,7 +862,8 @@ class TestFieldStacks:
         rng = np.random.default_rng(99)
         terms = fields.all_exponents(2, 3)
         rows = rng.standard_normal((1, 2 * len(terms)))
-        stacked = FieldStack(np.tile(terms, (2, 1)), (len(terms),) * 2, rows)
+        stacked = PolyVectorField.stack(np.tile(terms, (2, 1)),
+                                        (len(terms),) * 2, rows)
         field = _member_fields(np.tile(terms, (2, 1)), (len(terms),) * 2,
                                rows)[0]
         points = rng.uniform(-1.0, 1.0, size=(1, 5, 2))
@@ -1207,18 +1204,18 @@ class TestStackedSuites:
                     == (f"invariance-{a}~{b}", str(i), rel)
         assert [row.check for row in rows[150:]] == ["el-bracket"] * 3
 
-    def test_a_zero_draw_drops_its_term_and_keeps_its_bits(self):
-        """A member whose draw is exactly 0 drops that term, as its own
-        field does, and is a family of its own: the stacked piola,
-        el-invariance and dz results still equal each probe alone."""
+    def test_a_zero_draw_keeps_its_term_and_its_bits(self):
+        """A member whose draw is exactly 0 keeps that term, as its own
+        field does: the stacked piola, el-invariance and dz results still
+        equal each probe alone."""
         rng = np.random.default_rng(77)
         d, count = 2, 4
         cubic, quadratic = fields.all_exponents(d, 3), \
             fields.all_exponents(d, 2)
         ks = 0.4 * rng.standard_normal((count, d * len(cubic)))
         ks[2, 3] = 0.0
-        stack = FieldStack(np.tile(cubic, (d, 1)), (len(cubic),) * d, ks)
-        assert len(stack._families) == 2
+        stack = PolyVectorField.stack(np.tile(cubic, (d, 1)),
+                                      (len(cubic),) * d, ks)
         alone = _member_fields(np.tile(cubic, (d, 1)), (len(cubic),) * d,
                                ks)
         xs = rng.uniform(-0.8, 0.8, size=(count, d))
@@ -1237,10 +1234,8 @@ class TestStackedSuites:
         ys = 0.3 * rng.standard_normal(count)
         xs = rng.uniform(-0.4, 0.4, size=(count, d))
         h_stack = PolyScalarField.stack(quadratic, hs)
-        v_stack = FieldStack(np.tile(quadratic, (d, 1)),
-                             (len(quadratic),) * d, vs)
-        assert len(h_stack._field._families) == 2
-        assert len(v_stack._families) == 2
+        v_stack = PolyVectorField.stack(np.tile(quadratic, (d, 1)),
+                                        (len(quadratic),) * d, vs)
         got = el_generator_invariance(ExpPolyDensity.gaussians(means, covs),
                                       h_stack, v_stack, xs, ys, 0.01)
         h_alone = _member_fields(quadratic, (len(quadratic),), hs)
@@ -1259,7 +1254,8 @@ class TestStackedSuites:
         gains = rng.standard_normal((count, d))
         hs = rng.standard_normal((count, d + 1))
         hs[0, 1], gains[2, 0] = 0.0, 0.0
-        k_stack = FieldStack(np.zeros((d, d), dtype=int), (1,) * d, gains)
+        k_stack = PolyVectorField.stack(np.zeros((d, d), dtype=int),
+                                        (1,) * d, gains)
         got = dz_order_residual(ExpPolyDensity.gaussians(means, covs),
                                 PolyScalarField.stack(affine, hs), k_stack,
                                 xs)
@@ -1275,8 +1271,9 @@ class TestStackedSuites:
     def test_a_singular_probe_raises(self):
         """piola rejects a stack one of whose probes has a singular V at
         its point, naming the probe, as it rejects that probe alone."""
-        stack = FieldStack(np.eye(2, dtype=int), (1, 1),
-                           [[0.1, 0.2], [-1.0, -1.0], [0.3, -0.1]])
+        stack = PolyVectorField.stack(np.eye(2, dtype=int), (1, 1),
+                                      [[0.1, 0.2], [-1.0, -1.0],
+                                       [0.3, -0.1]])
         xs = np.full((3, 2), 0.2)
         with pytest.raises(ValueError, match="singular.* probe 1$"):
             piola_residual(stack, xs)

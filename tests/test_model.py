@@ -550,6 +550,20 @@ class TestPolynomialModel:
                 model.obs_at(states),
                 states @ model.obs_vector + model.obs_offset, **tol)
 
+    def test_zero_terms_keep_the_affine_metadata(self):
+        """A nonlinear term with a zero coefficient, 0.0 or -0.0, which
+        Polynomial keeps, leaves the model affine: it keeps its drift
+        matrix, observation vector and offset."""
+        drift = [Polynomial(2, {(1, 0): -1.0, (0, 1): 0.5, (0, 3): 0.0}),
+                 Polynomial(2, {(1, 0): -0.5, (0, 1): -1.0})]
+        obs = Polynomial(2, {(1, 0): 1.0, (0, 0): 0.5, (2, 0): -0.0})
+        assert len(obs.coeffs) == 3
+        model = SdeModel(drift, obs, np.eye(2), "zero-terms")
+        np.testing.assert_array_equal(model.drift_matrix,
+                                      [[-1.0, 0.5], [-0.5, -1.0]])
+        np.testing.assert_array_equal(model.obs_vector, [1.0, 0.0])
+        assert model.obs_offset == 0.5
+
     @pytest.mark.parametrize("n", [5, 37])
     def test_batch_rows_are_each_ensembles_bits(self, n):
         """A cubic drift and h on a batch (3, N, 1) give, in slice s, the
