@@ -21,8 +21,8 @@ complex arithmetic.
 
 A probe family's structure is built once and cached; every field of the
 family is built from arrays:
-- `Polynomial.random` takes its exponents from a read-only table per
-  (dim, degree), `all_exponents`, and `ExpPolyDensity.gaussian` its
+- A random probe takes its exponents from a read-only table per (dim,
+  degree), `all_exponents`, and `ExpPolyDensity.gaussian` its
   exponents from one per dimension. Term order is free: each (partial,
   component, monomial) weight comes from exactly one term, so a field's
   bits depend on its coefficients' arithmetic and not on the order of its
@@ -251,16 +251,6 @@ class Polynomial:
         return dict(zip(map(tuple, self.exponents.tolist()),
                         self.coeffs.tolist()))
 
-    @classmethod
-    def random(cls, dim: int, degree: int, rng: np.random.Generator,
-               scale: float = 1.0) -> "Polynomial":
-        """Standard normal coefficients times scale on every exponent of
-        total degree <= degree, from one vector draw (the same values, and
-        the same generator state after, as one scalar draw per term)."""
-        exponents = all_exponents(dim, degree)
-        return cls._from_arrays(
-            dim, exponents, scale * rng.standard_normal(len(exponents)))
-
 
 @lru_cache(maxsize=None)
 def all_exponents(dim: int, degree: int) -> np.ndarray:
@@ -354,12 +344,6 @@ class PolyVectorField:
         stacked._set(np.asarray(exponents, dtype=int), tuple(counts),
                      np.asarray(coeffs, dtype=float))
         return stacked
-
-    @classmethod
-    def random(cls, dim: int, degree: int, rng: np.random.Generator,
-               scale: float = 1.0) -> "PolyVectorField":
-        return cls([Polynomial.random(dim, degree, rng, scale)
-                    for _ in range(dim)])
 
     def _weights(self, order: int):
         """(monomials, tables, rows), rows the monomials' monomial_rows:
@@ -483,14 +467,6 @@ class ExpPolyDensity:
             _gaussian_terms(stacked.dim)[0],
             _gaussian_coeffs(means, np.asarray(covs, dtype=float)))
         return stacked
-
-    @staticmethod
-    def random_moments(dim: int, rng: np.random.Generator):
-        """(mean, cov) of a random Gaussian probe: mean 0.3 z, cov I + a
-        a^T with a 0.3 Z, in that order."""
-        mean = 0.3 * rng.standard_normal(dim)
-        a = 0.3 * rng.standard_normal((dim, dim))
-        return mean, np.eye(dim) + a @ a.T
 
     def partials(self, points, order: int) -> list:
         """[p, grad p, hess p, third p][:order + 1] by the product rule on

@@ -7,17 +7,17 @@ the outermost layer, so each residual is either an exact cancellation
 when the step is halved. Each check evaluates each field once per stencil,
 on all the points the difference needs.
 
-Every probe check (piola_residual, el_generator_invariance and its
-observation_marginal, dz_order_residual, dt_order_residual, the
-quadratic-term identities and the Lemma 2 expansion) also takes P probes
-at once: stacked fields (PolyVectorField.stack, PolyScalarField.stack,
-ExpPolyDensity.gaussians), or one field that all P share, at points x
-(P, d), evaluated once per stencil for all P, with arithmetic that
-carries a leading probe axis (one BLAS product per probe where the
-one-probe formula has one, on operands of the one-probe layout, and no
-vectorized pow, which rounds some values otherwise than the scalar one).
-A single probe at x (d,) is a batch of one, through the same code, and
-each probe's result has its bits alone.
+Every probe check (piola_residual, el_bracket_residual,
+el_generator_invariance and its observation_marginal, dz_order_residual,
+dt_order_residual, the quadratic-term identities and the Lemma 2
+expansion) also takes P probes at once: stacked fields
+(PolyVectorField.stack, PolyScalarField.stack, ExpPolyDensity.gaussians),
+or one field that all P share, at points x (P, d), evaluated once per
+stencil for all P, with arithmetic that carries a leading probe axis (one
+BLAS product per probe where the one-probe formula has one, on operands
+of the one-probe layout, and no vectorized pow, which rounds some values
+otherwise than the scalar one). A single probe at x (d,) is a batch of
+one, through the same code, and each probe's result has its bits alone.
 
 Notation used throughout the docstrings: p is a smooth positive density,
 L = log p, h the scalar observation function, K and u vector fields,
@@ -115,23 +115,31 @@ def el_bracket_residual(p: ExpPolyDensity, h: PolyScalarField,
     v = K dz + u dt the bracket is a second-order remainder,
     O(dz^2 + dt^2). The outer gradient of g is a central difference with
     step 1e-4.
+
+    p, h and v are one probe at x (d,) with one observation y, giving
+    (d,), or P probes stacked at x (P, d) with y (P,), giving (P, d),
+    each field evaluated once per stencil for all P.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return el_bracket_residual(p, h, v, x[None], [y], dt)[0]
+    y = np.asarray(y, dtype=float)[:, None]
 
     def g_at(pts: np.ndarray) -> np.ndarray:
         shifted = pts + v.value(pts)     # rho(y | s): N(h(s), 1/dt) at y
         return p.value(shifted) * (np.sqrt(dt / (2.0 * np.pi)) * np.exp(
             -0.5 * dt * (y - h.value(shifted)) ** 2))
 
-    d = v.dim
-    g0 = g_at(x[None])[0]
-    p0, grad_p0 = (a[0] for a in p.partials(x, 1))
-    _, jac, sec = (a[0] for a in v.partials(x, 2))  # sec[i] = d_i grad v^T
-    v_inv = np.linalg.inv(np.eye(d) + jac)
-    logdet_grad = np.einsum("ab,iba->i", v_inv, sec)
+    # partials first, so that each field builds its weight tables once
+    _, jac, sec = (a[:, 0] for a in v.partials(x[:, None], 2))
+    p0, grad_p0 = (a[:, 0] for a in p.partials(x[:, None], 1))
+    g0 = g_at(x[:, None])
+    v_inv = np.linalg.inv(np.eye(v.dim) + jac)
+    # sec[:, i] = d_i V; tr(V^-1 d_i V) from one BLAS product per (probe, i)
+    logdet_grad = np.trace(v_inv[:, None] @ sec, axis1=-2, axis2=-1)
 
-    t1 = fd_grad(g_at, x, 1e-4) * p0
-    t2 = g0 * logdet_grad * p0
+    t1 = fd_grad(g_at, x, 1e-4) * p0[:, None]
+    t2 = g0 * logdet_grad * p0[:, None]
     t3 = -g0 * grad_p0
     return t1 + t2 + t3
 
@@ -366,8 +374,11 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
         lhs, rhs = quadratic_term_identity(identity_id, p, K, x[None],
                                            fd_step)
         return lhs[0], rhs[0]
-    _, gl, hl, tl = (a[:, 0] for a in p.q.partials(x[:, None], 3))
-    k, jk, sk, tk = (a[:, 0] for a in K.partials(x[:, None], 3))
+    # the orders read: third partials of L in 6 alone, of K in 8 alone
+    _, gl, hl, *tl = (a[:, 0] for a in p.q.partials(
+        x[:, None], 3 if identity_id == 6 else 2))
+    k, jk, sk, *tk = (a[:, 0] for a in K.partials(
+        x[:, None], 3 if identity_id == 8 else 2))
     jk_t = jk.swapaxes(-1, -2)
     grad_div_k = np.einsum("...all->...a", sk)
 
@@ -404,8 +415,8 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
         return lhs, rhs
 
     if identity_id == 6:
-        lhs = (-np.einsum("...l,...i,...lij->...j", k, k, tl)
-               + 0.5 * np.einsum("...a,...b,...abj->...j", k, k, tl)
+        lhs = (-np.einsum("...l,...i,...lij->...j", k, k, tl[0])
+               + 0.5 * np.einsum("...a,...b,...abj->...j", k, k, tl[0])
                - np.einsum("...i,...il,...jl->...j", k, hl, jk))
 
         def curvature_quad(pts):
@@ -437,7 +448,8 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
         return lhs, rhs
 
     if identity_id == 8:
-        lhs = -np.einsum("...i,...ijll->...j", k, tk) - _vm(grad_div_k, jk_t)
+        lhs = -np.einsum("...i,...ijll->...j", k, tk[0]) \
+            - _vm(grad_div_k, jk_t)
 
         def div_flux(pts):
             kk, _, sk2 = K.partials(pts, 2)
@@ -450,8 +462,8 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
 
 
 def double_divergence_expansion_check(p: ExpPolyDensity, K: PolyVectorField,
-                                      x: np.ndarray, fd_step: float = 1e-4
-                                      ) -> Tuple[float, float]:
+                                      x: np.ndarray, fd_step=1e-4
+                                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Product-rule expansion of sum_ij d^2(p K_i K_j)/dx_i dx_j.
 
     lhs: direct second differences of the analytic scalar p K_i K_j.
@@ -461,41 +473,50 @@ def double_divergence_expansion_check(p: ExpPolyDensity, K: PolyVectorField,
     p and K are one density and field at one point x (d,), giving floats,
     or P probes stacked at points x (P, d), giving arrays (P,) whose entry
     m has the bits of probe m alone, a batch of one, which a single probe
-    is.
+    is. fd_step is one step, or S steps (S,), whose lhs gains a last axis
+    (S,): the analytic rhs, which does not depend on the step, is computed
+    once, and each step's stencil is one call a field.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         lhs, rhs = double_divergence_expansion_check(p, K, x[None], fd_step)
-        return float(lhs[0]), float(rhs[0])
-    d, h, n, e = K.dim, fd_step, np.arange(K.dim), np.eye(K.dim)
-    a, b = np.nonzero(n[:, None] < n)
-    # the unique stencil: x, x + h e_i, x - h e_i, then x + h (s e_a + t e_b)
-    # for (s, t) = (1, 1), (1, -1), (-1, 1), (-1, -1), each over pairs a < b
-    s, t = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])[:, :, None, None]
-    pts = x[:, None] + h * np.concatenate(
-        [0 * e[:1], e, -e, (s * e[a] + t * e[b]).reshape(-1, d)])
-    kk = K.value(pts)
-    pkk = p.value(pts)[..., None, None] * kk[..., :, None] * kk[..., None, :]
-    pp, pm, mp, mm = 1 + 2 * d + np.arange(4 * len(a)).reshape(4, len(a))
-    lhs = np.sum((pkk[:, 1 + n, n, n] - 2.0 * pkk[:, 0, n, n]
-                  + pkk[:, 1 + d + n, n, n]) / h ** 2, axis=-1)
-    # the (i, j) = (a, b) terms, then (b, a); rows ij hold x + h (e_i - e_j)
-    for i, j, ij, ji in ((a, b, pm, mp), (b, a, mp, pm)):
-        lhs += np.sum((pkk[:, pp, i, j] - pkk[:, ij, i, j] - pkk[:, ji, i, j]
-                       + pkk[:, mm, i, j]) / (4.0 * h ** 2), axis=-1)
-
+        return (lhs[0] if lhs.ndim > 1 else float(lhs[0])), float(rhs[0])
+    # the analytic side first: its weight tables serve every stencil
     p0, gp, hp = (a[:, 0] for a in p.partials(x[:, None], 2))
     k, jk, sk = (a[:, 0] for a in K.partials(x[:, None], 2))
     div_k = np.trace(jk, axis1=-2, axis2=-1)
     grad_div_k = np.einsum("...all->...a", sk)
-
     rhs = (_dot(_vm(k, hp), k)
            + 2.0 * _dot(gp, k) * div_k
            + _dot(_vm(2.0 * k, jk), gp)
            + p0 * div_k ** 2
            + _dot(2.0 * p0[:, None] * grad_div_k, k)
            + p0 * np.trace(jk @ jk, axis1=-2, axis2=-1))
-    return lhs, rhs
+
+    d, n, e = K.dim, np.arange(K.dim), np.eye(K.dim)
+    a, b = np.nonzero(n[:, None] < n)
+    # the unique stencil: x, x + h e_i, x - h e_i, then x + h (s e_a + t e_b)
+    # for (s, t) = (1, 1), (1, -1), (-1, 1), (-1, -1), each over pairs a < b
+    s, t = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])[:, :, None, None]
+    offsets = np.concatenate(
+        [0 * e[:1], e, -e, (s * e[a] + t * e[b]).reshape(-1, d)])
+    pp, pm, mp, mm = 1 + 2 * d + np.arange(4 * len(a)).reshape(4, len(a))
+
+    lhs = []
+    for h in np.ravel(fd_step).tolist():
+        pts = x[:, None] + h * offsets
+        kk = K.value(pts)
+        pkk = p.value(pts)[..., None, None] * kk[..., :, None] \
+            * kk[..., None, :]
+        gap = np.sum((pkk[:, 1 + n, n, n] - 2.0 * pkk[:, 0, n, n]
+                      + pkk[:, 1 + d + n, n, n]) / h ** 2, axis=-1)
+        # (i, j) = (a, b), then (b, a); rows ij hold x + h (e_i - e_j)
+        for i, j, ij, ji in ((a, b, pm, mp), (b, a, mp, pm)):
+            gap += np.sum((pkk[:, pp, i, j] - pkk[:, ij, i, j]
+                           - pkk[:, ji, i, j] + pkk[:, mm, i, j])
+                          / (4.0 * h ** 2), axis=-1)
+        lhs.append(gap)
+    return (np.stack(lhs, axis=-1) if np.ndim(fd_step) else lhs[0]), rhs
 
 
 # ---------------------------------------------------------------------------

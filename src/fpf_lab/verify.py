@@ -13,7 +13,7 @@ tests, so the tolerances frozen here are the single source of truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, List
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .grid import cumulative_trapezoid, trapezoid
 from .identities import (
     QUADRATIC_IDENTITY_IDS,
     _dot,
+    _mv,
     bounded_slope_grad_log,
     double_divergence_expansion_check,
     el_bracket_residual,
@@ -61,35 +62,48 @@ def _convergence_row(check: str, point, gap: float, gap_half: float,
 
 
 # ---------------------------------------------------------------------------
-# probe families: drawn one at a time, checked one dimension at a time
+# probe families: drawn as arrays, checked one dimension at a time
 # ---------------------------------------------------------------------------
 
-def _by_dimension(probes: list) -> list:
-    """probes, each (d, *arrays), grouped by dimension in ascending order:
-    (indices, d, *stacked) per dimension, each array stacked over the
-    group's probes in draw order."""
-    groups: Dict[int, List[int]] = {}
-    for i, probe in enumerate(probes):
-        groups.setdefault(probe[0], []).append(i)
-    # unpack a list, not a generator: CPython grows a tuple of a generator
-    # by resizing it, and keeps it on its size's free list when it dies
-    # (up to 2,000 a size), so a tuple of each group's size piled up there
-    # every pass, and memory with them
-    return [(idx, d, *[np.array(a) for a in zip(*[probes[i][1:]
-                                                  for i in idx])])
-            for d, idx in sorted(groups.items())]
+def _draw(rng: np.random.Generator, dims: Iterable[int],
+          widths: Callable[[int], list], bound: float, observe=False) -> list:
+    """Probes drawn in turn, each of dimension d the next of `dims`: its
+    widths(d) normals in one call (the values and generator state of one
+    call a width), its point uniform(-bound, bound) (d,), and with
+    `observe` one normal more. (indices, d, z, x[, y]) per dimension in
+    ascending order, over its probes in draw order: z a (P, width) array
+    a width, x (P, d), y (P,)."""
+    groups: Dict[int, list] = {}
+    for i, d in enumerate(dims):
+        draws = [i, rng.standard_normal(sum(widths(d))),
+                 rng.uniform(-bound, bound, size=d)]
+        if observe:
+            draws.append(rng.standard_normal())
+        groups.setdefault(d, []).append(draws)
+    out = []
+    for d, probes in sorted(groups.items()):
+        # unpack a list, not a generator: CPython grows a tuple of a
+        # generator by resizing it, and keeps it on its size's free list
+        # when it dies (up to 2,000 a size), so a tuple of each group's
+        # size piled up there every pass, and memory with them
+        idx, z, *arrays = [np.array(a) for a in zip(*probes)]
+        out.append((idx, d, np.split(z, np.cumsum(widths(d))[:-1], axis=1),
+                    *arrays))
+    return out
 
 
-def _vector_coeffs(d: int, degree: int, scale: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """The coefficients of d components on every term of degree <= degree
-    in turn, drawn as PolyVectorField.random draws them."""
-    return scale * rng.standard_normal(d * len(all_exponents(d, degree)))
+def _moments(mean: np.ndarray, a: np.ndarray):
+    """(means, covs) from normals mean (P, d) and a (P, d * d): 0.3 mean
+    and I + b b^T with b = 0.3 a, a probe's bits those of its own."""
+    d = mean.shape[1]
+    a = 0.3 * a.reshape(-1, d, d)
+    return 0.3 * mean, np.eye(d) + a @ a.swapaxes(-1, -2)
 
 
 def _vector_stack(d: int, degree: int,
                   coeffs: np.ndarray) -> PolyVectorField:
-    """The fields of _vector_coeffs rows (P, d * T), stacked."""
+    """The stack of coefficient rows (P, d * T), each of d components on
+    every term of degree <= degree in turn."""
     exponents = all_exponents(d, degree)
     return PolyVectorField.stack(np.tile(exponents, (d, 1)),
                                  (len(exponents),) * d, coeffs)
@@ -98,6 +112,15 @@ def _vector_stack(d: int, degree: int,
 # ---------------------------------------------------------------------------
 # piola
 # ---------------------------------------------------------------------------
+
+def _piola_groups(rng: np.random.Generator) -> list:
+    """(indices, v, x) per dimension, v cubic displacements (scale 0.4)
+    and d = 2, 3 by index."""
+    return [(idx, _vector_stack(d, 3, 0.4 * v), xs)
+            for idx, d, (v,), xs in _draw(
+                rng, (2 + i % 2 for i in range(100)),
+                lambda d: [d * len(all_exponents(d, 3))], 0.8)]
+
 
 def suite_piola() -> List[CheckRow]:
     """Divergence-free cofactor columns for random cubic displacements.
@@ -108,16 +131,10 @@ def suite_piola() -> List[CheckRow]:
     stencils of one dimension's probes go through one Jacobian call, and
     each row has the bits of its probe checked alone.
     """
-    rng = np.random.default_rng(1003)
-    probes = []
-    for i in range(100):
-        d = 2 if i % 2 == 0 else 3
-        probes.append((d, _vector_coeffs(d, 3, 0.4, rng),
-                       rng.uniform(-0.8, 0.8, size=d)))
     gaps = np.empty((100, 2))
-    for idx, d, ks, xs in _by_dimension(probes):
-        gaps[idx] = np.max(np.abs(piola_residual(
-            _vector_stack(d, 3, ks), xs, (1e-4, 5e-5))), axis=-1)
+    for idx, v, xs in _piola_groups(np.random.default_rng(1003)):
+        gaps[idx] = np.max(np.abs(piola_residual(v, xs, (1e-4, 5e-5))),
+                           axis=-1)
     rows: List[CheckRow] = []
     for i, (r, r_half) in enumerate(gaps.tolist()):
         rows.append(_row("piola", i, r, 1e-6))
@@ -130,24 +147,14 @@ def suite_piola() -> List[CheckRow]:
 # appendixB / lm2 probe family
 # ---------------------------------------------------------------------------
 
-def _quadratic_probe(rng: np.random.Generator):
-    """(d, mean, cov, k, x): a Gaussian p's moments, the coefficients of a
-    cubic K and a point, drawn as random_moments, PolyVectorField.random
-    and uniform draw them."""
-    d = int(rng.integers(1, 4))
-    mean, cov = ExpPolyDensity.random_moments(d, rng)
-    return d, mean, cov, _vector_coeffs(d, 3, 0.4, rng), rng.uniform(
-        -0.6, 0.6, size=d)
-
-
-def _quadratic_groups(rng: np.random.Generator, count: int):
-    """`count` probes drawn in turn, then grouped by dimension: (indices,
-    p, K, x) per dimension, p and K the group's densities and fields
-    stacked and x (P, d) its points."""
-    return [(idx, ExpPolyDensity.gaussians(means, covs),
-             _vector_stack(d, 3, ks), xs)
-            for idx, d, means, covs, ks, xs in _by_dimension(
-                [_quadratic_probe(rng) for _ in range(count)])]
+def _quadratic_groups(rng: np.random.Generator, count: int) -> list:
+    """(indices, p, K, x) per dimension of `count` probes, p Gaussian, K
+    cubic (scale 0.4) and d drawn from integers(1, 4)."""
+    return [(idx, ExpPolyDensity.gaussians(*_moments(mean, a)),
+             _vector_stack(d, 3, 0.4 * k), xs)
+            for idx, d, (mean, a, k), xs in _draw(
+                rng, (int(rng.integers(1, 4)) for _ in range(count)),
+                lambda d: [d, d * d, d * len(all_exponents(d, 3))], 0.6)]
 
 
 def suite_appendix_b() -> List[CheckRow]:
@@ -176,16 +183,17 @@ def suite_lm2() -> List[CheckRow]:
     far a gap row moves with the fields' last bits, which depend on how
     many points share a field call: up to 1.2e-8 between one call per
     point and one call per stencil. They do not depend on how many probes
-    share it: the probes of one dimension are evaluated together, and
-    each row has the bits of its probe evaluated alone.
+    share it: the probes of one dimension are evaluated together, all
+    three steps in one check with one stencil call a step, and each row
+    has the bits of its probe evaluated alone.
     """
-    gaps = np.empty((3, 50))
+    gaps = np.empty((50, 3))
     for idx, p, k, x in _quadratic_groups(np.random.default_rng(2112), 50):
-        for gap, step in zip(gaps, (1e-4, 1e-2, 5e-3)):
-            lhs, rhs = double_divergence_expansion_check(p, k, x, step)
-            gap[idx] = np.abs(lhs - rhs)
+        lhs, rhs = double_divergence_expansion_check(p, k, x,
+                                                     (1e-4, 1e-2, 5e-3))
+        gaps[idx] = np.abs(lhs - rhs[:, None])
     rows: List[CheckRow] = []
-    for i, (gap, gap_c, gap_h) in enumerate(gaps.T.tolist()):
+    for i, (gap, gap_c, gap_h) in enumerate(gaps.tolist()):
         rows.append(_row("lm2", i, gap, 1e-5))
         rows.append(_convergence_row("lm2-halved", i, gap_c, gap_h))
     return rows
@@ -212,17 +220,17 @@ def _pairwise_rel(res: Dict[str, np.ndarray]) -> tuple:
     return pairs, np.stack(rel, axis=-1)
 
 
-def _el_probe(rng: np.random.Generator, d: int):
-    """(d, mean, cov, h, v, x, y): a Gaussian prior's moments, the
-    coefficients of a quadratic h (every term of degree <= 2) and of a
-    small quadratic displacement v, a point and an observation in
-    dimension d, drawn as random_moments, Polynomial.random,
-    PolyVectorField.random, uniform and a normal draw them."""
-    mean, cov = ExpPolyDensity.random_moments(d, rng)
-    h = 0.5 * rng.standard_normal(len(all_exponents(d, 2)))
-    v = _vector_coeffs(d, 2, 0.05, rng)
-    x = rng.uniform(-0.4, 0.4, size=d)
-    return d, mean, cov, h, v, x, 0.3 * rng.standard_normal()
+def _el_groups(rng: np.random.Generator) -> list:
+    """(indices, p, h, v, x, y) per dimension, p Gaussian, h quadratic
+    (scale 0.5), v a small quadratic (scale 0.05), y 0.3 z and d = 1, 2 by
+    index."""
+    return [(idx, ExpPolyDensity.gaussians(*_moments(mean, a)),
+             PolyScalarField.stack(all_exponents(d, 2), 0.5 * h),
+             _vector_stack(d, 2, 0.05 * v), xs, 0.3 * ys)
+            for idx, d, (mean, a, h, v), xs, ys in _draw(
+                rng, (1 + i % 2 for i in range(50)),
+                lambda d: [d, d * d, len(all_exponents(d, 2)),
+                           d * len(all_exponents(d, 2))], 0.4, observe=True)]
 
 
 def suite_el_invariance() -> List[CheckRow]:
@@ -230,34 +238,27 @@ def suite_el_invariance() -> List[CheckRow]:
     plus the bracket check at the closed-form optimal displacement.
 
     The invariance probes alternate d = 1, 2 by index; each dimension's
-    are checked in one call, and each row has the bits of its probe
-    checked alone."""
-    rng = np.random.default_rng(3001)
+    are checked in one call, the three 1-D bracket probes in one more, and
+    each row has the bits of its probe checked alone."""
     dt = 0.01
     rel = np.empty((50, 3))
-    for idx, d, means, covs, hs, vs, xs, ys in _by_dimension(
-            [_el_probe(rng, 1 + i % 2) for i in range(50)]):
+    for idx, p, h, v, xs, ys in _el_groups(np.random.default_rng(3001)):
         pairs, rel[idx] = _pairwise_rel(el_generator_invariance(
-            ExpPolyDensity.gaussians(means, covs),
-            PolyScalarField.stack(all_exponents(d, 2), hs),
-            _vector_stack(d, 2, vs), xs, ys, dt))
+            p, h, v, xs, ys, dt))
     rows = [_row(f"invariance-{pair}", i, r, 1e-6)
             for i, rs in enumerate(rel.tolist()) for pair, r in zip(pairs, rs)]
 
-    # bracket at the optimal coupling: Gaussian prior, h = x,
-    # v = K dz + u dt with K = var, u = -K(x + mean)/2
-    for j, (mean, var, x0) in enumerate(
-            [(0.0, 1.0, 0.3), (0.2, 0.8, -0.4), (-0.3, 1.3, 0.1)]):
-        p = ExpPolyDensity.gaussian([mean], [[var]])
-        h_field = PolyScalarField(Polynomial(1, {(1,): 1.0}))
-        y = 1.0
-        dz = y * dt
-        v = PolyVectorField([Polynomial(
-            1, {(0,): var * dz - 0.5 * var * mean * dt,
-                (1,): -0.5 * var * dt})])
-        r = float(np.max(np.abs(el_bracket_residual(
-            p, h_field, v, np.array([x0]), y, dt))))
-        rows.append(_row("el-bracket", j, r, 1e-3))
+    # bracket at the optimal coupling: Gaussian priors, h = x, y = 1,
+    # v = K dz + u dt with dz = y dt = dt, K = var, u = -K(x + mean)/2
+    mean, var, x0 = np.array([(0.0, 1.0, 0.3), (0.2, 0.8, -0.4),
+                              (-0.3, 1.3, 0.1)]).T
+    v = PolyVectorField.stack(np.array([[0], [1]]), (2,), np.stack(
+        [var * dt - 0.5 * var * mean * dt, -0.5 * var * dt], axis=-1))
+    r = np.max(np.abs(el_bracket_residual(
+        ExpPolyDensity.gaussians(mean[:, None], var[:, None, None]),
+        PolyScalarField(Polynomial(1, {(1,): 1.0})), v, x0[:, None],
+        np.ones(3), dt)), axis=-1)
+    rows += [_row("el-bracket", j, g, 1e-3) for j, g in enumerate(r.tolist())]
     return rows
 
 
@@ -338,6 +339,22 @@ def suite_lemma_d() -> List[CheckRow]:
 # taylor
 # ---------------------------------------------------------------------------
 
+def _dz_groups(rng: np.random.Generator) -> list:
+    """(indices, p, h, K, x) per dimension, p Gaussian, h affine (x_j's,
+    then 1), K = cov @ H from a contiguous H and d = 1, 2, 3 by index."""
+    out = []
+    for idx, d, (mean, a, h), xs in _draw(
+            rng, (1 + i % 3 for i in range(50)),
+            lambda d: [d, d * d, d + 1], 0.7):
+        means, covs = _moments(mean, a)
+        eye = np.eye(d, dtype=int)
+        gains = _mv(covs, np.ascontiguousarray(h[:, :-1]))
+        out.append((idx, ExpPolyDensity.gaussians(means, covs),
+                    PolyScalarField.stack(np.append(eye, 0 * eye[:1], 0), h),
+                    PolyVectorField.stack(0 * eye, (1,) * d, gains), xs))
+    return out
+
+
 def suite_taylor() -> List[CheckRow]:
     """Leading-order expansion equations on closed-form solution families.
 
@@ -348,23 +365,9 @@ def suite_taylor() -> List[CheckRow]:
     one call on their one set of fields, and each row has the bits of its
     probe checked alone.
     """
-    rng = np.random.default_rng(4001)
-    probes = []
-    for i in range(50):
-        d = 1 + i % 3
-        mean, cov = ExpPolyDensity.random_moments(d, rng)
-        hvec = rng.standard_normal(d)
-        h = np.append(hvec, rng.standard_normal())   # x_j's, then 1's
-        probes.append((d, mean, cov, h, cov @ hvec,
-                       rng.uniform(-0.7, 0.7, size=d)))
     gaps = np.empty(50)
-    for idx, d, means, covs, hs, gains, xs in _by_dimension(probes):
-        eye = np.eye(d, dtype=int)
-        gaps[idx] = np.max(np.abs(dz_order_residual(
-            ExpPolyDensity.gaussians(means, covs),
-            PolyScalarField.stack(np.concatenate([eye, 0 * eye[:1]]), hs),
-            PolyVectorField.stack(0 * eye, (1,) * d, gains), xs)),
-            axis=-1)
+    for idx, p, h, k, xs in _dz_groups(np.random.default_rng(4001)):
+        gaps[idx] = np.max(np.abs(dz_order_residual(p, h, k, xs)), axis=-1)
     rows = [_row("taylor-dz", i, r, 1e-10)
             for i, r in enumerate(gaps.tolist())]
 

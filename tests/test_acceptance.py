@@ -32,10 +32,10 @@ from fpf_lab import (
     simulate_truth,
     synthesize_observations,
 )
-from fpf_lab.fields import PolyVectorField
 from fpf_lab.identities import quadratic_term_identity
 from fpf_lab.verify import run_suite
-from test_identities import _random_gaussian, converges_quadratically
+from test_identities import (_random_gaussian, converges_quadratically,
+                             random_vector_field)
 
 P_STAR = np.sqrt(2.0) - 1.0             # stationary variance of linear1d
 
@@ -152,7 +152,7 @@ def test_criterion_6_cancellation_ledger(capsys):
 
     rng = np.random.default_rng(606)
     p = _random_gaussian(2, rng)
-    k = PolyVectorField.random(2, 3, rng, scale=0.4)
+    k = random_vector_field(2, 3, rng, scale=0.4)
     x = rng.uniform(-0.6, 0.6, size=2)
     conv_ok = True
     for ident in (6, 7, 8):

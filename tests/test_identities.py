@@ -59,15 +59,38 @@ def _const_field(value=1.0):
     return PolyVectorField([Polynomial(1, {(0,): value})])
 
 
+def random_polynomial(dim, degree, rng, scale=1.0):
+    """Standard normal coefficients times scale on every exponent of total
+    degree <= degree, from one vector draw (the same values, and the same
+    generator state after, as one scalar draw per term)."""
+    exponents = fields.all_exponents(dim, degree)
+    return Polynomial._from_arrays(
+        dim, exponents, scale * rng.standard_normal(len(exponents)))
+
+
+def random_vector_field(dim, degree, rng, scale=1.0):
+    """A field of dim random_polynomial components, drawn in turn."""
+    return PolyVectorField([random_polynomial(dim, degree, rng, scale)
+                            for _ in range(dim)])
+
+
+def random_moments(dim, rng):
+    """(mean, cov) of a random Gaussian probe: mean 0.3 z, cov I + a a^T
+    with a 0.3 Z, in that order."""
+    mean = 0.3 * rng.standard_normal(dim)
+    a = 0.3 * rng.standard_normal((dim, dim))
+    return mean, np.eye(dim) + a @ a.T
+
+
 def _random_gaussian(dim, rng):
     """A Gaussian density of random_moments' draw."""
-    return ExpPolyDensity.gaussian(*ExpPolyDensity.random_moments(dim, rng))
+    return ExpPolyDensity.gaussian(*random_moments(dim, rng))
 
 
 def _quadratic_probe(rng):
     d = int(rng.integers(1, 4))
     p = _random_gaussian(d, rng)
-    k = PolyVectorField.random(d, 3, rng, scale=0.4)
+    k = random_vector_field(d, 3, rng, scale=0.4)
     x = rng.uniform(-0.6, 0.6, size=d)
     return p, k, x
 
@@ -77,8 +100,8 @@ def _el_probe(rng, d):
     a Gaussian prior, a quadratic h, a small quadratic displacement, a
     point and an observation in dimension d."""
     p = _random_gaussian(d, rng)
-    h = PolyScalarField(Polynomial.random(d, 2, rng, scale=0.5))
-    v = PolyVectorField.random(d, 2, rng, scale=0.05)
+    h = PolyScalarField(random_polynomial(d, 2, rng, scale=0.5))
+    v = random_vector_field(d, 2, rng, scale=0.05)
     x = rng.uniform(-0.4, 0.4, size=d)
     y = float(0.3 * rng.standard_normal())
     return p, h, v, x, y
@@ -114,7 +137,7 @@ def converges_quadratically(gap, gap_half):
 class TestFieldPrimitives:
     def test_polynomial_diff_matches_fd(self):
         rng = np.random.default_rng(42)
-        poly = Polynomial.random(3, 3, rng)
+        poly = random_polynomial(3, 3, rng)
         x = np.array([0.3, -0.4, 0.2])
         field = PolyScalarField(poly)
         analytic = field.grad(x[None, :])[0]
@@ -158,7 +181,7 @@ class TestFieldPrimitives:
 
     def test_third_derivative_tensor_is_symmetric(self):
         rng = np.random.default_rng(9)
-        f = PolyScalarField(Polynomial.random(2, 4, rng))
+        f = PolyScalarField(random_polynomial(2, 4, rng))
         t = f.partials(np.array([[0.3, 0.7]]), 3)[3][0]
         np.testing.assert_array_equal(t, np.transpose(t, (1, 0, 2)))
         np.testing.assert_array_equal(t, np.transpose(t, (0, 2, 1)))
@@ -171,7 +194,7 @@ class TestFieldPrimitives:
         generator state of one scalar draw per term."""
         for seed in range(20):
             gen, scalar = (np.random.default_rng(seed) for _ in range(2))
-            got = Polynomial.random(dim, degree, gen, scale)
+            got = random_polynomial(dim, degree, gen, scale)
             want = Polynomial(dim, {
                 alpha: scale * scalar.standard_normal()
                 for alpha in product(range(degree + 1), repeat=dim)
@@ -190,7 +213,7 @@ class TestFieldPrimitives:
                 draw[3] = zero
                 return draw
 
-        got = Polynomial.random(2, 2, Draws(), 0.5)
+        got = random_polynomial(2, 2, Draws(), 0.5)
         alphas = [alpha for alpha in product(range(3), repeat=2)
                   if sum(alpha) <= 2]
         want = Polynomial(2, dict(zip(alphas,
@@ -452,9 +475,9 @@ class TestCachedPlans:
         random fields, scalar fields, uneven components and a field with
         an empty component."""
         rng = np.random.default_rng(60 + order)
-        built = [PolyVectorField.random(d, deg, rng, 0.4)
+        built = [random_vector_field(d, deg, rng, 0.4)
                  for d in (1, 2, 3, 4) for deg in (0, 1, 2, 3)]
-        built += [PolyScalarField(Polynomial.random(d, 3, rng))._field
+        built += [PolyScalarField(random_polynomial(d, 3, rng))._field
                   for d in (1, 2, 3)]
         built += [PolyVectorField([Polynomial(2, {(1, 0): 2.0}),
                                    Polynomial(2, {}),
@@ -470,14 +493,21 @@ class TestCachedPlans:
 
     def test_verify_builds_each_family_once(self, monkeypatch):
         """A pass of the seven suites builds one plan per distinct family
-        (dim, exponents, order, component term counts): 33, each once.
-        The probe suites build the weight tables of their fields as
-        stacks, one per (check, dimension, field) and per order upgrade:
-        96 builds over all suites cover 1,419 fields, where a build per
-        probe field was 479 builds. el-invariance's 21 are 6 stacks of 25
-        (p and h on p_Y's grid and v on the complex stencils, per
-        dimension; h and log p reuse their order-0 tables there) and the
-        3 bracket rows' 15 builds of single fields. A plan keyed by
+        (dim, exponents, order, component term counts): 28, each once (33
+        while lm2 and the el bracket built order-0 tables for their
+        values before their partials). The probe suites build the weight
+        tables of their fields as stacks, one per (check, dimension,
+        field) and per order upgrade: 78 builds over all suites cover
+        1,311 fields (96 builds of 1,419 before lm2's three steps and the
+        three bracket rows were one check each), where a build per probe
+        field was 479 builds. lm2's 6 are p and K per dimension, each
+        built once at order 2 for the analytic side, whose tables its
+        stencils' values reuse (12 when each step was its own check and
+        its values came first). el-invariance's 9 are 6 stacks of 25 (p
+        and h on p_Y's grid and v on the complex stencils, per dimension;
+        h and log p reuse their order-0 tables there) and the bracket
+        stack's p, h and v, each built once (15 builds of single fields
+        when each row was its own check; was 21 in all). A plan keyed by
         anything that varies per field would rebuild it per field."""
         build, keys = fields._partial_plan.__wrapped__, []
         monkeypatch.setattr(fields, "_partial_plan", lru_cache(maxsize=1024)(
@@ -493,11 +523,11 @@ class TestCachedPlans:
             tables.clear()
             assert all(row.passed for row in verify.run_suite(suite))
             members[suite] = list(tables)
-        assert len(keys) == len(set(keys)) <= 33, len(keys)
+        assert len(keys) == len(set(keys)) <= 28, len(keys)
         stacked = {suite: (len(tables), sum(tables))
                    for suite, tables in members.items() if tables}
         assert stacked == {"piola": (2, 100), "appendixB": (48, 800),
-                           "lm2": (12, 200), "el-invariance": (21, 165),
+                           "lm2": (6, 100), "el-invariance": (9, 157),
                            "taylor": (13, 154)}, stacked
 
 
@@ -531,8 +561,8 @@ class TestTermOrder:
         x = rng.uniform(-1.5, 1.5, size=(7, dim))
         stencil = x[0] + 1j * 1e-30 * np.eye(dim + 1, dim, -1)
         for _ in range(8):
-            scalar = [Polynomial.random(dim, 3, rng, 0.5)]
-            vector = [Polynomial.random(dim, deg, rng, 0.4)
+            scalar = [random_polynomial(dim, 3, rng, 0.5)]
+            vector = [random_polynomial(dim, deg, rng, 0.4)
                       for deg in (3, 0, 2)]
             log_p = [_random_gaussian(dim, rng).q.poly]
             cases = [(lambda ps: PolyScalarField(ps[0]), scalar,
@@ -627,7 +657,7 @@ class TestOneJetPerField:
         written out from separate evaluations of q's partials."""
         rng = np.random.default_rng(30 + dim)
         for p in (_random_gaussian(dim, rng),
-                  ExpPolyDensity(Polynomial.random(dim, 3, rng, scale=0.3))):
+                  ExpPolyDensity(random_polynomial(dim, 3, rng, scale=0.3))):
             x = rng.uniform(-1.0, 1.0, size=(7, dim))
             pv = np.exp(p.q.value(x))
             gq, hq, tq = (p.q.partials(x, r)[r] for r in (1, 2, 3))
@@ -650,7 +680,7 @@ class TestOneJetPerField:
         """partials on a batch (3, 5, d) at every order equals the stack
         of the three ensembles' own partials, byte for byte."""
         rng = np.random.default_rng(40 + dim)
-        p = ExpPolyDensity(Polynomial.random(dim, 3, rng, scale=0.3))
+        p = ExpPolyDensity(random_polynomial(dim, 3, rng, scale=0.3))
         batch = rng.uniform(-1.0, 1.0, size=(3, 5, dim))
         for order in range(4):
             got = p.partials(batch, order)
@@ -668,7 +698,7 @@ class TestOneJetPerField:
         each equals the same order of partials(x, 3) bit for bit."""
         rng = np.random.default_rng(n)
         for dim in (1, 2, 3):
-            field = PolyVectorField.random(dim, 3, rng)
+            field = random_vector_field(dim, 3, rng)
             scalar = PolyScalarField(field.components[0])
             x = rng.uniform(-2.0, 2.0, size=(n, dim))
             value, h = field.value(x), scalar.value(x)
@@ -710,7 +740,7 @@ class TestOneJetPerField:
         ensembles is evaluated in one call per block, with the blocks of
         one ensemble and each ensemble with the bytes it has alone."""
         gen = np.random.default_rng(33)
-        field = PolyVectorField.random(3, 3, gen)
+        field = random_vector_field(3, 3, gen)
         batch = gen.uniform(-1.5, 1.5, size=(3, n, 3))
         wholes = [field.partials(x, 3) for x in batch]
         q = field._weights(3)[2].shape[1]
@@ -739,18 +769,22 @@ class TestOneJetPerField:
         probes, and a return to one point per call would multiply them
         (piola 1,200, appendixB 2,284, lm2 5,856 that way). Every probe
         suite evaluates each field once per stencil for all the probes of
-        one (check, dimension): appendixB's 69 and lm2's 36 calls were
+        one (check, dimension): appendixB's 69 and lm2's 24 calls were
         1,150 and 600 when each probe made its own, piola's 2 were 200
         and taylor's 13 were 350. piola's 2 take both steps' stencils, 4d
-        + 1 points a probe. El-invariance's 28 are p and h on p_Y's
-        quadrature grid, one (41^d, d) grid shared by each dimension's
-        probes (4 calls), and the 3 bracket rows' 24; its points are
+        + 1 points a probe. lm2's 24 are p and K once per dimension for
+        the analytic side and once per step's stencil (36 when each step
+        was its own check and took the analytic side again).
+        El-invariance's 12 are p and h on p_Y's quadrature grid, one
+        (41^d, d) grid shared by each dimension's probes (4 calls), and
+        the 8 of the 3 bracket rows, one stack of three 1-D probes (24
+        when each row was its own check; was 28 in all); its points are
         exactly these (86,133 when each probe had its own grid, and
         201 nodes an axis would make them 2,030,133). Its complex128
         stencils are counted apart, exactly three calls a dimension, and
         no other suite makes any."""
-        budget = {"piola": 2, "appendixB": 69, "lm2": 36,
-                  "el-invariance": 28, "taylor": 13}
+        budget = {"piola": 2, "appendixB": 69, "lm2": 24,
+                  "el-invariance": 12, "taylor": 13}
         kernel, calls = fields.monomial_values, []
         monkeypatch.setattr(fields, "monomial_values",
                             lambda points, rows: calls.append(
@@ -791,6 +825,45 @@ class TestOneJetPerField:
             calls.clear()
             check()
             assert len(calls) == expected
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_partials_do_not_depend_on_the_highest_order_asked(self, dim):
+        """A field's order-r partials have the same bytes whether the
+        highest order asked is r or more, and whether its tables were
+        built for that order or upgraded from a lower one: for single
+        fields, scalar fields, densities and stacks, at points (N, d) and
+        a stack's (P, N, d)."""
+        rng = np.random.default_rng(70 + dim)
+        terms = fields.all_exponents(dim, 3)
+        rows = 0.4 * rng.standard_normal((5, dim * len(terms)))
+        moments = [random_moments(dim, rng) for _ in range(5)]
+        means, covs = (np.array(a) for a in zip(*moments))
+        seed = int(rng.integers(1 << 31))
+        singles = [
+            lambda: random_vector_field(dim, 3, np.random.default_rng(seed),
+                                        0.4),
+            lambda: PolyScalarField(random_polynomial(
+                dim, 3, np.random.default_rng(seed), 0.5)),
+            lambda: _random_gaussian(dim, np.random.default_rng(seed))]
+        stacks = [
+            lambda: PolyVectorField.stack(np.tile(terms, (dim, 1)),
+                                          (len(terms),) * dim, rows),
+            lambda: ExpPolyDensity.gaussians(means, covs)]
+        shared = rng.uniform(-0.8, 0.8, size=(7, dim))
+        own = rng.uniform(-0.8, 0.8, size=(5, 7, dim))
+        for build, points in ([(b, shared) for b in singles + stacks]
+                              + [(b, own) for b in stacks]):
+            want = build().partials(points, 3)
+            for order in range(4):
+                fresh = build().partials(points, order)
+                upgraded = build()
+                for lower in range(order):
+                    upgraded.partials(points, lower)
+                for r in range(order + 1):
+                    assert _same(fresh[r], want[r]), (order, r)
+                    assert _same(upgraded.partials(points, order)[r],
+                                 want[r]), (order, r)
 
 
 def _member_fields(exponents, counts, rows):
@@ -846,7 +919,7 @@ class TestFieldStacks:
         member's log-density and density partials are those of
         ExpPolyDensity.gaussian."""
         rng = np.random.default_rng(95 + dim)
-        moments = [ExpPolyDensity.random_moments(dim, rng) for _ in range(7)]
+        moments = [random_moments(dim, rng) for _ in range(7)]
         moments.append((np.full(dim, 0.2), np.diag(np.arange(1.0, dim + 1))))
         means, covs = (np.array(a) for a in zip(*moments))
         stacked = ExpPolyDensity.gaussians(means, covs)
@@ -973,9 +1046,9 @@ class TestStencilsAgainstPerPointOracle:
         rng = np.random.default_rng(60 + dim)
         for _ in range(10):
             p = _random_gaussian(dim, rng)
-            k = PolyVectorField.random(dim, 3, rng, scale=0.4)
-            v = PolyVectorField.random(dim, 3, rng, scale=0.4)
-            h = PolyScalarField(Polynomial.random(dim, 2, rng, scale=0.5))
+            k = random_vector_field(dim, 3, rng, scale=0.4)
+            v = random_vector_field(dim, 3, rng, scale=0.4)
+            h = PolyScalarField(random_polynomial(dim, 2, rng, scale=0.5))
             x = rng.uniform(-0.6, 0.6, size=dim)
             for step in (1e-4, 1e-3):
                 assert np.max(np.abs(piola_residual(v, x, step)
@@ -988,7 +1061,7 @@ class TestStencilsAgainstPerPointOracle:
                     _, rhs = quadratic_term_identity(ident, p, k, x, step)
                     assert np.max(np.abs(rhs - _quadratic_rhs_per_point(
                         ident, p, k, x, step))) <= 16.0 * self.EPS / step
-            small = PolyVectorField.random(dim, 2, rng, scale=0.05)
+            small = random_vector_field(dim, 2, rng, scale=0.05)
             y = float(0.3 * rng.standard_normal())
             gap = el_bracket_residual(p, h, small, x, y, 0.01) \
                 - _el_bracket_per_point(p, h, small, x, y, 0.01)
@@ -1037,7 +1110,7 @@ class TestPiolaIdentity:
         the step halves (up to a roundoff floor)."""
         rng = np.random.default_rng(11 + dim)
         for _ in range(5):
-            v = PolyVectorField.random(dim, 3, rng, scale=0.4)
+            v = random_vector_field(dim, 3, rng, scale=0.4)
             x = rng.uniform(-0.8, 0.8, size=dim)
             r = float(np.max(np.abs(piola_residual(v, x, fd_step=1e-4))))
             r_half = float(np.max(np.abs(piola_residual(v, x,
@@ -1160,7 +1233,7 @@ class TestStackedSuites:
         rng = np.random.default_rng(1003)
         for i in range(100):
             d = 2 if i % 2 == 0 else 3
-            v = PolyVectorField.random(d, 3, rng, scale=0.4)
+            v = random_vector_field(d, 3, rng, scale=0.4)
             x = rng.uniform(-0.8, 0.8, size=d)
             r, r_half = (float(np.max(np.abs(piola_residual(v, x, step))))
                          for step in (1e-4, 5e-5))
@@ -1225,7 +1298,7 @@ class TestStackedSuites:
                 assert _same(got[m, s], piola_residual(alone[m], xs[m],
                                                        step))
 
-        moments = [ExpPolyDensity.random_moments(d, rng)
+        moments = [random_moments(d, rng)
                    for _ in range(count)]
         means, covs = (np.array(a) for a in zip(*moments))
         hs = 0.5 * rng.standard_normal((count, len(quadratic)))
@@ -1282,6 +1355,48 @@ class TestStackedSuites:
         with pytest.raises(ValueError, match="singular"):
             piola_residual(alone, xs[1])
 
+    def test_el_bracket_rows_equal_each_probe_alone(self):
+        """The three bracket rows, one stack of three 1-D probes, each
+        equal their probe built field by field and checked alone."""
+        rows = verify.run_suite("el-invariance")[150:]
+        assert len(rows) == 3
+        for j, (mean, var, x0) in enumerate(
+                [(0.0, 1.0, 0.3), (0.2, 0.8, -0.4), (-0.3, 1.3, 0.1)]):
+            v = PolyVectorField([Polynomial(
+                1, {(0,): var * 0.01 - 0.5 * var * mean * 0.01,
+                    (1,): -0.5 * var * 0.01})])
+            r = float(np.max(np.abs(el_bracket_residual(
+                ExpPolyDensity.gaussian([mean], [[var]]), _h_linear(), v,
+                np.array([x0]), 1.0, 0.01))))
+            assert (rows[j].check, rows[j].point, rows[j].residual,
+                    rows[j].tolerance) == ("el-bracket", str(j), r, 1e-3)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_el_bracket_stack_equals_each_probe_alone(self, dim):
+        """A stack of bracket probes (Gaussian p, quadratic h, a small
+        quadratic v) gives each probe the bits it has alone."""
+        rng = np.random.default_rng(80 + dim)
+        count, quadratic = 6, fields.all_exponents(dim, 2)
+        moments = [random_moments(dim, rng) for _ in range(count)]
+        means, covs = (np.array(a) for a in zip(*moments))
+        hs = 0.5 * rng.standard_normal((count, len(quadratic)))
+        vs = 0.05 * rng.standard_normal((count, dim * len(quadratic)))
+        xs = rng.uniform(-0.4, 0.4, size=(count, dim))
+        ys = 0.3 * rng.standard_normal(count)
+        got = el_bracket_residual(
+            ExpPolyDensity.gaussians(means, covs),
+            PolyScalarField.stack(quadratic, hs),
+            PolyVectorField.stack(np.tile(quadratic, (dim, 1)),
+                                  (len(quadratic),) * dim, vs), xs, ys, 0.01)
+        h_alone = _member_fields(quadratic, (len(quadratic),), hs)
+        v_alone = _member_fields(np.tile(quadratic, (dim, 1)),
+                                 (len(quadratic),) * dim, vs)
+        for m in range(count):
+            assert _same(got[m], el_bracket_residual(
+                ExpPolyDensity.gaussian(*moments[m]),
+                PolyScalarField(h_alone[m].components[0]), v_alone[m],
+                xs[m], ys[m], 0.01)), m
+
     def test_appendix_b_rows_equal_each_probe_alone(self):
         rows = verify.run_suite("appendixB")
         for ident in QUADRATIC_IDENTITY_IDS:
@@ -1305,6 +1420,55 @@ class TestStackedSuites:
             assert (rows[2 * i + 1].residual,
                     rows[2 * i + 1].tolerance) == (gap_h,
                                                    max(gap_c / 3.0, 1e-12))
+
+
+def _vector_rows(field):
+    """A field, scalar field or density as its PolyVectorField."""
+    if isinstance(field, ExpPolyDensity):
+        field = field.q
+    return field._field if isinstance(field, PolyScalarField) else field
+
+
+def _piola_probe(rng, d):
+    return random_vector_field(d, 3, rng, scale=0.4), \
+        rng.uniform(-0.8, 0.8, size=d)
+
+
+class TestProbeDraws:
+    """verify draws each probe's normals in one call and builds its fields
+    a dimension group at a time; each probe equals the tests' oracle, which
+    draws it one field at a time, and the generator ends in the same
+    state."""
+
+    @pytest.mark.parametrize("seed", [1003, *range(2001, 2009), 2112, 3001,
+                                      4001])
+    def test_array_draws_equal_the_oracle_draws(self, seed):
+        rng, oracle = (np.random.default_rng(seed) for _ in range(2))
+        if seed == 1003:
+            groups = verify._piola_groups(rng)
+            probes = [_piola_probe(oracle, 2 + i % 2) for i in range(100)]
+        elif seed == 3001:
+            groups = verify._el_groups(rng)
+            probes = [_el_probe(oracle, 1 + i % 2) for i in range(50)]
+        elif seed == 4001:
+            groups = verify._dz_groups(rng)
+            probes = [_dz_probe(oracle, 1 + i % 3) for i in range(50)]
+        else:
+            groups = verify._quadratic_groups(rng, 50)
+            probes = [_quadratic_probe(oracle) for _ in range(50)]
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert sorted(i for idx, *_ in groups for i in idx.tolist()) \
+            == list(range(len(probes)))
+        for idx, *stacked in groups:
+            for m, i in enumerate(idx.tolist()):
+                for got, want in zip(stacked, probes[i], strict=True):
+                    if isinstance(got, np.ndarray):
+                        assert _same(got[m], np.asarray(want)), i
+                        continue
+                    got, want = _vector_rows(got), _vector_rows(want)
+                    assert _same(got.exponents, want.exponents), i
+                    assert got.counts == want.counts, i
+                    assert _same(got.coeffs[m], want.coeffs[0]), i
 
 
 class TestTransportBracket:
