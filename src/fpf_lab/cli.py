@@ -294,8 +294,13 @@ def cmd_compare(args) -> int:
 def _resolve_suite(args) -> str:
     suite = args.suite
     if args.config is not None:
-        from_file = read_ini(args.config).get("verify", "suite",
-                                              fallback=None)
+        cp = read_ini(args.config)
+        # the other sections are filter's and compare's, read from the
+        # same file; a [verify] key other than suite is an error here too
+        for key in cp.options("verify") if cp.has_section("verify") else ():
+            if key != "suite":
+                raise ConfigError(f"field `{key}` in [verify]: unknown field")
+        from_file = cp.get("verify", "suite", fallback=None)
         if from_file is not None:
             if suite is not None and suite != from_file:
                 raise ConfigError(

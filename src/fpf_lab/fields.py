@@ -254,14 +254,17 @@ class Polynomial:
 
 @lru_cache(maxsize=None)
 def all_exponents(dim: int, degree: int) -> np.ndarray:
-    """Every exponent of total degree <= degree, (T, dim) in the order of
-    itertools.product; read-only. The order must stay: a random probe's
-    coefficients are drawn in this order, so it fixes which draw goes to
-    which term of every random verify probe."""
-    exponents = np.array([alpha for alpha in product(range(degree + 1),
-                                                     repeat=dim)
-                          if sum(alpha) <= degree],
-                         dtype=int).reshape(-1, dim)
+    """Every exponent of total degree <= degree, (T, dim) in lexicographic
+    order, which is itertools.product's; read-only. The order must stay: a
+    random probe's coefficients are drawn in this order, so it fixes which
+    draw goes to which term of every random verify probe. Each exponent
+    counts the axes of one multiset of at most degree axes, so the work
+    grows with T, not with the (degree + 1)**dim grid."""
+    exponents = np.array(sorted(
+        tuple(axes.count(j) for j in range(dim))
+        for total in range(degree + 1)
+        for axes in combinations_with_replacement(range(dim), total)),
+        dtype=int).reshape(-1, dim)
     exponents.flags.writeable = False
     return exponents
 
@@ -378,8 +381,13 @@ class PolyVectorField:
         is one call whose products are one per (N, d) ensemble, as a
         product over all its rows may round a row otherwise, each with the
         bits of that ensemble alone.  Complex points are evaluated in
-        complex128 through the same tables."""
+        complex128 through the same tables.  Points of another width than
+        the field's dimension raise ValueError."""
         points = _as_points(points)
+        if points.shape[-1] != self.exponents.shape[1]:
+            raise ValueError(
+                f"points have {points.shape[-1]} coordinates; the field has "
+                f"{self.exponents.shape[1]} variables")
         if points.ndim == 2:
             jets = self._rows_jet(points[None], orders)
             return jets if self.components is None else [a[0] for a in jets]

@@ -27,12 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .fields import monomial_values, partial_table
+from .fields import all_exponents, monomial_values, partial_table
 from .model import (FilterAbortError, ModelValidationError, PosteriorStats,
                     SdeModel)
 
@@ -91,12 +90,8 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    alphas: List[Tuple[int, ...]] = []
-    for total in range(1, degree + 1):
-        level = [tuple(axes.count(j) for j in range(dim)) for axes in
-                 combinations_with_replacement(range(dim), total)]
-        alphas.extend(sorted(level))
-    return np.array(alphas, dtype=int)
+    exponents = all_exponents(dim, degree)     # lexicographic, constant first
+    return exponents[np.argsort(exponents.sum(axis=1), kind="stable")[1:]]
 
 
 def galerkin_table_size(dim: int, degree: int) -> int:

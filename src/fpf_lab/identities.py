@@ -10,14 +10,15 @@ on all the points the difference needs.
 Every probe check (piola_residual, el_bracket_residual,
 el_generator_invariance and its observation_marginal, dz_order_residual,
 dt_order_residual, the quadratic-term identities and the Lemma 2
-expansion) also takes P probes at once: stacked fields
-(PolyVectorField.stack, PolyScalarField.stack, ExpPolyDensity.gaussians),
-or one field that all P share, at points x (P, d), evaluated once per
-stencil for all P, with arithmetic that carries a leading probe axis (one
-BLAS product per probe where the one-probe formula has one, on operands
-of the one-probe layout, and no vectorized pow, which rounds some values
-otherwise than the scalar one). A single probe at x (d,) is a batch of
-one, through the same code, and each probe's result has its bits alone.
+expansion) takes P probes at points x (P, d), with observations y (P,)
+where it takes one, and returns a leading probe axis (P, ...). Each field
+is stacked (PolyVectorField.stack, PolyScalarField.stack,
+ExpPolyDensity.gaussians), member m evaluated at x[m], or one field that
+all P share, and is evaluated once per stencil for all P. The arithmetic
+carries the probe axis with one BLAS product per probe where the
+one-probe formula has one, on operands of the one-probe layout, and no
+vectorized pow, which rounds some values otherwise than the scalar one;
+so each probe's result has the bits it has in a stack of one.
 
 Notation used throughout the docstrings: p is a smooth positive density,
 L = log p, h the scalar observation function, K and u vector fields,
@@ -30,7 +31,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .divergence import get_generator
+from .divergence import GENERATORS
 from .fields import ExpPolyDensity, PolyScalarField, PolyVectorField, fd_grad
 from .grid import trapezoid
 
@@ -60,7 +61,7 @@ def _minors(mats: np.ndarray) -> np.ndarray:
 
 
 def piola_residual(v: PolyVectorField, x: np.ndarray,
-                   fd_step=1e-4) -> np.ndarray:
+                   steps: Sequence[float]) -> np.ndarray:
     """Divergence of the cofactor columns of V = I + grad v^T at x.
 
     residual_j = sum_i (-1)^(i+j) d/dx_i [minor_ij(V)], which the
@@ -68,19 +69,16 @@ def piola_residual(v: PolyVectorField, x: np.ndarray,
     are built from the analytic Jacobian of v; only the outer d/dx_i is a
     central difference.
 
-    v is one field at one point x (d,), giving (d,), or P probes stacked
-    (PolyVectorField.stack) at points x (P, d), giving (P, d). fd_step is
-    one step, or S steps (S,), giving (S, d) or (P, S, d): the points of
-    every step's stencil, x, then x + step e_i and x - step e_i, go
-    through one v.jac call, and the minors of all of them through one
-    batched det. A probe where V is singular at x raises ValueError.
+    v holds P probes at points x (P, d), and the difference takes each of
+    the S steps (S,), giving (P, S, d): the points of every step's
+    stencil, x, then x + step e_i and x - step e_i, go through one v.jac
+    call, and the minors of all of them through one batched det. A probe
+    where V is singular at x raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return piola_residual(v, x[None], fd_step)[0]
-    steps = np.asarray(fd_step, dtype=float)
+    steps = np.asarray(steps, dtype=float)
     d = v.dim
-    e = steps.reshape(-1, 1, 1, 1) * np.eye(d)      # step e_i, (S, 1, d, d)
+    e = steps[:, None, None, None] * np.eye(d)      # step e_i, (S, 1, d, d)
     mats = np.eye(d) + v.jac(x[:, None] + np.concatenate(
         [np.zeros((1, d)), np.concatenate([e, -e], axis=1).reshape(-1, d)]))
     singular = np.abs(np.linalg.det(mats[:, 0])) < 1e-12
@@ -92,9 +90,8 @@ def piola_residual(v: PolyVectorField, x: np.ndarray,
     minors = _minors(mats[:, 1:].reshape(len(x), -1, 2, d, d, d))[
         ..., i, i, :]
     sign = np.where((i[:, None] + i) % 2, -1.0, 1.0)
-    out = np.sum(sign * (minors[:, :, 0] - minors[:, :, 1])
-                 / (2.0 * steps.reshape(-1, 1, 1)), axis=-2)
-    return out if steps.ndim else out[:, 0]
+    return np.sum(sign * (minors[:, :, 0] - minors[:, :, 1])
+                  / (2.0 * steps[:, None, None]), axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +99,7 @@ def piola_residual(v: PolyVectorField, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def el_bracket_residual(p: ExpPolyDensity, h: PolyScalarField,
-                        v: PolyVectorField, x: np.ndarray, y: float,
+                        v: PolyVectorField, x: np.ndarray, y: np.ndarray,
                         dt: float) -> np.ndarray:
     """First-variation bracket of the one-step transport problem.
 
@@ -116,13 +113,10 @@ def el_bracket_residual(p: ExpPolyDensity, h: PolyScalarField,
     O(dz^2 + dt^2). The outer gradient of g is a central difference with
     step 1e-4.
 
-    p, h and v are one probe at x (d,) with one observation y, giving
-    (d,), or P probes stacked at x (P, d) with y (P,), giving (P, d),
-    each field evaluated once per stencil for all P.
+    p, h and v hold P probes at points x (P, d) with observations y (P,),
+    giving (P, d), each field evaluated once per stencil for all P.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return el_bracket_residual(p, h, v, x[None], [y], dt)[0]
     y = np.asarray(y, dtype=float)[:, None]
 
     def g_at(pts: np.ndarray) -> np.ndarray:
@@ -144,10 +138,10 @@ def el_bracket_residual(p: ExpPolyDensity, h: PolyScalarField,
     return t1 + t2 + t3
 
 
-def observation_marginal(p: ExpPolyDensity, h: PolyScalarField, y,
-                         dt: float):
+def observation_marginal(p: ExpPolyDensity, h: PolyScalarField,
+                         y: np.ndarray, dt: float) -> np.ndarray:
     """p_Y(y) = int p(s) rho(y|s) ds by trapezoid quadrature on the tensor
-    grid of 41 nodes per axis (spacing 0.5) over [-10, 10] (float).
+    grid of 41 nodes per axis (spacing 0.5) over [-10, 10].
 
     The integrand is smooth and decays like a Gaussian, where the trapezoid
     rule converges exponentially in the node count (Trefethen and
@@ -159,9 +153,8 @@ def observation_marginal(p: ExpPolyDensity, h: PolyScalarField, y,
     invariance residuals hold for any positive p_Y, and its last digits
     move them at roundoff.
 
-    p and h are one density and field with one observation y, giving a
-    float, or P probes stacked with observations y (P,), giving (P,):
-    every member is evaluated on the one grid, one call a field.
+    p and h hold P probes with observations y (P,), giving (P,): every
+    member is evaluated on the one grid, one call a field.
     """
     d, n = p.dim, 41
     axes = [np.linspace(-10.0, 10.0, n)] * d
@@ -172,15 +165,15 @@ def observation_marginal(p: ExpPolyDensity, h: PolyScalarField, y,
     vals = vals.reshape(y.shape + (n,) * d)
     for axis_grid in axes:
         vals = trapezoid(vals, axis_grid, axis=-1)
-    return float(vals) if vals.ndim == 0 else vals
+    return vals
 
 
 def el_generator_invariance(p: ExpPolyDensity, h: PolyScalarField,
-                            v: PolyVectorField, x: np.ndarray, y,
-                            dt: float, generators: Sequence[str] = (
-                                "kl", "hellinger", "tv")
+                            v: PolyVectorField, x: np.ndarray,
+                            y: np.ndarray, dt: float
                             ) -> Dict[str, np.ndarray]:
-    """Normalized stationarity residuals, one per divergence generator.
+    """Normalized stationarity residuals, one per divergence generator of
+    divergence.GENERATORS (kl, hellinger, tv).
 
     For each generator the full residual is grad_x[f'(xi)] |V| V^{-T} with
     xi(x) = p(x+v) rho(y|x+v) |V| / (p(x) p_Y). Dividing by f''(xi(x))
@@ -196,22 +189,14 @@ def el_generator_invariance(p: ExpPolyDensity, h: PolyScalarField,
     once: v's value and Jacobian, h at the shifted points, and log p at
     the shifted and the base points stacked. xi takes det V, not |det V|,
     as abs is not analytic; V is near I on the probes, and a stencil point
-    where Re xi <= 0 raises ValueError. The generators' f' and f'' are
-    divergence.GENERATORS'; an unknown name raises get_generator's
-    KeyError.
+    where Re xi <= 0 raises ValueError.
 
-    p, h and v are one probe at one point x (d,) with one observation y,
-    giving vectors (d,), or P probes stacked at points x (P, d) with
-    observations y (P,), giving (P, d): the stencils of all P are one
+    p, h and v hold P probes at points x (P, d) with observations y (P,),
+    giving each generator's vectors (P, d): the stencils of all P are one
     (P, d + 1, d) array, p_Y one grid for all, and each generator's f'
     and f'' one call on all P.
     """
-    gens = {name: get_generator(name) for name in generators}
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        res = el_generator_invariance(p, h, v, x[None], np.reshape(y, 1),
-                                      dt, generators)
-        return {name: r[0] for name, r in res.items()}
     y = np.asarray(y, dtype=float)[:, None]
     d = v.dim
     p_y = observation_marginal(p, h, y[:, 0], dt)[:, None]
@@ -232,7 +217,7 @@ def el_generator_invariance(p: ExpPolyDensity, h: PolyScalarField,
     cof0 = np.where((i[:, None] + i) % 2, -1.0, 1.0) * _minors(
         mats[:, 0].real)
     return {name: _vm(gen.fp(xi[:, 1:]).imag / step, cof0)
-            / gen.fpp(xi[:, :1].real) for name, gen in gens.items()}
+            / gen.fpp(xi[:, :1].real) for name, gen in GENERATORS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +234,10 @@ def dz_order_residual(p: ExpPolyDensity, h: PolyScalarField,
     which vanishes identically iff K solves grad^T(pK) = -(h - h_hat) p
     (verified here on closed-form families). All terms are analytic.
 
-    The fields are one probe at one point x (d,), giving (d,), or P probes
-    at points x (P, d), giving (P, d): each field stacked
-    (PolyVectorField.stack, PolyScalarField.stack,
-    ExpPolyDensity.gaussians) evaluates member m at x[m], and one field
-    shared by all evaluates every x[m], in one call either way. Each
-    probe's row has the bits of that probe alone.
+    The fields hold P probes at points x (P, d), giving (P, d), each
+    field evaluated in one call.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return dz_order_residual(p, h, K, x[None])[0]
     p0, gp, hp = (a[:, 0] for a in p.partials(x[:, None], 2))
     gh = h.partials(x[:, None], 1)[1][:, 0]
     # jk[i, j] = dK_j/dx_i, sk[i, l, j] = d2 K_j/dx_i dx_l
@@ -283,12 +262,10 @@ def dt_order_residual(p: ExpPolyDensity, h: PolyScalarField,
     (K, u = -K(h + h_hat)/2 + Omega) on matched families, e.g. K = 1,
     u = -x/2 for the standard Gaussian with h = x.
 
-    One probe at x (d,) or P probes at points x (P, d), as
-    dz_order_residual takes them.
+    P probes at points x (P, d), giving (P, d), as dz_order_residual
+    takes them.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return dt_order_residual(p, h, K, u, x[None])[0]
     p0, gp, hp, tp = (a[:, 0] for a in p.partials(x[:, None], 3))
     h0, gh, hh = (a[:, 0] for a in h.partials(x[:, None], 2))
     k, jk, sk = (a[:, 0] for a in K.partials(x[:, None], 2))
@@ -308,7 +285,9 @@ def dt_order_residual(p: ExpPolyDensity, h: PolyScalarField,
     s7 = _mv(p0[..., None] * p0[..., None] * hh, k)
     s8 = _vm(p0 * p0 * gh, jk_t)
     s9 = p0 * gp_k * grad_div_k
-    s10 = p0 * p0 * (grad_div_u - np.einsum("...ab,...iba->...i", jk, sk))
+    # tr(grad K^T d_i grad K^T) from one BLAS product per (probe, i)
+    s10 = p0 * p0 * (grad_div_u - np.trace(jk[:, None] @ sk, axis1=-2,
+                                           axis2=-1))
     s11 = -_dot(gp, u0)[:, None] * gp
     s12 = -0.5 * _dot(_vm(k, hp), k)[:, None] * gp
     return s1 + s2 + s3 + s4 + s5 + s6 + s7 + s8 + s9 + s10 + s11 + s12
@@ -363,17 +342,10 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
     Identities 1-5 are evaluated purely analytically (gap at roundoff);
     6-8 difference an analytic scalar in the outermost layer only.
 
-    p and K are one density and field at one point x (d,), or P probes
-    stacked (ExpPolyDensity.gaussians, PolyVectorField.stack) at points
-    x (P, d), whose lhs and rhs are (P, d): each field is evaluated once
-    per stencil for all P probes, and probe m's row has the bits of probe
-    m alone, a batch of one, which a single probe is.
+    p and K hold P probes at points x (P, d), whose lhs and rhs are
+    (P, d): each field is evaluated once per stencil for all P probes.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        lhs, rhs = quadratic_term_identity(identity_id, p, K, x[None],
-                                           fd_step)
-        return lhs[0], rhs[0]
     # the orders read: third partials of L in 6 alone, of K in 8 alone
     _, gl, hl, *tl = (a[:, 0] for a in p.q.partials(
         x[:, None], 3 if identity_id == 6 else 2))
@@ -462,7 +434,7 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
 
 
 def double_divergence_expansion_check(p: ExpPolyDensity, K: PolyVectorField,
-                                      x: np.ndarray, fd_step=1e-4
+                                      x: np.ndarray, steps: Sequence[float]
                                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Product-rule expansion of sum_ij d^2(p K_i K_j)/dx_i dx_j.
 
@@ -470,17 +442,12 @@ def double_divergence_expansion_check(p: ExpPolyDensity, K: PolyVectorField,
     rhs: K^T grad^2 p K + 2 (grad^T p K)(div K) + 2 K^T (grad K^T) grad p
          + p (div K)^2 + 2 p grad^T(div K) K + p tr[(grad K^T)^2].
 
-    p and K are one density and field at one point x (d,), giving floats,
-    or P probes stacked at points x (P, d), giving arrays (P,) whose entry
-    m has the bits of probe m alone, a batch of one, which a single probe
-    is. fd_step is one step, or S steps (S,), whose lhs gains a last axis
-    (S,): the analytic rhs, which does not depend on the step, is computed
-    once, and each step's stencil is one call a field.
+    p and K hold P probes at points x (P, d), and the differences take
+    each of the S steps (S,), giving lhs (P, S) and rhs (P,): the analytic
+    rhs, which does not depend on the step, is computed once, and each
+    step's stencil is one call a field.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        lhs, rhs = double_divergence_expansion_check(p, K, x[None], fd_step)
-        return (lhs[0] if lhs.ndim > 1 else float(lhs[0])), float(rhs[0])
     # the analytic side first: its weight tables serve every stencil
     p0, gp, hp = (a[:, 0] for a in p.partials(x[:, None], 2))
     k, jk, sk = (a[:, 0] for a in K.partials(x[:, None], 2))
@@ -503,7 +470,7 @@ def double_divergence_expansion_check(p: ExpPolyDensity, K: PolyVectorField,
     pp, pm, mp, mm = 1 + 2 * d + np.arange(4 * len(a)).reshape(4, len(a))
 
     lhs = []
-    for h in np.ravel(fd_step).tolist():
+    for h in np.asarray(steps, dtype=float).tolist():
         pts = x[:, None] + h * offsets
         kk = K.value(pts)
         pkk = p.value(pts)[..., None, None] * kk[..., :, None] \
@@ -516,7 +483,7 @@ def double_divergence_expansion_check(p: ExpPolyDensity, K: PolyVectorField,
                            - pkk[:, ji, i, j] + pkk[:, mm, i, j])
                           / (4.0 * h ** 2), axis=-1)
         lhs.append(gap)
-    return (np.stack(lhs, axis=-1) if np.ndim(fd_step) else lhs[0]), rhs
+    return np.stack(lhs, axis=-1), rhs
 
 
 # ---------------------------------------------------------------------------

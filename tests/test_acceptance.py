@@ -156,8 +156,8 @@ def test_criterion_6_cancellation_ledger(capsys):
     x = rng.uniform(-0.6, 0.6, size=2)
     conv_ok = True
     for ident in (6, 7, 8):
-        g = quadratic_term_identity(ident, p, k, x, fd_step=1e-3)
-        gh = quadratic_term_identity(ident, p, k, x, fd_step=5e-4)
+        g = quadratic_term_identity(ident, p, k, x[None], fd_step=1e-3)
+        gh = quadratic_term_identity(ident, p, k, x[None], fd_step=5e-4)
         conv_ok &= converges_quadratically(
             float(np.max(np.abs(g[0] - g[1]))),
             float(np.max(np.abs(gh[0] - gh[1]))))

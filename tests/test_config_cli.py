@@ -1207,6 +1207,19 @@ class TestCliVerify:
             assert (out / "verify_poincare.csv").exists()
             (out / "verify_poincare.csv").unlink()
 
+    def test_unknown_verify_key_is_config_error(self, tmp_path, capsys):
+        """A [verify] key other than suite exits 2 with one line naming
+        it, as filter and compare reject the same file; the sections they
+        read may stand beside it."""
+        cfg = _write(tmp_path, "[verify]\nsuite = lemmaD\nsuit = piola\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "fpf-lab: config error: field `suit` in [verify]: unknown field"]
+        assert not out.exists()
+        cfg = _write(tmp_path, BASE_CONFIG + "\n[verify]\nsuite = poincare\n")
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+
     def test_conflicting_suites_rejected(self, tmp_path):
         cfg = _write(tmp_path, "[verify]\nsuite = poincare\n")
         assert main(["verify", "piola", "--config", cfg,

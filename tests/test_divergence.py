@@ -40,7 +40,8 @@ class TestGenerators:
             assert f_divergence(p1, p2, X, gen) > 0.0
 
     def test_unknown_name_raises(self):
-        with pytest.raises(KeyError, match="unknown divergence"):
+        with pytest.raises(KeyError, match="unknown divergence 'bogus'; "
+                                          "available: hellinger, kl, tv"):
             get_generator("bogus")
 
 

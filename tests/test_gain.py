@@ -26,7 +26,7 @@ from fpf_lab import (
     sample_initial_ensemble,
 )
 from fpf_lab.config import MAX_DIM, MAX_GALERKIN_TABLE
-from fpf_lab.fields import Polynomial
+from fpf_lab.fields import Polynomial, all_exponents
 from fpf_lab.gain import (SingularGainError, _basis_table, _det,
                           galerkin_table_size)
 from fpf_lab.model import PosteriorStats
@@ -279,11 +279,15 @@ class TestGalerkinGain:
     def test_largest_admitted_dimension_enumerates_only_its_basis(self):
         """Config admits degree 2 at MAX_DIM = 20; its 230 monomials come
         at once, not from filtering the 3^20 grid {0..2}^20 (d = 14 first,
-        whose 3^14 grid alone takes seconds to filter)."""
+        whose 3^14 grid alone takes seconds to filter), and so does the
+        uncached table of all 231 exponents they are drawn from."""
         assert galerkin_table_size(MAX_DIM, 2) <= MAX_GALERKIN_TABLE
         for d in (14, MAX_DIM):
             start = time.perf_counter()
             exps = monomial_exponents(d, 2)
+            assert time.perf_counter() - start < 1.0
+            start = time.perf_counter()
+            assert len(all_exponents.__wrapped__(d, 2)) == math.comb(d + 2, 2)
             assert time.perf_counter() - start < 1.0
         rows = [tuple(a) for a in exps.tolist()]
         assert len(rows) == len(set(rows)) == math.comb(MAX_DIM + 2, 2) - 1
