@@ -27,7 +27,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config, read_ini
+from .config import (ConfigError, ExperimentConfig, load_config, read_ini,
+                     reject_unknown)
 from .divergence import f_divergence_grid, get_generator, kde_density
 from .filter import (FilterAbortError, run_filter, run_filters,
                      write_trace_csv)
@@ -296,10 +297,10 @@ def _resolve_suite(args) -> str:
     if args.config is not None:
         cp = read_ini(args.config)
         # the other sections are filter's and compare's, read from the
-        # same file; a [verify] key other than suite is an error here too
-        for key in cp.options("verify") if cp.has_section("verify") else ():
-            if key != "suite":
-                raise ConfigError(f"field `{key}` in [verify]: unknown field")
+        # same file; a [verify] key other than suite is an error here too,
+        # and so is a [DEFAULT] key, which INI readers elsewhere apply to
+        # every section
+        reject_unknown(cp, ("DEFAULT", "verify"))
         from_file = cp.get("verify", "suite", fallback=None)
         if from_file is not None:
             if suite is not None and suite != from_file:

@@ -48,7 +48,7 @@ import configparser
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from .model import SdeModel, covariance_sqrt
 from .registry import make_model
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config",
-           "parse_polynomial", "read_ini"]
+           "parse_polynomial", "read_ini", "reject_unknown"]
 
 
 class ConfigError(ValueError):
@@ -132,11 +132,14 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
 
 def read_ini(path: str) -> configparser.ConfigParser:
     """Parse an INI file. Text after # or ; is a comment, and % is an
-    ordinary character (no interpolation). The parser's `asked` set holds
-    each (section, key) a read asked for, [verify] suite from the start:
-    `fpf-lab verify --config` reads it from the same file."""
+    ordinary character (no interpolation). [DEFAULT] is a section like any
+    other: no section falls back on its keys, and no read asks for one.
+    The parser's `asked` set holds each (section, key) a read asked for,
+    [verify] suite from the start: `fpf-lab verify --config` reads it from
+    the same file."""
+    # no section header can name "", so every header is an ordinary section
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                   interpolation=None)
+                                   interpolation=None, default_section="")
     cp.asked = {("verify", "suite")}
     try:
         with open(path) as fh:
@@ -324,11 +327,15 @@ def _build_inline_model(cp: configparser.ConfigParser) -> SdeModel:
                            default=np.eye(dim)), "inline")
 
 
-def _reject_unknown(cp: configparser.ConfigParser) -> None:
+def reject_unknown(cp: configparser.ConfigParser,
+                   among: Optional[Sequence[str]] = None) -> None:
     """A ConfigError naming the first key, or empty section, that no read
-    asked for: a misspelt key would otherwise leave its default in force."""
+    asked for, in the file's sections named in `among` (all by default): a
+    misspelt key would otherwise leave its default in force."""
     sections = {section for section, _ in cp.asked}
     for section in cp.sections():
+        if among is not None and section not in among:
+            continue
         for key in cp.options(section):
             if (section, key) not in cp.asked:
                 what = "field" if section in sections else "section"
@@ -422,5 +429,5 @@ def load_config(path: str) -> ExperimentConfig:
                            default=1601,
                            bound=_between(16, MAX_GRID_POINTS)),
     )
-    _reject_unknown(cp)
+    reject_unknown(cp)
     return config

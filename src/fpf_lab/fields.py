@@ -88,8 +88,9 @@ def monomial_values(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     (x_0^0 = 1): a cubic costs at most 3 gathers in any dimension, and as
     1.0 * v = v its value is the all-coordinate product's, bit for bit."""
     *lead, n, d = points.shape
-    powers = np.ones((*lead, rows.max(initial=0) // d + 1, d, n),
-                     dtype=points.dtype)
+    powers = np.empty((*lead, rows.max(initial=0) // d + 1, d, n),
+                      dtype=points.dtype)
+    powers[..., 0, :, :] = 1     # x^0; the loop writes every other row
     for e in range(1, powers.shape[-3]):
         np.multiply(powers[..., e - 1, :, :], points.swapaxes(-1, -2),
                     out=powers[..., e, :, :])

@@ -178,7 +178,7 @@ def galerkin_gain(states: np.ndarray, stats: PosteriorStats,
     b_vec = mono[..., 1:, :] @ (stats.h_vals - h_hat)[..., None] / n
     if ridge is None:
         ridge = 1e-6 * np.trace(a_mat, axis1=-2, axis2=-1) / nb
-    a_mat = a_mat + np.asarray(ridge)[..., None, None] * np.eye(nb)
+    a_mat = a_mat + np.asarray(ridge)[..., None, None] * _identity(nb)
     try:
         coeffs = np.linalg.solve(a_mat, b_vec)[..., 0]
     except np.linalg.LinAlgError:
@@ -193,16 +193,25 @@ def galerkin_gain(states: np.ndarray, stats: PosteriorStats,
     # term of u_jac is the third partial of phi contracted with K
     phi = ((coeffs[..., None, None, :] @ weights)[..., 0, :]
            @ mono).swapaxes(0, -2)
-    k, hess = phi[index[1]], phi[index[2]]
+    k, hess, third = phi[index[1]], phi[index[2]], phi[index[3]]
     hs = stats.h_vals + h_hat
     # the gradient of h, its axis first: (d, [S,] N), (d, [1,] 1) if affine
     h_grad = h_grad.reshape((1,) * (states.ndim - h_grad.ndim) + h_grad.shape)
     h_grad = h_grad.transpose(-1, *range(states.ndim - 1))
-    u = -0.5 * k * hs + 0.5 * sum(k[l] * hess[l] for l in range(d))
-    u_jac = (-0.5 * hs * hess
-             - 0.5 * h_grad[:, None] * k
-             + 0.5 * sum(hess[:, l, None] * hess[l] for l in range(d))
-             + 0.5 * sum(k[l] * phi[index[3][:, l]] for l in range(d)))
+    # each sum over l accumulates in place from its l = 0 term, so a sum of
+    # -0.0 terms is -0.0; every other sum has the bits of one started at 0
+    omega, hess_hess, k_third = (k[0] * hess[0], hess[:, 0, None] * hess[0],
+                                 k[0] * third[:, 0])
+    for l in range(1, d):
+        omega += k[l] * hess[l]
+        hess_hess += hess[:, l, None] * hess[l]
+        k_third += k[l] * third[:, l]
+    u = -0.5 * k * hs
+    u += 0.5 * omega
+    u_jac = -0.5 * hs * hess
+    u_jac -= 0.5 * h_grad[:, None] * k
+    u_jac += 0.5 * hess_hess
+    u_jac += 0.5 * k_third
     # the partial's axes last again (np.moveaxis costs more per call)
     k, u = (f.transpose(*range(1, f.ndim), 0).copy() for f in (k, u))
     k_jac, u_jac = (f.transpose(*range(2, f.ndim), 0, 1).copy()
@@ -246,12 +255,21 @@ def check_admissible(field: GainField, dz: float, dt: float,
     particles, or ([S,] 1) when both Jacobians are particle-constant: then
     one determinant stands for every particle of its seed.  A determinant
     that is not finite is flagged too.
+
+    The identity is added on the diagonal alone, so an off-diagonal -0.0
+    stays -0.0 where adding I would make it +0.0: a determinant can differ
+    from det(k_jac dz + u_jac dt + I) only in the sign of an exact zero,
+    and no flag can.
     """
-    # I + grad v^T in one (N, d, d) array beyond the inputs; addition
-    # commutes, so this is (k_jac dz + u_jac dt) + I bit for bit
+    # I + grad v^T in one (N, d, d) array beyond the inputs; adding a
+    # (d, d) block broadcasts it with an inner loop of length d, slower
+    # than d strided adds, and adding through a view, not `a[..., i, i] +=`,
+    # spares the copy back into a
     a = field.u_jac * dt
     a += field.k_jac * dz
-    a += _identity(a.shape[-1])
+    for i in range(a.shape[-1]):
+        diagonal = a[..., i, i]
+        diagonal += 1.0
     dets = _det(a)
     flags = ~((dets > eps) & np.isfinite(dets))
     return flags, dets

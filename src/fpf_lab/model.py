@@ -213,15 +213,50 @@ class ParticleEnsemble:
         return block[self.draw_step - 1 - start]
 
 
-@dataclass
 class PosteriorStats:
     """Empirical summary of an ensemble under an observation function; a
-    batch of S ensembles gives each field, h_hat too, a leading S axis."""
+    batch of S ensembles gives each field, h_hat too, a leading S axis.
 
-    mean: np.ndarray          # ([S,] d)
-    cov: np.ndarray           # ([S,] d, d), unbiased (N-1) normalization
-    h_hat: float              # mean of h over particles, ([S,]) for a batch
-    h_vals: np.ndarray        # ([S,] N)
+    Built from explicit values, or by ensemble_stats from the states
+    themselves with mean and cov None: each of the two is then computed
+    from the states on its first read and kept, so a reader pays only for
+    the moments it reads.  The Galerkin gain reads h_vals and h_hat alone,
+    the constant gain the mean too, and the exact gain and the filter's
+    trace every field.  The states must not change in place while a
+    moment is unread.
+
+    Attributes:
+        mean: ([S,] d)
+        cov: ([S,] d, d), unbiased (N-1) normalization
+        h_hat: mean of h over particles, ([S,]) for a batch
+        h_vals: ([S,] N)
+    """
+
+    def __init__(self, mean: Optional[np.ndarray], cov: Optional[np.ndarray],
+                 h_hat, h_vals: np.ndarray,
+                 states: Optional[np.ndarray] = None):
+        self._mean, self._cov, self._states = mean, cov, states
+        self.h_hat, self.h_vals = h_hat, h_vals
+
+    # plain properties: functools.cached_property takes a lock on each
+    # first read, which the exact-gain step, reading both, would pay
+    @property
+    def mean(self) -> np.ndarray:
+        if self._mean is None:
+            # add.reduce / n is np.mean's own reduction and division, and
+            # ndarray.sum's reduction, without their per-call overhead
+            self._mean = (np.add.reduce(self._states, axis=-2)
+                          / self._states.shape[-2])
+        return self._mean
+
+    @property
+    def cov(self) -> np.ndarray:
+        if self._cov is None:
+            x = self._states
+            centered = x - self.mean[..., None, :]
+            self._cov = (centered.swapaxes(-1, -2) @ centered
+                         / (x.shape[-2] - 1))
+        return self._cov
 
 
 def validate_model(model: SdeModel) -> None:
@@ -279,18 +314,13 @@ def sample_initial_ensemble(dim: int, n: int, mean, cov,
 
 def ensemble_stats(ensemble: ParticleEnsemble,
                    obs_fn: Callable[[np.ndarray], np.ndarray]) -> PosteriorStats:
-    """Mean, unbiased covariance, and observation average of an ensemble,
-    or of each ensemble of a batch.  A batch's sums run over each seed's
+    """Observation values and average of an ensemble, or of each ensemble
+    of a batch, with its mean and unbiased covariance computed on first
+    read (see PosteriorStats).  A batch's sums run over each seed's
     particles in order, so every seed's summary is bit-identical to its
     ensemble's alone."""
     x = ensemble.states
-    n = x.shape[-2]
-    # add.reduce / n is np.mean's own reduction and division, and
-    # ndarray.sum's reduction, without their per-call overhead
-    mean = np.add.reduce(x, axis=-2) / n
-    centered = x - mean[..., None, :]
-    cov = centered.swapaxes(-1, -2) @ centered / (n - 1)
     h_vals = np.asarray(obs_fn(x), dtype=float).reshape(x.shape[:-1])
-    return PosteriorStats(mean=mean, cov=cov,
-                          h_hat=np.add.reduce(h_vals, axis=-1) / n,
-                          h_vals=h_vals)
+    return PosteriorStats(None, None,
+                          np.add.reduce(h_vals, axis=-1) / x.shape[-2],
+                          h_vals, states=x)

@@ -266,6 +266,25 @@ dir = results
         load_config(_write(tmp_path, BASE_CONFIG
                            + "\n[verify]\nsuite = poincare\n"))
 
+    @pytest.mark.parametrize("default,message", [
+        ("foo = 1", r"^field `foo` in \[DEFAULT\]: unknown section$"),
+        ("dt = 0.05", r"^field `dt` in \[DEFAULT\]: unknown section$"),
+        ("", r"^unknown section \[DEFAULT\]$")],
+        ids=["stray-key", "key-a-section-reads", "empty"])
+    def test_default_section_is_reported_as_itself(self, tmp_path, default,
+                                                   message):
+        """A [DEFAULT] key is reported under [DEFAULT], not under the
+        first section that configparser would have filled with it."""
+        with pytest.raises(ConfigError, match=message):
+            load_config(_write(tmp_path, f"[DEFAULT]\n{default}\n\n"
+                               + BASE_CONFIG))
+
+    def test_no_section_falls_back_on_default(self, tmp_path):
+        text = BASE_CONFIG.replace("dt = 0.05\n", "")
+        with pytest.raises(ConfigError,
+                           match=r"missing field `dt` in section \[time\]"):
+            load_config(_write(tmp_path, "[DEFAULT]\ndt = 0.05\n\n" + text))
+
     @pytest.mark.parametrize("model", [
         "name = linear2d",
         "dimension = 2\ndrift_1 = -x1\ndrift_2 = -x2 + 0.5*x1\nobs = x1\n"
@@ -648,6 +667,10 @@ class TestCliExitCodes:
          "name = linear2d\n\n[prior]\nmean = 1 2 3", "`mean` in [prior]"),
         ("filter", "name = linear1d",
          "name = linear2d\n\n[prior]\ncov = 1 0; 0", "`cov` in [prior]"),
+        ("filter", "[seeds]", "[DEFAULT]\nfoo = 1\n\n[seeds]",
+         "`foo` in [DEFAULT]"),
+        ("compare", "[seeds]", "[DEFAULT]\nfoo = 1\n\n[seeds]",
+         "`foo` in [DEFAULT]"),
     ], ids=["dt-nan", "t_end-inf", "degree-0", "eps-nan", "compare-seed-neg",
             "halfwidth-0", "percent", "dt-tiny", "cov-negative",
             "cov-asymmetric", "grid-tiny", "grid-huge", "grid-truncates",
@@ -658,7 +681,7 @@ class TestCliExitCodes:
             "unknown-section", "drift-beyond-dimension",
             "inline-key-with-name", "dangling-sign", "particles-fraction",
             "compare-seeds-empty", "abort-maybe", "mean-3-in-2d",
-            "cov-ragged"])
+            "cov-ragged", "default-key-filter", "default-key-compare"])
     def test_bad_config_value_is_two(self, tmp_path, capsys, command, old,
                                      new, field):
         """Each value is a config error, reported before any file is
@@ -1219,6 +1242,23 @@ class TestCliVerify:
         assert not out.exists()
         cfg = _write(tmp_path, BASE_CONFIG + "\n[verify]\nsuite = poincare\n")
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+
+    def test_default_key_is_reported_under_default(self, tmp_path, capsys):
+        """A [DEFAULT] key, which INI readers elsewhere apply to every
+        section, exits 2 with one line naming [DEFAULT], beside a [verify]
+        section or without one."""
+        out = tmp_path / "out"
+        for text, argv in (
+                ("[DEFAULT]\nfoo = 1\n\n[verify]\nsuite = poincare\n", []),
+                ("[DEFAULT]\nsuite = poincare\n", ["poincare"])):
+            cfg = _write(tmp_path, text)
+            key = text.split("\n")[1].split(" =")[0]
+            assert main(["verify", *argv, "--config", cfg,
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"fpf-lab: config error: field `{key}` in [DEFAULT]: "
+                f"unknown section"]
+            assert not out.exists()
 
     def test_conflicting_suites_rejected(self, tmp_path):
         cfg = _write(tmp_path, "[verify]\nsuite = poincare\n")

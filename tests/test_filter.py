@@ -134,6 +134,57 @@ class TestFpfStep:
         assert n_flagged == 50  # every det <= 10
 
 
+def _moment_spy(monkeypatch):
+    """Every PosteriorStats the filter module builds, in order, and each
+    (stats, moment) read of mean or cov, the reads that compute them."""
+    made, read = [], []
+    build = filter_module.ensemble_stats
+
+    def stats_spy(ensemble, obs_fn):
+        made.append(build(ensemble, obs_fn))
+        return made[-1]
+
+    monkeypatch.setattr(filter_module, "ensemble_stats", stats_spy)
+    for name in ("mean", "cov"):
+        get = getattr(model_module.PosteriorStats, name).fget
+        monkeypatch.setattr(
+            model_module.PosteriorStats, name,
+            property(lambda self, name=name, get=get:
+                     read.append((self, name)) or get(self)))
+    return made, read
+
+
+class TestMomentsOnRead:
+    """The pre-gain statistics compute only the moments the gain reads;
+    the trace reads every moment."""
+
+    @pytest.mark.parametrize("gain,moments", [
+        ("galerkin", set()), ("constant", {"mean"}),
+        ("exact_gaussian", {"mean", "cov"})])
+    def test_step_computes_what_its_gain_reads(self, monkeypatch, gain,
+                                               moments):
+        model = make_model("linear2d")
+        ens = sample_initial_ensemble(2, 100, np.zeros(2), np.eye(2), 4)
+        made, read = _moment_spy(monkeypatch)
+        fpf_step(model, ens, 0.05, 0.01, FilterConfig(gain_method=gain))
+        assert len(made) == 1
+        assert {name for stats, name in read if stats is made[0]} == moments
+
+    def test_galerkin_run_reads_moments_for_the_trace_alone(self,
+                                                             monkeypatch):
+        """run_filter's statistics alternate trace row, pre-gain: each
+        trace row reads both moments and no Galerkin step reads either."""
+        model = make_model("linear2d")
+        obs = _observations(model, t_end=0.05)
+        made, read = _moment_spy(monkeypatch)
+        run_filter(model, obs, 100, 7, FilterConfig(gain_method="galerkin"),
+                   np.zeros(2), np.eye(2))
+        assert len(made) == 2 * len(obs.dz) + 1
+        for i, stats in enumerate(made):
+            names = {name for s, name in read if s is stats}
+            assert names == (set() if i % 2 else {"mean", "cov"}), i
+
+
 class TestRunFilter:
     def test_trace_shape_and_prior_row(self):
         model = make_model("linear1d")

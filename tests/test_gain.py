@@ -26,7 +26,7 @@ from fpf_lab import (
     sample_initial_ensemble,
 )
 from fpf_lab.config import MAX_DIM, MAX_GALERKIN_TABLE
-from fpf_lab.fields import Polynomial, all_exponents
+from fpf_lab.fields import Polynomial, all_exponents, monomial_values
 from fpf_lab.gain import (SingularGainError, _basis_table, _det,
                           galerkin_table_size)
 from fpf_lab.model import PosteriorStats
@@ -202,6 +202,72 @@ class TestGalerkinBatch:
             compute_gain(model, states, stats, "galerkin", ridge=0.0)
         assert batch.value.index == 1
         assert str(batch.value) == alone[0][2]
+
+
+def _sum_form_u(states, stats, h_grad, coeffs, degree=3):
+    """u and u_jac of the Galerkin field with coefficients `coeffs`, by
+    galerkin_gain's earlier formulas: each sum over l a Python sum() from
+    0, the third partials gathered one l at a time."""
+    d = states.shape[-1]
+    _, rows, weights, index = _basis_table(d, degree)
+    mono = monomial_values(states, rows)
+    phi = ((coeffs[..., None, None, :] @ weights)[..., 0, :]
+           @ mono).swapaxes(0, -2)
+    k, hess = phi[index[1]], phi[index[2]]
+    hs = stats.h_vals + np.asarray(stats.h_hat)[..., None]
+    h_grad = h_grad.reshape((1,) * (states.ndim - h_grad.ndim) + h_grad.shape)
+    h_grad = h_grad.transpose(-1, *range(states.ndim - 1))
+    u = -0.5 * k * hs + 0.5 * sum(k[l] * hess[l] for l in range(d))
+    u_jac = (-0.5 * hs * hess
+             - 0.5 * h_grad[:, None] * k
+             + 0.5 * sum(hess[:, l, None] * hess[l] for l in range(d))
+             + 0.5 * sum(k[l] * phi[index[3][:, l]] for l in range(d)))
+    return (u.transpose(*range(1, u.ndim), 0),
+            u_jac.transpose(*range(2, u_jac.ndim), 0, 1))
+
+
+def _assert_same_bits(field, reference):
+    for got, want in zip((field.u, field.u_jac), reference):
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestGalerkinAgainstSumForm:
+    """galerkin_gain sums over l in place from the l = 0 term; that can
+    differ from a sum from 0 only in the sign of an all-zero sum.  On these
+    ensembles, exact zeros included, not a bit differs."""
+
+    @pytest.mark.parametrize("affine", [True, False])
+    @pytest.mark.parametrize("shape", [(40, 1), (40, 2), (40, 3),
+                                       (3, 40, 2)],
+                             ids=["d1", "d2", "d3", "d2-3-seeds"])
+    def test_random_ensembles(self, shape, affine):
+        model = _inline_model(shape[-1], affine)
+        gen = np.random.default_rng(len(shape) + shape[-1])
+        states = gen.standard_normal(shape)
+        ens = ParticleEnsemble(states=states, time=0.0,
+                               seed=np.arange(3) if len(shape) == 3 else 0,
+                               streams=np.arange(40, dtype=np.uint64))
+        stats = ensemble_stats(ens, model.obs_at)
+        h_grad = model.obs_grad_at(states)
+        field = galerkin_gain(states, stats, h_grad)
+        _assert_same_bits(field, _sum_form_u(states, stats, h_grad,
+                                             field.coeffs))
+
+    def test_particles_on_an_axis(self):
+        """Every particle on the x1 axis and h = x1, whose gradient's x2
+        component is 0: the coefficients of every monomial with x2 vanish,
+        so k_2, the x2 rows of the Hessian and every x2 term of u are exact
+        zeros, and so are whole sums over l."""
+        states = np.random.default_rng(5).standard_normal((200, 2))
+        states[:, 1] = 0.0
+        stats = _stats_for(states, lambda s: s[:, 0])
+        h_grad = np.array([[1.0, 0.0]])
+        field = galerkin_gain(states, stats, h_grad)
+        assert (field.k[:, 1] == 0.0).all() and (field.u[:, 1] == 0.0).all()
+        assert (field.u_jac[:, :, 1] == 0.0).all()
+        _assert_same_bits(field, _sum_form_u(states, stats, h_grad,
+                                             field.coeffs))
 
 
 class TestGalerkinGain:
@@ -502,7 +568,8 @@ def _dense_cubic_h(d):
 
 class TestAdmissibleInOneArray:
     """check_admissible builds I + grad v^T in one array: its flags and
-    determinants are those of _det(I + (k_jac dz + u_jac dt)) bit for bit,
+    determinants are those of _det(I + (k_jac dz + u_jac dt)), bit for bit
+    on these fields (a zero's sign aside, see TestIdentityOnTheDiagonal),
     and a per-particle field costs one (N, d, d) array beyond its inputs."""
 
     @pytest.mark.parametrize("case", [
@@ -540,7 +607,7 @@ class TestAdmissibleInOneArray:
         stats = _stats_for(states, lambda s: (s ** 3).sum(axis=1))
         field = constant_gain(states, stats, 3 * states ** 2)
         assert field.u_jac.shape == (n, d, d)
-        check_admissible(field, 0.1, 0.01)      # warm the identity cache
+        check_admissible(field, 0.1, 0.01)      # warm up
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -552,6 +619,41 @@ class TestAdmissibleInOneArray:
         # beyond it, the determinants and the flags with their three bool
         # temporaries: (N,) arrays of 8 and 1 bytes an entry
         assert one <= peak <= one + n * (8 + 4) + 16384
+
+
+class TestIdentityOnTheDiagonal:
+    """check_admissible adds 1.0 to each diagonal entry; adding the matrix
+    I also adds +0.0 off the diagonal, which turns -0.0 into +0.0.  The
+    flags are those of the I form, and a determinant can differ from its
+    only in the sign of an exact zero."""
+
+    @pytest.mark.parametrize("n", [1, 300], ids=["constant", "varying"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_flags_equal_the_identity_form(self, d, n):
+        gen = np.random.default_rng(10 * d + n)
+        dz, dt = 0.5, 0.25
+        k_jac = gen.normal(size=(n, d, d))
+        u_jac = gen.normal(size=(n, d, d))
+        # -0.0 off the diagonal in both Jacobians stays -0.0 in their sum,
+        # and a diagonal k_jac of -1/dz with u_jac 0 cancels I exactly
+        off = (gen.random((n, d, d)) < 0.5) & ~np.eye(d, dtype=bool)
+        k_jac[off] = u_jac[off] = -0.0
+        cancel = (gen.random((n, d, d)) < 0.3) & np.eye(d, dtype=bool)
+        k_jac[cancel], u_jac[cancel] = -1.0 / dz, 0.0
+        field = GainField(k=np.zeros((n, d)), k_jac=k_jac,
+                          u=np.zeros((n, d)), u_jac=u_jac)
+        a = field.u_jac * dt
+        a += field.k_jac * dz
+        a += np.eye(d)
+        ref = _det(a)
+        flags, dets = check_admissible(field, dz, dt)
+        np.testing.assert_array_equal(flags,
+                                      ~((ref > 1e-8) & np.isfinite(ref)))
+        np.testing.assert_array_equal(dets, ref)
+        moved = np.signbit(dets) != np.signbit(ref)
+        assert (dets[moved] == 0.0).all()
+        if n > 1:
+            assert (dets == 0.0).any()
 
 
 class TestClosedFormDeterminant:

@@ -677,6 +677,41 @@ class TestMonomialValuesAgainstAllCoordinates:
         assert fields.monomial_values(points, rows).tobytes() \
             == _all_coordinate_values(points, monomials).tobytes()
 
+    @pytest.mark.parametrize("dtype", [float, complex, object])
+    def test_power_table_of_each_dtype(self, dtype):
+        """The power table's row 0 is the 1 of the points' dtype, and the
+        values are those of a table allocated with np.ones: float64,
+        complex128 (complex-step probes) and mpmath (the oracle's points),
+        one ensemble and a batch of two."""
+        d = 3
+        monomials = fields.all_exponents(d, 3)
+        rows = fields.monomial_rows(monomials)
+        gen = np.random.default_rng(7)
+        points = gen.uniform(-2.0, 2.0, size=(2, 5, d)).astype(dtype)
+        if dtype is complex:
+            points += 1e-20j * gen.standard_normal(points.shape)
+        if dtype is object:
+            points = np.vectorize(mpmath.mpf, otypes=[object])(points)
+        for x in (points[0], points):
+            *lead, n, _ = x.shape
+            powers = np.ones((*lead, rows.max() // d + 1, d, n),
+                             dtype=x.dtype)
+            for e in range(1, powers.shape[-3]):
+                powers[..., e, :, :] = (powers[..., e - 1, :, :]
+                                        * x.swapaxes(-1, -2))
+            powers = powers.reshape(*lead, -1, n)
+            want = powers[..., rows[0], :]
+            for r in rows[1:]:
+                want = want * powers[..., r, :]
+            got = fields.monomial_values(x, rows)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if dtype is object:
+                assert [type(v) for v in got.flat] \
+                    == [type(v) for v in want.flat]
+                assert (got == want).all()
+            else:
+                assert got.tobytes() == want.tobytes()
+
 
 class TestOneJetPerField:
     """Each probe field's partials come from one power table."""
