@@ -1,10 +1,10 @@
 """Polynomial probe fields with exact derivatives.
 
 The identity checks need smooth densities, observation functions, and
-vector fields whose *inner* derivatives are analytic, so that finite
-differences appear only in the outermost layer of each check (nested FD
-would drown the tolerances in roundoff). Low-degree polynomials with
-seeded coefficients keep all derivatives bounded on the probe box.
+vector fields whose *inner* derivatives are analytic, so that a check
+differentiates numerically in its outermost layer alone, by complex step
+on the fields' complex128 evaluation. Low-degree polynomials with seeded
+coefficients keep all derivatives bounded on the probe box.
 
 One monomial kernel, shared with the Galerkin gain basis in gain.py, serves
 every field: `monomial_values` gathers monomials from a power table built by
@@ -52,8 +52,8 @@ family is built from arrays:
   view of its own C-ordered (Q, N) block. A member of a stack gets the
   bits of its own field.
 
-Finite differences, the outermost layer alone, call a function once per
-stencil: `fd_grad(fn, x, step)` evaluates fn (..., M, d) -> (..., M) on
+`fd_grad(fn, x, step)`, the real central difference of the transport
+bracket's outer gradient, evaluates fn (..., M, d) -> (..., M) once on
 all 2d points of each of the points x (..., d). A stencil row may differ
 from a one-point call in its last bits, as BLAS rounds a product by its
 rows.
@@ -92,8 +92,11 @@ def monomial_values(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
                       dtype=points.dtype)
     powers[..., 0, :, :] = 1     # x^0; the loop writes every other row
     for e in range(1, powers.shape[-3]):
-        np.multiply(powers[..., e - 1, :, :], points.swapaxes(-1, -2),
-                    out=powers[..., e, :, :])
+        # not out= the table: where an output's range overlaps an input's,
+        # as across a stack of one-point members, NumPy takes a scalar
+        # complex loop, which rounds otherwise than the vector one
+        powers[..., e, :, :] = powers[..., e - 1, :, :] \
+            * points.swapaxes(-1, -2)
     powers = powers.reshape(*lead, -1, n)
     values = powers[..., rows[0], :]
     for r in rows[1:]:
@@ -545,7 +548,7 @@ def _gaussian_terms(d: int):
 
 
 # ---------------------------------------------------------------------------
-# finite differences (outermost layer only)
+# finite differences (the transport bracket's outermost layer)
 # ---------------------------------------------------------------------------
 
 def fd_grad(fn, x: np.ndarray, step: float) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Numerical checks of the matrix-calculus machinery behind the filter.
 
 Every check follows the same discipline: inner derivatives of the probe
-fields are analytic (see fields.py) and finite differences appear only in
-the outermost layer, so each residual is either an exact cancellation
-(roundoff-floor small) or O(fd_step^2) truncation that must shrink by ~4x
-when the step is halved. Each check evaluates each field once per stencil,
-on all the points the difference needs.
+fields are analytic (see fields.py) and an outer derivative is a complex
+step (Squire and Trapp, SIAM Review 1998), with no subtraction to cancel,
+so each residual is an exact cancellation at roundoff. The transport
+bracket alone differences real points: its residual is the expansion's
+O(dz^2 + dt^2) remainder. Each check evaluates each field once per
+stencil, on all the points it needs.
 
 Every probe check (piola_residual, el_bracket_residual,
 el_generator_invariance and its observation_marginal, dz_order_residual,
@@ -60,38 +61,45 @@ def _minors(mats: np.ndarray) -> np.ndarray:
         mats[..., keep[:, None, :, None], keep[None, :, None, :]]))
 
 
-def piola_residual(v: PolyVectorField, x: np.ndarray,
-                   steps: Sequence[float]) -> np.ndarray:
-    """Divergence of the cofactor columns of V = I + grad v^T at x.
+# the complex step h of every outer derivative: Re f(x + i h e_i) is f(x)
+# and Im f(x + i h e_i) / h is d_i f(x), each to O(h^2), far below roundoff
+CS_STEP = 1e-30
 
-    residual_j = sum_i (-1)^(i+j) d/dx_i [minor_ij(V)], which the
-    change-of-variables algebra requires to vanish identically. The minors
-    are built from the analytic Jacobian of v; only the outer d/dx_i is a
-    central difference.
 
-    v holds P probes at points x (P, d), and the difference takes each of
-    the S steps (S,), giving (P, S, d): the points of every step's
-    stencil, x, then x + step e_i and x - step e_i, go through one v.jac
-    call, and the minors of all of them through one batched det. A probe
-    where V is singular at x raises ValueError.
-    """
+def _complex_stencil(x: np.ndarray) -> np.ndarray:
+    """x + i CS_STEP e_i for points x (P, d): (P, d, d), row i stepped along
+    axis i, complex128."""
     x = np.asarray(x, dtype=float)
-    steps = np.asarray(steps, dtype=float)
+    return x[:, None] + 1j * CS_STEP * np.eye(x.shape[-1])
+
+
+def _piola_terms(v: PolyVectorField, x: np.ndarray) -> np.ndarray:
+    """terms[:, i, j] = (-1)^(i+j) d/dx_i [minor_ij(V)] at points x (P, d),
+    (P, d, d), whose sum over i piola_residual returns.
+
+    The minors come from the analytic Jacobian of v on the complex stencil,
+    one v.jac call, and one batched det; d/dx_i is the complex step of
+    stencil row i. A probe where V is singular at x raises ValueError."""
     d = v.dim
-    e = steps[:, None, None, None] * np.eye(d)      # step e_i, (S, 1, d, d)
-    mats = np.eye(d) + v.jac(x[:, None] + np.concatenate(
-        [np.zeros((1, d)), np.concatenate([e, -e], axis=1).reshape(-1, d)]))
-    singular = np.abs(np.linalg.det(mats[:, 0])) < 1e-12
+    mats = np.eye(d) + v.jac(_complex_stencil(x))
+    singular = np.abs(np.linalg.det(mats[:, 0].real)) < 1e-12
     if singular.any():
         raise ValueError(f"I + grad v^T is singular at the point of probe "
                          f"{int(np.argmax(singular))}")
     i = np.arange(d)
-    # minors[..., side, i, j] at x +- step e_i, side 0 the + side
-    minors = _minors(mats[:, 1:].reshape(len(x), -1, 2, d, d, d))[
-        ..., i, i, :]
     sign = np.where((i[:, None] + i) % 2, -1.0, 1.0)
-    return np.sum(sign * (minors[:, :, 0] - minors[:, :, 1])
-                  / (2.0 * steps[:, None, None]), axis=-2)
+    # stencil row i's minors of row i
+    return sign * _minors(mats)[:, i, i].imag / CS_STEP
+
+
+def piola_residual(v: PolyVectorField, x: np.ndarray) -> np.ndarray:
+    """Divergence of the cofactor columns of V = I + grad v^T at x.
+
+    residual_j = sum_i (-1)^(i+j) d/dx_i [minor_ij(V)], which the
+    change-of-variables algebra requires to vanish identically. v holds P
+    probes at points x (P, d), giving (P, d).
+    """
+    return np.sum(_piola_terms(v, x), axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +209,7 @@ def el_generator_invariance(p: ExpPolyDensity, h: PolyScalarField,
     d = v.dim
     p_y = observation_marginal(p, h, y[:, 0], dt)[:, None]
 
-    step = 1e-30
-    pts = x[:, None] + 1j * step * np.eye(d + 1, d, -1)   # x, x + i h e_i
+    pts = np.concatenate([x[:, None] + 0j, _complex_stencil(x)], axis=1)
     disp, jac = v.partials(pts, 1)
     shifted = pts + disp
     mats = np.eye(d) + jac
@@ -216,7 +223,7 @@ def el_generator_invariance(p: ExpPolyDensity, h: PolyScalarField,
     i = np.arange(d)
     cof0 = np.where((i[:, None] + i) % 2, -1.0, 1.0) * _minors(
         mats[:, 0].real)
-    return {name: _vm(gen.fp(xi[:, 1:]).imag / step, cof0)
+    return {name: _vm(gen.fp(xi[:, 1:]).imag / CS_STEP, cof0)
             / gen.fpp(xi[:, :1].real) for name, gen in GENERATORS.items()}
 
 
@@ -319,8 +326,7 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
-                            K: PolyVectorField, x: np.ndarray,
-                            fd_step: float = 1e-4
+                            K: PolyVectorField, x: np.ndarray
                             ) -> Tuple[np.ndarray, np.ndarray]:
     """One of the eight cancellation identities among the K-quadratic terms.
 
@@ -339,8 +345,9 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
       7  Jacobian-squared group telescopes to -grad^T[K^T (grad K^T) grad L]
       8  div-K group telescopes to -grad^T[grad^T(div K) K]
 
-    Identities 1-5 are evaluated purely analytically (gap at roundoff);
-    6-8 difference an analytic scalar in the outermost layer only.
+    Identities 1-5 are evaluated purely analytically; 6-8 take the
+    gradient of analytic scalars by complex step, one call a field on the
+    stencil. Every gap is at roundoff.
 
     p and K hold P probes at points x (P, d), whose lhs and rhs are
     (P, d): each field is evaluated once per stencil for all P probes.
@@ -390,100 +397,86 @@ def quadratic_term_identity(identity_id: int, p: ExpPolyDensity,
         lhs = (-np.einsum("...l,...i,...lij->...j", k, k, tl[0])
                + 0.5 * np.einsum("...a,...b,...abj->...j", k, k, tl[0])
                - np.einsum("...i,...il,...jl->...j", k, hl, jk))
-
-        def curvature_quad(pts):
-            kk = K.value(pts)
-            _, g, hess = p.q.partials(pts, 2)
-            return np.einsum("...ni,...nij,...nj->...n", kk,
-                             hess + np.einsum("...ni,...nj->...nij", g, g),
-                             kk)
-
-        def slope_quad(pts):
-            return np.einsum("...ni,...ni->...n", K.value(pts),
-                             p.grad_log(pts)) ** 2
-
-        rhs = -0.5 * fd_grad(curvature_quad, x, fd_step) \
-            + 0.5 * fd_grad(slope_quad, x, fd_step)
+        pts = _complex_stencil(x)
+        kk = K.value(pts)
+        _, g, hess = p.q.partials(pts, 2)
+        curvature_quad = np.einsum(
+            "...ni,...nij,...nj->...n", kk,
+            hess + np.einsum("...ni,...nj->...nij", g, g), kk)
+        slope_quad = np.einsum("...ni,...ni->...n", kk, g) ** 2
+        rhs = (-0.5 * curvature_quad + 0.5 * slope_quad).imag / CS_STEP
         return lhs, rhs
 
     if identity_id == 7:
         lhs = (-np.einsum("...i,...il,...lj->...j", k, jk, hl)
                - np.einsum("...i,...l,...ijl->...j", k, gl, sk)
                - _vm(gl, jk_t @ jk_t))
-
-        def transport(pts):
-            kk, jac = K.partials(pts, 1)
-            return np.einsum("...ni,...nij,...nj->...n", kk, jac,
-                             p.grad_log(pts))
-
-        rhs = -fd_grad(transport, x, fd_step)
+        pts = _complex_stencil(x)
+        kk, jac = K.partials(pts, 1)
+        transport = np.einsum("...ni,...nij,...nj->...n", kk, jac,
+                              p.grad_log(pts))
+        rhs = -transport.imag / CS_STEP
         return lhs, rhs
 
     if identity_id == 8:
         lhs = -np.einsum("...i,...ijll->...j", k, tk[0]) \
             - _vm(grad_div_k, jk_t)
-
-        def div_flux(pts):
-            kk, _, sk2 = K.partials(pts, 2)
-            return np.einsum("...nall,...na->...n", sk2, kk)
-
-        rhs = -fd_grad(div_flux, x, fd_step)
+        kk, _, sk2 = K.partials(_complex_stencil(x), 2)
+        div_flux = np.einsum("...nall,...na->...n", sk2, kk)
+        rhs = -div_flux.imag / CS_STEP
         return lhs, rhs
 
     raise ValueError(f"identity_id must be 1..8, got {identity_id}")
 
 
-def double_divergence_expansion_check(p: ExpPolyDensity, K: PolyVectorField,
-                                      x: np.ndarray, steps: Sequence[float]
-                                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Product-rule expansion of sum_ij d^2(p K_i K_j)/dx_i dx_j.
-
-    lhs: direct second differences of the analytic scalar p K_i K_j.
-    rhs: K^T grad^2 p K + 2 (grad^T p K)(div K) + 2 K^T (grad K^T) grad p
-         + p (div K)^2 + 2 p grad^T(div K) K + p tr[(grad K^T)^2].
-
-    p and K hold P probes at points x (P, d), and the differences take
-    each of the S steps (S,), giving lhs (P, S) and rhs (P,): the analytic
-    rhs, which does not depend on the step, is computed once, and each
-    step's stencil is one call a field.
-    """
+def _double_divergence_terms(p: ExpPolyDensity, K: PolyVectorField,
+                             x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(lhs (P,), terms (P, 6)) of double_divergence_expansion_check at
+    points x (P, d): the direct lhs, and the six terms of the product-rule
+    rhs, whose sum is the rhs."""
     x = np.asarray(x, dtype=float)
-    # the analytic side first: its weight tables serve every stencil
+    # the rhs first: its order-2 weight tables serve the lhs's order 1
     p0, gp, hp = (a[:, 0] for a in p.partials(x[:, None], 2))
     k, jk, sk = (a[:, 0] for a in K.partials(x[:, None], 2))
     div_k = np.trace(jk, axis1=-2, axis2=-1)
     grad_div_k = np.einsum("...all->...a", sk)
-    rhs = (_dot(_vm(k, hp), k)
-           + 2.0 * _dot(gp, k) * div_k
-           + _dot(_vm(2.0 * k, jk), gp)
-           + p0 * div_k ** 2
-           + _dot(2.0 * p0[:, None] * grad_div_k, k)
-           + p0 * np.trace(jk @ jk, axis1=-2, axis2=-1))
+    terms = np.stack([_dot(_vm(k, hp), k),
+                      2.0 * _dot(gp, k) * div_k,
+                      _dot(_vm(2.0 * k, jk), gp),
+                      p0 * div_k ** 2,
+                      _dot(2.0 * p0[:, None] * grad_div_k, k),
+                      p0 * np.trace(jk @ jk, axis1=-2, axis2=-1)], axis=-1)
 
-    d, n, e = K.dim, np.arange(K.dim), np.eye(K.dim)
-    a, b = np.nonzero(n[:, None] < n)
-    # the unique stencil: x, x + h e_i, x - h e_i, then x + h (s e_a + t e_b)
-    # for (s, t) = (1, 1), (1, -1), (-1, 1), (-1, -1), each over pairs a < b
-    s, t = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])[:, :, None, None]
-    offsets = np.concatenate(
-        [0 * e[:1], e, -e, (s * e[a] + t * e[b]).reshape(-1, d)])
-    pp, pm, mp, mm = 1 + 2 * d + np.arange(4 * len(a)).reshape(4, len(a))
+    # the lhs, its own route: g_j = sum_i d_i(p K_i K_j)
+    #   = (grad^T p K + p div K) K_j + p (K^T grad) K_j
+    # from the first partials on the complex stencil, and sum_j d_j g_j by
+    # complex step
+    pts = _complex_stencil(x)
+    ps, gps = p.partials(pts, 1)
+    ks, jks = K.partials(pts, 1)
+    g = ((_dot(gps, ks) + ps * np.trace(jks, axis1=-2, axis2=-1))[..., None]
+         * ks + ps[..., None] * _vm(ks, jks))
+    lhs = np.trace(g, axis1=-2, axis2=-1).imag / CS_STEP
+    return lhs, terms
 
-    lhs = []
-    for h in np.asarray(steps, dtype=float).tolist():
-        pts = x[:, None] + h * offsets
-        kk = K.value(pts)
-        pkk = p.value(pts)[..., None, None] * kk[..., :, None] \
-            * kk[..., None, :]
-        gap = np.sum((pkk[:, 1 + n, n, n] - 2.0 * pkk[:, 0, n, n]
-                      + pkk[:, 1 + d + n, n, n]) / h ** 2, axis=-1)
-        # (i, j) = (a, b), then (b, a); rows ij hold x + h (e_i - e_j)
-        for i, j, ij, ji in ((a, b, pm, mp), (b, a, mp, pm)):
-            gap += np.sum((pkk[:, pp, i, j] - pkk[:, ij, i, j]
-                           - pkk[:, ji, i, j] + pkk[:, mm, i, j])
-                          / (4.0 * h ** 2), axis=-1)
-        lhs.append(gap)
-    return np.stack(lhs, axis=-1), rhs
+
+def double_divergence_expansion_check(p: ExpPolyDensity, K: PolyVectorField,
+                                      x: np.ndarray
+                                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Product-rule expansion of sum_ij d^2(p K_i K_j)/dx_i dx_j.
+
+    lhs: sum_j d_j of g_j = sum_i d_i(p K_i K_j), which takes the inner
+         level from the first partials of p and K, and the outer d_j by
+         complex step.
+    rhs: K^T grad^2 p K + 2 (grad^T p K)(div K) + 2 K^T (grad K^T) grad p
+         + p (div K)^2 + 2 p grad^T(div K) K + p tr[(grad K^T)^2],
+         from the second partials of p and K at x.
+
+    p and K hold P probes at points x (P, d), giving lhs (P,) and rhs (P,):
+    one call a field on the complex stencil and one at x.
+    """
+    lhs, terms = _double_divergence_terms(p, K, x)
+    return lhs, np.sum(terms, axis=-1)
 
 
 # ---------------------------------------------------------------------------

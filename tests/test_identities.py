@@ -1,8 +1,8 @@
 """Tests for the matrix-calculus identities behind the particle update.
 
 The probe fields are low-degree polynomials (density = exp(polynomial)),
-so every inner derivative is analytic and finite differences appear only
-in the outermost layer of a check.
+so every inner derivative is analytic and a check differentiates
+numerically only in its outermost layer.
 """
 
 import math
@@ -27,7 +27,9 @@ from fpf_lab.fields import (
 from fpf_lab.grid import trapezoid
 from fpf_lab.identities import (
     QUADRATIC_IDENTITY_IDS,
+    _double_divergence_terms,
     _minors,
+    _piola_terms,
     bounded_slope_grad_log,
     double_divergence_expansion_check,
     dt_order_residual,
@@ -124,14 +126,6 @@ def _dz_probe(rng, d):
     k = PolyVectorField([Polynomial(d, {(0,) * d: float(gain[j])})
                          for j in range(d)])
     return p, h, k, rng.uniform(-0.7, 0.7, size=d)
-
-
-def converges_quadratically(gap, gap_half):
-    """True when halving fd_step cut the gap by >= 3, or both gaps already
-    sit at the 1e-12 roundoff floor (FD-free identities)."""
-    if abs(gap) <= 1e-12 and abs(gap_half) <= 1e-12:
-        return True
-    return abs(gap) >= 3.0 * abs(gap_half)
 
 
 class TestFieldPrimitives:
@@ -269,12 +263,6 @@ class TestFieldPrimitives:
             got = ExpPolyDensity.gaussian(mean, cov).q.poly
             want = _gaussian_oracle(mean, cov)
             assert _coefficient_bytes(got) == _coefficient_bytes(want)
-
-    def test_convergence_helper(self):
-        assert converges_quadratically(1e-3, 2e-4)
-        assert not converges_quadratically(1e-3, 5e-4)
-        # both gaps at roundoff: identity without any FD content
-        assert converges_quadratically(1e-14, 3e-14)
 
 
 def _coefficient_bytes(poly):
@@ -531,14 +519,15 @@ class TestCachedPlans:
         1,311 fields (96 builds of 1,419 before lm2's three steps and the
         three bracket rows were one check each), where a build per probe
         field was 479 builds. lm2's 6 are p and K per dimension, each
-        built once at order 2 for the analytic side, whose tables its
-        stencils' values reuse (12 when each step was its own check and
-        its values came first). el-invariance's 9 are 6 stacks of 25 (p
-        and h on p_Y's grid and v on the complex stencils, per dimension;
-        h and log p reuse their order-0 tables there) and the bracket
-        stack's p, h and v, each built once (15 builds of single fields
-        when each row was its own check; was 21 in all). A plan keyed by
-        anything that varies per field would rebuild it per field."""
+        built once at order 2 for the rhs at the points, whose tables the
+        lhs's order-1 partials on the complex stencils reuse (12 when each
+        real step was its own check and its values came first).
+        el-invariance's 9 are 6 stacks of 25 (p and h on p_Y's grid and v
+        on the complex stencils, per dimension; h and log p reuse their
+        order-0 tables there) and the bracket stack's p, h and v, each
+        built once (15 builds of single fields when each row was its own
+        check; was 21 in all). A plan keyed by anything that varies per
+        field would rebuild it per field."""
         build, keys = fields._partial_plan.__wrapped__, []
         monkeypatch.setattr(fields, "_partial_plan", lru_cache(maxsize=1024)(
             lambda *key: keys.append(key) or build(*key)))
@@ -830,45 +819,48 @@ class TestOneJetPerField:
 
     def test_suites_keep_their_field_call_budget(self, monkeypatch):
         """Each check evaluates a field once per stencil, so the number of
-        float64 monomial_values calls a suite makes is fixed by its
-        probes, and a return to one point per call would multiply them
-        (piola 1,200, appendixB 2,284, lm2 5,856 that way). Every probe
-        suite evaluates each field once per stencil for all the probes of
-        one (check, dimension): appendixB's 69 and lm2's 24 calls were
-        1,150 and 600 when each probe made its own, piola's 2 were 200
-        and taylor's 13 were 350. piola's 2 take both steps' stencils, 4d
-        + 1 points a probe. lm2's 24 are p and K once per dimension for
-        the analytic side and once per step's stencil (36 when each step
-        was its own check and took the analytic side again).
-        El-invariance's 12 are p and h on p_Y's quadrature grid, one
-        (41^d, d) grid shared by each dimension's probes (4 calls), and
-        the 8 of the 3 bracket rows, one stack of three 1-D probes (24
-        when each row was its own check; was 28 in all); its points are
-        exactly these (86,133 when each probe had its own grid, and
-        201 nodes an axis would make them 2,030,133). Its complex128
-        stencils are counted apart, exactly three calls a dimension, and
-        no other suite makes any."""
-        budget = {"piola": 2, "appendixB": 69, "lm2": 24,
-                  "el-invariance": 12, "taylor": 13}
+        monomial_values calls a suite makes, float64 and complex128 apart,
+        is fixed by its probes, and a return to one point per call would
+        multiply them (piola 1,200, appendixB 2,284, lm2 5,856 that way,
+        when they took real differences). Every probe suite evaluates each
+        field once per stencil for all the probes of one (check,
+        dimension). piola's 2 complex calls are one Jacobian call per
+        dimension on the complex stencils, d points a probe (2 float calls
+        on 4d + 1 points a probe when it differenced two steps).
+        appendixB's 48 float calls are log p and K at the points, per
+        (identity, dimension), and its 15 complex calls the telescoped
+        identities' stencils: 2 fields for identities 6 and 7, 1 for 8, per
+        dimension (69 float calls in all when they were real differences).
+        lm2's are p and K once per dimension at the points and once on the
+        complex stencils (24 float calls when it differenced three steps).
+        Taylor's 13 were 350 with a call per probe. El-invariance's 12 are
+        p and h on p_Y's quadrature grid, one (41^d, d) grid shared by each
+        dimension's probes (4 calls), and the 8 of the 3 bracket rows, one
+        stack of three 1-D probes (24 when each row was its own check; was
+        28 in all); its points are exactly these (86,133 when each probe
+        had its own grid, and 201 nodes an axis would make them
+        2,030,133). Its 6 complex calls are three a dimension."""
+        budget = {"piola": (0, 2), "appendixB": (48, 15), "lm2": (6, 6),
+                  "el-invariance": (12, 6), "taylor": (13, 0)}
         kernel, calls = fields.monomial_values, []
         monkeypatch.setattr(fields, "monomial_values",
                             lambda points, rows: calls.append(
                                 (np.iscomplexobj(points),
                                  points.size // points.shape[-1]))
                             or kernel(points, rows))
-        counts, points, complex_counts = {}, {}, {}
+        counts, points = {}, {}
         for suite in budget:
             calls.clear()
             assert all(row.passed for row in verify.run_suite(suite))
             floats = [n for is_complex, n in calls if not is_complex]
-            counts[suite], points[suite] = len(floats), sum(floats)
-            complex_counts[suite] = len(calls) - len(floats)
+            counts[suite] = (len(floats), len(calls) - len(floats))
+            points[suite] = (sum(floats), sum(n for _, n in calls)
+                             - sum(floats))
         assert counts == budget, counts
-        assert points["piola"] == 50 * 9 + 50 * 13, points
-        assert points["taylor"] == 350, points
-        assert points["el-invariance"] == 2 * 41 + 2 * 41 ** 2 + 33, points
-        assert complex_counts.pop("el-invariance") == 6
-        assert not any(complex_counts.values()), complex_counts
+        assert points["piola"] == (0, 50 * 2 + 50 * 3), points
+        assert points["taylor"] == (350, 0), points
+        assert points["el-invariance"][0] == 2 * 41 + 2 * 41 ** 2 + 33, \
+            points
 
     def test_expansion_checks_evaluate_each_field_once(self, monkeypatch):
         """dt order: p, h, K, u; dz order: p, h, K; identity 1: log p, K."""
@@ -1010,77 +1002,9 @@ class TestFieldStacks:
             assert got.tobytes() == want.tobytes()
 
 
-def _fd_grad_per_point(fn, x, step):
-    """The central difference with one call of fn per point."""
-    e = step * np.eye(len(x))
-    return np.array([(fn(x + e[i]) - fn(x - e[i])) / (2.0 * step)
-                     for i in range(len(x))])
-
-
-def _piola_per_point(v, x, step):
-    """Cofactor divergence from one Jacobian call per point and one
-    np.delete'd determinant per minor."""
-    d = v.dim
-    res, e = np.zeros(d), step * np.eye(d)
-    for i in range(d):
-        mats = [np.eye(d) + v.jac(x + s * e[i])[0] for s in (1.0, -1.0)]
-        for j in range(d):
-            hi, lo = (np.delete(np.delete(m, i, axis=0), j, axis=1)
-                      for m in mats)
-            minor_hi, minor_lo = (float(np.linalg.det(m)) if m.size else 1.0
-                                  for m in (hi, lo))
-            res[j] += (-1.0) ** (i + j) * (minor_hi - minor_lo) / (2.0 * step)
-    return res
-
-
-def _lm2_lhs_per_point(p, k, x, step):
-    """sum_ij d^2(p K_i K_j)/dx_i dx_j, two field calls per p K_i K_j."""
-    d, e = k.dim, np.eye(k.dim)
-
-    def pkk(pt, i, j):
-        kk = k.value(pt)[0]
-        return float(p.value(pt)[0] * kk[i] * kk[j])
-
-    lhs = 0.0
-    for i in range(d):
-        lhs += (pkk(x + step * e[i], i, i) - 2.0 * pkk(x, i, i)
-                + pkk(x - step * e[i], i, i)) / step ** 2
-        for j in range(d):
-            if j != i:
-                lhs += (pkk(x + step * (e[i] + e[j]), i, j)
-                        - pkk(x + step * (e[i] - e[j]), i, j)
-                        - pkk(x - step * (e[i] - e[j]), i, j)
-                        + pkk(x - step * (e[i] + e[j]), i, j)) \
-                    / (4.0 * step ** 2)
-    return lhs
-
-
-def _quadratic_rhs_per_point(ident, p, k, x, step):
-    """The telescoped side of identities 6-8, one point per field call."""
-    def curvature_quad(pt):
-        kk = k.value(pt)[0]
-        _, g, hess = (a[0] for a in p.q.partials(pt, 2))
-        return float(kk @ (hess + np.outer(g, g)) @ kk)
-
-    def slope_quad(pt):
-        return float((k.value(pt)[0] @ p.grad_log(pt)[0]) ** 2)
-
-    def transport(pt):
-        kk, jac = (a[0] for a in k.partials(pt, 1))
-        return float(kk @ jac @ p.grad_log(pt)[0])
-
-    def div_flux(pt):
-        kk, _, sk = (a[0] for a in k.partials(pt, 2))
-        return float(np.einsum("all->a", sk) @ kk)
-
-    if ident == 6:
-        return (-0.5 * _fd_grad_per_point(curvature_quad, x, step)
-                + 0.5 * _fd_grad_per_point(slope_quad, x, step))
-    return -_fd_grad_per_point(transport if ident == 7 else div_flux, x, step)
-
-
 def _el_bracket_per_point(p, h, v, x, y, dt):
-    """el_bracket_residual with g evaluated one point per call."""
+    """el_bracket_residual with g evaluated one point per call, and its
+    central difference one point at a time."""
     def g_at(pt):
         shifted = pt + v.value(pt)[0]
         return float(p.value(shifted)[0]) * math.sqrt(dt / (2.0 * math.pi)) \
@@ -1090,19 +1014,20 @@ def _el_bracket_per_point(p, h, v, x, y, dt):
     p0, grad_p0 = (a[0] for a in p.partials(x, 1))
     _, jac, sec = (a[0] for a in v.partials(x, 2))
     v_inv = np.linalg.inv(np.eye(d) + jac)
-    return (_fd_grad_per_point(g_at, x, 1e-4) * p0
-            + g0 * np.einsum("ab,iba->i", v_inv, sec) * p0 - g0 * grad_p0)
+    e = 1e-4 * np.eye(d)
+    grad_g = np.array([(g_at(x + e[i]) - g_at(x - e[i])) / 2e-4
+                       for i in range(d)])
+    return (grad_g * p0 + g0 * np.einsum("ab,iba->i", v_inv, sec) * p0
+            - g0 * grad_p0)
 
 
 class TestStencilsAgainstPerPointOracle:
-    """Each check evaluates its fields once over its whole stencil. The
-    one-point-per-call formulas it replaced (above) agree with it to
-    finite-difference roundoff: a field's last bits depend on how many
-    points share its call, and the outer difference divides them by h
-    (by h^2 for lm2's second differences). Over 40 probes a dimension at
-    h = 1e-4 and 1e-3 the largest gaps were, in eps/h: piola 2.7,
-    identities 6-8 1.2, 2.0 and 4.0, the el bracket 0.003; lm2 0.72
-    eps/h^2. The bounds keep a margin of 4 or more."""
+    """The transport bracket evaluates its fields once over its whole
+    stencil. The one-point-per-call formula it replaced (above) agrees
+    with it to finite-difference roundoff: a field's last bits depend on
+    how many points share its call, and the outer difference divides them
+    by h. Over 40 probes a dimension at h = 1e-4 the largest gap was
+    0.0062 eps/h; the bound keeps a margin of 3."""
 
     EPS = np.finfo(float).eps
 
@@ -1111,24 +1036,9 @@ class TestStencilsAgainstPerPointOracle:
         rng = np.random.default_rng(60 + dim)
         for _ in range(10):
             p = _random_gaussian(dim, rng)
-            k = random_vector_field(dim, 3, rng, scale=0.4)
-            v = random_vector_field(dim, 3, rng, scale=0.4)
             h = PolyScalarField(random_polynomial(dim, 2, rng, scale=0.5))
-            x = rng.uniform(-0.6, 0.6, size=dim)
-            for step in (1e-4, 1e-3):
-                assert np.max(np.abs(
-                    piola_residual(v, x[None], (step,))[0, 0]
-                    - _piola_per_point(v, x, step))) <= 16.0 * self.EPS / step
-                lhs, _ = double_divergence_expansion_check(p, k, x[None],
-                                                           (step,))
-                assert abs(lhs[0, 0] - _lm2_lhs_per_point(p, k, x, step)) \
-                    <= 4.0 * self.EPS / step ** 2
-                for ident in (6, 7, 8):
-                    _, rhs = quadratic_term_identity(ident, p, k, x[None],
-                                                     step)
-                    assert np.max(np.abs(rhs[0] - _quadratic_rhs_per_point(
-                        ident, p, k, x, step))) <= 16.0 * self.EPS / step
             small = random_vector_field(dim, 2, rng, scale=0.05)
+            x = rng.uniform(-0.6, 0.6, size=dim)
             y = float(0.3 * rng.standard_normal())
             gap = el_bracket_residual(p, h, small, x[None], [y], 0.01)[0] \
                 - _el_bracket_per_point(p, h, small, x, y, 0.01)
@@ -1151,39 +1061,34 @@ class TestPiolaIdentity:
             assert minors[idx].tobytes() == want.tobytes(), idx
 
     def test_two_d_hand_example(self):
-        """v = (x2^2, x1^2): the cofactor entries of I + grad v^T are
-        linear, so the central differences are exact and the divergences
-        cancel to roundoff."""
+        """v = (x2^2, x1^2): the minors of I + grad v^T are 1, 2 x2 and
+        2 x1, each differentiated along an axis it does not depend on, so
+        every term, and both divergences, are exactly 0."""
         v = PolyVectorField([Polynomial(2, {(0, 2): 1.0}),
                              Polynomial(2, {(2, 0): 1.0})])
-        res = piola_residual(v, np.array([[0.3, -0.2]]), (1e-4,))
-        assert np.max(np.abs(res)) <= 1e-12
+        res = piola_residual(v, np.array([[0.3, -0.2]]))
+        np.testing.assert_array_equal(res, [[0.0, 0.0]])
 
     def test_one_d_is_exactly_zero(self):
         """In one dimension the only cofactor is the empty minor 1, whose
         derivative vanishes identically."""
         v = PolyVectorField([Polynomial(1, {(3,): 0.7})])
-        res = piola_residual(v, np.array([[0.4]]), (1e-4,))
-        np.testing.assert_array_equal(res, [[[0.0]]])
+        res = piola_residual(v, np.array([[0.4]]))
+        np.testing.assert_array_equal(res, [[0.0]])
 
     def test_singular_displacement_rejected(self):
         v = PolyVectorField([Polynomial(1, {(1,): -1.0})])
         with pytest.raises(ValueError, match="singular"):
-            piola_residual(v, np.array([[0.0]]), (1e-4,))
+            piola_residual(v, np.array([[0.0]]))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random_cubic_fields(self, dim):
-        """FD residual small at step 1e-4 and shrinking at least 3x when
-        the step halves (up to a roundoff floor)."""
+        """The complex-step residual sits at roundoff, 1e-13 or less."""
         rng = np.random.default_rng(11 + dim)
         for _ in range(5):
             v = random_vector_field(dim, 3, rng, scale=0.4)
             x = rng.uniform(-0.8, 0.8, size=dim)
-            r = float(np.max(np.abs(piola_residual(v, x[None], (1e-4,)))))
-            r_half = float(np.max(np.abs(piola_residual(v, x[None],
-                                                        (5e-5,)))))
-            assert r <= 1e-6
-            assert r_half <= max(r / 3.0, 1e-10)
+            assert np.max(np.abs(piola_residual(v, x[None]))) <= 1e-13
 
 
 class TestExpansionOrders:
@@ -1236,7 +1141,7 @@ class TestExpansionOrders:
 
 class TestCancellationIdentities:
     ANALYTIC_IDS = (1, 2, 3, 4, 5)
-    FD_IDS = (6, 7, 8)
+    TELESCOPED_IDS = (6, 7, 8)
 
     def test_id_range(self):
         assert QUADRATIC_IDENTITY_IDS == (1, 2, 3, 4, 5, 6, 7, 8)
@@ -1253,43 +1158,33 @@ class TestCancellationIdentities:
             lhs, rhs = quadratic_term_identity(ident, p, k, x[None])
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
-    @pytest.mark.parametrize("ident", FD_IDS)
-    def test_telescoped_identities_small_and_second_order(self, ident):
-        """The three total-derivative identities difference an analytic
-        scalar in the outer layer; the gap must be tiny at step 1e-4 and
-        shrink quadratically between 1e-3 and 5e-4."""
+    @pytest.mark.parametrize("ident", TELESCOPED_IDS)
+    def test_telescoped_identities_cancel_to_roundoff(self, ident):
+        """The three total-derivative identities take the gradient of an
+        analytic scalar by complex step; the gap sits at roundoff."""
         rng = np.random.default_rng(200 + ident)
         for _ in range(5):
             p, k, x = _quadratic_probe(rng)
-            lhs, rhs = quadratic_term_identity(ident, p, k, x[None],
-                                               fd_step=1e-4)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-5
-            g = quadratic_term_identity(ident, p, k, x[None], fd_step=1e-3)
-            gh = quadratic_term_identity(ident, p, k, x[None], fd_step=5e-4)
-            assert converges_quadratically(np.max(np.abs(g[0] - g[1])),
-                                           np.max(np.abs(gh[0] - gh[1])))
+            lhs, rhs = quadratic_term_identity(ident, p, k, x[None])
+            assert np.max(np.abs(lhs - rhs)) <= 1e-13
 
 
 class TestDoubleDivergenceExpansion:
-    def test_constant_gain_reduces_to_second_difference(self):
-        """With K = 1 both sides are p'': the gap is pure FD truncation
-        p'''' h^2 / 12 and must quarter when the step halves."""
+    def test_constant_gain_reduces_to_second_derivative(self):
+        """With K = 1 both sides are p'' = (x^2 - 1) phi(x): the lhs the
+        complex step of the analytic p', the rhs the analytic p''."""
         p, k = _std_normal(), _const_field(1.0)
-        x = np.array([[0.4]])
-        p4 = _phi(0.4) * (0.4 ** 4 - 6 * 0.4 ** 2 + 3)
-        lhs, rhs = double_divergence_expansion_check(p, k, x, (1e-2,))
-        gap = abs(lhs[0, 0] - rhs[0])
-        assert gap == pytest.approx(abs(p4) * 1e-4 / 12.0, rel=5e-3)
-        lhs2, rhs2 = double_divergence_expansion_check(p, k, x, (5e-3,))
-        assert converges_quadratically(gap, abs(lhs2[0, 0] - rhs2[0]))
+        lhs, rhs = double_divergence_expansion_check(p, k, np.array([[0.4]]))
+        p2 = _phi(0.4) * (0.4 ** 2 - 1.0)
+        assert lhs[0] == pytest.approx(p2, rel=1e-15)
+        assert rhs[0] == pytest.approx(p2, rel=1e-15)
 
     def test_random_probes_match_product_rule(self):
         rng = np.random.default_rng(2112)
         for _ in range(5):
             p, k, x = _quadratic_probe(rng)
-            lhs, rhs = double_divergence_expansion_check(p, k, x[None],
-                                                         (1e-4,))
-            assert abs(lhs[0, 0] - rhs[0]) <= 1e-5
+            lhs, rhs = double_divergence_expansion_check(p, k, x[None])
+            assert abs(lhs[0] - rhs[0]) <= 1e-13
 
 
 class TestStackedSuites:
@@ -1305,13 +1200,13 @@ class TestStackedSuites:
             d = 2 if i % 2 == 0 else 3
             v = random_vector_field(d, 3, rng, scale=0.4)
             x = rng.uniform(-0.8, 0.8, size=d)
-            r, r_half = (float(np.max(np.abs(piola_residual(
-                v, x[None], (step,))))) for step in (1e-4, 5e-5))
+            r = float(np.max(np.abs(piola_residual(v, x[None]))))
+            scale = float(np.max(np.abs(_piola_terms(v, x[None]))))
             assert (rows[2 * i].check, rows[2 * i].point,
                     rows[2 * i].residual) == ("piola", str(i), r)
-            assert (rows[2 * i + 1].residual,
-                    rows[2 * i + 1].tolerance) == (r_half,
-                                                   max(r / 3.0, 1e-10))
+            assert (rows[2 * i + 1].check, rows[2 * i + 1].point,
+                    rows[2 * i + 1].residual) == ("piola-relative", str(i),
+                                                  r / max(scale, 1e-30))
 
     def test_taylor_rows_equal_each_probe_alone(self):
         rows = verify.run_suite("taylor")
@@ -1364,11 +1259,9 @@ class TestStackedSuites:
         alone = _member_fields(np.tile(cubic, (d, 1)), (len(cubic),) * d,
                                ks)
         xs = rng.uniform(-0.8, 0.8, size=(count, d))
-        got = piola_residual(stack, xs, (1e-4, 5e-5))
+        got = piola_residual(stack, xs)
         for m in range(count):
-            for s, step in enumerate((1e-4, 5e-5)):
-                assert _same(got[m, s], piola_residual(
-                    alone[m], xs[m:m + 1], (step,))[0, 0])
+            assert _same(got[m], piola_residual(alone[m], xs[m:m + 1])[0])
 
         moments = [random_moments(d, rng)
                    for _ in range(count)]
@@ -1421,11 +1314,11 @@ class TestStackedSuites:
                                        [0.3, -0.1]])
         xs = np.full((3, 2), 0.2)
         with pytest.raises(ValueError, match="singular.* probe 1$"):
-            piola_residual(stack, xs, (1e-4,))
+            piola_residual(stack, xs)
         alone = _member_fields(np.eye(2, dtype=int), (1, 1),
                                np.array([[-1.0, -1.0]]))[0]
         with pytest.raises(ValueError, match="singular"):
-            piola_residual(alone, xs[1:2], (1e-4,))
+            piola_residual(alone, xs[1:2])
 
     def test_el_bracket_rows_equal_each_probe_alone(self):
         """The three bracket rows, one stack of three 1-D probes, each
@@ -1475,8 +1368,7 @@ class TestStackedSuites:
             rng = np.random.default_rng(2000 + ident)
             for i in range(50):
                 p, k, x = _quadratic_probe(rng)
-                lhs, rhs = quadratic_term_identity(ident, p, k, x[None],
-                                                   1e-4)
+                lhs, rhs = quadratic_term_identity(ident, p, k, x[None])
                 row = rows[50 * (ident - 1) + i]
                 assert (row.check, row.point) == (f"identity-{ident}", str(i))
                 assert row.residual == float(np.max(np.abs(lhs - rhs)))
@@ -1486,14 +1378,15 @@ class TestStackedSuites:
         rng = np.random.default_rng(2112)
         for i in range(50):
             p, k, x = _quadratic_probe(rng)
-            gap, gap_c, gap_h = (
-                abs(np.subtract(*double_divergence_expansion_check(
-                    p, k, x[None], (step,))))[0, 0]
-                for step in (1e-4, 1e-2, 5e-3))
-            assert rows[2 * i].residual == gap
-            assert (rows[2 * i + 1].residual,
-                    rows[2 * i + 1].tolerance) == (gap_h,
-                                                   max(gap_c / 3.0, 1e-12))
+            lhs, rhs = double_divergence_expansion_check(p, k, x[None])
+            _, terms = _double_divergence_terms(p, k, x[None])
+            gap = float(abs(lhs[0] - rhs[0]))
+            scale = max(abs(float(lhs[0])), float(np.max(np.abs(terms))))
+            assert (rows[2 * i].check, rows[2 * i].point,
+                    rows[2 * i].residual) == ("lm2", str(i), gap)
+            assert (rows[2 * i + 1].check, rows[2 * i + 1].point,
+                    rows[2 * i + 1].residual) == ("lm2-relative", str(i),
+                                                  gap / max(scale, 1e-30))
 
 
 def _random_probe_stack(dim, count, rng):
@@ -1526,7 +1419,7 @@ def _random_probe_stack(dim, count, rng):
 
 # every probe check as f(fields, x, y) -> an array with a leading probe axis
 _PROBE_CHECKS = {
-    "piola": lambda f, x, y: piola_residual(f["k"], x, (1e-4, 5e-5)),
+    "piola": lambda f, x, y: _piola_terms(f["k"], x),
     "el-bracket": lambda f, x, y: el_bracket_residual(
         f["p"], f["h"], f["v"], x, y, 0.01),
     "observation-marginal": lambda f, x, y: observation_marginal(
@@ -1537,11 +1430,11 @@ _PROBE_CHECKS = {
     "dt-order": lambda f, x, y: dt_order_residual(
         f["p"], f["h"], f["k"], f["u"], x),
     "quadratic-terms": lambda f, x, y: np.stack(
-        [np.stack(quadratic_term_identity(i, f["p"], f["k"], x, 1e-4),
-                  axis=1) for i in QUADRATIC_IDENTITY_IDS], axis=1),
+        [np.stack(quadratic_term_identity(i, f["p"], f["k"], x), axis=1)
+         for i in QUADRATIC_IDENTITY_IDS], axis=1),
     "double-divergence": lambda f, x, y: np.column_stack(
-        double_divergence_expansion_check(f["p"], f["k"], x,
-                                          (1e-4, 1e-2, 5e-3))),
+        [*double_divergence_expansion_check(f["p"], f["k"], x),
+         _double_divergence_terms(f["p"], f["k"], x)[1]]),
 }
 
 
@@ -1780,6 +1673,113 @@ class TestGeneratorInvariance:
                 vals = trapezoid(vals, axis_grid, axis=-1)
             assert observation_marginal(p, h, [y], dt)[0] == pytest.approx(
                 float(vals), rel=1e-10), i
+
+
+def _mp_at(terms, axes, pt):
+    """d^axes of a {exponents: coefficient} polynomial at one mpmath point
+    pt (d,)."""
+    return _oracle_partial(terms, axes, pt[None])[0]
+
+
+def _mp_diff(fn, x, axes):
+    """d^axes fn at the float point x (d,), fn taking an mpmath point (d,):
+    mpmath.diff's central difference at 50 digits, whose step and working
+    precision mpmath chooses for them."""
+    with mpmath.workdps(50):
+        orders = [list(axes).count(a) for a in range(len(x))]
+        return mpmath.diff(lambda *pt: fn(np.array(pt, dtype=object)),
+                           [mpmath.mpf(float(c)) for c in x], orders)
+
+
+def _mp_piola_terms(v, x):
+    """(-1)^(i+j) d_i minor_ij(V) (d, d), V from the polynomial terms of v
+    and each minor by cofactor expansion."""
+    comps, d = [c.terms for c in v.components], v.dim
+
+    def minor(i, j):
+        def at(pt):
+            rows = [[int(a == b) + _mp_at(comps[b], (a,), pt)
+                     for b in range(d)] for a in range(d)]
+            return _mp_det([r[:j] + r[j + 1:]
+                            for a, r in enumerate(rows) if a != i])
+        return at
+
+    return np.array([[(-1) ** (i + j) * float(_mp_diff(minor(i, j), x, (i,)))
+                      for j in range(d)] for i in range(d)])
+
+
+def _mp_telescoped_rhs(ident, p, k, x):
+    """The telescoped side of identity 6, 7 or 8 (d,): the gradient of its
+    scalar, built from the polynomial terms of log p and K."""
+    q, comps, d = p.q.poly.terms, [c.terms for c in k.components], k.dim
+
+    def gain(pt):
+        return [_mp_at(c, (), pt) for c in comps]
+
+    def slope(pt):
+        return [_mp_at(q, (a,), pt) for a in range(d)]
+
+    def scalar(pt):
+        kk, g = gain(pt), slope(pt)
+        pairs = [(a, b) for a in range(d) for b in range(d)]
+        if ident == 6:
+            curvature = sum(kk[a] * (_mp_at(q, (a, b), pt) + g[a] * g[b])
+                            * kk[b] for a, b in pairs)
+            return (sum(a * b for a, b in zip(kk, g)) ** 2 - curvature) / 2
+        if ident == 7:
+            return -sum(kk[a] * _mp_at(comps[b], (a,), pt) * g[b]
+                        for a, b in pairs)
+        return -sum(kk[a] * _mp_at(comps[b], (a, b), pt) for a, b in pairs)
+
+    return np.array([float(_mp_diff(scalar, x, (a,))) for a in range(d)])
+
+
+def _mp_double_divergence(p, k, x):
+    """sum_ij d_i d_j (p K_i K_j), each second partial one mpmath.diff of
+    the product, p = exp(log p) from its terms."""
+    q, comps, d = p.q.poly.terms, [c.terms for c in k.components], k.dim
+
+    def pkk(i, j):
+        return lambda pt: (mpmath.exp(_mp_at(q, (), pt))
+                           * _mp_at(comps[i], (), pt)
+                           * _mp_at(comps[j], (), pt))
+
+    return float(sum(_mp_diff(pkk(i, j), x, (i, j))
+                     for i in range(d) for j in range(d)))
+
+
+class TestComplexStepsAgainstMpmath:
+    """Each complex-step derivative of the piola, appendixB and lm2 checks
+    against a 50-digit central difference of the same quantity built from
+    the probe's polynomial terms, on the suites' own probes. The largest
+    gaps were 6.0e-16 (piola, relative to max(1, |term|)), 4.4e-16,
+    8.9e-16 and 2.7e-15 (identities 6, 7 and 8) and 3.3e-16 (lm2); the
+    1e-14 bound keeps a margin of 3.7 or more."""
+
+    def test_piola_terms(self):
+        rng = np.random.default_rng(1003)
+        for i in range(50):
+            v, x = _piola_probe(rng, 2 + i % 2)
+            got = _piola_terms(v, x[None])[0]
+            want = _mp_piola_terms(v, x)
+            assert np.all(np.abs(got - want)
+                          <= 1e-14 * np.maximum(1.0, np.abs(want))), i
+
+    @pytest.mark.parametrize("ident", [6, 7, 8])
+    def test_telescoped_gradients(self, ident):
+        rng = np.random.default_rng(2000 + ident)
+        for i in range(50):
+            p, k, x = _quadratic_probe(rng)
+            _, rhs = quadratic_term_identity(ident, p, k, x[None])
+            assert np.max(np.abs(rhs[0] - _mp_telescoped_rhs(
+                ident, p, k, x))) <= 1e-14, i
+
+    def test_double_divergence_lhs(self):
+        rng = np.random.default_rng(2112)
+        for i in range(50):
+            p, k, x = _quadratic_probe(rng)
+            lhs, _ = double_divergence_expansion_check(p, k, x[None])
+            assert abs(lhs[0] - _mp_double_divergence(p, k, x)) <= 1e-14, i
 
 
 class TestPoincareRatioSweep:
